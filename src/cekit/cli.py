@@ -2,9 +2,8 @@
 
 Exit codes: 0 success, 2 validation or parse error, 3 property-suite
 failure, 4 resource guard. Tables are emitted as CSV (fixed column order,
-15 significant digits) or JSON; sweeps fan out across grid points under
-the CEKIT_THREADS worker cap and are assembled in grid order, so a fixed
-seed yields byte-identical output.
+15 significant digits) or JSON; rows come in grid order, so a fixed seed
+yields byte-identical output.
 """
 from __future__ import annotations
 
@@ -16,8 +15,7 @@ from typing import Iterable, Sequence
 
 from .entropy import EntropyParams
 from .errors import ResourceLimitError
-from .measures import cce_pure, named_measures
-from .parallel import parallel_map
+from .measures import cut_plan, named_measures, spectra_table, table_named, table_value
 from .states import StateRecipe, dicke, ghz, ghz_w_closed_forms, star, w
 from .suites import DEFAULT_TRIALS, SUITES, run_suite
 from .swaptest import (
@@ -87,27 +85,17 @@ def cmd_compute(args: argparse.Namespace) -> int:
         grid = [(a, b) for a in _parse_grid(args.alpha) for b in _parse_grid(args.beta)]
         if len(subset) > 12:
             print(
-                f"note: subset of {len(subset)} labels means 2^{len(subset)} = "
-                f"{1 << len(subset)} reduced-state eigensolves per grid point",
+                f"note: subset of {len(subset)} labels means "
+                f"{sum(len(b.masks) for b in cut_plan(psi.dims, subset).blocks)} "
+                "reduced-state eigensolves per state",
                 file=sys.stderr,
             )
-
-        nm = named_measures(psi, subset) if args.named else None
-
-        def one(point: tuple[float, float]) -> dict:
-            a, b = point
-            row = {
-                "state": recipe.label(),
-                "subset": "+".join(str(i) for i in subset),
-                "alpha": a,
-                "beta": b,
-                "value": cce_pure(psi, subset, EntropyParams(a, b)).value,
-            }
-            if nm is not None:
-                row.update({"e": nm.e, "r2": nm.r2, "t3": nm.t3, "c": nm.c})
-            return row
-
-        rows += parallel_map(one, grid)
+        table = spectra_table(psi, subset)
+        named = table_named(table)._asdict() if args.named else {}
+        state, joined = recipe.label(), "+".join(str(i) for i in subset)
+        for a, b in grid:
+            value = table_value(table, EntropyParams(a, b))
+            rows.append({"state": state, "subset": joined, "alpha": a, "beta": b, "value": value, **named})
     _emit(rows, columns, args.format, args.out)
     return EXIT_OK
 
@@ -155,11 +143,7 @@ def cmd_star_sweep(args: argparse.Namespace) -> int:
     if any(t < 0 or t > math.pi / 2 + 1e-12 for t in thetas):
         raise ValueError("star sweep grid must lie within [0, pi/2]")
 
-    def one(theta: float) -> dict:
-        nm = named_measures(star(theta), (1, 2, 3, 4))
-        return {"theta": theta, "e": nm.e, "r2": nm.r2, "t3": nm.t3, "c": nm.c}
-
-    rows = parallel_map(one, thetas)
+    rows = [{"theta": theta, **named_measures(star(theta), (1, 2, 3, 4))._asdict()} for theta in thetas]
     ok = True
     tol = 1e-10
     for row in rows:
@@ -179,8 +163,7 @@ def cmd_star_sweep(args: argparse.Namespace) -> int:
 def cmd_dicke_table(args: argparse.Namespace) -> int:
     rows = []
     for k in range(5):
-        nm = named_measures(dicke(4, k), (1, 2, 3, 4))
-        rows.append({"k": k, "e": nm.e, "r2": nm.r2, "t3": nm.t3, "c": nm.c})
+        rows.append({"k": k, **named_measures(dicke(4, k), (1, 2, 3, 4))._asdict()})
     ok = True
     tol = 1e-10
     for measure in ("e", "r2", "t3", "c"):
@@ -271,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("compute", "ghz-w-sweep", "star-sweep", "dicke-table"):
             cmd.add_argument("--format", choices=("csv", "json"), default="csv")
             cmd.add_argument("--out", default=None, help="output path, default stdout")
-        if name in ("compute",):
-            cmd.add_argument("--seed", type=int, default=0)
 
     return parser
 

@@ -11,15 +11,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .entropy import EntropyParams, unified_entropy_spectrum
+from .entropy import EntropyParams
 from .errors import ResourceLimitError
-from .measures import BENCHMARKS, LN2, cce_pure, normalize_subset, subset_spectra
-from .parallel import parallel_map
+from .measures import (
+    BENCHMARKS,
+    LN2,
+    CutPlan,
+    cut_plan,
+    member_spectra,
+    named_measures,
+    normalize_subset,
+    spectra_table,
+    table_terms,
+    table_value,
+)
 from .tensor import DensityOperator, PureState
 
 __all__ = [
@@ -64,7 +73,7 @@ class Ensemble:
         return float(np.linalg.norm(mat - rho.matrix))
 
     def average(self, subset: Iterable[int], params: EntropyParams) -> float:
-        return math.fsum(p * cce_pure(s, subset, params).value for p, s in self.members)
+        return math.fsum(p * table_value(spectra_table(s, subset), params) for p, s in self.members)
 
     def to_dict(self) -> dict:
         return {
@@ -102,52 +111,33 @@ def _eigen_support(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
     return vals[keep][order], vecs[:, keep][:, order]
 
 
-def _subset_axes(dims: tuple[int, ...], subset: tuple[int, ...]) -> list[tuple[list[int], int]]:
-    """For each mask over `subset`: (axes of the smaller cut side to trace, its dim)."""
-    n = len(dims)
+def _members(raw: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """(weight, normalized column) of each column of `raw` not lighter than 1e-12."""
     out = []
-    for mask in range(1 << len(subset)):
-        chi = [subset[j] - 1 for j in range(len(subset)) if (mask >> j) & 1]
-        comp = [ax for ax in range(n) if ax not in chi]
-        if not chi or not comp:
-            out.append((list(range(n)), 1))
-            continue
-        d_chi = prod(dims[ax] for ax in chi)
-        d_comp = prod(dims[ax] for ax in comp)
-        if d_chi <= d_comp:
-            out.append((comp, d_chi))
-        else:
-            out.append((chi, d_comp))
+    for v in raw.T:
+        p = float(np.real(np.vdot(v, v)))
+        if p >= MEMBER_DROP_TOL:
+            out.append((p, v / math.sqrt(p)))
     return out
 
 
-def _raw_average(
-    raw: np.ndarray,
-    dims: tuple[int, ...],
-    axes_plan: list[tuple[list[int], int]],
-    params: EntropyParams,
-    m_subset: int,
-) -> float:
+def _raw_average(raw: np.ndarray, plan: CutPlan, params: EntropyParams) -> float:
     """Ensemble average of the measure over unnormalized member columns.
 
     Skips the dataclass layer; used only inside the optimizer's inner loop,
     the reported result is always re-evaluated through the public path.
+    Each member's terms are summed in mask order, then weighted.
     """
+    members = _members(raw)
+    spectra = member_spectra(plan, [v.reshape(plan.dims) for _, v in members])
+    # A plan without cuts (one subsystem) yields one row of zeros for all members.
+    terms = np.broadcast_to(table_terms(spectra, params), (len(members), plan.n_masks)).tolist()
     total = 0.0
-    scale = 1.0 / (1 << m_subset)
-    for i in range(raw.shape[1]):
-        v = raw[:, i]
-        p = float(np.real(np.vdot(v, v)))
-        if p < MEMBER_DROP_TOL:
-            continue
-        t = (v / math.sqrt(p)).reshape(dims)
+    scale = 1.0 / plan.n_masks
+    for (p, _), row in zip(members, terms):
         acc = 0.0
-        for axes, d in axes_plan:
-            if d == 1:
-                continue
-            red = np.tensordot(t, t.conj(), axes=(axes, axes)).reshape(d, d)
-            lam = np.linalg.eigvalsh(red)
-            acc += unified_entropy_spectrum(np.clip(lam, 0.0, None), params)
+        for term in row:
+            acc += term
         total += p * acc * scale
     return total
 
@@ -171,14 +161,7 @@ def mixing_ensemble(rho: DensityOperator, mixer: np.ndarray) -> Ensemble:
     if np.abs(mixer.conj().T @ mixer - np.eye(r)).max() > ISOMETRY_ATOL:
         raise ValueError("mixer columns are not orthonormal")
     roots = vecs * np.sqrt(vals)
-    raw = roots @ mixer.T
-    members = []
-    for i in range(m):
-        v = raw[:, i]
-        p = float(np.real(np.vdot(v, v)))
-        if p < MEMBER_DROP_TOL:
-            continue
-        members.append((p, PureState(v / math.sqrt(p), rho.dims)))
+    members = [(p, PureState(v, rho.dims)) for p, v in _members(roots @ mixer.T)]
     total = math.fsum(p for p, _ in members)
     members = [(p / total, s) for p, s in members]
     return Ensemble(tuple(members))
@@ -312,21 +295,23 @@ def cce_mixed_upper(
         bases.append((np.eye(m, dtype=complex), x0, m))
 
     roots = vecs * np.sqrt(vals)
-    axes_plan = _subset_axes(rho.dims, s)
+    # Unpaired plan: pairing would halve the eigensolves on full subsets but
+    # move objective values, and with them the search path, in the last bits.
+    plan = cut_plan(rho.dims, s, use_symmetry=False)
 
     def run(start: tuple[np.ndarray, np.ndarray, int]):
         base, x0, m_k = start
 
         def objective(theta: np.ndarray) -> float:
             mixer = (_unitary(m_k, theta) @ base)[:, :r]
-            return _raw_average(roots @ mixer.T, rho.dims, axes_plan, params, len(s))
+            return _raw_average(roots @ mixer.T, plan, params)
 
         x, _, converged, _ = _pattern_search(objective, x0, max_evals)
         mixer = (_unitary(m_k, x) @ base)[:, :r]
         ens = mixing_ensemble(rho, mixer)
         return ens.average(s, params), ens, converged
 
-    results = parallel_map(run, bases)
+    results = [run(start) for start in bases]
     best_idx = 0
     for i in range(1, len(results)):
         if results[i][0] < results[best_idx][0]:
@@ -376,12 +361,8 @@ def mixed_ordering_spotcheck(
         ens = mixing_ensemble(rho, mixer)
         avg = {k: 0.0 for k in BENCHMARKS}
         for p, member in ens.members:
-            spectra = subset_spectra(member, s)
-            for k, pars in BENCHMARKS.items():
-                avg[k] += p * (
-                    math.fsum(unified_entropy_spectrum(spec, pars) for _, spec in sorted(spectra.items()))
-                    / (1 << len(s))
-                )
+            for k, value in named_measures(member, s)._asdict().items():
+                avg[k] += p * value
         tol = 1e-10
         checks = {
             "e_ge_c_over_ln2": avg["e"] >= avg["c"] / LN2 - tol,

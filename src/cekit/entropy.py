@@ -23,6 +23,7 @@ __all__ = [
     "EntropyParams",
     "unified_entropy",
     "unified_entropy_spectrum",
+    "unified_entropy_rows",
     "binary_entropy",
     "majorizes",
     "schur_concavity_witness",
@@ -109,20 +110,32 @@ def _as_prob_vector(v: Iterable[float]) -> np.ndarray:
     return np.clip(arr, 0.0, None)
 
 
-def unified_entropy_spectrum(spectrum: Iterable[float], p: EntropyParams) -> float:
-    """Unified entropy evaluated on a clamped eigenvalue vector.
+def unified_entropy_rows(rows: np.ndarray, p: EntropyParams) -> np.ndarray:
+    """Unified entropy of every spectrum along the last axis of `rows`.
 
     Entries at or below the numerically-zero floor are dropped under the
-    0^alpha := 0 and 0 log 0 := 0 conventions.
+    0^alpha := 0 and 0 log 0 := 0 conventions. The steps after the trace
+    run on Python floats (libm), which numpy's vectorised loops can miss by
+    an ulp.
     """
-    lam = np.asarray(spectrum, dtype=float)
-    lam = lam[lam > ZERO_EIG_FLOOR]
+    lam = np.asarray(rows, dtype=float)
+    keep = lam > ZERO_EIG_FLOOR
     if p.is_von_neumann:
-        return float(-(lam * np.log2(lam)).sum()) + 0.0
-    t = float((lam**p.alpha).sum())
+        lam = np.where(keep, lam, 1.0)  # 1 log 1 = 0 stands in for a dropped entry
+        return -(lam * np.log2(lam)).sum(axis=-1) + 0.0
+    traces = (np.where(keep, lam, 0.0) ** p.alpha).sum(axis=-1)
     if p.is_renyi:
-        return math.log2(t) / (1.0 - p.alpha) + 0.0
-    return (t**p.beta - 1.0) / ((1.0 - p.alpha) * p.beta) + 0.0
+        vals = [math.log2(t) / (1.0 - p.alpha) + 0.0 for t in traces.ravel().tolist()]
+    else:
+        scale = (1.0 - p.alpha) * p.beta
+        vals = [(t**p.beta - 1.0) / scale + 0.0 for t in traces.ravel().tolist()]
+    return np.array(vals).reshape(traces.shape)
+
+
+def unified_entropy_spectrum(spectrum: Iterable[float], p: EntropyParams) -> float:
+    """Unified entropy of one clamped eigenvalue vector: the one-row case of
+    `unified_entropy_rows`."""
+    return float(unified_entropy_rows(spectrum, p))
 
 
 def unified_entropy(rho: DensityOperator | np.ndarray, p: EntropyParams) -> float:

@@ -11,13 +11,18 @@ bit j of a mask selects the j-th smallest label. The spectrum of a reduced
 state always equals that of its complementary cut, which lets the
 evaluation eigensolve the smaller side of each bipartition, and lets the
 s = [n] case pair each subset with its complement and halve the work.
+
+A cut plan fixes those choices once per (dims, subset). A spectra table
+holds each planned cut's spectrum once per state, in one dense block per
+cut dimension, and every (alpha, beta) point is evaluated from it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,14 +31,13 @@ from .entropy import (
     fannes_audenaert_bound,
     in_concavity_region,
     in_subadditivity_region,
-    unified_entropy_spectrum,
+    unified_entropy_rows,
 )
 from .errors import ResourceLimitError
-from .parallel import parallel_map
 from .tensor import (
     PureState,
     _check_kraus_complete,
-    embed_local,
+    apply_local_kraus_pure,
     normalize_subset,
     trace_distance,
 )
@@ -45,7 +49,15 @@ __all__ = [
     "NamedMeasures",
     "OrderingReport",
     "GmeCertificate",
-    "subset_spectra",
+    "CutBlock",
+    "CutPlan",
+    "SpectraTable",
+    "cut_plan",
+    "member_spectra",
+    "spectra_table",
+    "table_terms",
+    "table_value",
+    "table_named",
     "cce_pure",
     "named_measures",
     "ordering_report",
@@ -121,58 +133,132 @@ class GmeCertificate:
     certified: bool
 
 
-def _bipartition_spectrum(psi: PureState, chi: tuple[int, ...]) -> np.ndarray:
-    """Spectrum of the reduced state on chi, eigensolved on the smaller cut side."""
-    n = psi.n_subsystems
-    comp = tuple(i for i in range(1, n + 1) if i not in chi)
-    if not chi or not comp:
-        return np.array([1.0])
-    d_chi = prod(psi.dims[i - 1] for i in chi)
-    d_comp = prod(psi.dims[i - 1] for i in comp)
-    side = chi if d_chi <= d_comp else comp
-    other_axes = [i - 1 for i in (comp if side is chi else chi)]
-    t = psi.amplitudes.reshape(psi.dims)
-    rho = np.tensordot(t, t.conj(), axes=(other_axes, other_axes))
-    d = min(d_chi, d_comp)
-    vals = np.linalg.eigvalsh(rho.reshape(d, d))
-    return np.where(vals < 0.0, 0.0, vals)[::-1].copy()
+class CutBlock(NamedTuple):
+    """Canonical cuts whose smaller side has dimension d, masks ascending."""
+
+    d: int
+    masks: np.ndarray
+    traced: tuple[tuple[int, ...], ...]  # axes traced out, one tuple per mask
 
 
-def subset_spectra(
-    psi: PureState, subset: Iterable[int], *, use_symmetry: bool | None = None
-) -> dict[int, np.ndarray]:
-    """Reduced-state spectra for every subset of `subset`, keyed by bitmask.
+class CutPlan(NamedTuple):
+    """Which cuts of P(subset) to eigensolve, and on which side.
 
-    When `subset` covers all subsystems (the default trigger), each subset
-    shares its spectrum with its complement, halving the eigensolves.
+    Masks whose reduced state is trivial (dimension 1) carry entropy 0 and
+    appear in no block. When `paired`, every block mask m stands for both m
+    and its complement, whose spectrum is the same. Plans are cached and
+    shared between callers, so their arrays must not be written to.
     """
-    s = normalize_subset(subset, psi.n_subsystems)
-    m = len(s)
-    if m > MAX_SUBSET_SIZE:
+
+    dims: tuple[int, ...]
+    subset: tuple[int, ...]
+    paired: bool
+    blocks: tuple[CutBlock, ...]
+
+    @property
+    def n_masks(self) -> int:
+        return 1 << len(self.subset)
+
+
+class SpectraTable(NamedTuple):
+    """Spectra of a plan's cuts: blocks[b][..., i, :] is the descending,
+    clamped spectrum of cut plan.blocks[b].masks[i]; any leading axes index
+    the states the table was built from."""
+
+    plan: CutPlan
+    blocks: tuple[np.ndarray, ...]
+
+
+@lru_cache(maxsize=64)
+def _build_plan(dims: tuple[int, ...], subset: tuple[int, ...], paired: bool) -> CutPlan:
+    m = len(subset)
+    full = (1 << m) - 1
+    by_dim: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
+    for mask in range(1 << m):
+        if paired and mask > full ^ mask:
+            continue
+        chi = tuple(subset[j] - 1 for j in range(m) if (mask >> j) & 1)
+        comp = tuple(ax for ax in range(len(dims)) if ax not in chi)
+        if not chi or not comp:
+            continue
+        d_chi = prod(dims[ax] for ax in chi)
+        d_comp = prod(dims[ax] for ax in comp)
+        d, traced = (d_chi, comp) if d_chi <= d_comp else (d_comp, chi)
+        masks, axes = by_dim.setdefault(d, ([], []))
+        masks.append(mask)
+        axes.append(traced)
+    blocks = tuple(
+        CutBlock(d, np.array(masks, dtype=np.int64), tuple(axes))
+        for d, (masks, axes) in sorted(by_dim.items())
+    )
+    return CutPlan(dims, subset, paired, blocks)
+
+
+def cut_plan(
+    dims: tuple[int, ...], subset: Iterable[int], *, use_symmetry: bool | None = None
+) -> CutPlan:
+    """Cut plan of P(subset) for a pure state with local dimensions `dims`.
+
+    Each cut is eigensolved on its smaller side. When `subset` covers all
+    subsystems (the default trigger), a subset and its complement share one
+    spectrum, which halves the eigensolves.
+    """
+    dims = tuple(dims)
+    s = normalize_subset(subset, len(dims))
+    if len(s) > MAX_SUBSET_SIZE:
         raise ResourceLimitError(
-            f"power set of {m} labels exceeds the enumeration guard of {MAX_SUBSET_SIZE}"
+            f"power set of {len(s)} labels exceeds the enumeration guard of {MAX_SUBSET_SIZE}"
         )
     if use_symmetry is None:
-        use_symmetry = m == psi.n_subsystems
-    elif use_symmetry and m != psi.n_subsystems:
+        use_symmetry = len(s) == len(dims)
+    elif use_symmetry and len(s) != len(dims):
         raise ValueError("complement pairing requires the subset to cover every subsystem")
+    return _build_plan(dims, s, use_symmetry)
 
-    full = (1 << m) - 1
-    masks = range(1 << m)
-    if use_symmetry:
-        canonical = [mask for mask in masks if mask <= (full ^ mask)]
-    else:
-        canonical = list(masks)
 
-    def spectrum_of(mask: int) -> np.ndarray:
-        chi = tuple(s[j] for j in range(m) if (mask >> j) & 1)
-        return _bipartition_spectrum(psi, chi)
+def member_spectra(plan: CutPlan, tensors: Sequence[np.ndarray]) -> SpectraTable:
+    """Spectra of every planned cut for each state tensor (shaped `plan.dims`),
+    with one stacked eigensolve per cut."""
+    conj = [t.conj() for t in tensors]
+    blocks = []
+    for block in plan.blocks:
+        d = block.d
+        out = np.empty((len(tensors), len(block.masks), d))
+        for i, axes in enumerate(block.traced):
+            reduced = np.stack(
+                [np.tensordot(t, tc, axes=(axes, axes)).reshape(d, d) for t, tc in zip(tensors, conj)]
+            )
+            out[:, i, ::-1] = np.linalg.eigvalsh(reduced)
+        blocks.append(np.where(out < 0.0, 0.0, out))
+    return SpectraTable(plan, tuple(blocks))
 
-    computed = dict(zip(canonical, parallel_map(spectrum_of, canonical)))
-    out: dict[int, np.ndarray] = {}
-    for mask in masks:
-        out[mask] = computed[mask] if mask in computed else computed[full ^ mask]
+
+def spectra_table(
+    psi: PureState, subset: Iterable[int], *, use_symmetry: bool | None = None
+) -> SpectraTable:
+    """Spectra of every cut of P(subset) for one pure state, each computed once."""
+    plan = cut_plan(psi.dims, subset, use_symmetry=use_symmetry)
+    table = member_spectra(plan, [psi.amplitudes.reshape(psi.dims)])
+    return SpectraTable(plan, tuple(b[0] for b in table.blocks))
+
+
+def table_terms(table: SpectraTable, params: EntropyParams) -> np.ndarray:
+    """Entropy of every mask of P(subset) in the last axis, trivial masks 0."""
+    plan = table.plan
+    lead = table.blocks[0].shape[:-2] if table.blocks else ()
+    out = np.zeros(lead + (plan.n_masks,))
+    for block, spectra in zip(plan.blocks, table.blocks):
+        vals = unified_entropy_rows(spectra, params)
+        out[..., block.masks] = vals
+        if plan.paired:
+            out[..., (plan.n_masks - 1) ^ block.masks] = vals
     return out
+
+
+def table_value(table: SpectraTable, params: EntropyParams) -> float:
+    """The measure of a one-state table. The sum is exactly rounded, so it
+    does not depend on the order of the terms."""
+    return math.fsum(table_terms(table, params).tolist()) / table.plan.n_masks
 
 
 def cce_pure(
@@ -183,30 +269,26 @@ def cce_pure(
     use_symmetry: bool | None = None,
 ) -> MeasureReport:
     """Concentratable entanglement of a pure state over P(subset)."""
-    s = normalize_subset(subset, psi.n_subsystems)
-    spectra = subset_spectra(psi, s, use_symmetry=use_symmetry)
-    terms = {mask: unified_entropy_spectrum(spec, params) for mask, spec in spectra.items()}
-    value = math.fsum(terms[mask] for mask in sorted(terms)) / (1 << len(s))
-    return MeasureReport(value=value, terms=terms, params=params, subset=s)
+    table = spectra_table(psi, subset, use_symmetry=use_symmetry)
+    terms = table_terms(table, params).tolist()
+    return MeasureReport(math.fsum(terms) / len(terms), dict(enumerate(terms)), params, table.plan.subset)
 
 
 def _cce_value(psi: PureState, subset: tuple[int, ...], params: EntropyParams) -> float:
     if not subset:
         return 0.0
-    return cce_pure(psi, subset, params).value
+    return table_value(spectra_table(psi, subset), params)
+
+
+def table_named(table: SpectraTable) -> NamedMeasures:
+    """The four benchmark measures of a one-state table."""
+    return NamedMeasures(**{k: table_value(table, p) for k, p in BENCHMARKS.items()})
 
 
 def named_measures(psi: PureState, subset: Iterable[int]) -> NamedMeasures:
     """The four benchmark measures (von Neumann, Renyi-2, Tsallis-3, linear)
-    from a single pass over the subset spectra."""
-    s = normalize_subset(subset, psi.n_subsystems)
-    spectra = subset_spectra(psi, s)
-    scale = 1.0 / (1 << len(s))
-    vals = {
-        k: math.fsum(unified_entropy_spectrum(spec, p) for _, spec in sorted(spectra.items())) * scale
-        for k, p in BENCHMARKS.items()
-    }
-    return NamedMeasures(**vals)
+    from one spectra table."""
+    return table_named(spectra_table(psi, subset))
 
 
 def ordering_report(
@@ -220,19 +302,10 @@ def ordering_report(
     lo, hi = renyi_orders
     if not 0 < lo <= hi:
         raise ValueError(f"need 0 < alpha_lo <= alpha_hi, got {renyi_orders}")
-    s = normalize_subset(subset, psi.n_subsystems)
-    spectra = subset_spectra(psi, s)
-    scale = 1.0 / (1 << len(s))
-
-    def value(p: EntropyParams) -> float:
-        return math.fsum(unified_entropy_spectrum(spec, p) for _, spec in sorted(spectra.items())) * scale
-
-    e = value(BENCHMARKS["e"])
-    r2 = value(BENCHMARKS["r2"])
-    t3 = value(BENCHMARKS["t3"])
-    c = value(BENCHMARKS["c"])
-    renyi_lo = value(EntropyParams.renyi(lo)) if lo != 1.0 else e
-    renyi_hi = value(EntropyParams.renyi(hi)) if hi != 1.0 else e
+    table = spectra_table(psi, subset)
+    e, r2, t3, c = table_named(table)
+    renyi_lo = table_value(table, EntropyParams.renyi(lo)) if lo != 1.0 else e
+    renyi_hi = table_value(table, EntropyParams.renyi(hi)) if hi != 1.0 else e
     checks = {
         "e_ge_c_over_ln2": e >= c / LN2 - tol,
         "e_ge_2c_minus_half": e >= 2.0 * c - 0.5 - tol,
@@ -289,18 +362,15 @@ def subadditivity_gap(
     if set(a) & set(b):
         raise ValueError(f"subsets overlap: {a} and {b}")
     union = tuple(sorted(a + b))
-    spectra = subset_spectra(psi, union)
-    terms = {mask: unified_entropy_spectrum(spec, params) for mask, spec in spectra.items()}
+    terms = table_terms(spectra_table(psi, union), params)
     bit_of = {label: j for j, label in enumerate(union)}
-    mask_a = sum(1 << bit_of[i] for i in a)
-    mask_b = sum(1 << bit_of[i] for i in b)
+    masks = np.arange(terms.size)
 
-    def part(mask_sub: int, size: int) -> float:
-        inside = [mask for mask in sorted(terms) if mask & ~mask_sub == 0]
-        return math.fsum(terms[mask] for mask in inside) / (1 << size)
+    def part(labels: tuple[int, ...]) -> float:
+        mask_sub = sum(1 << bit_of[i] for i in labels)
+        return math.fsum(terms[masks & ~mask_sub == 0].tolist()) / (1 << len(labels))
 
-    e_union = math.fsum(terms[mask] for mask in sorted(terms)) / (1 << len(union))
-    return part(mask_a, len(a)) + part(mask_b, len(b)) - e_union
+    return part(a) + part(b) - part(union)
 
 
 def gme_certificate(psi: PureState, params: EntropyParams) -> GmeCertificate:
@@ -384,11 +454,6 @@ def locc_monotonicity_spotcheck(
     s = normalize_subset(subset, psi.n_subsystems)
     before = _cce_value(psi, s, params)
     avg = 0.0
-    for k in ops:
-        v = embed_local(k, site, psi.dims) @ psi.amplitudes
-        p = float(np.real(np.vdot(v, v)))
-        if p < 1e-12:
-            continue
-        branch = PureState(v / math.sqrt(p), psi.dims)
+    for p, branch in apply_local_kraus_pure(psi, site, ops):
         avg += p * _cce_value(branch, s, params)
     return before - avg

@@ -10,7 +10,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .entropy import EntropyParams, unified_entropy_spectrum
+from .entropy import unified_entropy_spectrum
+from .measures import BENCHMARKS
 from .tensor import DensityOperator, PureState, reduced_state
 
 __all__ = [
@@ -121,16 +122,10 @@ def ghz_w_closed_forms(n: int, size: int) -> tuple[dict[str, float], dict[str, f
     """
     if not 1 <= size <= n:
         raise ValueError(f"need 1 <= size <= n, got size={size}, n={n}")
-    benchmarks = {
-        "e": EntropyParams.von_neumann(),
-        "r2": EntropyParams.renyi(2.0),
-        "t3": EntropyParams.tsallis(3.0),
-        "c": EntropyParams.linear(),
-    }
     ghz_vals: dict[str, float] = {}
     w_vals: dict[str, float] = {}
     nonzero = (1 << size) - (1 if size < n else 2)
-    for key, params in benchmarks.items():
+    for key, params in BENCHMARKS.items():
         ghz_vals[key] = nonzero * unified_entropy_spectrum([0.5, 0.5], params) / (1 << size)
         w_vals[key] = (
             math.fsum(

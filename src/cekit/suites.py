@@ -20,15 +20,15 @@ from .entropy import (
     binary_entropy,
     majorizes,
     schur_concavity_witness,
-    unified_entropy_spectrum,
 )
 from .measures import (
     continuity_gap,
     locc_monotonicity_spotcheck,
     named_measures,
     ordering_report,
+    spectra_table,
     subadditivity_gap,
-    subset_spectra,
+    table_value,
     tensor_identity_residual,
 )
 from .states import dicke, ghz, haar_random, random_density, random_product, w
@@ -177,18 +177,12 @@ def suite_ordering(seed: int = 0, trials: int = 1000, alpha_pairs: int = 20) -> 
         for name, ok in report.checks.items():
             if not ok:
                 failures.append(f"trial {trial} seed {seed}: {name} violated")
-        spectra = subset_spectra(psi, s)
+        table = spectra_table(psi, s)
         for _ in range(alpha_pairs):
             a_lo, a_hi = np.sort(rng.uniform(0.3, 3.5, size=2))
             beta = float(rng.uniform(1.0, 3.0))
-            lo = math.fsum(
-                unified_entropy_spectrum(spec, EntropyParams(float(a_lo), beta))
-                for _, spec in sorted(spectra.items())
-            ) / 16.0
-            hi = math.fsum(
-                unified_entropy_spectrum(spec, EntropyParams(float(a_hi), beta))
-                for _, spec in sorted(spectra.items())
-            ) / 16.0
+            lo = table_value(table, EntropyParams(float(a_lo), beta))
+            hi = table_value(table, EntropyParams(float(a_hi), beta))
             if lo < hi - GAP_TOL:
                 failures.append(
                     f"trial {trial} seed {seed}: measure increased from alpha {a_lo} to {a_hi} at beta {beta}"

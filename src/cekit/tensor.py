@@ -2,7 +2,7 @@
 
 Subsystems carry 1-based labels and subsystem 1 is the slowest-varying
 (most significant) tensor index. Every operation is a pure function of
-immutable inputs, so values are safe to share across parallel workers.
+immutable inputs, so values are safe to share.
 """
 from __future__ import annotations
 

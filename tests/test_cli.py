@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cekit.cli import main
@@ -198,11 +199,21 @@ def test_csv_fifteen_significant_digits(capsys):
     assert len(mantissa) >= 14
 
 
-def test_threads_env_parallel_output_identical(tmp_path, capsys, monkeypatch):
-    out1 = tmp_path / "serial.csv"
-    out2 = tmp_path / "threaded.csv"
-    main(["star-sweep", "--grid", "0:1.5:16", "--out", str(out1)])
-    monkeypatch.setenv("CEKIT_THREADS", "4")
-    main(["star-sweep", "--grid", "0:1.5:16", "--out", str(out2)])
-    capsys.readouterr()
-    assert out1.read_bytes() == out2.read_bytes()
+def test_compute_grid_eigensolves_each_cut_once(capsys, monkeypatch):
+    # Six qubits: 31 nontrivial canonical cuts, shared by all nine grid
+    # points and the four named measures.
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    code, out, _ = run_cli(
+        capsys, "compute", "--state", "haar:2x2x2x2x2x2:1", "--named",
+        "--alpha", "0.5:3:3", "--beta", "0:2:3",
+    )
+    assert code == 0
+    assert len(parse_csv(out)) == 9
+    assert len(calls) == 31

@@ -14,6 +14,7 @@ from cekit.entropy import (
     max_entropy_value,
     schur_concavity_witness,
     unified_entropy,
+    unified_entropy_rows,
     unified_entropy_spectrum,
 )
 from cekit.measures import continuity_gap
@@ -221,3 +222,38 @@ def test_spectrum_kernel_ignores_zeros():
     a = unified_entropy_spectrum([0.5, 0.5], params)
     b = unified_entropy_spectrum([0.5, 0.5, 0.0, 0.0], params)
     assert a == b
+
+
+def _scalar_entropy(spectrum, p):
+    # Reference: one spectrum at a time, dropped entries removed before the sums.
+    lam = np.asarray(spectrum, dtype=float)
+    lam = lam[lam > 1e-12]
+    if p.is_von_neumann:
+        return float(-(lam * np.log2(lam)).sum()) + 0.0
+    t = float((lam**p.alpha).sum())
+    if p.is_renyi:
+        return math.log2(t) / (1.0 - p.alpha) + 0.0
+    return (t**p.beta - 1.0) / ((1.0 - p.alpha) * p.beta) + 0.0
+
+
+def test_entropy_rows_match_scalar_reference():
+    # Rows shorter than eight entries are summed in the same order either way,
+    # so the block evaluation must reproduce the scalar formulas bit for bit,
+    # including rows padded with zeros and entries under the floor.
+    rng = np.random.default_rng(5)
+    rows = rng.dirichlet(np.ones(6), size=(3, 7))
+    rows[0, :, 4:] = 0.0
+    rows[1, :, 5] = 1e-13
+    rows[2, 0] = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    for params in [
+        EntropyParams.von_neumann(),
+        EntropyParams.renyi(0.5),
+        EntropyParams.renyi(2.0),
+        EntropyParams.tsallis(3.0),
+        EntropyParams(1.7, 0.4),
+        EntropyParams(0.5, 2.0),
+    ]:
+        block = unified_entropy_rows(rows, params)
+        assert block.shape == (3, 7)
+        want = [[_scalar_entropy(r, params) for r in plane] for plane in rows]
+        assert block.tolist() == want

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cekit.entropy import EntropyParams, binary_entropy
+from cekit.entropy import EntropyParams, binary_entropy, unified_entropy_spectrum
 from cekit.errors import ResourceLimitError
 from cekit.measures import (
     cce_pure,
@@ -13,13 +13,20 @@ from cekit.measures import (
     locc_monotonicity_spotcheck,
     named_measures,
     ordering_report,
+    spectra_table,
     subadditivity_gap,
-    subset_spectra,
     tensor_identity_residual,
 )
 from cekit.states import ghz, haar_random, random_product, w
 from cekit.suites import nearby_state
-from cekit.tensor import PureState, kron, permute_subsystems, reduced_state, trace_power
+from cekit.tensor import (
+    PureState,
+    hermitian_eigenvalues,
+    kron,
+    permute_subsystems,
+    reduced_state,
+    trace_power,
+)
 
 VN = EntropyParams.von_neumann()
 LIN = EntropyParams.linear()
@@ -64,13 +71,38 @@ def test_cce_enumeration_guard():
         cce_pure(psi, range(1, 22), VN)
 
 
+def _naive_cce(psi, subset, params):
+    # One explicit reduced state per mask, always built on chi itself.
+    s = sorted(subset)
+    total = 0.0
+    for mask in range(1, 1 << len(s)):
+        chi = [s[j] for j in range(len(s)) if (mask >> j) & 1]
+        total += unified_entropy_spectrum(hermitian_eigenvalues(reduced_state(psi, chi)), params)
+    return total / 2 ** len(s)
+
+
 def test_symmetric_evaluation_matches_naive():
-    for seed in range(5):
-        psi = haar_random((2, 2, 2, 2), seed=seed)
-        for params in [VN, LIN, EntropyParams(1.4, 0.8)]:
-            fast = cce_pure(psi, (1, 2, 3, 4), params).value
-            naive = cce_pure(psi, (1, 2, 3, 4), params, use_symmetry=False).value
-            assert fast == pytest.approx(naive, abs=1e-12)
+    # Mixed local dimensions give several cut-dimension blocks; GHZ and W
+    # cuts carry exact zero eigenvalues, which must fall under the floor.
+    cases = [(haar_random((2, 2, 2, 2), seed=seed), (1, 2, 3, 4)) for seed in range(5)]
+    cases += [
+        (haar_random((2, 3, 2), seed=21), (1, 2, 3)),
+        (haar_random((2, 3, 2), seed=21), (1, 3)),
+        (haar_random((3, 3), seed=22), (1, 2)),
+        (haar_random((3, 3), seed=22), (2,)),
+        (ghz(4), (1, 2, 3, 4)),
+        (ghz(4), (1, 3)),
+        (w(5), (1, 2, 3, 4, 5)),
+        (w(5), (1, 3)),
+    ]
+    for psi, subset in cases:
+        full = len(subset) == psi.n_subsystems
+        for params in [VN, LIN, EntropyParams(1.4, 0.8), EntropyParams.renyi(0.5)]:
+            fast = cce_pure(psi, subset, params).value
+            assert fast == pytest.approx(_naive_cce(psi, subset, params), abs=1e-12)
+            if full:
+                naive = cce_pure(psi, subset, params, use_symmetry=False).value
+                assert fast == pytest.approx(naive, abs=1e-12)
 
 
 def test_complement_symmetry_termwise():
@@ -396,4 +428,4 @@ def test_report_serialization_roundtrip():
 
 def test_subset_spectra_rejects_symmetry_on_partial_subset():
     with pytest.raises(ValueError):
-        subset_spectra(ghz(3), (1, 2), use_symmetry=True)
+        spectra_table(ghz(3), (1, 2), use_symmetry=True)
