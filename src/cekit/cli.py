@@ -31,6 +31,8 @@ EXIT_VALIDATION = 2
 EXIT_SUITE_FAILURE = 3
 EXIT_RESOURCE = 4
 
+MAX_GRID_STEPS = 10_000
+
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -62,6 +64,8 @@ def _parse_grid(text: str) -> list[float]:
     start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     if steps < 1:
         raise ValueError(f"grid needs at least one step, got {steps}")
+    if steps > MAX_GRID_STEPS:
+        raise ResourceLimitError(f"grid of {steps} steps exceeds the guard of {MAX_GRID_STEPS} per axis")
     if steps == 1:
         return [start]
     return [start + (stop - start) * i / (steps - 1) for i in range(steps)]

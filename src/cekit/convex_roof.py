@@ -6,9 +6,14 @@ minimization runs over mixers. The search is a seeded, restart-based
 pattern search over a Givens-angle/phase parameterization of the mixer;
 what it returns is the best ensemble average found, which upper-bounds
 the true roof but is never claimed to attain it.
+
+Restarts are independent in their results but advance in lockstep: each
+round evaluates the current point of every live restart in one batched
+objective call, whose values are bit-identical to evaluating each alone.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -111,35 +116,40 @@ def _eigen_support(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
     return vals[keep][order], vecs[:, keep][:, order]
 
 
-def _members(raw: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    """(weight, normalized column) of each column of `raw` not lighter than 1e-12."""
-    out = []
-    for v in raw.T:
-        p = float(np.real(np.vdot(v, v)))
-        if p >= MEMBER_DROP_TOL:
-            out.append((p, v / math.sqrt(p)))
-    return out
+def _members(raws: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights, normalized columns and matrix indices of the member columns,
+    not lighter than 1e-12, of every matrix in the stacks `raws` (n, D, m)."""
+    cols = [raw.swapaxes(-1, -2) for raw in raws]
+    # One BLAS dot product per column, read in place along its stride: that
+    # fixes the summation order, which a contiguous copy would change for D >= 8.
+    p = np.concatenate([np.matmul(c.conj()[..., None, :], c[..., :, None]).real.reshape(-1) for c in cols])
+    owner = np.repeat(np.arange(sum(map(len, cols))), [c.shape[1] for c in cols for _ in c])
+    kept = np.flatnonzero(p >= MEMBER_DROP_TOL)
+    rows = np.concatenate([c.reshape(-1, c.shape[-1]) for c in cols])[kept]
+    return p[kept], rows / np.sqrt(p[kept])[:, None], owner[kept]
 
 
-def _raw_average(raw: np.ndarray, plan: CutPlan, params: EntropyParams) -> float:
-    """Ensemble average of the measure over unnormalized member columns.
+def _raw_averages(raws: Sequence[np.ndarray], plan: CutPlan, params: EntropyParams) -> list[float]:
+    """Ensemble average of the measure for every matrix of unnormalized member
+    columns in the stacks `raws`, from one spectra table over all members.
 
     Skips the dataclass layer; used only inside the optimizer's inner loop,
     the reported result is always re-evaluated through the public path.
-    Each member's terms are summed in mask order, then weighted.
+    Each member's terms are summed in mask order, then weighted, in member
+    order per matrix, so a value does not depend on the other matrices.
     """
-    members = _members(raw)
-    spectra = member_spectra(plan, [v.reshape(plan.dims) for _, v in members])
+    p, members, owner = _members(raws)
+    spectra = member_spectra(plan, members.reshape((-1,) + plan.dims))
     # A plan without cuts (one subsystem) yields one row of zeros for all members.
-    terms = np.broadcast_to(table_terms(spectra, params), (len(members), plan.n_masks)).tolist()
-    total = 0.0
+    terms = np.broadcast_to(table_terms(spectra, params), (p.size, plan.n_masks)).tolist()
+    totals = [0.0] * sum(map(len, raws))
     scale = 1.0 / plan.n_masks
-    for (p, _), row in zip(members, terms):
+    for i, w, row in zip(owner.tolist(), p.tolist(), terms):
         acc = 0.0
         for term in row:
             acc += term
-        total += p * acc * scale
-    return total
+        totals[i] += w * acc * scale
+    return totals
 
 
 def mixing_ensemble(rho: DensityOperator, mixer: np.ndarray) -> Ensemble:
@@ -161,7 +171,8 @@ def mixing_ensemble(rho: DensityOperator, mixer: np.ndarray) -> Ensemble:
     if np.abs(mixer.conj().T @ mixer - np.eye(r)).max() > ISOMETRY_ATOL:
         raise ValueError("mixer columns are not orthonormal")
     roots = vecs * np.sqrt(vals)
-    members = [(p, PureState(v, rho.dims)) for p, v in _members(roots @ mixer.T)]
+    weights, rows, _ = _members([(roots @ mixer.T)[None]])
+    members = [(p, PureState(v, rho.dims)) for p, v in zip(weights.tolist(), rows)]
     total = math.fsum(p for p, _ in members)
     members = [(p / total, s) for p, s in members]
     return Ensemble(tuple(members))
@@ -187,33 +198,36 @@ def mixer_for_ensemble(rho: DensityOperator, ensemble: Ensemble) -> np.ndarray:
     return mixer
 
 
-def _unitary(m: int, theta: np.ndarray) -> np.ndarray:
-    """Unitary from m diagonal phases followed by Givens (angle, phase) pairs."""
-    u = np.diag(np.exp(1j * theta[:m]))
-    pos = m
-    for i in range(m):
-        for j in range(i + 1, m):
-            a, ph = theta[pos], theta[pos + 1]
-            pos += 2
-            g = np.eye(m, dtype=complex)
-            c, s = math.cos(a), math.sin(a)
-            g[i, i] = c
-            g[j, j] = c
-            g[i, j] = -np.exp(1j * ph) * s
-            g[j, i] = np.exp(-1j * ph) * s
-            u = g @ u
-    return u
+def _mixers(theta: np.ndarray, bases: np.ndarray, r: int) -> np.ndarray:
+    """Mixers (n, m, r), one per row of theta (n, n_params(m)): m diagonal
+    phases, then Givens (angle, phase) pairs in order, applied to bases (n, m, m)."""
+    n, m = bases.shape[:2]
+    u = np.zeros((n, m, m), dtype=complex)
+    diag = np.arange(m)
+    u[:, diag, diag] = np.exp(1j * theta[:, :m])
+    cos, sin = np.cos(theta[:, m::2]), np.sin(theta[:, m::2])
+    upper = -np.exp(1j * theta[:, m + 1 :: 2]) * sin
+    lower = np.exp(-1j * theta[:, m + 1 :: 2]) * sin
+    g = np.zeros((n, m, m), dtype=complex)
+    g[:, diag, diag] = 1.0
+    for pos, (i, j) in enumerate(itertools.combinations(range(m), 2)):
+        g[:, i, i] = g[:, j, j] = cos[:, pos]
+        g[:, i, j], g[:, j, i] = upper[:, pos], lower[:, pos]
+        u = g @ u
+        g[:, i, i] = g[:, j, j] = 1.0
+        g[:, i, j] = g[:, j, i] = 0.0
+    return (u @ bases)[:, :, :r]
 
 
 def _n_params(m: int) -> int:
     return m + m * (m - 1)
 
 
-def _pattern_search(objective, x0: np.ndarray, max_evals: int, step0: float = 0.5,
-                    step_tol: float = 1e-4):
-    """Compass search: sweep coordinates, halve the step on stalled sweeps."""
+def _compass(x0: np.ndarray, max_evals: int, step0: float = 0.5, step_tol: float = 1e-4):
+    """Compass search: sweep coordinates, halve the step on stalled sweeps. A
+    generator: yields each candidate, is sent its value, returns (x, fx, converged, evals)."""
     x = x0.copy()
-    fx = objective(x)
+    fx = yield x
     evals = 1
     step = step0
     converged = False
@@ -225,7 +239,7 @@ def _pattern_search(objective, x0: np.ndarray, max_evals: int, step0: float = 0.
             for sign in (1.0, -1.0):
                 cand = x.copy()
                 cand[k] += sign * step
-                fc = objective(cand)
+                fc = yield cand
                 evals += 1
                 if fc < fx - 1e-14:
                     x, fx = cand, fc
@@ -276,8 +290,7 @@ def cce_mixed_upper(
     if not r <= m <= r * r:
         raise ValueError(f"mixer_size must lie in {r}..{r * r}, got {m}")
 
-    bases: list[tuple[np.ndarray, np.ndarray, int]] = []
-    bases.append((np.eye(m, dtype=complex), np.zeros(_n_params(m)), m))
+    starts: list[tuple[np.ndarray, np.ndarray]] = [(np.eye(m, dtype=complex), np.zeros(_n_params(m)))]
     for ens in seed_ensembles:
         v0 = mixer_for_ensemble(rho, ens)
         m_k = v0.shape[0]
@@ -286,38 +299,47 @@ def cce_mixed_upper(
             m_k = m
         # Complete the isometry columns to a unitary search base.
         q, _ = np.linalg.qr(np.hstack([v0, np.eye(m_k, dtype=complex)]))
-        base = np.hstack([v0, q[:, r:m_k]])
-        bases.append((base, np.zeros(_n_params(m_k)), m_k))
-    children = np.random.SeedSequence(seed).spawn(max(0, restarts - len(bases)))
+        starts.append((np.hstack([v0, q[:, r:m_k]]), np.zeros(_n_params(m_k))))
+    children = np.random.SeedSequence(seed).spawn(max(0, restarts - len(starts)))
     for child in children:
         rng = np.random.default_rng(child)
-        x0 = rng.uniform(-math.pi, math.pi, size=_n_params(m))
-        bases.append((np.eye(m, dtype=complex), x0, m))
+        starts.append((np.eye(m, dtype=complex), rng.uniform(-math.pi, math.pi, size=_n_params(m))))
 
     roots = vecs * np.sqrt(vals)
     # Unpaired plan: pairing would halve the eigensolves on full subsets but
     # move objective values, and with them the search path, in the last bits.
     plan = cut_plan(rho.dims, s, use_symmetry=False)
+    # Restarts are independent searches advanced in lockstep: each round
+    # evaluates the current point of every live restart in one batch.
+    searches = [_compass(x0, max_evals) for _, x0 in starts]
+    points = [next(search) for search in searches]
+    converged = [False] * len(starts)
+    sizes = sorted({base.shape[0] for base, _ in starts})
 
-    def run(start: tuple[np.ndarray, np.ndarray, int]):
-        base, x0, m_k = start
+    def batches(idx: Iterable[int]):
+        """(restarts, their mixers at their points) per mixer size among restarts idx."""
+        for group in ([i for i in idx if starts[i][0].shape[0] == m_k] for m_k in sizes):
+            if group:
+                bases = np.stack([starts[i][0] for i in group])
+                yield group, _mixers(np.stack([points[i] for i in group]), bases, r)
 
-        def objective(theta: np.ndarray) -> float:
-            mixer = (_unitary(m_k, theta) @ base)[:, :r]
-            return _raw_average(roots @ mixer.T, plan, params)
+    live = list(range(len(starts)))
+    while live:
+        order, mixers = zip(*batches(live))
+        values = _raw_averages([roots @ mix.swapaxes(-1, -2) for mix in mixers], plan, params)
+        live = []
+        for i, value in zip(itertools.chain(*order), values):
+            try:
+                points[i] = searches[i].send(value)
+                live.append(i)
+            except StopIteration as stop:
+                points[i], _, converged[i], _ = stop.value
 
-        x, _, converged, _ = _pattern_search(objective, x0, max_evals)
-        mixer = (_unitary(m_k, x) @ base)[:, :r]
-        ens = mixing_ensemble(rho, mixer)
-        return ens.average(s, params), ens, converged
-
-    results = [run(start) for start in bases]
-    best_idx = 0
-    for i in range(1, len(results)):
-        if results[i][0] < results[best_idx][0]:
-            best_idx = i
-    fx, ens, converged = results[best_idx]
-    return RoofResult(fx, ens, restarts_used=len(results), converged=converged)
+    ensembles = {i: mixing_ensemble(rho, mix) for group, mixers in batches(range(len(starts)))
+                 for i, mix in zip(group, mixers)}
+    values = [ensembles[i].average(s, params) for i in range(len(starts))]
+    best = min(range(len(values)), key=values.__getitem__)  # first index among equal values
+    return RoofResult(values[best], ensembles[best], restarts_used=len(values), converged=converged[best])
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,8 @@ class EntropyParams:
     beta: float = 1.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError(f"alpha and beta must be finite, got alpha={self.alpha}, beta={self.beta}")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.beta < 0:

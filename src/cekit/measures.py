@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -58,6 +58,7 @@ __all__ = [
     "table_terms",
     "table_value",
     "table_named",
+    "table_ordering",
     "cce_pure",
     "named_measures",
     "ordering_report",
@@ -138,7 +139,7 @@ class CutBlock(NamedTuple):
 
     d: int
     masks: np.ndarray
-    traced: tuple[tuple[int, ...], ...]  # axes traced out, one tuple per mask
+    perms: tuple[tuple[int, ...], ...]  # per mask: stacked-tensor axes (stack, kept..., traced...)
 
 
 class CutPlan(NamedTuple):
@@ -183,13 +184,13 @@ def _build_plan(dims: tuple[int, ...], subset: tuple[int, ...], paired: bool) ->
             continue
         d_chi = prod(dims[ax] for ax in chi)
         d_comp = prod(dims[ax] for ax in comp)
-        d, traced = (d_chi, comp) if d_chi <= d_comp else (d_comp, chi)
-        masks, axes = by_dim.setdefault(d, ([], []))
+        d, kept, traced = (d_chi, chi, comp) if d_chi <= d_comp else (d_comp, comp, chi)
+        masks, perms = by_dim.setdefault(d, ([], []))
         masks.append(mask)
-        axes.append(traced)
+        perms.append((0,) + tuple(ax + 1 for ax in kept + traced))
     blocks = tuple(
-        CutBlock(d, np.array(masks, dtype=np.int64), tuple(axes))
-        for d, (masks, axes) in sorted(by_dim.items())
+        CutBlock(d, np.array(masks, dtype=np.int64), tuple(perms))
+        for d, (masks, perms) in sorted(by_dim.items())
     )
     return CutPlan(dims, subset, paired, blocks)
 
@@ -216,19 +217,18 @@ def cut_plan(
     return _build_plan(dims, s, use_symmetry)
 
 
-def member_spectra(plan: CutPlan, tensors: Sequence[np.ndarray]) -> SpectraTable:
-    """Spectra of every planned cut for each state tensor (shaped `plan.dims`),
-    with one stacked eigensolve per cut."""
-    conj = [t.conj() for t in tensors]
+def member_spectra(plan: CutPlan, tensors: np.ndarray) -> SpectraTable:
+    """Spectra of every planned cut for a stack of state tensors, shaped
+    (k,) + plan.dims, with one batched reduced-state product and one stacked
+    eigensolve per cut."""
+    k = tensors.shape[0]
     blocks = []
     for block in plan.blocks:
         d = block.d
-        out = np.empty((len(tensors), len(block.masks), d))
-        for i, axes in enumerate(block.traced):
-            reduced = np.stack(
-                [np.tensordot(t, tc, axes=(axes, axes)).reshape(d, d) for t, tc in zip(tensors, conj)]
-            )
-            out[:, i, ::-1] = np.linalg.eigvalsh(reduced)
+        out = np.empty((k, len(block.masks), d))
+        for i, perm in enumerate(block.perms):
+            a = tensors.transpose(perm).reshape(k, d, -1)
+            out[:, i, ::-1] = np.linalg.eigvalsh(a @ a.conj().swapaxes(-1, -2))
         blocks.append(np.where(out < 0.0, 0.0, out))
     return SpectraTable(plan, tuple(blocks))
 
@@ -238,7 +238,7 @@ def spectra_table(
 ) -> SpectraTable:
     """Spectra of every cut of P(subset) for one pure state, each computed once."""
     plan = cut_plan(psi.dims, subset, use_symmetry=use_symmetry)
-    table = member_spectra(plan, [psi.amplitudes.reshape(psi.dims)])
+    table = member_spectra(plan, psi.amplitudes.reshape((1,) + psi.dims))
     return SpectraTable(plan, tuple(b[0] for b in table.blocks))
 
 
@@ -291,18 +291,14 @@ def named_measures(psi: PureState, subset: Iterable[int]) -> NamedMeasures:
     return table_named(spectra_table(psi, subset))
 
 
-def ordering_report(
-    psi: PureState,
-    subset: Iterable[int],
-    renyi_orders: tuple[float, float] = (1.0, 2.0),
-    *,
-    tol: float = 1e-10,
+def table_ordering(
+    table: SpectraTable, renyi_orders: tuple[float, float] = (1.0, 2.0), *, tol: float = 1e-10
 ) -> OrderingReport:
-    """Benchmark values plus the chain of lower-bound relations among them."""
+    """Benchmark values of a one-state table plus the chain of lower-bound
+    relations among them."""
     lo, hi = renyi_orders
     if not 0 < lo <= hi:
         raise ValueError(f"need 0 < alpha_lo <= alpha_hi, got {renyi_orders}")
-    table = spectra_table(psi, subset)
     e, r2, t3, c = table_named(table)
     renyi_lo = table_value(table, EntropyParams.renyi(lo)) if lo != 1.0 else e
     renyi_hi = table_value(table, EntropyParams.renyi(hi)) if hi != 1.0 else e
@@ -318,6 +314,13 @@ def ordering_report(
         renyi_orders=(lo, hi), renyi_lo=renyi_lo, renyi_hi=renyi_hi,
         checks=checks,
     )
+
+
+def ordering_report(
+    psi: PureState, subset: Iterable[int], renyi_orders: tuple[float, float] = (1.0, 2.0), *, tol: float = 1e-10
+) -> OrderingReport:
+    """Benchmark values plus the chain of lower-bound relations among them."""
+    return table_ordering(spectra_table(psi, subset), renyi_orders, tol=tol)
 
 
 def tensor_identity_residual(

@@ -25,9 +25,9 @@ from .measures import (
     continuity_gap,
     locc_monotonicity_spotcheck,
     named_measures,
-    ordering_report,
     spectra_table,
     subadditivity_gap,
+    table_ordering,
     table_value,
     tensor_identity_residual,
 )
@@ -173,11 +173,10 @@ def suite_ordering(seed: int = 0, trials: int = 1000, alpha_pairs: int = 20) -> 
     s = (1, 2, 3, 4)
     for trial in range(trials):
         psi = haar_random((2, 2, 2, 2), seed=seed * 100_003 + trial)
-        report = ordering_report(psi, s)
-        for name, ok in report.checks.items():
+        table = spectra_table(psi, s)
+        for name, ok in table_ordering(table).checks.items():
             if not ok:
                 failures.append(f"trial {trial} seed {seed}: {name} violated")
-        table = spectra_table(psi, s)
         for _ in range(alpha_pairs):
             a_lo, a_hi = np.sort(rng.uniform(0.3, 3.5, size=2))
             beta = float(rng.uniform(1.0, 3.0))

@@ -164,6 +164,20 @@ def test_compute_enumeration_guard_exits_4(capsys):
     assert code == 4
 
 
+def test_compute_rejects_non_finite_beta(capsys):
+    code, out, err = run_cli(capsys, "compute", "--state", "ghz:3", "--alpha", "1.5", "--beta", "nan")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_compute_grid_steps_guard_exits_4(capsys):
+    code, out, err = run_cli(capsys, "compute", "--state", "ghz:3", "--alpha", "0:1:100000000")
+    assert code == 4
+    assert out == ""
+    assert "resource guard" in err
+
+
 def test_csv_determinism(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

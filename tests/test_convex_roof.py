@@ -6,6 +6,7 @@ import pytest
 
 from cekit.convex_roof import (
     Ensemble,
+    _raw_averages,
     cce_mixed_upper,
     mixed_ordering_spotcheck,
     mixer_for_ensemble,
@@ -13,7 +14,7 @@ from cekit.convex_roof import (
 )
 from cekit.entropy import EntropyParams
 from cekit.errors import ResourceLimitError
-from cekit.measures import cce_pure, ordering_report
+from cekit.measures import cce_pure, cut_plan, ordering_report
 from cekit.states import haar_random, random_density, random_product
 from cekit.suites import wootters_eof
 from cekit.tensor import DensityOperator
@@ -159,6 +160,128 @@ def test_roof_deterministic_under_seed():
     a = cce_mixed_upper(rho, (1,), VN, budget=(3, 300), seed=5)
     b = cce_mixed_upper(rho, (1,), VN, budget=(3, 300), seed=5)
     assert a.upper_bound == b.upper_bound
+
+
+def _givens_unitary(m, theta):
+    u = np.diag(np.exp(1j * theta[:m]))
+    pos = m
+    for i in range(m):
+        for j in range(i + 1, m):
+            a, ph = theta[pos], theta[pos + 1]
+            pos += 2
+            g = np.eye(m, dtype=complex)
+            c, s = math.cos(a), math.sin(a)
+            g[i, i] = c
+            g[j, j] = c
+            g[i, j] = -np.exp(1j * ph) * s
+            g[j, i] = np.exp(-1j * ph) * s
+            u = g @ u
+    return u
+
+
+def _sequential_roof(rho, subset, params, budget, seed, mixer_size=None, seed_ensembles=()):
+    """Reference search: each restart runs its own compass loop to the end
+    before the next starts, on the public ensemble average."""
+    r = int((np.linalg.eigvalsh(rho.matrix) > 1e-12).sum())
+    restarts, max_evals = budget
+    m = mixer_size if mixer_size is not None else min(r * r, r + 2)
+    starts = [(np.eye(m, dtype=complex), np.zeros(m * m))]
+    for ens in seed_ensembles:
+        v0 = mixer_for_ensemble(rho, ens)
+        m_k = max(m, v0.shape[0])
+        v0 = np.vstack([v0, np.zeros((m_k - v0.shape[0], r), dtype=complex)])
+        q, _ = np.linalg.qr(np.hstack([v0, np.eye(m_k, dtype=complex)]))
+        starts.append((np.hstack([v0, q[:, r:m_k]]), np.zeros(m_k * m_k)))
+    for child in np.random.SeedSequence(seed).spawn(max(0, restarts - len(starts))):
+        starts.append((np.eye(m, dtype=complex), np.random.default_rng(child).uniform(-math.pi, math.pi, m * m)))
+
+    def ensemble(base, theta):
+        return mixing_ensemble(rho, (_givens_unitary(base.shape[0], theta) @ base)[:, :r])
+
+    results = []
+    for base, x in starts:
+        fx = ensemble(base, x).average(subset, params)
+        evals, step, converged = 1, 0.5, False
+        while evals < max_evals:
+            improved = False
+            for k in range(x.size):
+                if evals >= max_evals:
+                    break
+                for sign in (1.0, -1.0):
+                    cand = x.copy()
+                    cand[k] += sign * step
+                    fc = ensemble(base, cand).average(subset, params)
+                    evals += 1
+                    if fc < fx - 1e-14:
+                        x, fx, improved = cand, fc, True
+                        break
+                    if evals >= max_evals:
+                        break
+            if not improved:
+                step *= 0.5
+                if step < 1e-4:
+                    converged = True
+                    break
+        results.append((ensemble(base, x).average(subset, params), converged))
+    best = min(range(len(results)), key=lambda i: (results[i][0], i))
+    return results[best][0], len(results), results[best][1]
+
+
+def _isometry_ensemble(rho, rows, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((rows, rows)) + 1j * rng.standard_normal((rows, rows))
+    return mixing_ensemble(rho, np.linalg.qr(z)[0][:, :2])
+
+
+@pytest.mark.parametrize("point", [(1.0, 1.0), (2.0, 1.0), (1.7, 0.4)])
+def test_roof_lockstep_matches_sequential_search(point):
+    params = EntropyParams(*point)
+    mixed3 = random_density((2, 2, 2), rank=2, seed=33)
+    cases = [
+        # Budget enough for restart 0 to converge while the best restart does not.
+        (random_density((2, 2), rank=2, seed=33), (1,), (4, 1000), {}),
+        (random_density((2, 3), rank=3, seed=32), (1, 2), (3, 200), {}),
+        # Mixer size 3 with seed ensembles of 4 and 2 members: the 4-member
+        # restart searches 4 x 4 unitaries beside the 3 x 3 ones.
+        (mixed3, (1, 2), (5, 200), {
+            "mixer_size": 3,
+            "seed_ensembles": [_isometry_ensemble(mixed3, 4, 0), _isometry_ensemble(mixed3, 2, 1)],
+        }),
+    ]
+    for rho, subset, budget, kwargs in cases:
+        got = cce_mixed_upper(rho, subset, params, budget=budget, seed=7, **kwargs)
+        want = _sequential_roof(rho, subset, params, budget, 7, **kwargs)
+        assert (got.upper_bound, got.restarts_used, got.converged) == want
+
+
+def test_raw_averages_do_not_depend_on_batch():
+    # Matrices of 3 and 4 member columns, one column too light to keep: each
+    # value is bit-equal to that matrix evaluated on its own.
+    rng = np.random.default_rng(35)
+    plan = cut_plan((2, 2, 2), (1, 2), use_symmetry=False)
+    stacks = [rng.standard_normal((3, 8, 3)) + 1j * rng.standard_normal((3, 8, 3)),
+              rng.standard_normal((2, 8, 4)) + 1j * rng.standard_normal((2, 8, 4))]
+    stacks[0][1, :, 2] = 0.0
+    params = EntropyParams(1.7, 0.4)
+    alone = [_raw_averages([raw[None]], plan, params)[0] for stack in stacks for raw in stack]
+    assert _raw_averages(stacks, plan, params) == alone
+
+
+def test_roof_eigensolves_once_per_round(monkeypatch):
+    # (2, 2) on subset (1,) has one cut: each lockstep round is one stacked
+    # eigensolve for all restarts, then each final member is solved once.
+    rho = random_density((2, 2), rank=2, seed=3)
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    restarts, max_evals, m = 6, 1000, 4
+    cce_mixed_upper(rho, (1,), VN, budget=(restarts, max_evals), seed=0)
+    assert len(calls) <= max_evals + restarts * m
 
 
 def test_roof_rank_guard_and_budget_validation():

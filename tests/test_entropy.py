@@ -60,6 +60,12 @@ def test_params_validation():
         EntropyParams(2.0, -0.1)
 
 
+@pytest.mark.parametrize("alpha, beta", [(1.5, math.nan), (math.inf, 1.0), (2.0, math.inf)])
+def test_params_reject_non_finite(alpha, beta):
+    with pytest.raises(ValueError, match="finite"):
+        EntropyParams(alpha, beta)
+
+
 def test_limit_dispatch_thresholds():
     assert EntropyParams(1.0 + 1e-10, 1.0).is_von_neumann
     assert not EntropyParams(1.0 + 1e-6, 1.0).is_von_neumann
