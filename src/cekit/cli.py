@@ -19,6 +19,7 @@ from .measures import cut_plan, named_measures, spectra_table, table_named, tabl
 from .states import StateRecipe, dicke, ghz, ghz_w_closed_forms, star, w
 from .suites import DEFAULT_TRIALS, SUITES, run_suite
 from .swaptest import (
+    MAX_SWAP_QUBITS,
     bounds_from_estimate,
     cce_from_distribution,
     estimate_from_shots,
@@ -32,6 +33,7 @@ EXIT_SUITE_FAILURE = 3
 EXIT_RESOURCE = 4
 
 MAX_GRID_STEPS = 10_000
+MAX_GRID_POINTS = 1_000_000
 
 
 def _fmt(value) -> str:
@@ -80,13 +82,18 @@ def cmd_compute(args: argparse.Namespace) -> int:
     columns = ["state", "subset", "alpha", "beta", "value"]
     if args.named:
         columns += ["e", "r2", "t3", "c"]
+    alphas, betas = _parse_grid(args.alpha), _parse_grid(args.beta)
+    if len(alphas) * len(betas) > MAX_GRID_POINTS:
+        raise ResourceLimitError(
+            f"grid of {len(alphas)} x {len(betas)} points exceeds the guard of {MAX_GRID_POINTS}"
+        )
+    grid = [(a, b) for a in alphas for b in betas]
     for recipe_text in args.state:
         recipe = StateRecipe.parse(recipe_text)
         psi = recipe.build()
         if not hasattr(psi, "amplitudes"):
             raise ValueError(f"compute needs a pure-state recipe, got {recipe_text!r}")
         subset = _parse_subset(args.s) if args.s else tuple(range(1, psi.n_subsystems + 1))
-        grid = [(a, b) for a in _parse_grid(args.alpha) for b in _parse_grid(args.beta)]
         if len(subset) > 12:
             print(
                 f"note: subset of {len(subset)} labels means "
@@ -248,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("swaptest", help="simulate the parallelized SWAP test and derived bounds")
-    p.add_argument("--state", required=True, help="qubit recipe, n <= 5")
+    p.add_argument("--state", required=True, help=f"qubit recipe, n <= {MAX_SWAP_QUBITS}")
     p.add_argument("--s", default=None, help="comma-separated subsystem labels, default all")
     p.add_argument("--shots", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)

@@ -158,8 +158,12 @@ def mixing_ensemble(rho: DensityOperator, mixer: np.ndarray) -> Ensemble:
     Row i of the m x r mixer combines the square-rooted eigenvectors into
     the unnormalized member |psi_i>; members lighter than 1e-12 are dropped.
     """
+    return _support_ensemble(rho, *_eigen_support(rho), mixer)
+
+
+def _support_ensemble(rho: DensityOperator, vals, vecs, mixer: np.ndarray) -> Ensemble:
+    """`mixing_ensemble` given the eigen support (vals, vecs) of rho."""
     mixer = np.asarray(mixer, dtype=complex)
-    vals, vecs = _eigen_support(rho)
     r = vals.size
     if mixer.ndim != 2 or mixer.shape[1] != r:
         raise ValueError(f"mixer must have shape (m, {r}), got {mixer.shape}")
@@ -172,24 +176,23 @@ def mixing_ensemble(rho: DensityOperator, mixer: np.ndarray) -> Ensemble:
         raise ValueError("mixer columns are not orthonormal")
     roots = vecs * np.sqrt(vals)
     weights, rows, _ = _members([(roots @ mixer.T)[None]])
-    members = [(p, PureState(v, rho.dims)) for p, v in zip(weights.tolist(), rows)]
-    total = math.fsum(p for p, _ in members)
-    members = [(p / total, s) for p, s in members]
-    return Ensemble(tuple(members))
+    total = math.fsum(weights.tolist())
+    return Ensemble(tuple((p / total, PureState(v, rho.dims)) for p, v in zip(weights.tolist(), rows)))
 
 
 def mixer_for_ensemble(rho: DensityOperator, ensemble: Ensemble) -> np.ndarray:
     """Mixer that reproduces a known decomposition of rho (e.g. a constructed
     separable one), used to seed a restart."""
-    vals, vecs = _eigen_support(rho)
+    return _support_mixer(rho, *_eigen_support(rho), ensemble)
+
+
+def _support_mixer(rho: DensityOperator, vals, vecs, ensemble: Ensemble) -> np.ndarray:
+    """`mixer_for_ensemble` given the eigen support (vals, vecs) of rho."""
     r = vals.size
     if ensemble.reconstruction_error(rho) > 1e-8:
         raise ValueError("ensemble does not reconstruct rho")
-    rows = []
-    for p, s in ensemble.members:
-        wk = math.sqrt(p) * s.amplitudes
-        rows.append((vecs.conj().T @ wk) / np.sqrt(vals))
-    mixer = np.array(rows)
+    weighted = [math.sqrt(p) * s.amplitudes for p, s in ensemble.members]
+    mixer = np.array([(vecs.conj().T @ wk) / np.sqrt(vals) for wk in weighted])
     # Scrub the tiny non-isometry left by the eigenbasis projection.
     u, _, vh = np.linalg.svd(mixer, full_matrices=False)
     mixer = u @ vh
@@ -283,7 +286,7 @@ def cce_mixed_upper(
         raise ValueError(f"budget must be positive, got {budget}")
 
     if r == 1:
-        ens = mixing_ensemble(rho, np.eye(1))
+        ens = _support_ensemble(rho, vals, vecs, np.eye(1))
         return RoofResult(ens.average(s, params), ens, restarts_used=0, converged=True)
 
     m = mixer_size if mixer_size is not None else min(r * r, r + 2)
@@ -292,7 +295,7 @@ def cce_mixed_upper(
 
     starts: list[tuple[np.ndarray, np.ndarray]] = [(np.eye(m, dtype=complex), np.zeros(_n_params(m)))]
     for ens in seed_ensembles:
-        v0 = mixer_for_ensemble(rho, ens)
+        v0 = _support_mixer(rho, vals, vecs, ens)
         m_k = v0.shape[0]
         if m_k < m:
             v0 = np.vstack([v0, np.zeros((m - m_k, r), dtype=complex)])
@@ -335,7 +338,7 @@ def cce_mixed_upper(
             except StopIteration as stop:
                 points[i], _, converged[i], _ = stop.value
 
-    ensembles = {i: mixing_ensemble(rho, mix) for group, mixers in batches(range(len(starts)))
+    ensembles = {i: _support_ensemble(rho, vals, vecs, mix) for group, mixers in batches(range(len(starts)))
                  for i, mix in zip(group, mixers)}
     values = [ensembles[i].average(s, params) for i in range(len(starts))]
     best = min(range(len(values)), key=values.__getitem__)  # first index among equal values
@@ -366,7 +369,7 @@ def mixed_ordering_spotcheck(
     E >= C/ln2, E >= 2C - 1/2, R2 >= C/ln2, C >= T3.
     """
     s = normalize_subset(subset, rho.n_subsystems)
-    vals, _ = _eigen_support(rho)
+    vals, vecs = _eigen_support(rho)
     r = int(vals.size)
     if r > MAX_ROOF_RANK:
         raise ResourceLimitError(f"rank {r} exceeds the roof guard of {MAX_ROOF_RANK}")
@@ -380,7 +383,7 @@ def mixed_ordering_spotcheck(
             z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
             q, _ = np.linalg.qr(z)
             mixer = q[:, :r]
-        ens = mixing_ensemble(rho, mixer)
+        ens = _support_ensemble(rho, vals, vecs, mixer)
         avg = {k: 0.0 for k in BENCHMARKS}
         for p, member in ens.members:
             for k, value in named_measures(member, s)._asdict().items():

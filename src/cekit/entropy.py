@@ -158,9 +158,9 @@ def majorizes(lam: Iterable[float], mu: Iterable[float], *, atol: float = 1e-10)
     """True iff lam majorizes mu: descending partial sums of lam dominate mu's."""
     a = np.sort(_as_prob_vector(lam))[::-1]
     b = np.sort(_as_prob_vector(mu))[::-1]
-    size = max(a.size, b.size)
-    a = np.pad(a, (0, size - a.size))
-    b = np.pad(b, (0, size - b.size))
+    if a.size != b.size:
+        size = max(a.size, b.size)
+        a, b = np.pad(a, (0, size - a.size)), np.pad(b, (0, size - b.size))
     return bool(np.all(np.cumsum(a) >= np.cumsum(b) - atol))
 
 

@@ -36,7 +36,6 @@ from .entropy import (
 from .errors import ResourceLimitError
 from .tensor import (
     PureState,
-    _check_kraus_complete,
     apply_local_kraus_pure,
     normalize_subset,
     trace_distance,
@@ -53,6 +52,7 @@ __all__ = [
     "CutPlan",
     "SpectraTable",
     "cut_plan",
+    "cut_purities",
     "member_spectra",
     "spectra_table",
     "table_terms",
@@ -72,6 +72,7 @@ __all__ = [
 MAX_SUBSET_SIZE = 20
 GME_MARGIN = 1e-9
 LN2 = math.log(2.0)
+_CHUNK_ENTRIES = 1 << 14  # entries per stack of reduced matrices: bounds its memory
 
 #: The four benchmark parameter points: von Neumann, Renyi-2, Tsallis-3, linear.
 BENCHMARKS = {
@@ -135,7 +136,8 @@ class GmeCertificate:
 
 
 class CutBlock(NamedTuple):
-    """Canonical cuts whose smaller side has dimension d, masks ascending."""
+    """Canonical cuts whose smaller side has dimension d, masks ascending;
+    one stacked eigensolve per chunk of them."""
 
     d: int
     masks: np.ndarray
@@ -217,20 +219,41 @@ def cut_plan(
     return _build_plan(dims, s, use_symmetry)
 
 
+def _reduced_chunks(plan: CutPlan, tensors: np.ndarray):
+    """Reduced matrices of every planned cut for a stack of state tensors,
+    shaped (k,) + plan.dims. Yields (block index, first mask row, matrices
+    (k, c, d, d)) for chunks of one block's masks, in mask order."""
+    k = tensors.shape[0]
+    for b, block in enumerate(plan.blocks):
+        d = block.d
+        step = max(1, _CHUNK_ENTRIES // (k * d * d))
+        for lo in range(0, len(block.perms), step):
+            perms = block.perms[lo : lo + step]
+            rho = np.empty((k, len(perms), d, d), dtype=complex)
+            for j, perm in enumerate(perms):
+                a = tensors.transpose(perm).reshape(k, d, -1)
+                np.matmul(a, a.conj().swapaxes(-1, -2), out=rho[:, j])
+            yield b, lo, rho
+
+
 def member_spectra(plan: CutPlan, tensors: np.ndarray) -> SpectraTable:
     """Spectra of every planned cut for a stack of state tensors, shaped
-    (k,) + plan.dims, with one batched reduced-state product and one stacked
-    eigensolve per cut."""
-    k = tensors.shape[0]
-    blocks = []
-    for block in plan.blocks:
-        d = block.d
-        out = np.empty((k, len(block.masks), d))
-        for i, perm in enumerate(block.perms):
-            a = tensors.transpose(perm).reshape(k, d, -1)
-            out[:, i, ::-1] = np.linalg.eigvalsh(a @ a.conj().swapaxes(-1, -2))
-        blocks.append(np.where(out < 0.0, 0.0, out))
-    return SpectraTable(plan, tuple(blocks))
+    (k,) + plan.dims: one stacked eigensolve per chunk of a cut dimension."""
+    blocks = [np.empty((tensors.shape[0], len(block.masks), block.d)) for block in plan.blocks]
+    for b, lo, rho in _reduced_chunks(plan, tensors):
+        blocks[b][:, lo : lo + rho.shape[1], ::-1] = np.linalg.eigvalsh(rho)
+    return SpectraTable(plan, tuple(np.where(out < 0.0, 0.0, out) for out in blocks))
+
+
+def cut_purities(psi: PureState) -> np.ndarray:
+    """Tr rho_chi^2 of every subset chi of all subsystems, indexed by mask
+    (bit j selects label j+1), from squared Frobenius norms: no eigensolve."""
+    plan = cut_plan(psi.dims, range(1, psi.n_subsystems + 1))
+    out = np.ones(plan.n_masks)  # the empty and the full cut are pure
+    for b, lo, rho in _reduced_chunks(plan, psi.amplitudes.reshape((1,) + psi.dims)):
+        masks = plan.blocks[b].masks[lo : lo + rho.shape[1]]
+        out[masks] = out[(plan.n_masks - 1) ^ masks] = (rho[0].real**2 + rho[0].imag**2).sum(axis=(1, 2))
+    return out
 
 
 def spectra_table(
@@ -274,10 +297,14 @@ def cce_pure(
     return MeasureReport(math.fsum(terms) / len(terms), dict(enumerate(terms)), params, table.plan.subset)
 
 
-def _cce_value(psi: PureState, subset: tuple[int, ...], params: EntropyParams) -> float:
+def _values(states: list[PureState], subset: tuple[int, ...], params: EntropyParams) -> list[float]:
+    """`table_value` of each of `states` (equal dims) from one stacked table; 0 on an empty subset."""
     if not subset:
-        return 0.0
-    return table_value(spectra_table(psi, subset), params)
+        return [0.0] * len(states)
+    plan = cut_plan(states[0].dims, subset)
+    tensors = np.stack([psi.amplitudes for psi in states]).reshape((-1,) + plan.dims)
+    terms = np.broadcast_to(table_terms(member_spectra(plan, tensors), params), (len(states), plan.n_masks))
+    return [math.fsum(row) / plan.n_masks for row in terms.tolist()]
 
 
 def table_named(table: SpectraTable) -> NamedMeasures:
@@ -340,9 +367,9 @@ def tensor_identity_residual(
     s_a = tuple(i for i in s if i <= n_a)
     s_b = tuple(i - n_a for i in s if i > n_a)
     joint = PureState(np.kron(psi_a.amplitudes, psi_b.amplitudes), psi_a.dims + psi_b.dims)
-    e_joint = _cce_value(joint, s, params)
-    e_a = _cce_value(psi_a, s_a, params)
-    e_b = _cce_value(psi_b, s_b, params)
+    [e_joint] = _values([joint], s, params)
+    [e_a] = _values([psi_a], s_a, params)
+    [e_b] = _values([psi_b], s_b, params)
     if params.is_von_neumann or params.is_renyi:
         cross = 0.0
     else:
@@ -412,7 +439,8 @@ def continuity_gap(
     if eps >= 0.5:
         raise ValueError(f"trace distance {eps} is outside the hypothesis eps < 1/2")
     s = normalize_subset(subset, psi.n_subsystems)
-    lhs = abs(_cce_value(psi, s, params) - _cce_value(phi, s, params))
+    e_psi, e_phi = _values([psi, phi], s, params)
+    lhs = abs(e_psi - e_phi)
     if params.is_von_neumann:
         bound = fannes_audenaert_bound(eps, psi.dim) if eps > 0.0 else 0.0
     elif params.alpha > 1 and params.beta >= 1:
@@ -443,20 +471,17 @@ def locc_monotonicity_spotcheck(
             f"average monotonicity requires the concavity region, got "
             f"alpha={params.alpha}, beta={params.beta}"
         )
-    if not 1 <= site <= psi.n_subsystems:
-        raise ValueError(f"site must lie in 1..{psi.n_subsystems}, got {site}")
-    d = psi.dims[site - 1]
-    ops = _check_kraus_complete(kraus, d)
+    branches = apply_local_kraus_pure(psi, site, kraus)  # checks the site and completeness
     # A single-element set is unitary by completeness; multi-outcome sets are
     # restricted to rank-1 elements.
-    if len(ops) > 1:
-        for k in ops:
-            sv = np.linalg.svd(k, compute_uv=False)
+    if len(kraus) > 1:
+        for k in kraus:
+            sv = np.linalg.svd(np.asarray(k, dtype=complex), compute_uv=False)
             if sv.size > 1 and sv[1] > 1e-10 * max(1.0, float(sv[0])):
                 raise ValueError("non-rank-1 Kraus element rejected for this check")
     s = normalize_subset(subset, psi.n_subsystems)
-    before = _cce_value(psi, s, params)
+    before, *after = _values([psi] + [b for _, b in branches], s, params)
     avg = 0.0
-    for p, branch in apply_local_kraus_pure(psi, site, ops):
-        avg += p * _cce_value(branch, s, params)
+    for (p, _), value in zip(branches, after):
+        avg += p * value
     return before - avg

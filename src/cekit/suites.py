@@ -7,6 +7,7 @@ verified.
 """
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -357,17 +358,9 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
     "roof-eof": suite_roof_eof,
 }
 
+#: Trial counts of a full run: each suite's own default.
 DEFAULT_TRIALS: dict[str, int] = {
-    "schur": 10_000,
-    "alpha-mono": 10_000,
-    "ordering": 1000,
-    "subadd": 1000,
-    "tensor-id": 200,
-    "continuity": 500,
-    "locc": 500,
-    "swap-consistency": 100,
-    "roof-separable": 20,
-    "roof-eof": 20,
+    name: inspect.signature(suite).parameters["trials"].default for name, suite in SUITES.items()
 }
 
 

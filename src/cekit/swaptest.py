@@ -1,13 +1,15 @@
-"""Exact and shot-sampled simulation of the n-qubit parallelized SWAP test.
+"""Exact and shot-sampled n-qubit parallelized SWAP test.
 
-Register layout: controls are qubits 1..n, the first state copy sits on
-n+1..2n and the second on 2n+1..3n. A control bitstring z is read with
-control 1 as the most significant bit. The probability of the event
-"every control in s reads 0" determines the linear-entropy measure:
+Control i swaps qubit i of two copies of the state between two Hadamard
+layers; a control bitstring z is read with control 1 as the most
+significant bit. Its exact probability is a Walsh-Hadamard transform of the
+cut purities (Beckey, Gigena, Coles & Cerezo, PRL 127, 140501, 2021):
 
-    C(s) = 1 - sum_{z in Z0(s)} p(z)
+    p(z) = 2^{-n} * sum_{chi in P([n])} (-1)^{|z & chi|} Tr rho_chi^2
 
-where Z0(s) is the set of bitstrings with 0 at every index in s.
+The event "every control in s reads 0" gives the linear-entropy measure
+C(s) = 1 - sum_{z in Z0(s)} p(z), where Z0(s) is the set of bitstrings
+with 0 at every index in s.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ResourceLimitError
+from .measures import MAX_SUBSET_SIZE, cut_purities
 from .tensor import PureState, normalize_subset
 
 __all__ = [
@@ -32,8 +35,7 @@ __all__ = [
     "bounds_from_estimate",
 ]
 
-MAX_SWAP_QUBITS = 5
-_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+MAX_SWAP_QUBITS = MAX_SUBSET_SIZE
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ class ControlDistribution:
         total = float(p.sum())
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"probabilities must sum to 1 within 1e-10, got {total}")
-        p = np.clip(p, 0.0, None)
+        p = np.clip(p, 0.0, 1.0)  # rounding can leave an entry just outside [0, 1]
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
@@ -83,60 +85,30 @@ class ShotRecord:
 
 
 def swap_test_distribution(psi: PureState) -> ControlDistribution:
-    """Simulate the parallelized SWAP test on two copies of a qubit state.
-
-    n controls in |0>, Hadamards, one controlled-SWAP per index (control i
-    swaps qubit i of copy one with qubit i of copy two), Hadamards again,
-    then the marginal distribution of the control register.
-    """
+    """Exact control distribution of the parallelized SWAP test on two
+    copies of a qubit state, by a fast Walsh-Hadamard transform of its cut
+    purities."""
     if any(d != 2 for d in psi.dims):
         raise ValueError(f"SWAP test is defined for qubit registers, got dims {psi.dims}")
     n = psi.n_subsystems
     if n > MAX_SWAP_QUBITS:
-        raise ResourceLimitError(f"statevector of 3n = {3 * n} qubits exceeds the n <= {MAX_SWAP_QUBITS} guard")
-    total = 3 * n
-    # Controls |0...0> lead the register, so the two-copy amplitudes fill
-    # the control-index-0 block of the joint vector.
-    state = np.zeros(2**total, dtype=complex)
-    state[: 2 ** (2 * n)] = np.kron(psi.amplitudes, psi.amplitudes)
-    t = state.reshape([2] * total)
-
-    for c in range(n):
-        t = _apply_single(t, _H, c)
-    for i in range(n):
-        t = _apply_cswap(t, i, n + i, 2 * n + i)
-    for c in range(n):
-        t = _apply_single(t, _H, c)
-
-    probs = np.abs(t.reshape(2**n, -1)) ** 2
-    return ControlDistribution(probs.sum(axis=1), n)
-
-
-def _apply_single(t: np.ndarray, gate: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(gate, t, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
-
-
-def _apply_cswap(t: np.ndarray, control: int, a: int, b: int) -> np.ndarray:
-    idx = [slice(None)] * t.ndim
-    idx[control] = 1
-    a_adj = a - (a > control)
-    b_adj = b - (b > control)
-    out = t.copy()
-    out[tuple(idx)] = np.swapaxes(t[tuple(idx)], a_adj, b_adj)
-    return out
+        raise ResourceLimitError(f"SWAP test of {n} qubits exceeds the n <= {MAX_SWAP_QUBITS} guard")
+    # Mask bit j selects label j+1; reversed axes put control 1 on axis 0.
+    t = cut_purities(psi).reshape((2,) * n).transpose(range(n - 1, -1, -1))
+    for axis in range(n):
+        u = np.moveaxis(t, axis, 0)
+        u[0], u[1] = u[0] + u[1], u[0] - u[1]
+    return ControlDistribution(t.reshape(-1) / (1 << n), n)
 
 
 def _zero_mask(n: int, subset: Iterable[int]) -> int:
-    s = normalize_subset(subset, n)
-    return sum(1 << (n - i) for i in s)
+    return sum(1 << (n - i) for i in normalize_subset(subset, n))
 
 
 def cce_from_distribution(dist: ControlDistribution, subset: Iterable[int]) -> float:
     """Linear-entropy measure estimate 1 - sum over Z0(subset) of p(z)."""
     mask = _zero_mask(dist.n, subset)
-    keep = [z for z in range(1 << dist.n) if z & mask == 0]
-    return 1.0 - float(np.sum(dist.probs[keep]))
+    return 1.0 - float(np.sum(dist.probs[np.arange(1 << dist.n) & mask == 0]))
 
 
 def sample_shots(dist: ControlDistribution, shots: int, seed: int) -> ShotRecord:

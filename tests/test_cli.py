@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from cekit.cli import main
 from cekit.measures import named_measures
-from cekit.states import dicke
+from cekit.states import StateRecipe, dicke
 
 
 def run_cli(capsys, *argv):
@@ -143,7 +144,7 @@ def test_swaptest_command(capsys):
 
 
 def test_swaptest_resource_guard(capsys):
-    code, _, err = run_cli(capsys, "swaptest", "--state", "ghz:6")
+    code, _, err = run_cli(capsys, "swaptest", "--state", "ghz:21")
     assert code == 4
     assert "resource guard" in err
 
@@ -176,6 +177,24 @@ def test_compute_grid_steps_guard_exits_4(capsys):
     assert code == 4
     assert out == ""
     assert "resource guard" in err
+
+
+def test_compute_grid_points_guard_exits_4(capsys, monkeypatch):
+    # Each axis passes the per-axis guard; their product does not, and the
+    # guard fires before any state is tabulated. Axes are parsed once.
+    import cekit.cli
+
+    parsed = []
+    parse = cekit.cli._parse_grid
+    monkeypatch.setattr(cekit.cli, "_parse_grid", lambda text: parsed.append(text) or parse(text))
+    monkeypatch.setattr(cekit.cli, "spectra_table", lambda *a, **k: pytest.fail("row work before the guard"))
+    code, out, err = run_cli(
+        capsys, "compute", "--state", "ghz:3", "--state", "w:3", "--alpha", "0:1:10000", "--beta", "0:1:10000"
+    )
+    assert code == 4
+    assert out == ""
+    assert "resource guard" in err
+    assert parsed == ["0:1:10000", "0:1:10000"]
 
 
 def test_csv_determinism(tmp_path, capsys):
@@ -214,13 +233,14 @@ def test_csv_fifteen_significant_digits(capsys):
 
 
 def test_compute_grid_eigensolves_each_cut_once(capsys, monkeypatch):
-    # Six qubits: 31 nontrivial canonical cuts, shared by all nine grid
-    # points and the four named measures.
-    calls = []
+    # Six qubits: 31 nontrivial canonical cuts (6 of dimension 2, 15 of 4,
+    # 10 of 8), shared by all nine grid points and the four named measures,
+    # stacked into one eigensolve per cut dimension.
+    stacks = []
     original = np.linalg.eigvalsh
 
     def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
+        stacks.append(np.array(a))
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
@@ -230,4 +250,17 @@ def test_compute_grid_eigensolves_each_cut_once(capsys, monkeypatch):
     )
     assert code == 0
     assert len(parse_csv(out)) == 9
-    assert len(calls) == 31
+    assert [a.shape for a in stacks] == [(1, 6, 2, 2), (1, 15, 4, 4), (1, 10, 8, 8)]
+    # Match every stacked matrix to the cut {chi, complement} with its
+    # Schmidt spectrum: each of the 31 cuts must be matched exactly once.
+    t = StateRecipe.parse("haar:2x2x2x2x2x2:1").build().amplitudes.reshape((2,) * 6)
+    cuts = [chi for size in (1, 2, 3) for chi in itertools.combinations(range(6), size) if 0 in chi or size < 3]
+    schmidt = [
+        np.linalg.svd(np.moveaxis(t, chi, range(len(chi))).reshape(2 ** len(chi), -1), compute_uv=False) ** 2
+        for chi in cuts
+    ]
+    matched = []
+    for a in stacks:
+        for lam in original(a[0])[:, ::-1]:
+            matched += [i for i, sv in enumerate(schmidt) if sv.size == lam.size and np.allclose(sv, lam, atol=1e-10)]
+    assert sorted(matched) == list(range(31))

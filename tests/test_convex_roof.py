@@ -284,6 +284,19 @@ def test_roof_eigensolves_once_per_round(monkeypatch):
     assert len(calls) <= max_evals + restarts * m
 
 
+def test_roof_eigendecomposes_rho_once(monkeypatch):
+    # The start mixers of the seed ensembles and every final ensemble share
+    # the one eigendecomposition of rho made at the start of the call.
+    members = tuple((p, random_product((2, 2), seed=30 + i)) for i, p in enumerate((0.6, 0.4)))
+    rho = Ensemble(members).density()
+    calls = []
+    original = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(np.shape(a)) or original(a, *args, **kw))
+    result = cce_mixed_upper(rho, (1,), VN, budget=(4, 40), seed=0, seed_ensembles=[Ensemble(members)])
+    assert result.restarts_used == 4
+    assert calls == [(4, 4)]
+
+
 def test_roof_rank_guard_and_budget_validation():
     rho = random_density((2, 2, 2), rank=7, seed=12)
     with pytest.raises(ResourceLimitError):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cekit.errors import ResourceLimitError
 from cekit.measures import named_measures
@@ -47,6 +49,68 @@ def brute_force_distribution(psi: PureState) -> np.ndarray:
         state = embed(h, c) @ state
     probs = np.abs(state.reshape(2**n, -1)) ** 2
     return probs.sum(axis=1)
+
+
+def statevector_distribution(psi: PureState) -> np.ndarray:
+    """Tensor-level oracle: the 3n-qubit circuit on a (2,)*3n statevector.
+
+    Controls are qubits 1..n, the first copy sits on n+1..2n and the second
+    on 2n+1..3n; control 1 is the most significant bit of z.
+    """
+    n = psi.n_subsystems
+    assert n <= 4, "the oracle holds 2^(3n) amplitudes"
+    h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+
+    def apply_single(t, gate, axis):
+        return np.moveaxis(np.tensordot(gate, t, axes=([1], [axis])), 0, axis)
+
+    def apply_cswap(t, control, a, b):
+        idx = [slice(None)] * t.ndim
+        idx[control] = 1
+        out = t.copy()
+        out[tuple(idx)] = np.swapaxes(t[tuple(idx)], a - (a > control), b - (b > control))
+        return out
+
+    state = np.zeros(8**n, dtype=complex)
+    state[: 4**n] = np.kron(psi.amplitudes, psi.amplitudes)
+    t = state.reshape([2] * (3 * n))
+    for c in range(n):
+        t = apply_single(t, h, c)
+    for i in range(n):
+        t = apply_cswap(t, i, n + i, 2 * n + i)
+    for c in range(n):
+        t = apply_single(t, h, c)
+    return (np.abs(t.reshape(2**n, -1)) ** 2).sum(axis=1)
+
+
+ORACLE_STATES = [haar_random((2,) * n, seed=seed) for n in (2, 3, 4) for seed in range(3)] + [
+    ghz(4), w(4), dicke(4, 2)
+]
+
+
+@pytest.mark.parametrize("psi", ORACLE_STATES)
+def test_purity_transform_matches_statevector_oracle(psi):
+    got = swap_test_distribution(psi).probs
+    assert np.abs(got - statevector_distribution(psi)).max() <= 1e-14
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, 2**32 - 1), st.sets(st.integers(1, n), min_size=1)
+)))
+def test_distribution_identity_property(case):
+    n, seed, subset = case
+    psi = haar_random((2,) * n, seed=seed)
+    got = cce_from_distribution(swap_test_distribution(psi), subset)
+    assert abs(got - named_measures(psi, subset).c) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_beyond_five_qubits_matches_direct(n):
+    psi = haar_random((2,) * n, seed=n)
+    dist = swap_test_distribution(psi)
+    for subset in (range(1, n + 1), (1, 3, n)):
+        assert cce_from_distribution(dist, subset) == pytest.approx(named_measures(psi, subset).c, abs=1e-12)
 
 
 def test_product_state_reads_all_zeros():
@@ -123,7 +187,7 @@ def test_swap_test_rejects_qudits_and_large_n():
     with pytest.raises(ValueError):
         swap_test_distribution(haar_random((2, 3), seed=0))
     with pytest.raises(ResourceLimitError):
-        swap_test_distribution(haar_random((2,) * 6, seed=0))
+        swap_test_distribution(ghz(21))
 
 
 def test_sample_shots_deterministic_distribution():
