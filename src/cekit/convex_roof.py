@@ -8,14 +8,18 @@ what it returns is the best ensemble average found, which upper-bounds
 the true roof but is never claimed to attain it.
 
 Restarts are independent in their results but advance in lockstep: each
-round evaluates the current point of every live restart in one batched
+round evaluates the pending candidates of every live restart in one batched
 objective call, whose values are bit-identical to evaluating each alone.
+A restart's pending candidates are the whole rest of its current compass
+sweep; it reads their values in order up to the first accepted move and
+discards the rest, so no result depends on them, and its evaluation budget
+counts the consumed values only.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,6 +43,7 @@ from .tensor import DensityOperator, PureState
 __all__ = [
     "MAX_ROOF_RANK",
     "Ensemble",
+    "RestartTrace",
     "RoofResult",
     "MixedOrderingResult",
     "mixing_ensemble",
@@ -94,17 +99,36 @@ class Ensemble:
 
 
 @dataclass(frozen=True)
+class RestartTrace:
+    """How one roof restart went: its start (`eigen`, `seed` or `random`),
+    the objective evaluations its search consumed, the values computed for
+    it (consumed plus discarded speculative ones), its final ensemble
+    average and whether its step fell below tolerance."""
+
+    start: str
+    evals: int
+    computed: int
+    value: float
+    converged: bool
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+@dataclass(frozen=True)
 class RoofResult:
     upper_bound: float
     best_ensemble: Ensemble
     restarts_used: int
     converged: bool
+    restarts: tuple[RestartTrace, ...] = ()
 
     def to_dict(self) -> dict:
         return {
             "upper_bound": self.upper_bound,
             "restarts_used": self.restarts_used,
             "converged": self.converged,
+            "restarts": [t.to_dict() for t in self.restarts],
             "best_ensemble": self.best_ensemble.to_dict(),
         }
 
@@ -141,15 +165,14 @@ def _raw_averages(raws: Sequence[np.ndarray], plan: CutPlan, params: EntropyPara
     p, members, owner = _members(raws)
     spectra = member_spectra(plan, members.reshape((-1,) + plan.dims))
     # A plan without cuts (one subsystem) yields one row of zeros for all members.
-    terms = np.broadcast_to(table_terms(spectra, params), (p.size, plan.n_masks)).tolist()
-    totals = [0.0] * sum(map(len, raws))
-    scale = 1.0 / plan.n_masks
-    for i, w, row in zip(owner.tolist(), p.tolist(), terms):
-        acc = 0.0
-        for term in row:
-            acc += term
-        totals[i] += w * acc * scale
-    return totals
+    terms = np.broadcast_to(table_terms(spectra, params), (p.size, plan.n_masks))
+    acc = np.zeros(p.size)
+    for column in terms.T:
+        acc += column
+    totals = np.zeros(sum(map(len, raws)))
+    # Unbuffered: adds each member's share to its matrix's total in member order.
+    np.add.at(totals, owner, p * acc * (1.0 / plan.n_masks))
+    return totals.tolist()
 
 
 def mixing_ensemble(rho: DensityOperator, mixer: np.ndarray) -> Ensemble:
@@ -227,28 +250,38 @@ def _n_params(m: int) -> int:
 
 
 def _compass(x0: np.ndarray, max_evals: int, step0: float = 0.5, step_tol: float = 1e-4):
-    """Compass search: sweep coordinates, halve the step on stalled sweeps. A
-    generator: yields each candidate, is sent its value, returns (x, fx, converged, evals)."""
+    """Compass search: sweep coordinates, halve the step on stalled sweeps.
+
+    A speculative generator: it yields the rest of the current sweep from
+    the current point as candidate rows (k, +step), (k, -step), ... for k
+    from k0 on, cut to the remaining budget, and is sent their values. It
+    consumes them in order up to the first accepted one and discards the
+    rest, so the path and the evaluation count (consumed values only) are
+    those of trying one candidate at a time. Returns (x, fx, converged, evals).
+    """
     x = x0.copy()
-    fx = yield x
+    (fx,) = yield x[None]
     evals = 1
     step = step0
     converged = False
+    # Sweep slot j moves coordinate j // 2 by signs[j] * step.
+    signs = np.tile((1.0, -1.0), x.size)
+    coords = np.arange(2 * x.size) // 2
     while evals < max_evals:
         improved = False
-        for k in range(x.size):
-            if evals >= max_evals:
-                break
-            for sign in (1.0, -1.0):
-                cand = x.copy()
-                cand[k] += sign * step
-                fc = yield cand
+        k0 = 0
+        while k0 < x.size and evals < max_evals:
+            slots = slice(2 * k0, min(2 * x.size, 2 * k0 + max_evals - evals))
+            ks = coords[slots]
+            cands = np.repeat(x[None], ks.size, axis=0)
+            cands[np.arange(ks.size), ks] += signs[slots] * step
+            values = yield cands
+            k0 = x.size
+            for j, fc in enumerate(values):
                 evals += 1
                 if fc < fx - 1e-14:
-                    x, fx = cand, fc
-                    improved = True
-                    break
-                if evals >= max_evals:
+                    x, fx, improved = cands[j], fc, True
+                    k0 = int(ks[j]) + 1
                     break
         if not improved:
             step *= 0.5
@@ -275,6 +308,13 @@ def cce_mixed_upper(
     follow; remaining restarts start from seeded random mixer angles. The
     reduction takes the minimum with ties broken by lowest restart index,
     so results are reproducible under a fixed seed.
+
+    Each round evaluates, for every live restart, the rest of its current
+    coordinate sweep (cut to its remaining budget) in one batch. A restart
+    consumes those values in order up to its first accepted move; only
+    consumed values count against the budget, and the values past that
+    move are discarded without affecting any result. `RoofResult.restarts`
+    reports both counts per restart.
     """
     s = normalize_subset(subset, rho.n_subsystems)
     vals, vecs = _eigen_support(rho)
@@ -313,36 +353,44 @@ def cce_mixed_upper(
     # move objective values, and with them the search path, in the last bits.
     plan = cut_plan(rho.dims, s, use_symmetry=False)
     # Restarts are independent searches advanced in lockstep: each round
-    # evaluates the current point of every live restart in one batch.
+    # evaluates the pending candidates of every live restart in one batch.
     searches = [_compass(x0, max_evals) for _, x0 in starts]
     points = [next(search) for search in searches]
     converged = [False] * len(starts)
+    evals = [0] * len(starts)
+    computed = [0] * len(starts)
     sizes = sorted({base.shape[0] for base, _ in starts})
 
     def batches(idx: Iterable[int]):
-        """(restarts, their mixers at their points) per mixer size among restarts idx."""
+        """(restarts, mixers of all their candidate rows) per mixer size among restarts idx."""
         for group in ([i for i in idx if starts[i][0].shape[0] == m_k] for m_k in sizes):
             if group:
-                bases = np.stack([starts[i][0] for i in group])
-                yield group, _mixers(np.stack([points[i] for i in group]), bases, r)
+                bases = np.repeat(np.stack([starts[i][0] for i in group]), [len(points[i]) for i in group], axis=0)
+                yield group, _mixers(np.concatenate([points[i] for i in group]), bases, r)
 
     live = list(range(len(starts)))
     while live:
         order, mixers = zip(*batches(live))
         values = _raw_averages([roots @ mix.swapaxes(-1, -2) for mix in mixers], plan, params)
-        live = []
-        for i, value in zip(itertools.chain(*order), values):
+        live, hi = [], 0
+        for i in itertools.chain(*order):
+            lo, hi = hi, hi + len(points[i])
+            computed[i] += hi - lo
             try:
-                points[i] = searches[i].send(value)
+                points[i] = searches[i].send(values[lo:hi])
                 live.append(i)
             except StopIteration as stop:
-                points[i], _, converged[i], _ = stop.value
+                x, _, converged[i], evals[i] = stop.value
+                points[i] = x[None]
 
     ensembles = {i: _support_ensemble(rho, vals, vecs, mix) for group, mixers in batches(range(len(starts)))
                  for i, mix in zip(group, mixers)}
     values = [ensembles[i].average(s, params) for i in range(len(starts))]
     best = min(range(len(values)), key=values.__getitem__)  # first index among equal values
-    return RoofResult(values[best], ensembles[best], restarts_used=len(values), converged=converged[best])
+    kinds = ["eigen"] + ["seed"] * len(seed_ensembles) + ["random"] * len(children)
+    trace = tuple(RestartTrace(*row) for row in zip(kinds, evals, computed, values, converged))
+    return RoofResult(values[best], ensembles[best], restarts_used=len(values), converged=converged[best],
+                      restarts=trace)
 
 
 @dataclass(frozen=True)

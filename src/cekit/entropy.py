@@ -11,6 +11,7 @@ so dispatch happens on explicit thresholds rather than on the raw formula.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -101,15 +102,18 @@ def in_subadditivity_region(p: EntropyParams) -> bool:
 
 
 def _as_prob_vector(v: Iterable[float]) -> np.ndarray:
-    arr = np.asarray(list(v) if not isinstance(v, np.ndarray) else v, dtype=float).reshape(-1)
+    """Validated probability vector, clamped at 0 (which also turns -0.0
+    into 0.0). A vector with no entry to clamp may come back as a view of `v`."""
+    arr = np.asarray(v if isinstance(v, np.ndarray) else list(v), dtype=float).reshape(-1)
     if arr.size == 0:
         raise ValueError("probability vector must be nonempty")
-    if float(arr.min()) < -1e-10:
+    lo = float(arr.min())
+    if lo < -1e-10:
         raise ValueError(f"negative probability {arr.min()}")
     total = float(arr.sum())
     if abs(total - 1.0) > PROB_SUM_ATOL:
         raise ValueError(f"probabilities must sum to 1 within {PROB_SUM_ATOL}, got {total}")
-    return np.clip(arr, 0.0, None)
+    return arr if lo > 0.0 else np.clip(arr, 0.0, None)
 
 
 def unified_entropy_rows(rows: np.ndarray, p: EntropyParams) -> np.ndarray:
@@ -156,12 +160,12 @@ def binary_entropy(eps: float) -> float:
 
 def majorizes(lam: Iterable[float], mu: Iterable[float], *, atol: float = 1e-10) -> bool:
     """True iff lam majorizes mu: descending partial sums of lam dominate mu's."""
-    a = np.sort(_as_prob_vector(lam))[::-1]
-    b = np.sort(_as_prob_vector(mu))[::-1]
-    if a.size != b.size:
-        size = max(a.size, b.size)
-        a, b = np.pad(a, (0, size - a.size)), np.pad(b, (0, size - b.size))
-    return bool(np.all(np.cumsum(a) >= np.cumsum(b) - atol))
+    a = list(itertools.accumulate(sorted(_as_prob_vector(lam).tolist(), reverse=True)))
+    b = list(itertools.accumulate(sorted(_as_prob_vector(mu).tolist(), reverse=True)))
+    # Zero padding would repeat the shorter vector's last partial sum.
+    a += a[-1:] * (len(b) - len(a))
+    b += b[-1:] * (len(a) - len(b))
+    return all(x >= y - atol for x, y in zip(a, b))
 
 
 def schur_concavity_witness(lam: Iterable[float], mu: Iterable[float], p: EntropyParams) -> float:

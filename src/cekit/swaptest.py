@@ -112,11 +112,17 @@ def cce_from_distribution(dist: ControlDistribution, subset: Iterable[int]) -> f
 
 
 def sample_shots(dist: ControlDistribution, shots: int, seed: int) -> ShotRecord:
-    """Multinomial draw from the exact distribution, reproducible under seed."""
+    """Multinomial draw from the exact distribution, reproducible under seed.
+
+    Probabilities below n * 2^-52, a bound on the rounding error of the
+    purity transform, are drawn as exact zeros: numpy's multinomial consumes
+    a random number for every outcome with p > 0, so a rounding residue on
+    an impossible outcome would otherwise shift the draws that follow it.
+    """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, dist.probs)
+    counts = rng.multinomial(shots, np.where(dist.probs < dist.n * 2.0**-52, 0.0, dist.probs))
     record = {
         dist.bitstring(z): int(c) for z, c in enumerate(counts) if c > 0
     }

@@ -6,6 +6,7 @@ import pytest
 
 from cekit.convex_roof import (
     Ensemble,
+    _compass,
     _raw_averages,
     cce_mixed_upper,
     mixed_ordering_spotcheck,
@@ -179,9 +180,88 @@ def _givens_unitary(m, theta):
     return u
 
 
+def _sequential_compass(f, x, max_evals, step0=0.5, step_tol=1e-4):
+    """Reference compass search: one candidate at a time."""
+    fx = f(x)
+    evals, step, converged = 1, step0, False
+    while evals < max_evals:
+        improved = False
+        for k in range(x.size):
+            if evals >= max_evals:
+                break
+            for sign in (1.0, -1.0):
+                cand = x.copy()
+                cand[k] += sign * step
+                fc = f(cand)
+                evals += 1
+                if fc < fx - 1e-14:
+                    x, fx, improved = cand, fc, True
+                    break
+                if evals >= max_evals:
+                    break
+        if not improved:
+            step *= 0.5
+            if step < step_tol:
+                converged = True
+                break
+    return x, fx, converged, evals
+
+
+def _drive(search, f):
+    """Run a speculative `_compass` on f: (its return value, the candidate
+    rows it asked for)."""
+    rows, asked = next(search), 0
+    while True:
+        asked += len(rows)
+        try:
+            rows = search.send([f(row) for row in rows])
+        except StopIteration as stop:
+            return stop.value, asked
+
+
+def _toy_smooth(x):
+    return float(np.sum((x - np.linspace(-1.3, 0.9, x.size)) ** 2) + 0.3 * math.sin(x[0] * x[-1]))
+
+
+def _toy_plateaus(x):
+    # Rounded to 0.05: many candidates tie with the current value and are refused.
+    return round(float(np.sum(np.abs(x - 0.7))) * 20) / 20
+
+
+@pytest.mark.parametrize("f", [_toy_smooth, _toy_plateaus])
+@pytest.mark.parametrize("max_evals", [1, 2, 31, 32, 33, 100, 2000])
+def test_speculative_compass_matches_sequential(f, max_evals):
+    # Five coordinates give ten candidates per sweep, so budgets 31-33 end
+    # a search just before, at and just after a sweep boundary.
+    x0 = np.array([0.4, -0.2, 1.1, 0.0, -0.6])
+    (x, fx, converged, evals), asked = _drive(_compass(x0, max_evals), f)
+    want_x, want_fx, want_converged, want_evals = _sequential_compass(f, x0.copy(), max_evals)
+    assert np.array_equal(x, want_x)
+    assert (fx, converged, evals) == (want_fx, want_converged, want_evals)
+    assert evals <= max_evals and (converged or evals == max_evals)
+    assert asked >= evals
+
+
+def test_speculative_compass_yields_the_rest_of_the_sweep():
+    # Each yield is the sweep from the current coordinate on, cut to the budget.
+    search = _compass(np.zeros(3), 5)
+    assert next(search).shape == (1, 3)
+    rows = search.send([1.0])
+    assert np.array_equal(rows, [[0.5, 0, 0], [-0.5, 0, 0], [0, 0.5, 0], [0, -0.5, 0]])
+    # Accepting the third candidate discards the fourth and restarts from coordinate 2.
+    rows = search.send([2.0, 2.0, 0.5, 0.0])
+    assert np.array_equal(rows, [[0, 0.5, 0.5]])
+    with pytest.raises(StopIteration) as stop:
+        search.send([3.0])
+    x, fx, converged, evals = stop.value.value
+    assert np.array_equal(x, [0, 0.5, 0]) and (fx, converged, evals) == (0.5, False, 5)
+
+
 def _sequential_roof(rho, subset, params, budget, seed, mixer_size=None, seed_ensembles=()):
     """Reference search: each restart runs its own compass loop to the end
-    before the next starts, on the public ensemble average."""
+    before the next starts, on the public ensemble average. Returns the
+    bound, the restart count, the best restart's convergence and, per
+    restart, (final value, evaluations, converged)."""
     r = int((np.linalg.eigvalsh(rho.matrix) > 1e-12).sum())
     restarts, max_evals = budget
     m = mixer_size if mixer_size is not None else min(r * r, r + 2)
@@ -200,31 +280,10 @@ def _sequential_roof(rho, subset, params, budget, seed, mixer_size=None, seed_en
 
     results = []
     for base, x in starts:
-        fx = ensemble(base, x).average(subset, params)
-        evals, step, converged = 1, 0.5, False
-        while evals < max_evals:
-            improved = False
-            for k in range(x.size):
-                if evals >= max_evals:
-                    break
-                for sign in (1.0, -1.0):
-                    cand = x.copy()
-                    cand[k] += sign * step
-                    fc = ensemble(base, cand).average(subset, params)
-                    evals += 1
-                    if fc < fx - 1e-14:
-                        x, fx, improved = cand, fc, True
-                        break
-                    if evals >= max_evals:
-                        break
-            if not improved:
-                step *= 0.5
-                if step < 1e-4:
-                    converged = True
-                    break
-        results.append((ensemble(base, x).average(subset, params), converged))
+        x, _, converged, evals = _sequential_compass(lambda t: ensemble(base, t).average(subset, params), x, max_evals)
+        results.append((ensemble(base, x).average(subset, params), evals, converged))
     best = min(range(len(results)), key=lambda i: (results[i][0], i))
-    return results[best][0], len(results), results[best][1]
+    return results[best][0], len(results), results[best][2], results
 
 
 def _isometry_ensemble(rho, rows, seed):
@@ -240,6 +299,10 @@ def test_roof_lockstep_matches_sequential_search(point):
     cases = [
         # Budget enough for restart 0 to converge while the best restart does not.
         (random_density((2, 2), rank=2, seed=33), (1,), (4, 1000), {}),
+        # Budgets that cut each restart inside its first sweep (at most 32
+        # candidates) and at or just past the end of that sweep.
+        (random_density((2, 2), rank=2, seed=34), (1,), (3, 7), {}),
+        (random_density((2, 2), rank=2, seed=34), (1,), (3, 33), {}),
         (random_density((2, 3), rank=3, seed=32), (1, 2), (3, 200), {}),
         # Mixer size 3 with seed ensembles of 4 and 2 members: the 4-member
         # restart searches 4 x 4 unitaries beside the 3 x 3 ones.
@@ -250,8 +313,10 @@ def test_roof_lockstep_matches_sequential_search(point):
     ]
     for rho, subset, budget, kwargs in cases:
         got = cce_mixed_upper(rho, subset, params, budget=budget, seed=7, **kwargs)
-        want = _sequential_roof(rho, subset, params, budget, 7, **kwargs)
-        assert (got.upper_bound, got.restarts_used, got.converged) == want
+        bound, restarts, converged, per_restart = _sequential_roof(rho, subset, params, budget, 7, **kwargs)
+        assert (got.upper_bound, got.restarts_used, got.converged) == (bound, restarts, converged)
+        assert [(t.value, t.evals, t.converged) for t in got.restarts] == per_restart
+        assert all(t.computed >= t.evals for t in got.restarts)
 
 
 def test_raw_averages_do_not_depend_on_batch():
@@ -269,7 +334,9 @@ def test_raw_averages_do_not_depend_on_batch():
 
 def test_roof_eigensolves_once_per_round(monkeypatch):
     # (2, 2) on subset (1,) has one cut: each lockstep round is one stacked
-    # eigensolve for all restarts, then each final member is solved once.
+    # eigensolve for all candidates of all restarts, then each final member
+    # is solved once. Trying one candidate per restart per round took 1 022
+    # calls here; yielding the rest of each sweep at once takes 121.
     rho = random_density((2, 2), rank=2, seed=3)
     calls = []
     original = np.linalg.eigvalsh
@@ -279,9 +346,8 @@ def test_roof_eigensolves_once_per_round(monkeypatch):
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    restarts, max_evals, m = 6, 1000, 4
-    cce_mixed_upper(rho, (1,), VN, budget=(restarts, max_evals), seed=0)
-    assert len(calls) <= max_evals + restarts * m
+    cce_mixed_upper(rho, (1,), VN, budget=(6, 1000), seed=0)
+    assert len(calls) <= 200
 
 
 def test_roof_eigendecomposes_rho_once(monkeypatch):
@@ -372,3 +438,19 @@ def test_roof_result_serialization():
     assert sum(probs) == pytest.approx(1.0, abs=1e-9)
     amp = blob["best_ensemble"]["members"][0]["amplitudes"]
     assert len(amp) == 4 and len(amp[0]) == 2
+    assert blob["restarts"] == [
+        {"start": t.start, "evals": t.evals, "computed": t.computed, "value": t.value, "converged": t.converged}
+        for t in result.restarts
+    ]
+
+
+def test_roof_trace_per_restart():
+    rho, ens = separable_mix(seed=24)
+    result = cce_mixed_upper(rho, (1, 2), VN, budget=(4, 60), seed=0, seed_ensembles=[ens])
+    assert [t.start for t in result.restarts] == ["eigen", "seed", "random", "random"]
+    assert all(1 <= t.evals <= 60 and t.computed >= t.evals for t in result.restarts)
+    # The best restart carries the bound and the reported convergence flag.
+    best = min(result.restarts, key=lambda t: t.value)
+    assert (best.value, best.converged) == (result.upper_bound, result.converged)
+    pure = cce_mixed_upper(haar_random((2, 2), seed=25).density(), (1,), VN, budget=(2, 50), seed=0)
+    assert pure.restarts == () and pure.restarts_used == 0

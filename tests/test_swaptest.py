@@ -10,6 +10,7 @@ from cekit.errors import ResourceLimitError
 from cekit.measures import named_measures
 from cekit.states import dicke, ghz, haar_random, random_product, w
 from cekit.swaptest import (
+    ControlDistribution,
     bounds_from_estimate,
     cce_from_distribution,
     estimate_from_shots,
@@ -205,6 +206,21 @@ def test_sample_shots_seed_reproducibility():
     assert a.counts != c.counts
     with pytest.raises(ValueError):
         sample_shots(dist, shots=0, seed=1)
+
+
+def test_sample_shots_ignore_rounding_residues():
+    # W-5 has impossible outcomes; its transform leaves 2.8e-17 on 01111 and
+    # exact zeros elsewhere. Residues that small must not change any draw.
+    dist = swap_test_distribution(w(5))
+    assert 0 < dist.probs[0b01111] < 1e-16
+    clean = dist.probs.copy()
+    clean[0b01111] = 0.0
+    nudged = clean.copy()
+    nudged[[0b00001, 0b00111, 0b01011]] = 1e-17
+    for seed in range(5):
+        want = sample_shots(ControlDistribution(clean, 5), shots=10_000, seed=seed).counts
+        assert sample_shots(dist, shots=10_000, seed=seed).counts == want
+        assert sample_shots(ControlDistribution(nudged, 5), shots=10_000, seed=seed).counts == want
 
 
 def test_shot_estimator_within_4_sigma():
