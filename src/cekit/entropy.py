@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "binary_entropy",
     "majorizes",
     "schur_concavity_witness",
+    "schur_concavity_witnesses",
     "alpha_monotonicity_gap",
     "fannes_audenaert_bound",
     "in_concavity_region",
@@ -101,23 +102,78 @@ def in_subadditivity_region(p: EntropyParams) -> bool:
     return p.alpha >= 1 and p.beta == 1.0
 
 
-def _as_prob_vector(v: Iterable[float]) -> np.ndarray:
-    """Validated probability vector, clamped at 0 (which also turns -0.0
-    into 0.0). A vector with no entry to clamp may come back as a view of `v`."""
-    arr = np.asarray(v if isinstance(v, np.ndarray) else list(v), dtype=float).reshape(-1)
-    if arr.size == 0:
-        raise ValueError("probability vector must be nonempty")
-    lo = float(arr.min())
+def _check_prob(lo: float, total: float) -> None:
+    """Checks on a probability vector's least entry and sum."""
     if lo < -1e-10:
-        raise ValueError(f"negative probability {arr.min()}")
-    total = float(arr.sum())
-    if abs(total - 1.0) > PROB_SUM_ATOL:
+        raise ValueError(f"negative probability {lo}")
+    if not abs(total - 1.0) <= PROB_SUM_ATOL:  # also rejects a NaN or infinite entry
         raise ValueError(f"probabilities must sum to 1 within {PROB_SUM_ATOL}, got {total}")
+
+
+def _as_prob_rows(arr: np.ndarray) -> np.ndarray:
+    """Validated probability vectors along the last axis, clamped at 0 (which
+    also turns -0.0 into 0.0). A block with no entry to clamp may come back as `arr`."""
+    if arr.shape[-1] == 0:
+        raise ValueError("probability vector must be nonempty")
+    if arr.ndim == 1:  # one vector, as `majorizes` validates them: no per-row loop
+        lo = float(np.minimum.reduce(arr))
+        _check_prob(lo, float(np.add.reduce(arr)))
+    else:
+        flat = arr.reshape(-1, arr.shape[-1])
+        lows = np.minimum.reduce(flat, 1)
+        for row_lo, total in zip(lows.tolist(), np.add.reduce(flat, 1).tolist()):
+            _check_prob(row_lo, total)
+        lo = float(lows.min())
     return arr if lo > 0.0 else np.clip(arr, 0.0, None)
 
 
-def unified_entropy_rows(rows: np.ndarray, p: EntropyParams) -> np.ndarray:
+def _groups(keys: Iterable) -> list[list[int]]:
+    """Positions of each distinct key in `keys`, in order of first appearance."""
+    out: dict = {}
+    for i, key in enumerate(keys):
+        out.setdefault(key, []).append(i)
+    return list(out.values())
+
+
+def _as_vector(v: Iterable[float]) -> np.ndarray:
+    return np.asarray(v if isinstance(v, np.ndarray) else list(v), dtype=float).reshape(-1)
+
+
+def _traces(lam: np.ndarray, alpha: float) -> np.ndarray:
+    """Tr rho^alpha of spectra, entries at or below the numerically-zero floor
+    dropped, or their entropy on the von Neumann branch."""
+    keep = lam > ZERO_EIG_FLOOR
+    if abs(alpha - 1.0) < VON_NEUMANN_ALPHA_ATOL:
+        lam = np.where(keep, lam, 1.0)  # 1 log 1 = 0 stands in for a dropped entry
+        return -(lam * np.log2(lam)).sum(axis=-1) + 0.0
+    # A scalar exponent: numpy takes alpha = 0.5 and 2 as sqrt and square.
+    return (np.where(keep, lam, 0.0) ** alpha).sum(axis=-1)
+
+
+def _runs(keys: np.ndarray) -> list[tuple[int, int]]:
+    """(lo, hi) of each run of equal values in `keys`."""
+    starts = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()][: keys.size]
+    return list(zip(starts, starts[1:] + [keys.size]))
+
+
+def _from_traces(traces: list[float], a: float, b: float) -> list[float]:
+    """Entropies at (a, b) off the von Neumann branch, from Tr rho^a."""
+    if b < RENYI_BETA_ATOL:
+        return [math.log2(t) / (1.0 - a) + 0.0 for t in traces]
+    scale = (1.0 - a) * b
+    return [(t**b - 1.0) / scale + 0.0 for t in traces]
+
+
+def unified_entropy_rows(rows: np.ndarray, p: EntropyParams | Sequence[EntropyParams]) -> np.ndarray:
     """Unified entropy of every spectrum along the last axis of `rows`.
+
+    `p` is one point, or (the many-points form) an array-like of points whose
+    shape broadcasts against rows.shape[:-1], each entry of the result taken
+    at its own point: points (P, 1) evaluate one block of rows (c, d) at P
+    points, and points (N,) evaluate N rows at one point each. The entries
+    are grouped by alpha, each group's power is taken with one scalar
+    exponent and the steps after it run once per point, so every value has
+    the bits of a one-point call.
 
     Entries at or below the numerically-zero floor are dropped under the
     0^alpha := 0 and 0 log 0 := 0 conventions. The steps after the trace
@@ -125,23 +181,44 @@ def unified_entropy_rows(rows: np.ndarray, p: EntropyParams) -> np.ndarray:
     an ulp.
     """
     lam = np.asarray(rows, dtype=float)
-    keep = lam > ZERO_EIG_FLOOR
-    if p.is_von_neumann:
-        lam = np.where(keep, lam, 1.0)  # 1 log 1 = 0 stands in for a dropped entry
-        return -(lam * np.log2(lam)).sum(axis=-1) + 0.0
-    traces = (np.where(keep, lam, 0.0) ** p.alpha).sum(axis=-1)
-    if p.is_renyi:
-        vals = [math.log2(t) / (1.0 - p.alpha) + 0.0 for t in traces.ravel().tolist()]
-    else:
-        scale = (1.0 - p.alpha) * p.beta
-        vals = [(t**p.beta - 1.0) / scale + 0.0 for t in traces.ravel().tolist()]
-    return np.array(vals).reshape(traces.shape)
+    if isinstance(p, EntropyParams):
+        traces = _traces(lam, p.alpha)
+        if p.is_von_neumann:
+            return traces
+        return np.array(_from_traces(traces.ravel().tolist(), p.alpha, p.beta)).reshape(traces.shape)
+    points = np.asarray(p, dtype=object)
+    shape = np.broadcast(lam[..., 0], points).shape
+    given = points.ravel().tolist()
+    if given and all(q is given[0] for q in given):  # one point after all
+        return np.broadcast_to(unified_entropy_rows(lam, given[0]), shape).copy()
+    # Entry e of the result reads row rows_of[e] at point given[points_of[e]].
+    grid = np.zeros(shape, dtype=np.intp)
+    rows_of, points_of = ((grid + np.arange(a.size).reshape(a.shape)).ravel() for a in (lam[..., 0], points))
+    alphas = np.array([q.alpha for q in given], dtype=float)[points_of]
+    # Entries sorted by alpha (stably), so each run of equal alpha takes one power.
+    order = np.argsort(alphas, kind="stable")
+    sorted_alphas = alphas[order]
+    lam = lam.reshape(-1, lam.shape[-1])[rows_of[order]]
+    by_alpha = np.empty(order.size)
+    for lo, hi in _runs(sorted_alphas):
+        by_alpha[lo:hi] = _traces(lam[lo:hi], float(sorted_alphas[lo]))
+    vals = np.empty(order.size)
+    vals[order] = by_alpha  # von Neumann entries already hold the entropy
+    # The rest are finished once per run of entries that share a point.
+    for lo, hi in _runs(np.array([id(q) for q in given])[points_of]):
+        q = given[points_of[lo]]
+        if not q.is_von_neumann:
+            vals[lo:hi] = _from_traces(vals[lo:hi].tolist(), q.alpha, q.beta)
+    return vals.reshape(shape)
 
 
 def unified_entropy_spectrum(spectrum: Iterable[float], p: EntropyParams) -> float:
     """Unified entropy of one clamped eigenvalue vector: the one-row case of
     `unified_entropy_rows`."""
-    return float(unified_entropy_rows(spectrum, p))
+    lam = _as_vector(spectrum)
+    if not np.isfinite(lam).all():
+        raise ValueError(f"spectrum must be finite, got {lam}")
+    return float(unified_entropy_rows(lam, p))
 
 
 def unified_entropy(rho: DensityOperator | np.ndarray, p: EntropyParams) -> float:
@@ -160,19 +237,30 @@ def binary_entropy(eps: float) -> float:
 
 def majorizes(lam: Iterable[float], mu: Iterable[float], *, atol: float = 1e-10) -> bool:
     """True iff lam majorizes mu: descending partial sums of lam dominate mu's."""
-    a = list(itertools.accumulate(sorted(_as_prob_vector(lam).tolist(), reverse=True)))
-    b = list(itertools.accumulate(sorted(_as_prob_vector(mu).tolist(), reverse=True)))
+    a = list(itertools.accumulate(sorted(_as_prob_rows(_as_vector(lam)).tolist(), reverse=True)))
+    b = list(itertools.accumulate(sorted(_as_prob_rows(_as_vector(mu)).tolist(), reverse=True)))
     # Zero padding would repeat the shorter vector's last partial sum.
     a += a[-1:] * (len(b) - len(a))
     b += b[-1:] * (len(a) - len(b))
     return all(x >= y - atol for x, y in zip(a, b))
 
 
+def schur_concavity_witnesses(
+    cases: Sequence[tuple[Iterable[float], Iterable[float], EntropyParams]],
+) -> list[float]:
+    """`schur_concavity_witness` of every (lam, mu, p) case: the vectors are
+    validated and evaluated in one many-points kernel call per length."""
+    vecs = [_as_vector(v) for case in cases for v in case[:2]]
+    vals = np.empty(len(vecs))
+    for idx in _groups(v.size for v in vecs):
+        rows = _as_prob_rows(np.array([vecs[i] for i in idx]))
+        vals[idx] = unified_entropy_rows(rows, [cases[i // 2][2] for i in idx])
+    return (vals[::2] - vals[1::2]).tolist()
+
+
 def schur_concavity_witness(lam: Iterable[float], mu: Iterable[float], p: EntropyParams) -> float:
     """Signed gap S(diag lam) - S(diag mu); nonnegative whenever mu majorizes lam."""
-    return unified_entropy_spectrum(_as_prob_vector(lam), p) - unified_entropy_spectrum(
-        _as_prob_vector(mu), p
-    )
+    return schur_concavity_witnesses([(lam, mu, p)])[0]
 
 
 def alpha_monotonicity_gap(

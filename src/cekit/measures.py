@@ -22,12 +22,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .entropy import (
     EntropyParams,
+    _groups,
     fannes_audenaert_bound,
     in_concavity_region,
     in_subadditivity_region,
@@ -61,12 +62,16 @@ __all__ = [
     "table_ordering",
     "cce_pure",
     "named_measures",
+    "cce_values",
     "ordering_report",
+    "ordering_reports",
     "tensor_identity_residual",
     "subadditivity_gap",
+    "subadditivity_gaps",
     "gme_certificate",
     "continuity_gap",
     "locc_monotonicity_spotcheck",
+    "locc_monotonicity_gaps",
 ]
 
 MAX_SUBSET_SIZE = 20
@@ -265,10 +270,19 @@ def spectra_table(
     return SpectraTable(plan, tuple(b[0] for b in table.blocks))
 
 
-def table_terms(table: SpectraTable, params: EntropyParams) -> np.ndarray:
-    """Entropy of every mask of P(subset) in the last axis, trivial masks 0."""
+def table_terms(table: SpectraTable, params: EntropyParams | Sequence[EntropyParams]) -> np.ndarray:
+    """Entropy of every mask of P(subset) in the last axis, trivial masks 0.
+
+    `params` is one point, or (the many-points form) an array-like of points
+    broadcast against the table's leading axes, with the mask axis after them:
+    points (P,) on one table, (k,) on a stack of k, (k, P) on leading axes (k, 1).
+    """
     plan = table.plan
     lead = table.blocks[0].shape[:-2] if table.blocks else ()
+    if not isinstance(params, EntropyParams):
+        params = np.asarray(params, dtype=object)
+        lead = np.broadcast_shapes(lead, params.shape)
+        params = params[..., None]  # pairs each point with every cut of a block
     out = np.zeros(lead + (plan.n_masks,))
     for block, spectra in zip(plan.blocks, table.blocks):
         vals = unified_entropy_rows(spectra, params)
@@ -297,14 +311,30 @@ def cce_pure(
     return MeasureReport(math.fsum(terms) / len(terms), dict(enumerate(terms)), params, table.plan.subset)
 
 
-def _values(states: list[PureState], subset: tuple[int, ...], params: EntropyParams) -> list[float]:
-    """`table_value` of each of `states` (equal dims) from one stacked table; 0 on an empty subset."""
-    if not subset:
-        return [0.0] * len(states)
-    plan = cut_plan(states[0].dims, subset)
-    tensors = np.stack([psi.amplitudes for psi in states]).reshape((-1,) + plan.dims)
-    terms = np.broadcast_to(table_terms(member_spectra(plan, tensors), params), (len(states), plan.n_masks))
-    return [math.fsum(row) / plan.n_masks for row in terms.tolist()]
+def _grouped_terms(jobs: Sequence[tuple]) -> list[np.ndarray]:
+    """`table_terms` of each (state, subset, point or points) job, [0.0] on
+    an empty subset: one `member_spectra` call and one terms call per group
+    of jobs with equal dims, subset and number of points."""
+    jobs = [(psi, tuple(s), p) for psi, s, p in jobs]  # `cut_plan` validates a subset
+    out = [np.zeros(1)] * len(jobs)
+    for idx in _groups((psi.dims, s, np.shape(p)) for psi, s, p in jobs):
+        psi, subset, _ = jobs[idx[0]]
+        if subset:
+            plan = cut_plan(psi.dims, subset)
+            table = member_spectra(plan, np.stack([jobs[i][0].amplitudes for i in idx]).reshape((-1,) + psi.dims))
+            points = np.asarray([jobs[i][2] for i in idx], dtype=object)
+            lead = (len(idx),) + (1,) * (points.ndim - 1)  # a job's points share its table
+            table = SpectraTable(plan, tuple(b.reshape(lead + b.shape[1:]) for b in table.blocks))
+            for i, terms in zip(idx, table_terms(table, points)):
+                out[i] = terms
+    return out
+
+
+def cce_values(jobs: Sequence[tuple[PureState, Iterable[int], EntropyParams]]) -> list[float]:
+    """`table_value` of each (state, subset, point) job, 0 on an empty
+    subset: one spectra call and one terms call per group of jobs with equal
+    dims and subset."""
+    return [math.fsum(terms.tolist()) / terms.size for terms in _grouped_terms(jobs)]
 
 
 def table_named(table: SpectraTable) -> NamedMeasures:
@@ -318,17 +348,18 @@ def named_measures(psi: PureState, subset: Iterable[int]) -> NamedMeasures:
     return table_named(spectra_table(psi, subset))
 
 
-def table_ordering(
-    table: SpectraTable, renyi_orders: tuple[float, float] = (1.0, 2.0), *, tol: float = 1e-10
-) -> OrderingReport:
-    """Benchmark values of a one-state table plus the chain of lower-bound
-    relations among them."""
+def _ordering_points(renyi_orders: tuple[float, float]) -> list[EntropyParams]:
+    """The points an ordering report reads: the four benchmarks, then Renyi
+    at both orders (at order 1 the von Neumann branch, the value of e)."""
     lo, hi = renyi_orders
     if not 0 < lo <= hi:
         raise ValueError(f"need 0 < alpha_lo <= alpha_hi, got {renyi_orders}")
-    e, r2, t3, c = table_named(table)
-    renyi_lo = table_value(table, EntropyParams.renyi(lo)) if lo != 1.0 else e
-    renyi_hi = table_value(table, EntropyParams.renyi(hi)) if hi != 1.0 else e
+    return [*BENCHMARKS.values(), EntropyParams.renyi(lo), EntropyParams.renyi(hi)]
+
+
+def _ordering_report(values: Sequence[float], renyi_orders: tuple[float, float], tol: float) -> OrderingReport:
+    """Ordering report from the values at `_ordering_points(renyi_orders)`."""
+    e, r2, t3, c, renyi_lo, renyi_hi = values
     checks = {
         "e_ge_c_over_ln2": e >= c / LN2 - tol,
         "e_ge_2c_minus_half": e >= 2.0 * c - 0.5 - tol,
@@ -338,9 +369,17 @@ def table_ordering(
     }
     return OrderingReport(
         e=e, r2=r2, t3=t3, c=c,
-        renyi_orders=(lo, hi), renyi_lo=renyi_lo, renyi_hi=renyi_hi,
+        renyi_orders=tuple(renyi_orders), renyi_lo=renyi_lo, renyi_hi=renyi_hi,
         checks=checks,
     )
+
+
+def table_ordering(
+    table: SpectraTable, renyi_orders: tuple[float, float] = (1.0, 2.0), *, tol: float = 1e-10
+) -> OrderingReport:
+    """Benchmark values of a one-state table plus the chain of lower-bound
+    relations among them."""
+    return _ordering_report([table_value(table, p) for p in _ordering_points(renyi_orders)], renyi_orders, tol)
 
 
 def ordering_report(
@@ -348,6 +387,24 @@ def ordering_report(
 ) -> OrderingReport:
     """Benchmark values plus the chain of lower-bound relations among them."""
     return table_ordering(spectra_table(psi, subset), renyi_orders, tol=tol)
+
+
+def ordering_reports(
+    cases: Sequence[tuple[PureState, Iterable[int], Sequence[EntropyParams]]],
+    renyi_orders: tuple[float, float] = (1.0, 2.0),
+    *,
+    tol: float = 1e-10,
+) -> list[tuple[OrderingReport, list[float]]]:
+    """`ordering_report` of every (psi, subset, extra points) case, with the
+    measure at the case's extra points: one spectra call and one terms call
+    per group of cases with equal dims, subset and number of extra points."""
+    base = _ordering_points(renyi_orders)
+    out = []
+    jobs = [(psi, normalize_subset(s, psi.n_subsystems), base + list(extra)) for psi, s, extra in cases]
+    for terms in _grouped_terms(jobs):
+        values = [math.fsum(row) / len(row) for row in terms.tolist()]
+        out.append((_ordering_report(values[: len(base)], renyi_orders, tol), values[len(base) :]))
+    return out
 
 
 def tensor_identity_residual(
@@ -367,9 +424,7 @@ def tensor_identity_residual(
     s_a = tuple(i for i in s if i <= n_a)
     s_b = tuple(i - n_a for i in s if i > n_a)
     joint = PureState(np.kron(psi_a.amplitudes, psi_b.amplitudes), psi_a.dims + psi_b.dims)
-    [e_joint] = _values([joint], s, params)
-    [e_a] = _values([psi_a], s_a, params)
-    [e_b] = _values([psi_b], s_b, params)
+    e_joint, e_a, e_b = cce_values([(joint, s, params), (psi_a, s_a, params), (psi_b, s_b, params)])
     if params.is_von_neumann or params.is_renyi:
         cross = 0.0
     else:
@@ -377,30 +432,36 @@ def tensor_identity_residual(
     return abs(e_joint - e_a - e_b - cross * e_a * e_b)
 
 
+def subadditivity_gaps(
+    cases: Sequence[tuple[PureState, Iterable[int], Iterable[int], EntropyParams]],
+) -> list[float]:
+    """`subadditivity_gap` of every (psi, s, s', params) case: one spectra
+    call and one terms call per group of cases with equal dims and union."""
+    splits = []
+    for psi, s, s_prime, params in cases:
+        if not in_subadditivity_region(params):
+            raise ValueError(
+                f"subadditivity holds on alpha >= 1 at beta = 1 (or the von Neumann limit), "
+                f"got alpha={params.alpha}, beta={params.beta}"
+            )
+        a, b = normalize_subset(s, psi.n_subsystems), normalize_subset(s_prime, psi.n_subsystems)
+        if set(a) & set(b):
+            raise ValueError(f"subsets overlap: {a} and {b}")
+        splits.append((a, b, tuple(sorted(a + b))))
+
+    def part(terms: np.ndarray, union: tuple[int, ...], labels: tuple[int, ...]) -> float:
+        mask_sub = sum(1 << union.index(i) for i in labels)
+        return math.fsum(terms[np.arange(terms.size) & ~mask_sub == 0].tolist()) / (1 << len(labels))
+
+    all_terms = _grouped_terms([(c[0], u, c[3]) for c, (_, _, u) in zip(cases, splits)])
+    return [part(t, u, a) + part(t, u, b) - part(t, u, u) for (a, b, u), t in zip(splits, all_terms)]
+
+
 def subadditivity_gap(
     psi: PureState, s: Iterable[int], s_prime: Iterable[int], params: EntropyParams
 ) -> float:
     """E(s) + E(s') - E(s u s') for disjoint subsets, on the subadditive region."""
-    if not in_subadditivity_region(params):
-        raise ValueError(
-            f"subadditivity holds on alpha >= 1 at beta = 1 (or the von Neumann limit), "
-            f"got alpha={params.alpha}, beta={params.beta}"
-        )
-    n = psi.n_subsystems
-    a = normalize_subset(s, n)
-    b = normalize_subset(s_prime, n)
-    if set(a) & set(b):
-        raise ValueError(f"subsets overlap: {a} and {b}")
-    union = tuple(sorted(a + b))
-    terms = table_terms(spectra_table(psi, union), params)
-    bit_of = {label: j for j, label in enumerate(union)}
-    masks = np.arange(terms.size)
-
-    def part(labels: tuple[int, ...]) -> float:
-        mask_sub = sum(1 << bit_of[i] for i in labels)
-        return math.fsum(terms[masks & ~mask_sub == 0].tolist()) / (1 << len(labels))
-
-    return part(a) + part(b) - part(union)
+    return subadditivity_gaps([(psi, s, s_prime, params)])[0]
 
 
 def gme_certificate(psi: PureState, params: EntropyParams) -> GmeCertificate:
@@ -439,7 +500,7 @@ def continuity_gap(
     if eps >= 0.5:
         raise ValueError(f"trace distance {eps} is outside the hypothesis eps < 1/2")
     s = normalize_subset(subset, psi.n_subsystems)
-    e_psi, e_phi = _values([psi, phi], s, params)
+    e_psi, e_phi = cce_values([(psi, s, params), (phi, s, params)])
     lhs = abs(e_psi - e_phi)
     if params.is_von_neumann:
         bound = fannes_audenaert_bound(eps, psi.dim) if eps > 0.0 else 0.0
@@ -451,6 +512,40 @@ def continuity_gap(
             "need alpha > 1 with beta >= 1, or the von Neumann limit"
         )
     return lhs, bound
+
+
+def locc_monotonicity_gaps(
+    cases: Sequence[tuple[PureState, Iterable[int], EntropyParams, int, list[np.ndarray]]],
+) -> list[float]:
+    """`locc_monotonicity_spotcheck` of every (psi, subset, params, site,
+    kraus) case: each state is stacked with its branches, and each group of
+    equal dims and subset takes one spectra call and one terms call."""
+    jobs, probs = [], []
+    for psi, subset, params, site, kraus in cases:
+        if not in_concavity_region(params):
+            raise ValueError(
+                f"average monotonicity requires the concavity region, got "
+                f"alpha={params.alpha}, beta={params.beta}"
+            )
+        branches = apply_local_kraus_pure(psi, site, kraus)  # checks the site and completeness
+        # A single-element set is unitary by completeness; multi-outcome sets are
+        # restricted to rank-1 elements.
+        if len(kraus) > 1:
+            for k in kraus:
+                sv = np.linalg.svd(np.asarray(k, dtype=complex), compute_uv=False)
+                if sv.size > 1 and sv[1] > 1e-10 * max(1.0, float(sv[0])):
+                    raise ValueError("non-rank-1 Kraus element rejected for this check")
+        s = normalize_subset(subset, psi.n_subsystems)
+        jobs += [(state, s, params) for state in [psi] + [b for _, b in branches]]
+        probs.append([p for p, _ in branches])
+    values = iter(cce_values(jobs))
+    gaps = []
+    for branch_probs in probs:
+        before, avg = next(values), 0.0
+        for p in branch_probs:
+            avg += p * next(values)
+        gaps.append(before - avg)
+    return gaps
 
 
 def locc_monotonicity_spotcheck(
@@ -466,22 +561,4 @@ def locc_monotonicity_spotcheck(
     the pure-state formula applies directly; nonnegative (within tolerance)
     for parameters in the concavity region.
     """
-    if not in_concavity_region(params):
-        raise ValueError(
-            f"average monotonicity requires the concavity region, got "
-            f"alpha={params.alpha}, beta={params.beta}"
-        )
-    branches = apply_local_kraus_pure(psi, site, kraus)  # checks the site and completeness
-    # A single-element set is unitary by completeness; multi-outcome sets are
-    # restricted to rank-1 elements.
-    if len(kraus) > 1:
-        for k in kraus:
-            sv = np.linalg.svd(np.asarray(k, dtype=complex), compute_uv=False)
-            if sv.size > 1 and sv[1] > 1e-10 * max(1.0, float(sv[0])):
-                raise ValueError("non-rank-1 Kraus element rejected for this check")
-    s = normalize_subset(subset, psi.n_subsystems)
-    before, *after = _values([psi] + [b for _, b in branches], s, params)
-    avg = 0.0
-    for (p, _), value in zip(branches, after):
-        avg += p * value
-    return before - avg
+    return locc_monotonicity_gaps([(psi, subset, params, site, kraus)])[0]

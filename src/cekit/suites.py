@@ -4,6 +4,16 @@ Each suite draws its cases from a seeded generator and reports every
 violation as a string carrying enough detail to replay it. Tolerances are
 fixed here, not configurable, because they are part of what is being
 verified.
+
+The `schur`, `ordering`, `subadd`, `locc` and `swap-consistency` suites
+draw the inputs of a batch of trials first, in the generator order of a
+trial-by-trial loop, then evaluate the batch through the stacked kernels:
+one eigensolve per cut dimension and one entropy call per group of trials
+with the same cut plan. A batch holds 64 trials (`_BATCH`), or fewer when
+a trial evaluates many points: at most 512 (state, point) evaluations
+(`_BATCH_POINTS`), so `ordering`, at 46 points a trial, takes 11. Outputs
+are the trial-by-trial ones, bit for bit, and memory is bounded by the
+batch, not by `trials`.
 """
 from __future__ import annotations
 
@@ -20,16 +30,15 @@ from .entropy import (
     alpha_monotonicity_gap,
     binary_entropy,
     majorizes,
-    schur_concavity_witness,
+    schur_concavity_witnesses,
 )
 from .measures import (
+    BENCHMARKS,
+    cce_values,
     continuity_gap,
-    locc_monotonicity_spotcheck,
-    named_measures,
-    spectra_table,
-    subadditivity_gap,
-    table_ordering,
-    table_value,
+    locc_monotonicity_gaps,
+    ordering_reports,
+    subadditivity_gaps,
     tensor_identity_residual,
 )
 from .states import dicke, ghz, haar_random, random_density, random_product, w
@@ -49,6 +58,8 @@ __all__ = [
 ]
 
 GAP_TOL = 1e-10
+_BATCH = 64  # trials drawn, then evaluated together
+_BATCH_POINTS = 512  # and the (state, point) evaluations they may hold: bounds a batch's memory
 
 
 @dataclass
@@ -60,6 +71,11 @@ class SuiteResult:
     @property
     def passed(self) -> bool:
         return not self.failures
+
+
+def _batches(trials: int, points_per_trial: int = 1) -> list[range]:
+    step = max(1, min(_BATCH, _BATCH_POINTS // points_per_trial))
+    return [range(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
 
 
 def sample_concavity_params(rng: np.random.Generator) -> EntropyParams:
@@ -131,20 +147,20 @@ def suite_schur(seed: int = 0, trials: int = 10_000) -> SuiteResult:
     """Entropy never increases along a majorization: S(lam) >= S(mu) when lam < mu."""
     rng = np.random.default_rng(seed)
     failures = []
-    for trial in range(trials):
-        size = int(rng.integers(2, 7))
-        lam, mu = random_majorization_pair(rng, size)
-        a = float(rng.uniform(0.05, 4.0))
-        b = float(rng.uniform(0.0, 3.0))
-        params = EntropyParams(a, b)
-        if not majorizes(mu, lam):
-            failures.append(f"trial {trial} seed {seed}: generated pair fails majorization")
-            continue
-        gap = schur_concavity_witness(lam, mu, params)
-        if gap < -GAP_TOL:
-            failures.append(
-                f"trial {trial} seed {seed}: gap {gap} at alpha={a}, beta={b}, lam={lam}, mu={mu}"
-            )
+    for batch in _batches(trials):
+        cases = []
+        for _ in batch:
+            lam, mu = random_majorization_pair(rng, int(rng.integers(2, 7)))
+            cases.append((lam, mu, EntropyParams(float(rng.uniform(0.05, 4.0)), float(rng.uniform(0.0, 3.0)))))
+        ok = [majorizes(mu, lam) for lam, mu, _ in cases]
+        gaps = iter(schur_concavity_witnesses([case for case, good in zip(cases, ok) if good]))
+        for trial, (lam, mu, p), good in zip(batch, cases, ok):
+            if not good:
+                failures.append(f"trial {trial} seed {seed}: generated pair fails majorization")
+            elif (gap := next(gaps)) < -GAP_TOL:
+                failures.append(
+                    f"trial {trial} seed {seed}: gap {gap} at alpha={p.alpha}, beta={p.beta}, lam={lam}, mu={mu}"
+                )
     return SuiteResult("schur", trials, failures)
 
 
@@ -171,22 +187,24 @@ def suite_ordering(seed: int = 0, trials: int = 1000, alpha_pairs: int = 20) -> 
     """Lower-bound chain plus alpha-monotonicity of the measure on Haar states."""
     rng = np.random.default_rng(seed)
     failures = []
-    s = (1, 2, 3, 4)
-    for trial in range(trials):
-        psi = haar_random((2, 2, 2, 2), seed=seed * 100_003 + trial)
-        table = spectra_table(psi, s)
-        for name, ok in table_ordering(table).checks.items():
-            if not ok:
-                failures.append(f"trial {trial} seed {seed}: {name} violated")
-        for _ in range(alpha_pairs):
-            a_lo, a_hi = np.sort(rng.uniform(0.3, 3.5, size=2))
-            beta = float(rng.uniform(1.0, 3.0))
-            lo = table_value(table, EntropyParams(float(a_lo), beta))
-            hi = table_value(table, EntropyParams(float(a_hi), beta))
-            if lo < hi - GAP_TOL:
-                failures.append(
-                    f"trial {trial} seed {seed}: measure increased from alpha {a_lo} to {a_hi} at beta {beta}"
-                )
+    for batch in _batches(trials, 6 + 2 * alpha_pairs):  # 6 points of an ordering report
+        cases, drawn = [], []
+        for trial in batch:
+            pairs = [
+                (*np.sort(rng.uniform(0.3, 3.5, size=2)), float(rng.uniform(1.0, 3.0))) for _ in range(alpha_pairs)
+            ]
+            points = [EntropyParams(float(a), beta) for a_lo, a_hi, beta in pairs for a in (a_lo, a_hi)]
+            cases.append((haar_random((2, 2, 2, 2), seed=seed * 100_003 + trial), (1, 2, 3, 4), points))
+            drawn.append(pairs)
+        for trial, pairs, (report, values) in zip(batch, drawn, ordering_reports(cases)):
+            for name, ok in report.checks.items():
+                if not ok:
+                    failures.append(f"trial {trial} seed {seed}: {name} violated")
+            for (a_lo, a_hi, beta), lo, hi in zip(pairs, values[::2], values[1::2]):
+                if lo < hi - GAP_TOL:
+                    failures.append(
+                        f"trial {trial} seed {seed}: measure increased from alpha {a_lo} to {a_hi} at beta {beta}"
+                    )
     return SuiteResult("ordering", trials, failures)
 
 
@@ -195,19 +213,21 @@ def suite_subadd(seed: int = 0, trials: int = 1000) -> SuiteResult:
     rng = np.random.default_rng(seed)
     alphas = (1.0, 1.5, 2.0, 3.0)
     failures = []
-    for trial in range(trials):
-        psi = haar_random((2,) * 5, seed=seed * 100_003 + trial)
-        labels = rng.permutation(5) + 1
-        k1 = int(rng.integers(1, 4))
-        k2 = int(rng.integers(1, 6 - k1))
-        s = tuple(int(x) for x in labels[:k1])
-        s2 = tuple(int(x) for x in labels[k1 : k1 + k2])
-        params = EntropyParams(alphas[int(rng.integers(len(alphas)))], 1.0)
-        gap = subadditivity_gap(psi, s, s2, params)
-        if gap < -GAP_TOL:
-            failures.append(
-                f"trial {trial} seed {seed}: gap {gap} for s={s}, s'={s2}, alpha={params.alpha}"
-            )
+    for batch in _batches(trials):
+        cases = []
+        for trial in batch:
+            psi = haar_random((2,) * 5, seed=seed * 100_003 + trial)
+            labels = rng.permutation(5) + 1
+            k1 = int(rng.integers(1, 4))
+            k2 = int(rng.integers(1, 6 - k1))
+            s = tuple(int(x) for x in labels[:k1])
+            s2 = tuple(int(x) for x in labels[k1 : k1 + k2])
+            cases.append((psi, s, s2, EntropyParams(alphas[int(rng.integers(len(alphas)))], 1.0)))
+        for trial, (_, s, s2, params), gap in zip(batch, cases, subadditivity_gaps(cases)):
+            if gap < -GAP_TOL:
+                failures.append(
+                    f"trial {trial} seed {seed}: gap {gap} for s={s}, s'={s2}, alpha={params.alpha}"
+                )
     return SuiteResult("subadd", trials, failures)
 
 
@@ -266,40 +286,43 @@ def suite_locc(seed: int = 0, trials: int = 500) -> SuiteResult:
     """Average measure never increases under rank-1 local instruments."""
     rng = np.random.default_rng(seed)
     failures = []
-    for trial in range(trials):
-        psi = haar_random((2, 2, 2), seed=seed * 100_003 + trial)
-        site = int(rng.integers(1, 4))
-        kraus = random_rank1_instrument(rng)
-        params = sample_concavity_params(rng)
-        gap = locc_monotonicity_spotcheck(psi, (1, 2, 3), params, site, kraus)
-        if gap < -GAP_TOL:
-            failures.append(
-                f"trial {trial} seed {seed}: gap {gap} at site {site}, "
-                f"alpha={params.alpha}, beta={params.beta}"
-            )
+    for batch in _batches(trials):
+        cases = []
+        for trial in batch:
+            psi = haar_random((2, 2, 2), seed=seed * 100_003 + trial)
+            site = int(rng.integers(1, 4))
+            kraus = random_rank1_instrument(rng)
+            cases.append((psi, (1, 2, 3), sample_concavity_params(rng), site, kraus))
+        for trial, (_, _, params, site, _), gap in zip(batch, cases, locc_monotonicity_gaps(cases)):
+            if gap < -GAP_TOL:
+                failures.append(
+                    f"trial {trial} seed {seed}: gap {gap} at site {site}, "
+                    f"alpha={params.alpha}, beta={params.beta}"
+                )
     return SuiteResult("locc", trials, failures)
 
 
 def suite_swap_consistency(seed: int = 0, trials: int = 100) -> SuiteResult:
     """Exact SWAP-test distribution reproduces the linear-entropy measure."""
-    cases: list[tuple[str, PureState]] = []
+    fixed: list[tuple[str, PureState]] = []
     for n in (3, 4, 5):
-        cases.append((f"ghz:{n}", ghz(n)))
-        cases.append((f"w:{n}", w(n)))
+        fixed.append((f"ghz:{n}", ghz(n)))
+        fixed.append((f"w:{n}", w(n)))
     for k in range(5):
-        cases.append((f"dicke:4:{k}", dicke(4, k)))
-    for trial in range(trials):
-        n = 2 + trial % 4
-        cases.append((f"haar:{n}q:{trial}", haar_random((2,) * n, seed=seed * 100_003 + trial)))
+        fixed.append((f"dicke:4:{k}", dicke(4, k)))
     failures = []
-    for label, psi in cases:
-        n = psi.n_subsystems
-        dist = swap_test_distribution(psi)
-        got = cce_from_distribution(dist, range(1, n + 1))
-        want = named_measures(psi, range(1, n + 1)).c
-        if abs(got - want) > 1e-10:
-            failures.append(f"{label} seed {seed}: swap-test {got} vs direct {want}")
-    return SuiteResult("swap-consistency", len(cases), failures)
+    for batch in _batches(len(fixed) + trials):
+        cases = [fixed[i] for i in batch if i < len(fixed)]
+        for trial in (i - len(fixed) for i in batch if i >= len(fixed)):
+            n = 2 + trial % 4
+            cases.append((f"haar:{n}q:{trial}", haar_random((2,) * n, seed=seed * 100_003 + trial)))
+        # Only C is compared, so only the linear point is evaluated, grouped by n.
+        jobs = [(psi, tuple(range(1, psi.n_subsystems + 1)), BENCHMARKS["c"]) for _, psi in cases]
+        for (label, psi), (_, s, _), want in zip(cases, jobs, cce_values(jobs)):
+            got = cce_from_distribution(swap_test_distribution(psi), s)
+            if abs(got - want) > 1e-10:
+                failures.append(f"{label} seed {seed}: swap-test {got} vs direct {want}")
+    return SuiteResult("swap-consistency", len(fixed) + trials, failures)
 
 
 def suite_roof_separable(seed: int = 0, trials: int = 20) -> SuiteResult:

@@ -218,7 +218,11 @@ def embed_local(op: np.ndarray, site: int, dims: Sequence[int]) -> np.ndarray:
         raise ValueError(f"operator shape {op.shape} does not match local dimension {d}")
     left = prod(dims[: site - 1])
     right = prod(dims[site:])
-    return np.kron(np.kron(np.eye(left), op), np.eye(right))
+    # I (x) op (x) I without products: one copy of op per (left, right) block.
+    out = np.zeros((left, d, right, left, d, right), dtype=complex)
+    i, j = np.arange(left)[:, None], np.arange(right)
+    out[i, :, j, i, :, j] = op
+    return out.reshape(left * d * right, -1)
 
 
 def _check_kraus_complete(kraus: Sequence[np.ndarray], d: int) -> list[np.ndarray]:

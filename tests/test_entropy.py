@@ -13,6 +13,7 @@ from cekit.entropy import (
     majorizes,
     max_entropy_value,
     schur_concavity_witness,
+    schur_concavity_witnesses,
     unified_entropy,
     unified_entropy_rows,
     unified_entropy_spectrum,
@@ -96,6 +97,45 @@ def test_schur_witness_trivial_cases():
     vn = EntropyParams.von_neumann()
     assert schur_concavity_witness([0.5, 0.5], [1.0, 0.0], vn) == pytest.approx(1.0, abs=1e-12)
     assert schur_concavity_witness([0.3, 0.7], [0.3, 0.7], vn) == 0.0
+
+
+NON_FINITE = [[float("nan"), 1.0], [float("inf"), 1.0], [float("-inf"), 1.0], [0.5, float("nan"), 0.5]]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_majorizes_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        majorizes(bad, [0.5, 0.5])
+    with pytest.raises(ValueError):
+        majorizes([0.5, 0.5], bad)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_schur_witness_rejects_non_finite(bad):
+    params = EntropyParams(2.0, 1.0)
+    with pytest.raises(ValueError):
+        schur_concavity_witness(bad, [0.5, 0.5], params)
+    with pytest.raises(ValueError):
+        schur_concavity_witness([1.0, 0.0], bad, params)
+    with pytest.raises(ValueError):
+        schur_concavity_witnesses([([0.5, 0.5], [1.0, 0.0], params), (bad, [0.5, 0.5], params)])
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_spectrum_rejects_non_finite(bad):
+    for params in [EntropyParams(2.0, 1.0), EntropyParams.von_neumann(), EntropyParams.renyi(0.5)]:
+        with pytest.raises(ValueError):
+            unified_entropy_spectrum(bad, params)
+
+
+def test_schur_witnesses_match_one_case_calls():
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(300):
+        lam, mu = random_majorization_pair(rng, int(rng.integers(2, 7)))
+        cases.append((lam, mu, EntropyParams(float(rng.uniform(0.05, 4.0)), float(rng.uniform(0.0, 3.0)))))
+    cases.append(([0.5, 0.5, 0.0], [1.0, 0.0], EntropyParams(2.0, 1.0)))  # unequal lengths
+    assert schur_concavity_witnesses(cases) == [schur_concavity_witness(*case) for case in cases]
 
 
 def test_schur_witness_random_sweep():
@@ -263,3 +303,55 @@ def test_entropy_rows_match_scalar_reference():
         assert block.shape == (3, 7)
         want = [[_scalar_entropy(r, params) for r in plane] for plane in rows]
         assert block.tolist() == want
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
+MANY_POINTS = [
+    EntropyParams.von_neumann(),
+    EntropyParams(1.0 + 5e-10, 2.0),  # von Neumann by threshold, with a beta
+    EntropyParams.renyi(2.0),
+    EntropyParams.renyi(0.5),
+    EntropyParams(0.5, 1.0),  # numpy takes the power as sqrt
+    EntropyParams.linear(),  # ... and as square
+    EntropyParams.tsallis(3.0),
+    EntropyParams(1.7, 0.4),
+    EntropyParams(2.0, 1.0),  # equal to linear but another object
+]
+
+
+@pytest.mark.parametrize("d", [2, 5, 9, 32])
+def test_many_points_kernel_matches_one_point_calls(d):
+    rng = np.random.default_rng(d)
+    rows = rng.dirichlet(np.ones(d), size=(2, 3, 4))
+    rows[0, 0, :, d // 2 :] = 0.0  # exact zeros
+    rows[0, 1, :, -1] = 1e-13  # under the floor
+    rows[1, 2, 0] = np.eye(d)[0]  # pure
+    points = MANY_POINTS + [EntropyParams(float(a), float(b)) for a, b in rng.uniform(0.05, 3.5, (12, 2))]
+    # One block at many points: the points axis broadcasts against the leading axes.
+    many = unified_entropy_rows(rows, np.array(points, dtype=object)[:, None, None, None])
+    assert many.shape == (len(points), 2, 3, 4)
+    for p, block in zip(points, many):
+        assert _bits(block) == _bits(unified_entropy_rows(rows, p))
+    # Many rows at one point each.
+    flat = rows.reshape(-1, d)
+    own = [points[i % len(points)] for i in range(len(flat))]
+    assert _bits(unified_entropy_rows(flat, own)) == _bits([unified_entropy_rows(r, p) for r, p in zip(flat, own)])
+    # Per-stack points against a leading stack axis.
+    per_stack = [[points[(3 * i + j) % len(points)] for j in range(5)] for i in range(2)]
+    stacked = unified_entropy_rows(rows[:, None], np.array(per_stack, dtype=object)[:, :, None, None])
+    assert stacked.shape == (2, 5, 3, 4)
+    for i in range(2):
+        for j in range(5):
+            assert _bits(stacked[i, j]) == _bits(unified_entropy_rows(rows[i], per_stack[i][j]))
+
+
+def test_many_points_kernel_edge_shapes():
+    rows = np.random.default_rng(3).dirichlet(np.ones(3), size=4)
+    vn = [EntropyParams.von_neumann(), EntropyParams(1.0 + 1e-10, 0.0)] * 2  # every entry von Neumann
+    assert _bits(unified_entropy_rows(rows, vn)) == _bits(unified_entropy_rows(rows, vn[0]))
+    same = [EntropyParams(2.0, 1.0)] * 4
+    assert _bits(unified_entropy_rows(rows, same)) == _bits(unified_entropy_rows(rows, same[0]))
+    assert unified_entropy_rows(rows[:0], []).shape == (0,)

@@ -7,14 +7,23 @@ import pytest
 from cekit.entropy import EntropyParams, binary_entropy, unified_entropy_spectrum
 from cekit.errors import ResourceLimitError
 from cekit.measures import (
+    SpectraTable,
     cce_pure,
+    cce_values,
     continuity_gap,
+    cut_plan,
     gme_certificate,
+    locc_monotonicity_gaps,
     locc_monotonicity_spotcheck,
+    member_spectra,
     named_measures,
     ordering_report,
+    ordering_reports,
     spectra_table,
     subadditivity_gap,
+    subadditivity_gaps,
+    table_terms,
+    table_value,
     tensor_identity_residual,
 )
 from cekit.states import ghz, haar_random, random_product, w
@@ -429,3 +438,73 @@ def test_report_serialization_roundtrip():
 def test_subset_spectra_rejects_symmetry_on_partial_subset():
     with pytest.raises(ValueError):
         spectra_table(ghz(3), (1, 2), use_symmetry=True)
+
+
+POINTS = [
+    EntropyParams.von_neumann(),
+    EntropyParams.renyi(2.0),
+    EntropyParams.renyi(0.5),
+    EntropyParams(0.5, 1.0),
+    EntropyParams.linear(),
+    EntropyParams.tsallis(3.0),
+    EntropyParams(1.7, 0.4),
+    EntropyParams(0.3, 2.5),
+]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("subset", [(1, 2, 3, 4, 5), (2, 4, 5), (1, 3)])
+def test_many_points_terms_match_one_point_calls(subset):
+    # Full subsets use the paired plan, partial ones the unpaired plan.
+    plan = cut_plan((2,) * 5, subset)
+    assert plan.paired == (len(subset) == 5)
+    states = [haar_random((2,) * 5, seed=s) for s in range(4)]
+    table = member_spectra(plan, np.stack([psi.amplitudes for psi in states]).reshape((-1,) + plan.dims))
+    one = [table_terms(SpectraTable(plan, tuple(b[i] for b in table.blocks)), p) for i in range(4) for p in POINTS]
+    # A stack of tables at one point each, and P points per table on leading axes (k, 1).
+    zipped = table_terms(table, POINTS[:4])
+    assert _bits(zipped) == _bits([one[i * len(POINTS) + i] for i in range(4)])
+    per_table = SpectraTable(plan, tuple(b[:, None] for b in table.blocks))
+    assert _bits(table_terms(per_table, [POINTS] * 4)) == _bits(np.reshape(one, (4, len(POINTS), -1)))
+    # One table at many points.
+    first = SpectraTable(plan, tuple(b[0] for b in table.blocks))
+    assert _bits(table_terms(first, POINTS)) == _bits(one[: len(POINTS)])
+
+
+def test_batched_values_and_orderings_match_one_state_calls():
+    # Mixed dims and subsets (an empty one too), so the jobs fall into several groups.
+    states = [haar_random(dims, seed=i) for i, dims in enumerate([(2, 2, 2), (2, 3, 2), (2, 2, 2), (2, 2, 2)])]
+    subsets = [(3, 1), (1, 2, 3), (1, 3), ()]
+    jobs = [(psi, s, POINTS[i]) for i, (psi, s) in enumerate(zip(states, subsets))]
+    want = [table_value(spectra_table(psi, s), p) if s else 0.0 for psi, s, p in jobs]
+    assert cce_values(jobs) == want
+    extra = [POINTS[2:6], POINTS[4:8], POINTS[:4]]
+    cases = [(psi, s, points) for psi, s, points in zip(states, subsets, extra)]
+    for orders in [(1.0, 2.0), (0.5, 3.0)]:
+        for (psi, s, points), (report, values) in zip(cases, ordering_reports(cases, orders)):
+            table = spectra_table(psi, s)
+            assert report == ordering_report(psi, s, orders)
+            assert values == [table_value(table, p) for p in points]
+    with pytest.raises(ValueError):
+        ordering_reports([(states[0], (), [])])
+
+
+def test_batched_gaps_match_one_case_calls():
+    rng = np.random.default_rng(4)
+    sub, locc = [], []
+    for trial in range(40):
+        psi = haar_random((2, 2, 2, 2), seed=trial)
+        labels = [int(x) for x in rng.permutation(4) + 1]
+        sub.append((psi, labels[:1], labels[1 : 2 + trial % 3], EntropyParams(1.0 + trial % 3, 1.0)))
+        site = 1 + trial % 4
+        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        basis = np.linalg.qr(z)[0]
+        kraus = [np.outer(basis[:, i], basis[:, i].conj()) for i in range(2)]
+        locc.append((psi, (1, 2, 3, 4), EntropyParams(0.5 + 0.05 * trial, 1.0), site, kraus))
+    assert subadditivity_gaps(sub) == [subadditivity_gap(*case) for case in sub]
+    assert locc_monotonicity_gaps(locc) == [locc_monotonicity_spotcheck(*case) for case in locc]
+    with pytest.raises(ValueError):
+        subadditivity_gaps(sub[:3] + [(sub[0][0], (1,), (1, 2), LIN)])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cekit.entropy import EntropyParams
 from cekit.measures import cce_pure, named_measures, tensor_identity_residual
@@ -213,3 +215,26 @@ def test_recipe_rejects_garbage():
             StateRecipe.parse(text)
     with pytest.raises(ValueError):
         StateRecipe.from_json({"n": 3})
+
+
+_DIMS = st.lists(st.integers(2, 5), min_size=1, max_size=4).map(tuple)
+_SEEDS = st.integers(0, 2**32 - 1)
+_RECIPES = st.one_of(
+    st.builds(StateRecipe, st.sampled_from(["ghz", "w"]), n=st.integers(2, 30)),
+    st.integers(0, 30).flatmap(lambda n: st.builds(StateRecipe, st.just("dicke"), n=st.just(n), k=st.integers(0, n))),
+    st.builds(StateRecipe, st.just("star"), theta=st.floats(-10.0, 10.0, allow_nan=False)),
+    st.builds(StateRecipe, st.sampled_from(["haar", "product"]), dims=_DIMS, seed=_SEEDS),
+    st.builds(StateRecipe, st.just("mixed-random"), dims=_DIMS, rank=st.integers(1, 6), seed=_SEEDS),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_RECIPES)
+def test_recipe_label_parse_roundtrip(recipe):
+    parsed = StateRecipe.parse(recipe.label())
+    assert parsed.label() == recipe.label()
+    if recipe.family == "star":
+        # The label keeps six significant digits of the angle.
+        assert parsed.theta == float(f"{recipe.theta:.6g}")
+    else:
+        assert parsed == recipe

@@ -1,0 +1,129 @@
+"""The batched suites against trial-by-trial loops over the public functions."""
+import numpy as np
+import pytest
+
+import cekit.suites as suites
+from cekit.cli import main
+from cekit.entropy import EntropyParams, majorizes, schur_concavity_witness
+from cekit.measures import (
+    locc_monotonicity_spotcheck,
+    spectra_table,
+    subadditivity_gap,
+    table_ordering,
+    table_value,
+)
+from cekit.states import haar_random
+
+
+def _subadd_loop(seed, trials):
+    rng = np.random.default_rng(seed)
+    alphas = (1.0, 1.5, 2.0, 3.0)
+    out = []
+    for trial in range(trials):
+        psi = haar_random((2,) * 5, seed=seed * 100_003 + trial)
+        labels = rng.permutation(5) + 1
+        k1 = int(rng.integers(1, 4))
+        k2 = int(rng.integers(1, 6 - k1))
+        s = tuple(int(x) for x in labels[:k1])
+        s2 = tuple(int(x) for x in labels[k1 : k1 + k2])
+        params = EntropyParams(alphas[int(rng.integers(len(alphas)))], 1.0)
+        gap = subadditivity_gap(psi, s, s2, params)
+        out.append(f"trial {trial} seed {seed}: gap {gap} for s={s}, s'={s2}, alpha={params.alpha}")
+    return out
+
+
+def _locc_loop(seed, trials):
+    rng = np.random.default_rng(seed)
+    out = []
+    for trial in range(trials):
+        psi = haar_random((2, 2, 2), seed=seed * 100_003 + trial)
+        site = int(rng.integers(1, 4))
+        kraus = suites.random_rank1_instrument(rng)
+        params = suites.sample_concavity_params(rng)
+        gap = locc_monotonicity_spotcheck(psi, (1, 2, 3), params, site, kraus)
+        out.append(
+            f"trial {trial} seed {seed}: gap {gap} at site {site}, alpha={params.alpha}, beta={params.beta}"
+        )
+    return out
+
+
+def _schur_loop(seed, trials):
+    rng = np.random.default_rng(seed)
+    out = []
+    for trial in range(trials):
+        size = int(rng.integers(2, 7))
+        lam, mu = suites.random_majorization_pair(rng, size)
+        a = float(rng.uniform(0.05, 4.0))
+        b = float(rng.uniform(0.0, 3.0))
+        assert majorizes(mu, lam)
+        gap = schur_concavity_witness(lam, mu, EntropyParams(a, b))
+        out.append(f"trial {trial} seed {seed}: gap {gap} at alpha={a}, beta={b}, lam={lam}, mu={mu}")
+    return out
+
+
+def _ordering_loop(seed, trials, alpha_pairs=20):
+    rng = np.random.default_rng(seed)
+    out = []
+    for trial in range(trials):
+        table = spectra_table(haar_random((2, 2, 2, 2), seed=seed * 100_003 + trial), (1, 2, 3, 4))
+        out += [f"trial {trial} seed {seed}: {k} violated" for k, ok in table_ordering(table).checks.items() if not ok]
+        for _ in range(alpha_pairs):
+            a_lo, a_hi = np.sort(rng.uniform(0.3, 3.5, size=2))
+            beta = float(rng.uniform(1.0, 3.0))
+            lo = table_value(table, EntropyParams(float(a_lo), beta))
+            hi = table_value(table, EntropyParams(float(a_hi), beta))
+            if lo < hi - suites.GAP_TOL:
+                out.append(f"trial {trial} seed {seed}: measure increased from alpha {a_lo} to {a_hi} at beta {beta}")
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_batched_ordering_matches_trial_by_trial_loop(monkeypatch, seed):
+    # The messages carry no values, so the tolerance is set to split the pairs:
+    # those whose measure falls by less than 0.05 report, the others do not.
+    monkeypatch.setattr(suites, "GAP_TOL", -0.05)
+    result = suites.run_suite("ordering", seed=seed, trials=40)
+    assert 0 < len(result.failures) < 40 * 20
+    assert result.failures == _ordering_loop(seed, 40)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize(
+    "name,loop,trials",
+    [("subadd", _subadd_loop, 150), ("locc", _locc_loop, 150), ("schur", _schur_loop, 300)],
+)
+def test_batched_gaps_match_trial_by_trial_loop(monkeypatch, name, loop, trials, seed):
+    # A negative tolerance makes every trial report its gap, so the messages
+    # carry every value the batched evaluation produced, across batch edges.
+    monkeypatch.setattr(suites, "GAP_TOL", -10.0)
+    result = suites.run_suite(name, seed=seed, trials=trials)
+    assert trials > suites._BATCH
+    assert result.failures == loop(seed, trials)
+
+
+def test_ordering_eigensolves_twice_per_batch(capsys, monkeypatch):
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert main(["verify", "ordering", "--trials", "130"]) == 0
+    batches = suites._batches(130, 6 + 2 * 20)
+    assert len(batches) > 1
+    assert len(calls) == 2 * len(batches)  # one stacked call per cut dimension (2 and 4)
+    assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "name,trials", [("ordering", 40), ("subadd", 300), ("locc", 300), ("schur", 300), ("swap-consistency", 300)]
+)
+def test_batch_size_does_not_change_output(monkeypatch, name, trials):
+    monkeypatch.setattr(suites, "GAP_TOL", -10.0)
+    batched = suites.run_suite(name, seed=1, trials=trials)
+    monkeypatch.setattr(suites, "_BATCH", 1)
+    one_by_one = suites.run_suite(name, seed=1, trials=trials)
+    assert batched.trials == one_by_one.trials
+    assert batched.failures == one_by_one.failures

@@ -9,6 +9,7 @@ from cekit.tensor import (
     PureState,
     apply_local_kraus,
     apply_local_kraus_pure,
+    embed_local,
     hermitian_eigenvalues,
     kron,
     normalize_subset,
@@ -291,3 +292,46 @@ def test_density_operator_validation():
 def test_states_are_immutable(bell):
     with pytest.raises(ValueError):
         bell.amplitudes[0] = 0.0
+
+
+def _kron_embed(op, site, dims):
+    # Reference: identity padding by Kronecker products.
+    left = int(np.prod(dims[: site - 1]))
+    right = int(np.prod(dims[site:]))
+    return np.kron(np.kron(np.eye(left), op), np.eye(right))
+
+
+def test_embed_local_matches_kronecker_products():
+    rng = np.random.default_rng(2)
+    for dims in [(2,), (3, 2), (2, 2, 2), (2, 3, 2, 2)]:
+        for site in range(1, len(dims) + 1):
+            d = dims[site - 1]
+            op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            got, want = embed_local(op, site, dims), _kron_embed(op, site, dims)
+            assert got.shape == want.shape
+            assert np.array_equal(got != 0, want != 0)
+            assert np.array_equal(got, want)
+            v = rng.standard_normal(got.shape[0]) + 1j * rng.standard_normal(got.shape[0])
+            assert np.array_equal((got @ v).view(float), (want @ v).view(float))
+    with pytest.raises(ValueError):
+        embed_local(np.eye(3), 1, (2, 2))
+
+
+def test_local_kraus_branches_match_kronecker_reference():
+    rng = np.random.default_rng(9)
+    psi = haar_random((2, 3, 2), seed=4)
+    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    basis = np.linalg.qr(z)[0]
+    kraus = [np.outer(basis[:, i], basis[:, i].conj()) for i in range(3)]
+    full = [_kron_embed(k, 2, psi.dims) for k in kraus]
+    for (p, branch), m in zip(apply_local_kraus_pure(psi, 2, kraus), full):
+        v = m @ psi.amplitudes
+        q = float(np.real(np.vdot(v, v)))
+        assert p == q
+        assert np.array_equal(branch.amplitudes, v / np.sqrt(q))
+    rho = psi.density()
+    for (p, branch), m in zip(apply_local_kraus(rho, 2, kraus), full):
+        out = m @ rho.matrix @ m.conj().T
+        q = float(np.real(np.trace(out)))
+        assert p == q
+        assert np.array_equal(branch.matrix, out / q)
