@@ -11,10 +11,9 @@ so dispatch happens on explicit thresholds rather than on the raw formula.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -27,9 +26,11 @@ __all__ = [
     "unified_entropy_rows",
     "binary_entropy",
     "majorizes",
+    "majorizes_rows",
     "schur_concavity_witness",
     "schur_concavity_witnesses",
     "alpha_monotonicity_gap",
+    "alpha_monotonicity_gaps",
     "fannes_audenaert_bound",
     "in_concavity_region",
     "in_subadditivity_region",
@@ -102,29 +103,20 @@ def in_subadditivity_region(p: EntropyParams) -> bool:
     return p.alpha >= 1 and p.beta == 1.0
 
 
-def _check_prob(lo: float, total: float) -> None:
-    """Checks on a probability vector's least entry and sum."""
-    if lo < -1e-10:
-        raise ValueError(f"negative probability {lo}")
-    if not abs(total - 1.0) <= PROB_SUM_ATOL:  # also rejects a NaN or infinite entry
-        raise ValueError(f"probabilities must sum to 1 within {PROB_SUM_ATOL}, got {total}")
-
-
 def _as_prob_rows(arr: np.ndarray) -> np.ndarray:
     """Validated probability vectors along the last axis, clamped at 0 (which
     also turns -0.0 into 0.0). A block with no entry to clamp may come back as `arr`."""
     if arr.shape[-1] == 0:
         raise ValueError("probability vector must be nonempty")
-    if arr.ndim == 1:  # one vector, as `majorizes` validates them: no per-row loop
-        lo = float(np.minimum.reduce(arr))
-        _check_prob(lo, float(np.add.reduce(arr)))
-    else:
-        flat = arr.reshape(-1, arr.shape[-1])
-        lows = np.minimum.reduce(flat, 1)
-        for row_lo, total in zip(lows.tolist(), np.add.reduce(flat, 1).tolist()):
-            _check_prob(row_lo, total)
-        lo = float(lows.min())
-    return arr if lo > 0.0 else np.clip(arr, 0.0, None)
+    flat = arr.reshape(-1, arr.shape[-1])
+    lows, totals = np.minimum.reduce(flat, 1), np.add.reduce(flat, 1)
+    bad = (lows < -1e-10) | ~(np.abs(totals - 1.0) <= PROB_SUM_ATOL)  # `not <=`: also NaN and inf
+    if bad.any():  # the first bad vector raises
+        lo, total = float(lows[bad.argmax()]), float(totals[bad.argmax()])
+        if lo < -1e-10:
+            raise ValueError(f"negative probability {lo}")
+        raise ValueError(f"probabilities must sum to 1 within {PROB_SUM_ATOL}, got {total}")
+    return np.clip(arr, 0.0, None) if (lows <= 0.0).any() else arr
 
 
 def _groups(keys: Iterable) -> list[list[int]]:
@@ -146,14 +138,9 @@ def _traces(lam: np.ndarray, alpha: float) -> np.ndarray:
     if abs(alpha - 1.0) < VON_NEUMANN_ALPHA_ATOL:
         lam = np.where(keep, lam, 1.0)  # 1 log 1 = 0 stands in for a dropped entry
         return -(lam * np.log2(lam)).sum(axis=-1) + 0.0
-    # A scalar exponent: numpy takes alpha = 0.5 and 2 as sqrt and square.
+    # A scalar exponent: numpy takes 0.5 and 2 as sqrt and square, which an
+    # array exponent does not, so the many-points form sends those alphas here.
     return (np.where(keep, lam, 0.0) ** alpha).sum(axis=-1)
-
-
-def _runs(keys: np.ndarray) -> list[tuple[int, int]]:
-    """(lo, hi) of each run of equal values in `keys`."""
-    starts = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()][: keys.size]
-    return list(zip(starts, starts[1:] + [keys.size]))
 
 
 def _from_traces(traces: list[float], a: float, b: float) -> list[float]:
@@ -170,10 +157,11 @@ def unified_entropy_rows(rows: np.ndarray, p: EntropyParams | Sequence[EntropyPa
     `p` is one point, or (the many-points form) an array-like of points whose
     shape broadcasts against rows.shape[:-1], each entry of the result taken
     at its own point: points (P, 1) evaluate one block of rows (c, d) at P
-    points, and points (N,) evaluate N rows at one point each. The entries
-    are grouped by alpha, each group's power is taken with one scalar
-    exponent and the steps after it run once per point, so every value has
-    the bits of a one-point call.
+    points, and points (N,) evaluate N rows at one point each. One
+    array-exponent power serves every entry but the von Neumann ones and
+    those at alpha exactly 0.5 or 2, which take `_traces`' scalar exponent;
+    the steps after the power run once per point, so every value has the
+    bits of a one-point call. A last axis of length 0 raises ValueError.
 
     Entries at or below the numerically-zero floor are dropped under the
     0^alpha := 0 and 0 log 0 := 0 conventions. The steps after the trace
@@ -181,6 +169,8 @@ def unified_entropy_rows(rows: np.ndarray, p: EntropyParams | Sequence[EntropyPa
     an ulp.
     """
     lam = np.asarray(rows, dtype=float)
+    if lam.shape[-1:] in ((), (0,)):
+        raise ValueError("spectrum must be nonempty")
     if isinstance(p, EntropyParams):
         traces = _traces(lam, p.alpha)
         if p.is_von_neumann:
@@ -194,31 +184,35 @@ def unified_entropy_rows(rows: np.ndarray, p: EntropyParams | Sequence[EntropyPa
     # Entry e of the result reads row rows_of[e] at point given[points_of[e]].
     grid = np.zeros(shape, dtype=np.intp)
     rows_of, points_of = ((grid + np.arange(a.size).reshape(a.shape)).ravel() for a in (lam[..., 0], points))
+    lam = lam.reshape(-1, lam.shape[-1])[rows_of]
     alphas = np.array([q.alpha for q in given], dtype=float)[points_of]
-    # Entries sorted by alpha (stably), so each run of equal alpha takes one power.
-    order = np.argsort(alphas, kind="stable")
-    sorted_alphas = alphas[order]
-    lam = lam.reshape(-1, lam.shape[-1])[rows_of[order]]
-    by_alpha = np.empty(order.size)
-    for lo, hi in _runs(sorted_alphas):
-        by_alpha[lo:hi] = _traces(lam[lo:hi], float(sorted_alphas[lo]))
-    vals = np.empty(order.size)
-    vals[order] = by_alpha  # von Neumann entries already hold the entropy
+    # One power for every entry: an array exponent gives a scalar one's bits,
+    # except where numpy takes a scalar 0.5 or 2 as sqrt or square.
+    vals = (np.where(lam > ZERO_EIG_FLOOR, lam, 0.0) ** alphas[:, None]).sum(axis=-1)
+    vn = np.abs(alphas - 1.0) < VON_NEUMANN_ALPHA_ATOL
+    for a, own in ((1.0, vn), (0.5, alphas == 0.5), (2.0, alphas == 2.0)):
+        if own.any():  # von Neumann entries then hold the entropy
+            vals[own] = _traces(lam[own], a)
     # The rest are finished once per run of entries that share a point.
-    for lo, hi in _runs(np.array([id(q) for q in given])[points_of]):
-        q = given[points_of[lo]]
+    ids = np.array([id(q) for q in given])[points_of]
+    starts = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()][: ids.size]
+    out, owners = vals.tolist(), points_of.tolist()
+    for lo, hi in zip(starts, starts[1:] + [ids.size]):
+        q = given[owners[lo]]
         if not q.is_von_neumann:
-            vals[lo:hi] = _from_traces(vals[lo:hi].tolist(), q.alpha, q.beta)
-    return vals.reshape(shape)
+            out[lo:hi] = _from_traces(out[lo:hi], q.alpha, q.beta)
+    return np.array(out).reshape(shape)
+
+
+def _finite(lam: np.ndarray) -> np.ndarray:
+    if not np.isfinite(lam).all():
+        raise ValueError(f"spectrum must be finite, got {lam}")
+    return lam
 
 
 def unified_entropy_spectrum(spectrum: Iterable[float], p: EntropyParams) -> float:
-    """Unified entropy of one clamped eigenvalue vector: the one-row case of
-    `unified_entropy_rows`."""
-    lam = _as_vector(spectrum)
-    if not np.isfinite(lam).all():
-        raise ValueError(f"spectrum must be finite, got {lam}")
-    return float(unified_entropy_rows(lam, p))
+    """Unified entropy of one clamped eigenvalue vector: the one-row case of `unified_entropy_rows`."""
+    return float(unified_entropy_rows(_finite(_as_vector(spectrum)), p))
 
 
 def unified_entropy(rho: DensityOperator | np.ndarray, p: EntropyParams) -> float:
@@ -235,14 +229,27 @@ def binary_entropy(eps: float) -> float:
     return float(-eps * math.log2(eps) - (1.0 - eps) * math.log2(1.0 - eps))
 
 
+def majorizes_rows(lam: np.ndarray, mu: np.ndarray, *, atol: float = 1e-10) -> np.ndarray:
+    """Whether each vector along the last axis of `lam` majorizes `mu`'s at the same leading index (lengths
+    may differ), by descending partial sums added left to right, as `itertools.accumulate` adds them."""
+    a, b = (np.cumsum(np.sort(_as_prob_rows(np.asarray(v, dtype=float)))[..., ::-1], axis=-1) for v in (lam, mu))
+    # Zero padding would repeat the shorter vector's last partial sum.
+    n = max(a.shape[-1], b.shape[-1])
+    a, b = (np.concatenate([s] + [s[..., -1:]] * (n - s.shape[-1]), axis=-1) for s in (a, b))
+    return (a >= b - atol).all(axis=-1)
+
+
 def majorizes(lam: Iterable[float], mu: Iterable[float], *, atol: float = 1e-10) -> bool:
     """True iff lam majorizes mu: descending partial sums of lam dominate mu's."""
-    a = list(itertools.accumulate(sorted(_as_prob_rows(_as_vector(lam)).tolist(), reverse=True)))
-    b = list(itertools.accumulate(sorted(_as_prob_rows(_as_vector(mu)).tolist(), reverse=True)))
-    # Zero padding would repeat the shorter vector's last partial sum.
-    a += a[-1:] * (len(b) - len(a))
-    b += b[-1:] * (len(a) - len(b))
-    return all(x >= y - atol for x, y in zip(a, b))
+    return bool(majorizes_rows(_as_vector(lam), _as_vector(mu), atol=atol))
+
+
+def _entropy_gaps(vecs: list[np.ndarray], points: list[EntropyParams], checked: Callable) -> list[float]:
+    """S(vecs[2k]) - S(vecs[2k + 1]) at their points: one kernel call per length, on the rows `checked` returns."""
+    vals = np.empty(len(vecs))
+    for idx in _groups(v.size for v in vecs):
+        vals[idx] = unified_entropy_rows(checked(np.array([vecs[i] for i in idx])), [points[i] for i in idx])
+    return (vals[::2] - vals[1::2]).tolist()
 
 
 def schur_concavity_witnesses(
@@ -251,11 +258,7 @@ def schur_concavity_witnesses(
     """`schur_concavity_witness` of every (lam, mu, p) case: the vectors are
     validated and evaluated in one many-points kernel call per length."""
     vecs = [_as_vector(v) for case in cases for v in case[:2]]
-    vals = np.empty(len(vecs))
-    for idx in _groups(v.size for v in vecs):
-        rows = _as_prob_rows(np.array([vecs[i] for i in idx]))
-        vals[idx] = unified_entropy_rows(rows, [cases[i // 2][2] for i in idx])
-    return (vals[::2] - vals[1::2]).tolist()
+    return _entropy_gaps(vecs, [case[2] for case in cases for _ in (0, 1)], _as_prob_rows)
 
 
 def schur_concavity_witness(lam: Iterable[float], mu: Iterable[float], p: EntropyParams) -> float:
@@ -263,18 +266,26 @@ def schur_concavity_witness(lam: Iterable[float], mu: Iterable[float], p: Entrop
     return schur_concavity_witnesses([(lam, mu, p)])[0]
 
 
+def alpha_monotonicity_gaps(
+    cases: Sequence[tuple[DensityOperator | np.ndarray, float, float, float]],
+) -> list[float]:
+    """`alpha_monotonicity_gap` of each (rho, alpha_lo, alpha_hi, beta): one kernel call per spectrum length."""
+    spectra = []
+    for rho, alpha_lo, alpha_hi, beta in cases:
+        if not 0 < alpha_lo <= alpha_hi:
+            raise ValueError(f"need 0 < alpha_lo <= alpha_hi, got {alpha_lo}, {alpha_hi}")
+        if beta < 1:
+            raise ValueError(f"beta must be >= 1, got {beta}")
+        spectra += [hermitian_eigenvalues(rho)] * 2
+    points = [EntropyParams(a, beta) for _, alpha_lo, alpha_hi, beta in cases for a in (alpha_lo, alpha_hi)]
+    return _entropy_gaps(spectra, points, _finite)
+
+
 def alpha_monotonicity_gap(
     rho: DensityOperator | np.ndarray, alpha_lo: float, alpha_hi: float, beta: float
 ) -> float:
     """S_{alpha_lo,beta}(rho) - S_{alpha_hi,beta}(rho) for alpha_lo <= alpha_hi, beta >= 1."""
-    if not 0 < alpha_lo <= alpha_hi:
-        raise ValueError(f"need 0 < alpha_lo <= alpha_hi, got {alpha_lo}, {alpha_hi}")
-    if beta < 1:
-        raise ValueError(f"beta must be >= 1, got {beta}")
-    lam = hermitian_eigenvalues(rho)
-    return unified_entropy_spectrum(lam, EntropyParams(alpha_lo, beta)) - unified_entropy_spectrum(
-        lam, EntropyParams(alpha_hi, beta)
-    )
+    return alpha_monotonicity_gaps([(rho, alpha_lo, alpha_hi, beta)])[0]
 
 
 def fannes_audenaert_bound(eps: float, d: int) -> float:

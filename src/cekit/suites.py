@@ -5,15 +5,15 @@ violation as a string carrying enough detail to replay it. Tolerances are
 fixed here, not configurable, because they are part of what is being
 verified.
 
-The `schur`, `ordering`, `subadd`, `locc` and `swap-consistency` suites
-draw the inputs of a batch of trials first, in the generator order of a
-trial-by-trial loop, then evaluate the batch through the stacked kernels:
-one eigensolve per cut dimension and one entropy call per group of trials
-with the same cut plan. A batch holds 64 trials (`_BATCH`), or fewer when
-a trial evaluates many points: at most 512 (state, point) evaluations
+The `schur`, `alpha-mono`, `ordering`, `subadd`, `locc` and
+`swap-consistency` suites draw the inputs of a batch of trials first, in
+the generator order of a trial-by-trial loop, then evaluate the batch in
+stacked kernel calls: one eigensolve per cut dimension, one entropy call
+per cut plan or vector length, and (`schur`) one majorization test per
+length. A batch holds 64 trials (`_BATCH`), or fewer when a trial
+evaluates many points: at most 512 (state, point) evaluations
 (`_BATCH_POINTS`), so `ordering`, at 46 points a trial, takes 11. Outputs
-are the trial-by-trial ones, bit for bit, and memory is bounded by the
-batch, not by `trials`.
+are the trial-by-trial ones, bit for bit, and memory is bounded by the batch.
 """
 from __future__ import annotations
 
@@ -27,9 +27,9 @@ import numpy as np
 from .convex_roof import Ensemble, cce_mixed_upper
 from .entropy import (
     EntropyParams,
-    alpha_monotonicity_gap,
+    alpha_monotonicity_gaps,
     binary_entropy,
-    majorizes,
+    majorizes_rows,
     schur_concavity_witnesses,
 )
 from .measures import (
@@ -93,17 +93,31 @@ def sample_concavity_params(rng: np.random.Generator) -> EntropyParams:
     return EntropyParams(a, b)
 
 
+def _transposition_draws(rng: np.random.Generator, size: int) -> tuple[np.ndarray, list[tuple[int, int, float]]]:
+    """mu ~ Dirichlet(1, ..., 1) and 1-3 transpositions (i, j, weight t), padded to 3 by no-ops (0, 1, 0.0)."""
+    mu = rng.dirichlet(np.ones(size))
+    steps = [(0, 1, 0.0)] * 3
+    for k in range(int(rng.integers(1, 4))):
+        i, j = rng.choice(size, size=2, replace=False)
+        steps[k] = (i, j, float(rng.uniform(0.0, 1.0)))
+    return mu, steps
+
+
+def _averaged(mus: np.ndarray, steps: list[list[tuple[int, int, float]]]) -> np.ndarray:
+    """lam of each row of `mus`: step by step, (1 - t) lam + t lam' with lam' = lam swapped at i, j."""
+    lam, at = mus, np.arange(len(mus))
+    for step in zip(*steps):  # the k-th step of every row
+        i, j, t = (np.array(x) for x in zip(*step))
+        swapped = lam.copy()
+        swapped[at, i], swapped[at, j] = lam[at, j], lam[at, i]
+        lam = (1.0 - t[:, None]) * lam + t[:, None] * swapped
+    return lam
+
+
 def random_majorization_pair(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
     """(lam, mu) with mu majorizing lam, built by averaging transpositions."""
-    mu = rng.dirichlet(np.ones(size))
-    lam = mu.copy()
-    for _ in range(int(rng.integers(1, 4))):
-        i, j = rng.choice(size, size=2, replace=False)
-        t = float(rng.uniform(0.0, 1.0))
-        swapped = lam.copy()
-        swapped[i], swapped[j] = lam[j], lam[i]
-        lam = (1.0 - t) * lam + t * swapped
-    return lam, mu
+    mu, steps = _transposition_draws(rng, size)
+    return _averaged(mu[None], [steps])[0], mu
 
 
 def random_rank1_instrument(rng: np.random.Generator, d: int = 2) -> list[np.ndarray]:
@@ -148,11 +162,15 @@ def suite_schur(seed: int = 0, trials: int = 10_000) -> SuiteResult:
     rng = np.random.default_rng(seed)
     failures = []
     for batch in _batches(trials):
-        cases = []
-        for _ in batch:
-            lam, mu = random_majorization_pair(rng, int(rng.integers(2, 7)))
-            cases.append((lam, mu, EntropyParams(float(rng.uniform(0.05, 4.0)), float(rng.uniform(0.0, 3.0)))))
-        ok = [majorizes(mu, lam) for lam, mu, _ in cases]
+        # Sizes 2-6, stacked with zero padding, which changes no bit of an average or a majorization test.
+        mus, drawn = np.zeros((len(batch), 6)), []
+        for row in mus:
+            mu, steps = _transposition_draws(rng, int(rng.integers(2, 7)))
+            row[: mu.size] = mu
+            drawn.append((mu, steps, EntropyParams(float(rng.uniform(0.05, 4.0)), float(rng.uniform(0.0, 3.0)))))
+        lams = _averaged(mus, [steps for _, steps, _ in drawn])
+        ok = majorizes_rows(mus, lams).tolist()
+        cases = [(lam[: mu.size], mu, p) for lam, (mu, _, p) in zip(lams, drawn)]
         gaps = iter(schur_concavity_witnesses([case for case, good in zip(cases, ok) if good]))
         for trial, (lam, mu, p), good in zip(batch, cases, ok):
             if not good:
@@ -169,17 +187,18 @@ def suite_alpha_mono(seed: int = 0, trials: int = 10_000) -> SuiteResult:
     rng = np.random.default_rng(seed)
     dims_pool = [(2,), (3,), (4,), (2, 2), (2, 3)]
     failures = []
-    for trial in range(trials):
-        dims = dims_pool[int(rng.integers(len(dims_pool)))]
-        d = int(np.prod(dims))
-        rho = random_density(dims, rank=int(rng.integers(1, d + 1)), seed=seed * 100_003 + trial)
-        a_lo, a_hi = np.sort(rng.uniform(0.05, 4.0, size=2))
-        beta = float(rng.uniform(1.0, 3.0))
-        gap = alpha_monotonicity_gap(rho, float(a_lo), float(a_hi), beta)
-        if gap < -GAP_TOL:
-            failures.append(
-                f"trial {trial} seed {seed}: gap {gap} at alpha_lo={a_lo}, alpha_hi={a_hi}, beta={beta}"
-            )
+    for batch in _batches(trials):
+        cases = []
+        for trial in batch:
+            dims = dims_pool[int(rng.integers(len(dims_pool)))]
+            rho = random_density(dims, rank=int(rng.integers(1, math.prod(dims) + 1)), seed=seed * 100_003 + trial)
+            a_lo, a_hi = np.sort(rng.uniform(0.05, 4.0, size=2)).tolist()
+            cases.append((rho, a_lo, a_hi, float(rng.uniform(1.0, 3.0))))
+        for trial, (_, a_lo, a_hi, beta), gap in zip(batch, cases, alpha_monotonicity_gaps(cases)):
+            if gap < -GAP_TOL:
+                failures.append(
+                    f"trial {trial} seed {seed}: gap {gap} at alpha_lo={a_lo}, alpha_hi={a_hi}, beta={beta}"
+                )
     return SuiteResult("alpha-mono", trials, failures)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from cekit.entropy import (
     in_concavity_region,
     in_subadditivity_region,
     majorizes,
+    majorizes_rows,
     max_entropy_value,
     schur_concavity_witness,
     schur_concavity_witnesses,
@@ -21,7 +23,7 @@ from cekit.entropy import (
 from cekit.measures import continuity_gap
 from cekit.states import haar_random, random_density
 from cekit.suites import nearby_state, random_majorization_pair
-from cekit.tensor import DensityOperator
+from cekit.tensor import ZERO_EIG_FLOOR, DensityOperator
 
 MIXED_QUBIT = DensityOperator(np.eye(2) / 2.0, (2,))
 
@@ -159,6 +161,8 @@ def test_alpha_monotonicity_validation():
         alpha_monotonicity_gap(MIXED_QUBIT, 2.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         alpha_monotonicity_gap(MIXED_QUBIT, 1.0, 2.0, 0.5)
+    with pytest.raises(ValueError, match="finite"):  # eigvalsh returns NaNs, which the Hermitian check lets by
+        alpha_monotonicity_gap(np.array([[0.5, np.nan], [np.nan, 0.5]]), 1.5, 2.0, 1.0)
 
 
 def test_alpha_monotonicity_random_sweep():
@@ -355,3 +359,101 @@ def test_many_points_kernel_edge_shapes():
     same = [EntropyParams(2.0, 1.0)] * 4
     assert _bits(unified_entropy_rows(rows, same)) == _bits(unified_entropy_rows(rows, same[0]))
     assert unified_entropy_rows(rows[:0], []).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [EntropyParams.von_neumann(), EntropyParams.linear(), EntropyParams(0.5, 2.0), EntropyParams.renyi(0.7)],
+    ids=["von-neumann", "linear", "general", "renyi"],
+)
+def test_empty_spectrum_raises_on_every_branch(params):
+    with pytest.raises(ValueError, match="nonempty"):
+        unified_entropy_spectrum([], params)
+    with pytest.raises(ValueError, match="nonempty"):
+        unified_entropy_rows(np.empty((3, 0)), params)
+    with pytest.raises(ValueError, match="nonempty"):
+        unified_entropy_rows(np.empty((3, 0)), [params, EntropyParams(3.0, 1.0), params])
+
+
+def _power_blocks(rng):
+    """Spectra of every length 1-32, with exact zeros and entries under the zero floor."""
+    for d in range(1, 33):
+        block = rng.dirichlet(np.ones(d), size=6)
+        block[0, : d // 2] = 0.0
+        if d > 1:  # each row keeps an entry above the floor
+            block[1, -1] = ZERO_EIG_FLOOR / 2
+            block[2, 0] = ZERO_EIG_FLOOR
+        yield np.where(block > ZERO_EIG_FLOOR, block, 0.0)  # as the kernel keeps them
+
+
+NEAR_SPECIAL = [float(np.nextafter(a, to)) for a in (0.5, 2.0) for to in (0.0, 4.0)]
+
+
+def test_array_exponent_power_has_scalar_bits():
+    # The many-points kernel takes one array-exponent power for all entries save
+    # alpha = 0.5 and 2, which numpy computes from a scalar exponent as sqrt and
+    # square. That the two exponent forms agree elsewhere depends on numpy's SIMD
+    # dispatch target, so it is checked here, on the machine that runs the tests.
+    rng = np.random.default_rng(17)
+    alphas = [*rng.uniform(0.05, 4.0, 300).tolist(), 0.25, 1.5, 2.5, 3.0, 4.0, *NEAR_SPECIAL]
+    for kept in _power_blocks(rng):
+        for a in alphas:
+            assert _bits(kept**a) == _bits(kept ** np.full((len(kept), 1), a))
+        own = rng.choice(alphas, size=(len(kept), 1))  # a different exponent on every row
+        assert _bits(kept**own) == _bits([row ** float(a) for row, a in zip(kept, own[:, 0])])
+        assert _bits(kept**0.5) == _bits(np.sqrt(kept))
+        assert _bits(kept**2.0) == _bits(np.square(kept))
+
+
+def test_many_points_kernel_matches_one_point_calls_at_random_points():
+    rng = np.random.default_rng(19)
+    points = [EntropyParams(float(a), float(b)) for a, b in zip(rng.uniform(0.05, 4.0, 2000), rng.uniform(0.0, 3.0, 2000))]
+    special = [0.25, 0.5, 1.0, 1.0 + 5e-10, 1.5, 2.0, 2.5, 3.0, 4.0, *NEAR_SPECIAL]
+    points += [EntropyParams(a, b) for a in special for b in (0.0, 1.0, 2.5)]
+    order = rng.permutation(len(points))  # special points spread among the rest
+    points = [points[i] for i in order]
+    for kept in _power_blocks(rng):
+        rows = kept[np.arange(len(points)) % len(kept)]
+        want = [unified_entropy_rows(row, p) for row, p in zip(rows, points)]
+        assert _bits(unified_entropy_rows(rows, points)) == _bits(want)
+
+
+def _majorizes_reference(lam, mu, atol=1e-10):
+    a = list(itertools.accumulate(sorted(np.clip(lam, 0.0, None).tolist(), reverse=True)))
+    b = list(itertools.accumulate(sorted(np.clip(mu, 0.0, None).tolist(), reverse=True)))
+    a += a[-1:] * (len(b) - len(a))
+    b += b[-1:] * (len(a) - len(b))
+    return all(x >= y - atol for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("n_lam,n_mu", [(1, 1), (2, 2), (4, 4), (6, 6), (2, 5), (6, 3), (1, 4)])
+def test_majorizes_rows_match_accumulate_reference(n_lam, n_mu):
+    rng = np.random.default_rng(10 * n_lam + n_mu)
+    lam = rng.dirichlet(np.full(n_lam, 0.5), size=300)
+    mu = rng.dirichlet(np.full(n_mu, 0.5), size=300)
+    lam[0], mu[1] = 1.0 / n_lam, 1.0 / n_mu  # uniform: all entries tie
+    for rows in (lam, mu):
+        n = rows.shape[1]
+        tied = np.repeat([2.0, 1.0], [n // 2, n - n // 2])
+        rows[2] = tied / tied.sum()  # two runs of ties
+        if n > 1:
+            rows[3:6, 0] += rows[3:6, -1] + 1e-12
+            rows[3:6, -1] = -1e-12  # clamped to zero
+    for a, b in ((lam, mu), (mu, lam)):
+        got = majorizes_rows(a, b)
+        assert got.tolist() == [_majorizes_reference(x, y) for x, y in zip(a, b)]
+        assert got.tolist() == [majorizes(x, y) for x, y in zip(a, b)]
+
+
+def test_majorizes_rows_at_the_tolerance_edge():
+    atol = 1e-10
+    d = np.array([0.0, atol / 2, np.nextafter(atol, 0.0), atol, np.nextafter(atol, 1.0), 1.5 * atol, 2 * atol])
+    lam = np.stack([0.5 + d, 0.5 - d], axis=1)
+    mu = np.full_like(lam, 0.5)
+    got = majorizes_rows(mu, lam)  # up to the tolerance: 0.5 >= (0.5 + d) - atol
+    assert got.tolist() == [_majorizes_reference(m, x) for m, x in zip(mu, lam)]
+    assert got[:2].all() and not got[-2:].any()
+    exact = majorizes_rows(mu, lam, atol=0.0)
+    assert exact.tolist() == [_majorizes_reference(m, x, atol=0.0) for m, x in zip(mu, lam)]
+    assert exact.tolist() == [True] + [False] * (len(d) - 1)
+    assert majorizes_rows(lam, mu).all()

@@ -4,7 +4,7 @@ import pytest
 
 import cekit.suites as suites
 from cekit.cli import main
-from cekit.entropy import EntropyParams, majorizes, schur_concavity_witness
+from cekit.entropy import EntropyParams, majorizes, schur_concavity_witness, unified_entropy_spectrum
 from cekit.measures import (
     locc_monotonicity_spotcheck,
     spectra_table,
@@ -12,7 +12,8 @@ from cekit.measures import (
     table_ordering,
     table_value,
 )
-from cekit.states import haar_random
+from cekit.states import haar_random, random_density
+from cekit.tensor import hermitian_eigenvalues
 
 
 def _subadd_loop(seed, trials):
@@ -61,6 +62,47 @@ def _schur_loop(seed, trials):
     return out
 
 
+def _alpha_mono_loop(seed, trials):
+    rng = np.random.default_rng(seed)
+    dims_pool = [(2,), (3,), (4,), (2, 2), (2, 3)]
+    out = []
+    for trial in range(trials):
+        dims = dims_pool[int(rng.integers(len(dims_pool)))]
+        rho = random_density(dims, rank=int(rng.integers(1, int(np.prod(dims)) + 1)), seed=seed * 100_003 + trial)
+        a_lo, a_hi = np.sort(rng.uniform(0.05, 4.0, size=2))
+        beta = float(rng.uniform(1.0, 3.0))
+        lam = hermitian_eigenvalues(rho)
+        lo = unified_entropy_spectrum(lam, EntropyParams(float(a_lo), beta))
+        gap = lo - unified_entropy_spectrum(lam, EntropyParams(float(a_hi), beta))
+        out.append(f"trial {trial} seed {seed}: gap {gap} at alpha_lo={a_lo}, alpha_hi={a_hi}, beta={beta}")
+    return out
+
+
+def _majorization_pair_loop(rng, size):
+    mu = rng.dirichlet(np.ones(size))
+    lam = mu.copy()
+    for _ in range(int(rng.integers(1, 4))):
+        i, j = rng.choice(size, size=2, replace=False)
+        t = float(rng.uniform(0.0, 1.0))
+        swapped = lam.copy()
+        swapped[i], swapped[j] = lam[j], lam[i]
+        lam = (1.0 - t) * lam + t * swapped
+    return lam, mu
+
+
+def test_random_majorization_pair_keeps_the_one_pair_bytes():
+    # The stacked averaging, padded with no-op transpositions, against the
+    # one-vector loop it replaced: same arrays, same generator state after.
+    for seed in range(40):
+        for size in range(2, 7):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = suites.random_majorization_pair(got_rng, size)
+            want = _majorization_pair_loop(want_rng, size)
+            assert [a.shape for a in got] == [(size,), (size,)]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def _ordering_loop(seed, trials, alpha_pairs=20):
     rng = np.random.default_rng(seed)
     out = []
@@ -90,7 +132,12 @@ def test_batched_ordering_matches_trial_by_trial_loop(monkeypatch, seed):
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize(
     "name,loop,trials",
-    [("subadd", _subadd_loop, 150), ("locc", _locc_loop, 150), ("schur", _schur_loop, 300)],
+    [
+        ("subadd", _subadd_loop, 150),
+        ("locc", _locc_loop, 150),
+        ("schur", _schur_loop, 300),
+        ("alpha-mono", _alpha_mono_loop, 150),
+    ],
 )
 def test_batched_gaps_match_trial_by_trial_loop(monkeypatch, name, loop, trials, seed):
     # A negative tolerance makes every trial report its gap, so the messages
@@ -118,7 +165,8 @@ def test_ordering_eigensolves_twice_per_batch(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name,trials", [("ordering", 40), ("subadd", 300), ("locc", 300), ("schur", 300), ("swap-consistency", 300)]
+    "name,trials",
+    [("ordering", 40), ("subadd", 300), ("locc", 300), ("schur", 300), ("swap-consistency", 300), ("alpha-mono", 300)],
 )
 def test_batch_size_does_not_change_output(monkeypatch, name, trials):
     monkeypatch.setattr(suites, "GAP_TOL", -10.0)
