@@ -15,11 +15,10 @@ from typing import Iterable, Sequence
 
 from .entropy import EntropyParams
 from .errors import ResourceLimitError
-from .measures import cut_plan, named_measures, spectra_table, table_named, table_value
+from .measures import MAX_SUBSET_SIZE, cut_plan, named_measures, spectra_table, table_named, table_value
 from .states import StateRecipe, dicke, ghz, ghz_w_closed_forms, star, w
 from .suites import DEFAULT_TRIALS, SUITES, run_suite
 from .swaptest import (
-    MAX_SWAP_QUBITS,
     bounds_from_estimate,
     cce_from_distribution,
     estimate_from_shots,
@@ -203,8 +202,6 @@ def cmd_swaptest(args: argparse.Namespace) -> int:
     psi = recipe.build()
     if not hasattr(psi, "amplitudes"):
         raise ValueError("swaptest needs a pure-state recipe")
-    if any(d != 2 for d in psi.dims):
-        raise ValueError(f"swaptest needs a qubit recipe, got dims {psi.dims}")
     subset = _parse_subset(args.s) if args.s else tuple(range(1, psi.n_subsystems + 1))
     dist = swap_test_distribution(psi)
     exact = cce_from_distribution(dist, subset)
@@ -255,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("swaptest", help="simulate the parallelized SWAP test and derived bounds")
-    p.add_argument("--state", required=True, help=f"qubit recipe, n <= {MAX_SWAP_QUBITS}")
+    p.add_argument("--state", required=True, help=f"qubit recipe, n <= {MAX_SUBSET_SIZE}")
     p.add_argument("--s", default=None, help="comma-separated subsystem labels, default all")
     p.add_argument("--shots", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)

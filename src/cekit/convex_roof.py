@@ -28,15 +28,14 @@ from .entropy import EntropyParams
 from .errors import ResourceLimitError
 from .measures import (
     BENCHMARKS,
-    LN2,
     CutPlan,
+    _chain_checks,
+    cce_values,
     cut_plan,
     member_spectra,
-    named_measures,
     normalize_subset,
-    spectra_table,
+    ordering_reports,
     table_terms,
-    table_value,
 )
 from .tensor import DensityOperator, PureState
 
@@ -67,23 +66,25 @@ class Ensemble:
     def __post_init__(self) -> None:
         if not self.members:
             raise ValueError("ensemble must have at least one member")
-        if any(p <= 0 for p, _ in self.members):
+        if not all(p > 0 for p, _ in self.members):  # `not >`: also NaN
             raise ValueError("member probabilities must be positive")
         total = math.fsum(p for p, _ in self.members)
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"probabilities must sum to 1 within 1e-10, got {total}")
 
+    def _matrix(self) -> np.ndarray:
+        return sum(p * np.outer(s.amplitudes, s.amplitudes.conj()) for p, s in self.members)
+
     def density(self) -> DensityOperator:
-        dims = self.members[0][1].dims
-        mat = sum(p * np.outer(s.amplitudes, s.amplitudes.conj()) for p, s in self.members)
-        return DensityOperator(mat, dims)
+        return DensityOperator(self._matrix(), self.members[0][1].dims)
 
     def reconstruction_error(self, rho: DensityOperator) -> float:
-        mat = sum(p * np.outer(s.amplitudes, s.amplitudes.conj()) for p, s in self.members)
-        return float(np.linalg.norm(mat - rho.matrix))
+        return float(np.linalg.norm(self._matrix() - rho.matrix))
 
     def average(self, subset: Iterable[int], params: EntropyParams) -> float:
-        return math.fsum(p * table_value(spectra_table(s, subset), params) for p, s in self.members)
+        s = normalize_subset(subset, self.members[0][1].n_subsystems)  # raises on (), which `cce_values` takes as 0
+        values = cce_values([(psi, s, params) for _, psi in self.members])
+        return math.fsum(p * value for (p, _), value in zip(self.members, values))
 
     def to_dict(self) -> dict:
         return {
@@ -138,6 +139,14 @@ def _eigen_support(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
     keep = vals > RANK_EIG_TOL
     order = np.argsort(vals[keep])[::-1]
     return vals[keep][order], vecs[:, keep][:, order]
+
+
+def _roof_support(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
+    """`_eigen_support` of a state whose rank the roof guard admits."""
+    vals, vecs = _eigen_support(rho)
+    if vals.size > MAX_ROOF_RANK:
+        raise ResourceLimitError(f"rank {vals.size} exceeds the roof guard of {MAX_ROOF_RANK}")
+    return vals, vecs
 
 
 def _members(raws: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -317,10 +326,8 @@ def cce_mixed_upper(
     reports both counts per restart.
     """
     s = normalize_subset(subset, rho.n_subsystems)
-    vals, vecs = _eigen_support(rho)
+    vals, vecs = _roof_support(rho)
     r = int(vals.size)
-    if r > MAX_ROOF_RANK:
-        raise ResourceLimitError(f"rank {r} exceeds the roof guard of {MAX_ROOF_RANK}")
     restarts, max_evals = budget
     if restarts < 1 or max_evals < 1:
         raise ValueError(f"budget must be positive, got {budget}")
@@ -417,10 +424,8 @@ def mixed_ordering_spotcheck(
     E >= C/ln2, E >= 2C - 1/2, R2 >= C/ln2, C >= T3.
     """
     s = normalize_subset(subset, rho.n_subsystems)
-    vals, vecs = _eigen_support(rho)
+    vals, vecs = _roof_support(rho)
     r = int(vals.size)
-    if r > MAX_ROOF_RANK:
-        raise ResourceLimitError(f"rank {r} exceeds the roof guard of {MAX_ROOF_RANK}")
     m = min(r * r, r + 2)
     rng = np.random.default_rng(seed)
     failures: list[str] = []
@@ -432,18 +437,11 @@ def mixed_ordering_spotcheck(
             q, _ = np.linalg.qr(z)
             mixer = q[:, :r]
         ens = _support_ensemble(rho, vals, vecs, mixer)
-        avg = {k: 0.0 for k in BENCHMARKS}
-        for p, member in ens.members:
-            for k, value in named_measures(member, s)._asdict().items():
-                avg[k] += p * value
-        tol = 1e-10
-        checks = {
-            "e_ge_c_over_ln2": avg["e"] >= avg["c"] / LN2 - tol,
-            "e_ge_2c_minus_half": avg["e"] >= 2 * avg["c"] - 0.5 - tol,
-            "r2_ge_c_over_ln2": avg["r2"] >= avg["c"] / LN2 - tol,
-            "c_ge_t3": avg["c"] >= avg["t3"] - tol,
-        }
-        for name, ok in checks.items():
+        avg = dict.fromkeys(BENCHMARKS, 0.0)
+        for (p, _), (report, _) in zip(ens.members, ordering_reports([(psi, s, ()) for _, psi in ens.members])):
+            for k in avg:
+                avg[k] += p * getattr(report, k)
+        for name, ok in _chain_checks(**avg).items():
             if not ok:
                 failures.append(f"mixer {trial}: {name} violated with averages {avg}")
     return MixedOrderingResult(ensembles_checked=n_mixers, failures=failures)

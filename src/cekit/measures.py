@@ -32,12 +32,14 @@ from .entropy import (
     fannes_audenaert_bound,
     in_concavity_region,
     in_subadditivity_region,
+    max_entropy_value,
     unified_entropy_rows,
 )
 from .errors import ResourceLimitError
 from .tensor import (
     PureState,
     apply_local_kraus_pure,
+    clamped_spectra,
     normalize_subset,
     trace_distance,
 )
@@ -59,7 +61,6 @@ __all__ = [
     "table_terms",
     "table_value",
     "table_named",
-    "table_ordering",
     "cce_pure",
     "named_measures",
     "cce_values",
@@ -76,6 +77,7 @@ __all__ = [
 
 MAX_SUBSET_SIZE = 20
 GME_MARGIN = 1e-9
+ORDER_TOL = 1e-10  # slack of every ordering relation checked here
 LN2 = math.log(2.0)
 _CHUNK_ENTRIES = 1 << 14  # entries per stack of reduced matrices: bounds its memory
 
@@ -246,8 +248,8 @@ def member_spectra(plan: CutPlan, tensors: np.ndarray) -> SpectraTable:
     (k,) + plan.dims: one stacked eigensolve per chunk of a cut dimension."""
     blocks = [np.empty((tensors.shape[0], len(block.masks), block.d)) for block in plan.blocks]
     for b, lo, rho in _reduced_chunks(plan, tensors):
-        blocks[b][:, lo : lo + rho.shape[1], ::-1] = np.linalg.eigvalsh(rho)
-    return SpectraTable(plan, tuple(np.where(out < 0.0, 0.0, out) for out in blocks))
+        blocks[b][:, lo : lo + rho.shape[1]] = clamped_spectra(np.linalg.eigvalsh(rho))
+    return SpectraTable(plan, tuple(blocks))
 
 
 def cut_purities(psi: PureState) -> np.ndarray:
@@ -261,11 +263,9 @@ def cut_purities(psi: PureState) -> np.ndarray:
     return out
 
 
-def spectra_table(
-    psi: PureState, subset: Iterable[int], *, use_symmetry: bool | None = None
-) -> SpectraTable:
+def spectra_table(psi: PureState, subset: Iterable[int]) -> SpectraTable:
     """Spectra of every cut of P(subset) for one pure state, each computed once."""
-    plan = cut_plan(psi.dims, subset, use_symmetry=use_symmetry)
+    plan = cut_plan(psi.dims, subset)
     table = member_spectra(plan, psi.amplitudes.reshape((1,) + psi.dims))
     return SpectraTable(plan, tuple(b[0] for b in table.blocks))
 
@@ -292,23 +292,22 @@ def table_terms(table: SpectraTable, params: EntropyParams | Sequence[EntropyPar
     return out
 
 
+def _mean(terms: list[float]) -> float:
+    """The measure from the 2^|s| terms of P(s). The sum is exactly rounded,
+    so it does not depend on the order of the terms."""
+    return math.fsum(terms) / len(terms)
+
+
 def table_value(table: SpectraTable, params: EntropyParams) -> float:
-    """The measure of a one-state table. The sum is exactly rounded, so it
-    does not depend on the order of the terms."""
-    return math.fsum(table_terms(table, params).tolist()) / table.plan.n_masks
+    """The measure of a one-state table."""
+    return _mean(table_terms(table, params).tolist())
 
 
-def cce_pure(
-    psi: PureState,
-    subset: Iterable[int],
-    params: EntropyParams,
-    *,
-    use_symmetry: bool | None = None,
-) -> MeasureReport:
+def cce_pure(psi: PureState, subset: Iterable[int], params: EntropyParams) -> MeasureReport:
     """Concentratable entanglement of a pure state over P(subset)."""
-    table = spectra_table(psi, subset, use_symmetry=use_symmetry)
-    terms = table_terms(table, params).tolist()
-    return MeasureReport(math.fsum(terms) / len(terms), dict(enumerate(terms)), params, table.plan.subset)
+    s = normalize_subset(subset, psi.n_subsystems)  # raises on (), which `_grouped_terms` takes as 0
+    terms = _grouped_terms([(psi, s, params)])[0].tolist()
+    return MeasureReport(_mean(terms), dict(enumerate(terms)), params, s)
 
 
 def _grouped_terms(jobs: Sequence[tuple]) -> list[np.ndarray]:
@@ -334,7 +333,7 @@ def cce_values(jobs: Sequence[tuple[PureState, Iterable[int], EntropyParams]]) -
     """`table_value` of each (state, subset, point) job, 0 on an empty
     subset: one spectra call and one terms call per group of jobs with equal
     dims and subset."""
-    return [math.fsum(terms.tolist()) / terms.size for terms in _grouped_terms(jobs)]
+    return [_mean(terms.tolist()) for terms in _grouped_terms(jobs)]
 
 
 def table_named(table: SpectraTable) -> NamedMeasures:
@@ -348,62 +347,44 @@ def named_measures(psi: PureState, subset: Iterable[int]) -> NamedMeasures:
     return table_named(spectra_table(psi, subset))
 
 
-def _ordering_points(renyi_orders: tuple[float, float]) -> list[EntropyParams]:
-    """The points an ordering report reads: the four benchmarks, then Renyi
-    at both orders (at order 1 the von Neumann branch, the value of e)."""
-    lo, hi = renyi_orders
-    if not 0 < lo <= hi:
-        raise ValueError(f"need 0 < alpha_lo <= alpha_hi, got {renyi_orders}")
-    return [*BENCHMARKS.values(), EntropyParams.renyi(lo), EntropyParams.renyi(hi)]
-
-
-def _ordering_report(values: Sequence[float], renyi_orders: tuple[float, float], tol: float) -> OrderingReport:
-    """Ordering report from the values at `_ordering_points(renyi_orders)`."""
-    e, r2, t3, c, renyi_lo, renyi_hi = values
-    checks = {
-        "e_ge_c_over_ln2": e >= c / LN2 - tol,
-        "e_ge_2c_minus_half": e >= 2.0 * c - 0.5 - tol,
-        "r2_ge_c_over_ln2": r2 >= c / LN2 - tol,
-        "c_ge_t3": c >= t3 - tol,
-        "renyi_alpha_monotone": renyi_lo >= renyi_hi - tol,
+def _chain_checks(e: float, r2: float, t3: float, c: float) -> dict[str, bool]:
+    """The chain of lower-bound relations among the four benchmark values
+    (of one state, or averaged over one ensemble), each within ORDER_TOL."""
+    return {
+        "e_ge_c_over_ln2": e >= c / LN2 - ORDER_TOL,
+        "e_ge_2c_minus_half": e >= 2.0 * c - 0.5 - ORDER_TOL,
+        "r2_ge_c_over_ln2": r2 >= c / LN2 - ORDER_TOL,
+        "c_ge_t3": c >= t3 - ORDER_TOL,
     }
-    return OrderingReport(
-        e=e, r2=r2, t3=t3, c=c,
-        renyi_orders=tuple(renyi_orders), renyi_lo=renyi_lo, renyi_hi=renyi_hi,
-        checks=checks,
-    )
-
-
-def table_ordering(
-    table: SpectraTable, renyi_orders: tuple[float, float] = (1.0, 2.0), *, tol: float = 1e-10
-) -> OrderingReport:
-    """Benchmark values of a one-state table plus the chain of lower-bound
-    relations among them."""
-    return _ordering_report([table_value(table, p) for p in _ordering_points(renyi_orders)], renyi_orders, tol)
 
 
 def ordering_report(
-    psi: PureState, subset: Iterable[int], renyi_orders: tuple[float, float] = (1.0, 2.0), *, tol: float = 1e-10
+    psi: PureState, subset: Iterable[int], renyi_orders: tuple[float, float] = (1.0, 2.0)
 ) -> OrderingReport:
     """Benchmark values plus the chain of lower-bound relations among them."""
-    return table_ordering(spectra_table(psi, subset), renyi_orders, tol=tol)
+    return ordering_reports([(psi, subset, ())], renyi_orders)[0][0]
 
 
 def ordering_reports(
     cases: Sequence[tuple[PureState, Iterable[int], Sequence[EntropyParams]]],
     renyi_orders: tuple[float, float] = (1.0, 2.0),
-    *,
-    tol: float = 1e-10,
 ) -> list[tuple[OrderingReport, list[float]]]:
     """`ordering_report` of every (psi, subset, extra points) case, with the
     measure at the case's extra points: one spectra call and one terms call
     per group of cases with equal dims, subset and number of extra points."""
-    base = _ordering_points(renyi_orders)
+    lo, hi = renyi_orders
+    if not 0 < lo <= hi:
+        raise ValueError(f"need 0 < alpha_lo <= alpha_hi, got {renyi_orders}")
+    # The four benchmarks, then Renyi at both orders (at order 1 the von Neumann branch, the value of e).
+    base = [*BENCHMARKS.values(), EntropyParams.renyi(lo), EntropyParams.renyi(hi)]
     out = []
     jobs = [(psi, normalize_subset(s, psi.n_subsystems), base + list(extra)) for psi, s, extra in cases]
     for terms in _grouped_terms(jobs):
-        values = [math.fsum(row) / len(row) for row in terms.tolist()]
-        out.append((_ordering_report(values[: len(base)], renyi_orders, tol), values[len(base) :]))
+        values = [_mean(row) for row in terms.tolist()]
+        e, r2, t3, c, renyi_lo, renyi_hi = values[: len(base)]
+        checks = {**_chain_checks(e, r2, t3, c), "renyi_alpha_monotone": renyi_lo >= renyi_hi - ORDER_TOL}
+        report = OrderingReport(e, r2, t3, c, tuple(renyi_orders), renyi_lo, renyi_hi, checks)
+        out.append((report, values[len(base) :]))
     return out
 
 
@@ -451,7 +432,7 @@ def subadditivity_gaps(
 
     def part(terms: np.ndarray, union: tuple[int, ...], labels: tuple[int, ...]) -> float:
         mask_sub = sum(1 << union.index(i) for i in labels)
-        return math.fsum(terms[np.arange(terms.size) & ~mask_sub == 0].tolist()) / (1 << len(labels))
+        return _mean(terms[np.arange(terms.size) & ~mask_sub == 0].tolist())
 
     all_terms = _grouped_terms([(c[0], u, c[3]) for c, (_, _, u) in zip(cases, splits)])
     return [part(t, u, a) + part(t, u, b) - part(t, u, u) for (a, b, u), t in zip(splits, all_terms)]
@@ -477,11 +458,7 @@ def gme_certificate(psi: PureState, params: EntropyParams) -> GmeCertificate:
     if any(dim != d for dim in psi.dims):
         raise ValueError(f"certificate needs equal local dimensions, got {psi.dims}")
     value = cce_pure(psi, (1, 2, 3), params).value
-    if params.is_von_neumann or params.is_renyi:
-        threshold = 0.5 * math.log2(d)
-    else:
-        e = (1.0 - params.alpha) * params.beta
-        threshold = (d**e - 1.0) / (2.0 * e)
+    threshold = max_entropy_value(d, params) / 2.0
     return GmeCertificate(value=value, threshold=threshold, certified=value > threshold + GME_MARGIN)
 
 

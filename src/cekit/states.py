@@ -96,9 +96,7 @@ def random_density(dims: Sequence[int], rank: int, seed: int) -> DensityOperator
         raise ValueError(f"rank must lie in 1..{d}, got {rank}")
     if rank == 1:
         return haar_random(dims, seed).density()
-    joint = haar_random(dims + (rank,), seed)
-    out = reduced_state(joint, range(1, len(dims) + 1))
-    return DensityOperator(out.matrix, dims)
+    return reduced_state(haar_random(dims + (rank,), seed), range(1, len(dims) + 1))
 
 
 def random_product(dims: Sequence[int], seed: int) -> PureState:

@@ -24,7 +24,6 @@ from .measures import MAX_SUBSET_SIZE, cut_purities
 from .tensor import PureState, normalize_subset
 
 __all__ = [
-    "MAX_SWAP_QUBITS",
     "ControlDistribution",
     "ShotRecord",
     "BoundTriplet",
@@ -34,9 +33,6 @@ __all__ = [
     "estimate_from_shots",
     "bounds_from_estimate",
 ]
-
-MAX_SWAP_QUBITS = MAX_SUBSET_SIZE
-
 
 @dataclass(frozen=True)
 class ControlDistribution:
@@ -49,10 +45,10 @@ class ControlDistribution:
         p = np.array(self.probs, dtype=float).reshape(-1)
         if p.size != 1 << self.n:
             raise ValueError(f"need 2^{self.n} probabilities, got {p.size}")
-        if float(p.min()) < -1e-12:
+        if not float(p.min()) >= -1e-12:  # `not >=`: also NaN
             raise ValueError(f"negative probability {p.min()}")
         total = float(p.sum())
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"probabilities must sum to 1 within 1e-10, got {total}")
         p = np.clip(p, 0.0, 1.0)  # rounding can leave an entry just outside [0, 1]
         p.setflags(write=False)
@@ -91,8 +87,8 @@ def swap_test_distribution(psi: PureState) -> ControlDistribution:
     if any(d != 2 for d in psi.dims):
         raise ValueError(f"SWAP test is defined for qubit registers, got dims {psi.dims}")
     n = psi.n_subsystems
-    if n > MAX_SWAP_QUBITS:
-        raise ResourceLimitError(f"SWAP test of {n} qubits exceeds the n <= {MAX_SWAP_QUBITS} guard")
+    if n > MAX_SUBSET_SIZE:
+        raise ResourceLimitError(f"SWAP test of {n} qubits exceeds the n <= {MAX_SUBSET_SIZE} guard")
     # Mask bit j selects label j+1; reversed axes put control 1 on axis 0.
     t = cut_purities(psi).reshape((2,) * n).transpose(range(n - 1, -1, -1))
     for axis in range(n):

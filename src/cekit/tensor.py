@@ -6,7 +6,7 @@ immutable inputs, so values are safe to share.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 from typing import Iterable, Sequence
 
@@ -20,6 +20,7 @@ __all__ = [
     "reduced_state",
     "partial_trace",
     "hermitian_eigenvalues",
+    "clamped_spectra",
     "trace_power",
     "trace_distance",
     "apply_local_kraus",
@@ -74,7 +75,7 @@ class PureState:
         if amp.size != prod(dims):
             raise ValueError(f"amplitude length {amp.size} does not match dims {dims}")
         norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:  # `not <=`: also NaN
             raise ValueError(f"squared norm must be 1 within {NORM_ATOL}, got norm {norm}")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
@@ -94,10 +95,12 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, positive-semidefinite, unit-trace matrix with dimension structure."""
+    """Hermitian, positive-semidefinite, unit-trace matrix with dimension
+    structure, and the clamped spectrum its validating eigensolve gave."""
 
     matrix: np.ndarray
     dims: tuple[int, ...]
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         dims = _as_dims(self.dims)
@@ -105,17 +108,15 @@ class DensityOperator:
         d = prod(dims)
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
-        if np.abs(mat - mat.conj().T).max() > 1e-12:
-            raise ValueError("matrix is not Hermitian within 1e-12")
+        spectrum = _spectrum(mat, 1e-12)
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > 1e-12:
+        if not abs(tr - 1.0) <= 1e-12:
             raise ValueError(f"trace must be 1 within 1e-12, got {tr}")
-        lo = float(np.linalg.eigvalsh(mat)[0])
-        if lo < -NEGATIVE_EIG_TOL:
-            raise ValueError(f"matrix has eigenvalue {lo} below -{NEGATIVE_EIG_TOL}")
-        mat.setflags(write=False)
+        for arr in (mat, spectrum):
+            arr.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def n_subsystems(self) -> int:
@@ -138,27 +139,35 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def _clamped_descending(vals: np.ndarray) -> np.ndarray:
-    lo = float(vals.min())
-    if lo < -NEGATIVE_EIG_TOL:
-        raise ValueError(f"eigenvalue {lo} below -{NEGATIVE_EIG_TOL}; input is not PSD")
-    out = np.where(vals < 0.0, 0.0, vals)[::-1].copy()
-    return out
-
-
-def hermitian_eigenvalues(m: np.ndarray | DensityOperator, *, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Descending real spectrum of a Hermitian PSD matrix.
+def clamped_spectra(vals: np.ndarray) -> np.ndarray:
+    """Descending spectra from ascending `eigvalsh` output (any leading axes).
 
     Negative eigenvalues within -1e-10 (finite-arithmetic drift) are clamped
-    to zero so that downstream entropies stay real; anything more negative is
-    rejected.
+    to zero so that downstream entropies stay real; anything more negative,
+    or NaN, is rejected.
     """
-    mat = m.matrix if isinstance(m, DensityOperator) else np.asarray(m, dtype=complex)
+    lo = float(vals.min())
+    if not lo >= -NEGATIVE_EIG_TOL:
+        raise ValueError(f"spectrum must be finite and >= -{NEGATIVE_EIG_TOL}, got {lo}; input is not PSD")
+    return np.ascontiguousarray(np.where(vals < 0.0, 0.0, vals)[..., ::-1])
+
+
+def _spectrum(mat: np.ndarray, atol: float) -> np.ndarray:
+    """`clamped_spectra` of a square matrix, which must be Hermitian within atol."""
+    if not np.abs(mat - mat.conj().T).max() <= atol:  # `not <=`: a NaN or inf entry fails too
+        raise ValueError(f"matrix must be finite and Hermitian within {atol}")
+    return clamped_spectra(np.linalg.eigvalsh(mat))
+
+
+def hermitian_eigenvalues(m: np.ndarray | DensityOperator) -> np.ndarray:
+    """Descending, clamped (`clamped_spectra`) real spectrum of a Hermitian
+    PSD matrix; a `DensityOperator`'s is the one its validation computed."""
+    if isinstance(m, DensityOperator):
+        return m.spectrum
+    mat = np.asarray(m, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("input must be a square matrix")
-    if np.abs(mat - mat.conj().T).max() > atol:
-        raise ValueError(f"matrix is not Hermitian within {atol}")
-    return _clamped_descending(np.linalg.eigvalsh(mat))
+    return _spectrum(mat, HERMITIAN_ATOL)
 
 
 def reduced_state(psi: PureState, subset: Iterable[int]) -> DensityOperator:

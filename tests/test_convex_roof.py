@@ -90,6 +90,8 @@ def test_ensemble_validation():
         Ensemble(((1.5, psi), (-0.5, psi)))
     with pytest.raises(ValueError):
         Ensemble(())
+    with pytest.raises(ValueError):  # NaN fails no `<=` test
+        Ensemble(((float("nan"), psi),))
 
 
 def test_wootters_bell_and_product(bell):

@@ -130,6 +130,13 @@ def test_spectrum_rejects_non_finite(bad):
             unified_entropy_spectrum(bad, params)
 
 
+def test_unified_entropy_rejects_nan_matrix():
+    # eigvalsh returns [0, -0] for a NaN on the diagonal, so the matrix check must catch it.
+    for params in [EntropyParams(2.0, 1.0), EntropyParams.von_neumann()]:
+        with pytest.raises(ValueError, match="finite"):
+            unified_entropy(np.array([[np.nan, 0.0], [0.0, 0.5]]), params)
+
+
 def test_schur_witnesses_match_one_case_calls():
     rng = np.random.default_rng(11)
     cases = []

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from cekit.convex_roof import Ensemble
 from cekit.entropy import EntropyParams, binary_entropy, unified_entropy_spectrum
 from cekit.errors import ResourceLimitError
 from cekit.measures import (
+    BENCHMARKS,
     SpectraTable,
     cce_pure,
     cce_values,
@@ -90,6 +92,12 @@ def _naive_cce(psi, subset, params):
     return total / 2 ** len(s)
 
 
+def _unpaired_terms(psi, subset, params):
+    # Every cut eigensolved on its own, complements too.
+    plan = cut_plan(psi.dims, subset, use_symmetry=False)
+    return table_terms(member_spectra(plan, psi.amplitudes.reshape((1,) + psi.dims)), params)[0]
+
+
 def test_symmetric_evaluation_matches_naive():
     # Mixed local dimensions give several cut-dimension blocks; GHZ and W
     # cuts carry exact zero eigenvalues, which must fall under the floor.
@@ -110,15 +118,15 @@ def test_symmetric_evaluation_matches_naive():
             fast = cce_pure(psi, subset, params).value
             assert fast == pytest.approx(_naive_cce(psi, subset, params), abs=1e-12)
             if full:
-                naive = cce_pure(psi, subset, params, use_symmetry=False).value
+                naive = math.fsum(_unpaired_terms(psi, subset, params)) / 2 ** len(subset)
                 assert fast == pytest.approx(naive, abs=1e-12)
 
 
 def test_complement_symmetry_termwise():
     psi = haar_random((2, 2, 2, 2), seed=13)
-    report = cce_pure(psi, (1, 2, 3, 4), VN, use_symmetry=False)
-    for mask, term in report.terms.items():
-        assert term == pytest.approx(report.terms[15 ^ mask], abs=1e-10)
+    terms = _unpaired_terms(psi, (1, 2, 3, 4), VN)
+    for mask, term in enumerate(terms):
+        assert term == pytest.approx(terms[15 ^ mask], abs=1e-10)
 
 
 def test_permutation_covariance():
@@ -437,7 +445,7 @@ def test_report_serialization_roundtrip():
 
 def test_subset_spectra_rejects_symmetry_on_partial_subset():
     with pytest.raises(ValueError):
-        spectra_table(ghz(3), (1, 2), use_symmetry=True)
+        cut_plan(ghz(3).dims, (1, 2), use_symmetry=True)
 
 
 POINTS = [
@@ -484,12 +492,43 @@ def test_batched_values_and_orderings_match_one_state_calls():
     extra = [POINTS[2:6], POINTS[4:8], POINTS[:4]]
     cases = [(psi, s, points) for psi, s, points in zip(states, subsets, extra)]
     for orders in [(1.0, 2.0), (0.5, 3.0)]:
+        base = [*BENCHMARKS.values(), EntropyParams.renyi(orders[0]), EntropyParams.renyi(orders[1])]
         for (psi, s, points), (report, values) in zip(cases, ordering_reports(cases, orders)):
             table = spectra_table(psi, s)
-            assert report == ordering_report(psi, s, orders)
+            got = [report.e, report.r2, report.t3, report.c, report.renyi_lo, report.renyi_hi]
+            assert got == [table_value(table, p) for p in base]
             assert values == [table_value(table, p) for p in points]
     with pytest.raises(ValueError):
         ordering_reports([(states[0], (), [])])
+
+
+@pytest.mark.parametrize("subset", [(), (0,), (1, 4), (2, 2)])
+def test_bad_subsets_raise_on_every_pure_state_path(subset):
+    # The jobs evaluator behind these takes an empty subset as 0; the callers must not.
+    psi = ghz(3)
+    ens = Ensemble(((1.0, psi),))
+    with pytest.raises(ValueError):
+        cce_pure(psi, subset, VN)
+    with pytest.raises(ValueError):
+        ordering_report(psi, subset)
+    with pytest.raises(ValueError):
+        ens.average(subset, VN)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -2e-10])
+def test_member_spectra_rejects_nan_and_negative_eigenvalues(monkeypatch, bad):
+    plan = cut_plan((2, 2, 2), (1, 2, 3))
+    tensors = haar_random((2, 2, 2), seed=0).amplitudes.reshape((1,) + plan.dims)
+    eigvalsh = np.linalg.eigvalsh
+
+    def spoiled(rho):
+        vals = eigvalsh(rho)
+        vals[..., 0] = bad
+        return vals
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spoiled)
+    with pytest.raises(ValueError, match="not PSD"):
+        member_spectra(plan, tensors)
 
 
 def test_batched_gaps_match_one_case_calls():

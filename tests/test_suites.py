@@ -1,4 +1,6 @@
 """The batched suites against trial-by-trial loops over the public functions."""
+import math
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,10 @@ import cekit.suites as suites
 from cekit.cli import main
 from cekit.entropy import EntropyParams, majorizes, schur_concavity_witness, unified_entropy_spectrum
 from cekit.measures import (
+    BENCHMARKS,
     locc_monotonicity_spotcheck,
     spectra_table,
     subadditivity_gap,
-    table_ordering,
     table_value,
 )
 from cekit.states import haar_random, random_density
@@ -103,12 +105,25 @@ def test_random_majorization_pair_keeps_the_one_pair_bytes():
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+def _chain(table, tol=1e-10):
+    # The ordering report's relations, from one-point values at its six points.
+    points = [*BENCHMARKS.values(), EntropyParams.renyi(1.0), EntropyParams.renyi(2.0)]
+    e, r2, t3, c, renyi_lo, renyi_hi = (table_value(table, p) for p in points)
+    return {
+        "e_ge_c_over_ln2": e >= c / math.log(2.0) - tol,
+        "e_ge_2c_minus_half": e >= 2.0 * c - 0.5 - tol,
+        "r2_ge_c_over_ln2": r2 >= c / math.log(2.0) - tol,
+        "c_ge_t3": c >= t3 - tol,
+        "renyi_alpha_monotone": renyi_lo >= renyi_hi - tol,
+    }
+
+
 def _ordering_loop(seed, trials, alpha_pairs=20):
     rng = np.random.default_rng(seed)
     out = []
     for trial in range(trials):
         table = spectra_table(haar_random((2, 2, 2, 2), seed=seed * 100_003 + trial), (1, 2, 3, 4))
-        out += [f"trial {trial} seed {seed}: {k} violated" for k, ok in table_ordering(table).checks.items() if not ok]
+        out += [f"trial {trial} seed {seed}: {k} violated" for k, ok in _chain(table).items() if not ok]
         for _ in range(alpha_pairs):
             a_lo, a_hi = np.sort(rng.uniform(0.3, 3.5, size=2))
             beta = float(rng.uniform(1.0, 3.0))

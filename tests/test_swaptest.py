@@ -191,6 +191,12 @@ def test_swap_test_rejects_qudits_and_large_n():
         swap_test_distribution(ghz(21))
 
 
+def test_control_distribution_rejects_nan():
+    for probs in ([np.nan, 0.5, 0.5, 0.0], [0.25, 0.25, 0.5, np.nan]):
+        with pytest.raises(ValueError):
+            ControlDistribution(probs, 2)
+
+
 def test_sample_shots_deterministic_distribution():
     psi = random_product((2, 2), seed=5)
     record = sample_shots(swap_test_distribution(psi), shots=1000, seed=0)

@@ -139,6 +139,8 @@ def test_hermitian_eigenvalues_rejects_large_negatives():
 def test_hermitian_eigenvalues_rejects_non_hermitian():
     with pytest.raises(ValueError):
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="finite"):  # eigvalsh would return [0, -0]
+        hermitian_eigenvalues(np.array([[np.nan, 0.0], [0.0, 0.5]]))
 
 
 def test_trace_power_basics(bell):
@@ -278,6 +280,8 @@ def test_pure_state_validation():
         PureState(np.array([1.0, 0.0]), (3,))
     with pytest.raises(ValueError):
         PureState(np.array([1.0]), (1,))
+    with pytest.raises(ValueError):  # a NaN norm fails no `>` test
+        PureState([np.nan, 0, 0, 1], (2, 2))
 
 
 def test_density_operator_validation():
@@ -287,6 +291,20 @@ def test_density_operator_validation():
         DensityOperator(np.eye(2), (2,))
     with pytest.raises(ValueError):
         DensityOperator(np.diag([1.5, -0.5]), (2,))
+    with pytest.raises(ValueError, match="finite"):
+        DensityOperator([[np.nan, 0], [0, 1]], (2,))
+
+
+def test_density_operator_spectrum_needs_no_second_eigensolve(monkeypatch):
+    rho = random_density((2, 3), rank=4, seed=5)
+    want = hermitian_eigenvalues(rho.matrix)
+
+    def eigvalsh(*args, **kwargs):
+        raise AssertionError("eigensolved again")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    got = hermitian_eigenvalues(rho)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_states_are_immutable(bell):
