@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,9 +28,7 @@ __all__ = [
     "majorizes",
     "majorizes_rows",
     "schur_concavity_witness",
-    "schur_concavity_witnesses",
     "alpha_monotonicity_gap",
-    "alpha_monotonicity_gaps",
     "fannes_audenaert_bound",
     "in_concavity_region",
     "in_subadditivity_region",
@@ -117,14 +115,6 @@ def _as_prob_rows(arr: np.ndarray) -> np.ndarray:
             raise ValueError(f"negative probability {lo}")
         raise ValueError(f"probabilities must sum to 1 within {PROB_SUM_ATOL}, got {total}")
     return np.clip(arr, 0.0, None) if (lows <= 0.0).any() else arr
-
-
-def _groups(keys: Iterable) -> list[list[int]]:
-    """Positions of each distinct key in `keys`, in order of first appearance."""
-    out: dict = {}
-    for i, key in enumerate(keys):
-        out.setdefault(key, []).append(i)
-    return list(out.values())
 
 
 def _as_vector(v: Iterable[float]) -> np.ndarray:
@@ -244,48 +234,23 @@ def majorizes(lam: Iterable[float], mu: Iterable[float], *, atol: float = 1e-10)
     return bool(majorizes_rows(_as_vector(lam), _as_vector(mu), atol=atol))
 
 
-def _entropy_gaps(vecs: list[np.ndarray], points: list[EntropyParams], checked: Callable) -> list[float]:
-    """S(vecs[2k]) - S(vecs[2k + 1]) at their points: one kernel call per length, on the rows `checked` returns."""
-    vals = np.empty(len(vecs))
-    for idx in _groups(v.size for v in vecs):
-        vals[idx] = unified_entropy_rows(checked(np.array([vecs[i] for i in idx])), [points[i] for i in idx])
-    return (vals[::2] - vals[1::2]).tolist()
-
-
-def schur_concavity_witnesses(
-    cases: Sequence[tuple[Iterable[float], Iterable[float], EntropyParams]],
-) -> list[float]:
-    """`schur_concavity_witness` of every (lam, mu, p) case: the vectors are
-    validated and evaluated in one many-points kernel call per length."""
-    vecs = [_as_vector(v) for case in cases for v in case[:2]]
-    return _entropy_gaps(vecs, [case[2] for case in cases for _ in (0, 1)], _as_prob_rows)
-
-
 def schur_concavity_witness(lam: Iterable[float], mu: Iterable[float], p: EntropyParams) -> float:
     """Signed gap S(diag lam) - S(diag mu); nonnegative whenever mu majorizes lam."""
-    return schur_concavity_witnesses([(lam, mu, p)])[0]
-
-
-def alpha_monotonicity_gaps(
-    cases: Sequence[tuple[DensityOperator | np.ndarray, float, float, float]],
-) -> list[float]:
-    """`alpha_monotonicity_gap` of each (rho, alpha_lo, alpha_hi, beta): one kernel call per spectrum length."""
-    spectra = []
-    for rho, alpha_lo, alpha_hi, beta in cases:
-        if not 0 < alpha_lo <= alpha_hi:
-            raise ValueError(f"need 0 < alpha_lo <= alpha_hi, got {alpha_lo}, {alpha_hi}")
-        if beta < 1:
-            raise ValueError(f"beta must be >= 1, got {beta}")
-        spectra += [hermitian_eigenvalues(rho)] * 2
-    points = [EntropyParams(a, beta) for _, alpha_lo, alpha_hi, beta in cases for a in (alpha_lo, alpha_hi)]
-    return _entropy_gaps(spectra, points, _finite)
+    lo, hi = (float(unified_entropy_rows(_as_prob_rows(_as_vector(v)), p)) for v in (lam, mu))
+    return lo - hi
 
 
 def alpha_monotonicity_gap(
     rho: DensityOperator | np.ndarray, alpha_lo: float, alpha_hi: float, beta: float
 ) -> float:
     """S_{alpha_lo,beta}(rho) - S_{alpha_hi,beta}(rho) for alpha_lo <= alpha_hi, beta >= 1."""
-    return alpha_monotonicity_gaps([(rho, alpha_lo, alpha_hi, beta)])[0]
+    if not 0 < alpha_lo <= alpha_hi:
+        raise ValueError(f"need 0 < alpha_lo <= alpha_hi, got {alpha_lo}, {alpha_hi}")
+    if beta < 1:
+        raise ValueError(f"beta must be >= 1, got {beta}")
+    lam = hermitian_eigenvalues(rho)
+    lo, hi = (unified_entropy_spectrum(lam, EntropyParams(a, beta)) for a in (alpha_lo, alpha_hi))
+    return lo - hi
 
 
 def fannes_audenaert_bound(eps: float, d: int) -> float:

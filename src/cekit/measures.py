@@ -28,7 +28,6 @@ import numpy as np
 
 from .entropy import (
     EntropyParams,
-    _groups,
     fannes_audenaert_bound,
     in_concavity_region,
     in_subadditivity_region,
@@ -305,9 +304,17 @@ def table_value(table: SpectraTable, params: EntropyParams) -> float:
 
 def cce_pure(psi: PureState, subset: Iterable[int], params: EntropyParams) -> MeasureReport:
     """Concentratable entanglement of a pure state over P(subset)."""
-    s = normalize_subset(subset, psi.n_subsystems)  # raises on (), which `_grouped_terms` takes as 0
-    terms = _grouped_terms([(psi, s, params)])[0].tolist()
-    return MeasureReport(_mean(terms), dict(enumerate(terms)), params, s)
+    table = spectra_table(psi, subset)
+    terms = table_terms(table, params).tolist()
+    return MeasureReport(_mean(terms), dict(enumerate(terms)), params, table.plan.subset)
+
+
+def _groups(keys: Iterable) -> list[list[int]]:
+    """Positions of each distinct key in `keys`, in order of first appearance."""
+    out: dict = {}
+    for i, key in enumerate(keys):
+        out.setdefault(key, []).append(i)
+    return list(out.values())
 
 
 def _grouped_terms(jobs: Sequence[tuple]) -> list[np.ndarray]:

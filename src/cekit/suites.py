@@ -8,9 +8,10 @@ verified.
 The `schur`, `alpha-mono`, `ordering`, `subadd`, `locc` and
 `swap-consistency` suites draw the inputs of a batch of trials first, in
 the generator order of a trial-by-trial loop, then evaluate the batch in
-stacked kernel calls: one eigensolve per cut dimension, one entropy call
-per cut plan or vector length, and (`schur`) one majorization test per
-length. A batch holds 64 trials (`_BATCH`), or fewer when a trial
+stacked kernel calls: one eigensolve per cut dimension and one entropy
+call per cut plan. `schur` and `alpha-mono` make one entropy call per
+batch on vectors zero-padded to 6 entries, and `schur` one majorization
+test. A batch holds 64 trials (`_BATCH`), or fewer when a trial
 evaluates many points: at most 512 (state, point) evaluations
 (`_BATCH_POINTS`), so `ordering`, at 46 points a trial, takes 11. Outputs
 are the trial-by-trial ones, bit for bit, and memory is bounded by the batch.
@@ -25,13 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .convex_roof import Ensemble, cce_mixed_upper
-from .entropy import (
-    EntropyParams,
-    alpha_monotonicity_gaps,
-    binary_entropy,
-    majorizes_rows,
-    schur_concavity_witnesses,
-)
+from .entropy import EntropyParams, binary_entropy, majorizes_rows, unified_entropy_rows
 from .measures import (
     BENCHMARKS,
     cce_values,
@@ -162,22 +157,26 @@ def suite_schur(seed: int = 0, trials: int = 10_000) -> SuiteResult:
     rng = np.random.default_rng(seed)
     failures = []
     for batch in _batches(trials):
-        # Sizes 2-6, stacked with zero padding, which changes no bit of an average or a majorization test.
+        # Sizes 2-6, stacked with zero padding, which changes no bit of an average, a majorization
+        # test or an entropy: the entropy kernel drops entries at or below the zero floor and sums
+        # a row of at most 7 entries left to right, so trailing zeros add exact 0.0s.
         mus, drawn = np.zeros((len(batch), 6)), []
         for row in mus:
             mu, steps = _transposition_draws(rng, int(rng.integers(2, 7)))
             row[: mu.size] = mu
             drawn.append((mu, steps, EntropyParams(float(rng.uniform(0.05, 4.0)), float(rng.uniform(0.0, 3.0)))))
         lams = _averaged(mus, [steps for _, steps, _ in drawn])
-        ok = majorizes_rows(mus, lams).tolist()
-        cases = [(lam[: mu.size], mu, p) for lam, (mu, _, p) in zip(lams, drawn)]
-        gaps = iter(schur_concavity_witnesses([case for case, good in zip(cases, ok) if good]))
-        for trial, (lam, mu, p), good in zip(batch, cases, ok):
+        ok = majorizes_rows(mus, lams).tolist()  # also validates both blocks as probability vectors
+        points = np.array([p for _, _, p in drawn], dtype=object)[:, None]
+        vals = unified_entropy_rows(np.stack([lams, mus], axis=1), points)
+        gaps = (vals[:, 0] - vals[:, 1]).tolist()
+        for trial, lam, (mu, _, p), good, gap in zip(batch, lams, drawn, ok, gaps):
             if not good:
                 failures.append(f"trial {trial} seed {seed}: generated pair fails majorization")
-            elif (gap := next(gaps)) < -GAP_TOL:
+            elif gap < -GAP_TOL:
                 failures.append(
-                    f"trial {trial} seed {seed}: gap {gap} at alpha={p.alpha}, beta={p.beta}, lam={lam}, mu={mu}"
+                    f"trial {trial} seed {seed}: gap {gap} at alpha={p.alpha}, beta={p.beta}, "
+                    f"lam={lam[: mu.size]}, mu={mu}"
                 )
     return SuiteResult("schur", trials, failures)
 
@@ -188,13 +187,16 @@ def suite_alpha_mono(seed: int = 0, trials: int = 10_000) -> SuiteResult:
     dims_pool = [(2,), (3,), (4,), (2, 2), (2, 3)]
     failures = []
     for batch in _batches(trials):
-        cases = []
-        for trial in batch:
+        spectra, cases = np.zeros((len(batch), 6)), []  # zero-padded as in `suite_schur`
+        for trial, row in zip(batch, spectra):
             dims = dims_pool[int(rng.integers(len(dims_pool)))]
             rho = random_density(dims, rank=int(rng.integers(1, math.prod(dims) + 1)), seed=seed * 100_003 + trial)
+            row[: rho.spectrum.size] = rho.spectrum
             a_lo, a_hi = np.sort(rng.uniform(0.05, 4.0, size=2)).tolist()
-            cases.append((rho, a_lo, a_hi, float(rng.uniform(1.0, 3.0))))
-        for trial, (_, a_lo, a_hi, beta), gap in zip(batch, cases, alpha_monotonicity_gaps(cases)):
+            cases.append((a_lo, a_hi, float(rng.uniform(1.0, 3.0))))
+        pairs = [[EntropyParams(a, beta) for a in (a_lo, a_hi)] for a_lo, a_hi, beta in cases]
+        vals = unified_entropy_rows(spectra[:, None], np.array(pairs, dtype=object))
+        for trial, (a_lo, a_hi, beta), gap in zip(batch, cases, (vals[:, 0] - vals[:, 1]).tolist()):
             if gap < -GAP_TOL:
                 failures.append(
                     f"trial {trial} seed {seed}: gap {gap} at alpha_lo={a_lo}, alpha_hi={a_hi}, beta={beta}"
@@ -409,4 +411,7 @@ DEFAULT_TRIALS: dict[str, int] = {
 def run_suite(name: str, seed: int = 0, trials: int | None = None) -> SuiteResult:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](seed=seed, trials=trials if trials is not None else DEFAULT_TRIALS[name])
+    trials = trials if trials is not None else DEFAULT_TRIALS[name]
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    return SUITES[name](seed=seed, trials=trials)

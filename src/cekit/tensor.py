@@ -48,12 +48,10 @@ def _as_dims(dims: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-def normalize_subset(subset: Iterable[int], n: int, *, allow_empty: bool = False) -> tuple[int, ...]:
+def normalize_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
     """Validate 1-based subsystem labels and return them sorted ascending."""
     idx = tuple(sorted(int(i) for i in subset))
     if not idx:
-        if allow_empty:
-            return idx
         raise ValueError("subset must be nonempty")
     if idx[0] < 1 or idx[-1] > n:
         raise ValueError(f"subsystem labels must lie in 1..{n}, got {idx}")

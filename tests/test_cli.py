@@ -120,6 +120,16 @@ def test_verify_unknown_suite_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("name", ["schur", "swap-consistency"])
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_rejects_trials_below_one(capsys, name, trials):
+    # `swap-consistency` also runs fixed cases, which a negative count must not trim.
+    code, out, err = run_cli(capsys, "verify", name, "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert f"trials must be >= 1, got {trials}" in err
+
+
 def test_verify_failing_suite_exits_3(capsys, monkeypatch):
     import cekit.suites as suites
     from cekit.suites import SuiteResult

@@ -15,7 +15,6 @@ from cekit.entropy import (
     majorizes_rows,
     max_entropy_value,
     schur_concavity_witness,
-    schur_concavity_witnesses,
     unified_entropy,
     unified_entropy_rows,
     unified_entropy_spectrum,
@@ -119,8 +118,6 @@ def test_schur_witness_rejects_non_finite(bad):
         schur_concavity_witness(bad, [0.5, 0.5], params)
     with pytest.raises(ValueError):
         schur_concavity_witness([1.0, 0.0], bad, params)
-    with pytest.raises(ValueError):
-        schur_concavity_witnesses([([0.5, 0.5], [1.0, 0.0], params), (bad, [0.5, 0.5], params)])
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
@@ -135,16 +132,6 @@ def test_unified_entropy_rejects_nan_matrix():
     for params in [EntropyParams(2.0, 1.0), EntropyParams.von_neumann()]:
         with pytest.raises(ValueError, match="finite"):
             unified_entropy(np.array([[np.nan, 0.0], [0.0, 0.5]]), params)
-
-
-def test_schur_witnesses_match_one_case_calls():
-    rng = np.random.default_rng(11)
-    cases = []
-    for _ in range(300):
-        lam, mu = random_majorization_pair(rng, int(rng.integers(2, 7)))
-        cases.append((lam, mu, EntropyParams(float(rng.uniform(0.05, 4.0)), float(rng.uniform(0.0, 3.0)))))
-    cases.append(([0.5, 0.5, 0.0], [1.0, 0.0], EntropyParams(2.0, 1.0)))  # unequal lengths
-    assert schur_concavity_witnesses(cases) == [schur_concavity_witness(*case) for case in cases]
 
 
 def test_schur_witness_random_sweep():
@@ -423,6 +410,33 @@ def test_many_points_kernel_matches_one_point_calls_at_random_points():
         rows = kept[np.arange(len(points)) % len(kept)]
         want = [unified_entropy_rows(row, p) for row, p in zip(rows, points)]
         assert _bits(unified_entropy_rows(rows, points)) == _bits(want)
+
+
+PAD_POINTS = [EntropyParams(a, b) for a in (0.5, 1.0, 1.0 - 5e-10, 1.0 + 5e-10, 2.0, 3.0) for b in (0.0, 1.0, 2.5)]
+
+
+@pytest.mark.parametrize("width", [6, 7])
+def test_zero_padding_changes_no_bit(width):
+    # The `schur` and `alpha-mono` suites evaluate spectra of up to 6 entries
+    # zero-padded to 6: the kernel drops entries at or below the zero floor and
+    # sums a row of at most 7 entries left to right, so the padding adds exact zeros.
+    rng = np.random.default_rng(width)
+    for d in range(1, 7):
+        rows = rng.dirichlet(np.ones(d), size=len(PAD_POINTS))
+        if d > 1:  # each row keeps an entry above the floor
+            rows[0::3, -1] = 0.0
+            rows[1::3, 0] = ZERO_EIG_FLOOR / 2
+            rows[2::3, -1] = ZERO_EIG_FLOOR
+        padded = np.zeros((len(rows), width))
+        padded[:, :d] = rows
+        for p in PAD_POINTS:
+            assert _bits(unified_entropy_rows(padded, p)) == _bits(unified_entropy_rows(rows, p))
+        want = [unified_entropy_rows(r, p) for r, p in zip(rows, PAD_POINTS)]
+        assert _bits(unified_entropy_rows(padded, PAD_POINTS)) == _bits(want)
+        # Two points per row, as `alpha-mono` evaluates its pairs.
+        pairs = np.array([PAD_POINTS, PAD_POINTS[::-1]], dtype=object).T
+        want = [[unified_entropy_rows(r, p) for p in ps] for r, ps in zip(rows, pairs)]
+        assert _bits(unified_entropy_rows(padded[:, None], pairs)) == _bits(want)
 
 
 def _majorizes_reference(lam, mu, atol=1e-10):

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import cekit.entropy as entropy
+import cekit.measures as measures
 import cekit.suites as suites
 from cekit.cli import main
 from cekit.entropy import EntropyParams, majorizes, schur_concavity_witness, unified_entropy_spectrum
@@ -177,6 +179,23 @@ def test_ordering_eigensolves_twice_per_batch(capsys, monkeypatch):
     assert len(batches) > 1
     assert len(calls) == 2 * len(batches)  # one stacked call per cut dimension (2 and 4)
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["schur", "alpha-mono"])
+def test_one_entropy_call_per_batch(monkeypatch, name):
+    calls = []
+    real = entropy.unified_entropy_rows
+
+    def counting(rows, p):
+        calls.append(np.shape(rows))
+        return real(rows, p)
+
+    for module in (entropy, measures, suites):
+        monkeypatch.setattr(module, "unified_entropy_rows", counting)
+    assert suites.run_suite(name, seed=2, trials=150).passed
+    assert len(suites._batches(150)) == 3
+    pair_axis = 2 if name == "schur" else 1  # (lam, mu) rows, or one spectrum at a pair of points
+    assert calls == [(64, pair_axis, 6), (64, pair_axis, 6), (22, pair_axis, 6)]
 
 
 @pytest.mark.parametrize(

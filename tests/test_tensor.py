@@ -268,7 +268,6 @@ def test_permute_subsystems_roundtrip():
 
 def test_normalize_subset_contract():
     assert normalize_subset([3, 1], 4) == (1, 3)
-    assert normalize_subset([], 4, allow_empty=True) == ()
     with pytest.raises(ValueError):
         normalize_subset([], 4)
 
