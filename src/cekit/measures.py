@@ -37,8 +37,9 @@ from .entropy import (
 from .errors import ResourceLimitError
 from .tensor import (
     PureState,
-    apply_local_kraus_pure,
+    _kraus_set,
     clamped_spectra,
+    local_kraus_branches,
     normalize_subset,
     trace_distance,
 )
@@ -317,21 +318,26 @@ def _groups(keys: Iterable) -> list[list[int]]:
     return list(out.values())
 
 
+def _stack_terms(plan: CutPlan, amps: np.ndarray, points: Sequence) -> np.ndarray:
+    """`table_terms` of each row of a stack of amplitudes (k, D) at its
+    point or points, (k,) or (k, P): one `member_spectra` call, one terms call."""
+    table = member_spectra(plan, amps.reshape((-1,) + plan.dims))
+    points = np.asarray(points, dtype=object)
+    lead = (len(points),) + (1,) * (points.ndim - 1)  # a row's points share its table
+    return table_terms(SpectraTable(plan, tuple(b.reshape(lead + b.shape[1:]) for b in table.blocks)), points)
+
+
 def _grouped_terms(jobs: Sequence[tuple]) -> list[np.ndarray]:
     """`table_terms` of each (state, subset, point or points) job, [0.0] on
-    an empty subset: one `member_spectra` call and one terms call per group
-    of jobs with equal dims, subset and number of points."""
+    an empty subset: one `_stack_terms` call per group of jobs with equal
+    dims, subset and number of points."""
     jobs = [(psi, tuple(s), p) for psi, s, p in jobs]  # `cut_plan` validates a subset
     out = [np.zeros(1)] * len(jobs)
     for idx in _groups((psi.dims, s, np.shape(p)) for psi, s, p in jobs):
         psi, subset, _ = jobs[idx[0]]
         if subset:
-            plan = cut_plan(psi.dims, subset)
-            table = member_spectra(plan, np.stack([jobs[i][0].amplitudes for i in idx]).reshape((-1,) + psi.dims))
-            points = np.asarray([jobs[i][2] for i in idx], dtype=object)
-            lead = (len(idx),) + (1,) * (points.ndim - 1)  # a job's points share its table
-            table = SpectraTable(plan, tuple(b.reshape(lead + b.shape[1:]) for b in table.blocks))
-            for i, terms in zip(idx, table_terms(table, points)):
+            amps = np.stack([jobs[i][0].amplitudes for i in idx])
+            for i, terms in zip(idx, _stack_terms(cut_plan(psi.dims, subset), amps, [jobs[i][2] for i in idx])):
                 out[i] = terms
     return out
 
@@ -420,11 +426,48 @@ def tensor_identity_residual(
     return abs(e_joint - e_a - e_b - cross * e_a * e_b)
 
 
+@lru_cache(maxsize=256)
+def _cut_sides(dims: tuple[int, ...], subset: tuple[int, ...]) -> dict[frozenset, tuple[int, ...]]:
+    """The axes (`CutBlock.perms`) each nontrivial cut of P(subset) is reduced
+    with, keyed by the cut's labels; a paired cut's complement shares them."""
+    plan = cut_plan(dims, subset)
+    sides = {}
+    for block in plan.blocks:
+        for mask, perm in zip(block.masks.tolist(), block.perms):
+            for m in (mask, plan.n_masks - 1 ^ mask) if plan.paired else (mask,):
+                sides[frozenset(label for j, label in enumerate(subset) if m >> j & 1)] = perm
+    return sides
+
+
+def _plan_subsets(dims: tuple[int, ...], unions: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The subset whose plan evaluates each union of one dims group: the
+    cover (the union of all of them) when its power set is no larger than the
+    unions' together and it reduces every cut of every union on the side the
+    union's own plan does, so each term keeps its bits; else the union itself."""
+    cover = tuple(sorted(set().union(*unions)))
+    distinct = set(unions)
+    if len(distinct) == 1 or len(cover) > MAX_SUBSET_SIZE or 1 << len(cover) > sum(1 << len(u) for u in distinct):
+        return unions
+    sides = _cut_sides(dims, cover).items()
+    if all(_cut_sides(dims, u).items() <= sides for u in distinct):
+        return [cover] * len(unions)
+    return unions
+
+
+@lru_cache(maxsize=1024)
+def _submasks(subset: tuple[int, ...], labels: tuple[int, ...]) -> np.ndarray:
+    """Masks over `subset` of the subsets of `labels`, ascending."""
+    sub = sum(1 << subset.index(i) for i in labels)
+    return np.flatnonzero(np.arange(1 << len(subset)) & ~sub == 0)
+
+
 def subadditivity_gaps(
     cases: Sequence[tuple[PureState, Iterable[int], Iterable[int], EntropyParams]],
 ) -> list[float]:
     """`subadditivity_gap` of every (psi, s, s', params) case: one spectra
-    call and one terms call per group of cases with equal dims and union."""
+    call and one terms call per group of cases with equal dims, on one plan
+    over the union of the group's unions where that plan costs no more than
+    theirs (see `_plan_subsets`), else per union."""
     splits = []
     for psi, s, s_prime, params in cases:
         if not in_subadditivity_region(params):
@@ -436,13 +479,18 @@ def subadditivity_gaps(
         if set(a) & set(b):
             raise ValueError(f"subsets overlap: {a} and {b}")
         splits.append((a, b, tuple(sorted(a + b))))
+    planned = [()] * len(cases)
+    for idx in _groups(c[0].dims for c in cases):
+        for i, subset in zip(idx, _plan_subsets(cases[idx[0]][0].dims, [splits[i][2] for i in idx])):
+            planned[i] = subset
 
-    def part(terms: np.ndarray, union: tuple[int, ...], labels: tuple[int, ...]) -> float:
-        mask_sub = sum(1 << union.index(i) for i in labels)
-        return _mean(terms[np.arange(terms.size) & ~mask_sub == 0].tolist())
+    def part(terms: np.ndarray, subset: tuple[int, ...], labels: tuple[int, ...]) -> float:
+        return _mean(terms[_submasks(subset, labels)].tolist())
 
-    all_terms = _grouped_terms([(c[0], u, c[3]) for c, (_, _, u) in zip(cases, splits)])
-    return [part(t, u, a) + part(t, u, b) - part(t, u, u) for (a, b, u), t in zip(splits, all_terms)]
+    all_terms = _grouped_terms([(c[0], p, c[3]) for c, p in zip(cases, planned)])
+    return [
+        part(t, p, a) + part(t, p, b) - part(t, p, u) for (a, b, u), p, t in zip(splits, planned, all_terms)
+    ]
 
 
 def subadditivity_gap(
@@ -502,33 +550,43 @@ def locc_monotonicity_gaps(
     cases: Sequence[tuple[PureState, Iterable[int], EntropyParams, int, list[np.ndarray]]],
 ) -> list[float]:
     """`locc_monotonicity_spotcheck` of every (psi, subset, params, site,
-    kraus) case: each state is stacked with its branches, and each group of
-    equal dims and subset takes one spectra call and one terms call."""
-    jobs, probs = [], []
+    kraus) case: each group of equal dims, subset and Kraus-set shape takes
+    one `local_kraus_branches` call, one rank check, and one spectra call and
+    one terms call on its states and their kept branches."""
+    checked = []
     for psi, subset, params, site, kraus in cases:
         if not in_concavity_region(params):
             raise ValueError(
                 f"average monotonicity requires the concavity region, got "
                 f"alpha={params.alpha}, beta={params.beta}"
             )
-        branches = apply_local_kraus_pure(psi, site, kraus)  # checks the site and completeness
+        if not 1 <= site <= psi.n_subsystems:
+            raise ValueError(f"site must lie in 1..{psi.n_subsystems}, got {site}")
+        checked.append((psi, tuple(subset), params, site, _kraus_set(kraus, psi.dims[site - 1])))
+    gaps = [0.0] * len(checked)
+    for idx in _groups((psi.dims, s, ops.shape) for psi, s, _, _, ops in checked):
+        psi, subset = checked[idx[0]][:2]
+        amps = np.stack([checked[i][0].amplitudes for i in idx])
+        kraus = np.stack([checked[i][4] for i in idx])
+        probs, states, kept = local_kraus_branches(amps, psi.dims, [checked[i][3] for i in idx], kraus)
         # A single-element set is unitary by completeness; multi-outcome sets are
         # restricted to rank-1 elements.
-        if len(kraus) > 1:
-            for k in kraus:
-                sv = np.linalg.svd(np.asarray(k, dtype=complex), compute_uv=False)
-                if sv.size > 1 and sv[1] > 1e-10 * max(1.0, float(sv[0])):
-                    raise ValueError("non-rank-1 Kraus element rejected for this check")
-        s = normalize_subset(subset, psi.n_subsystems)
-        jobs += [(state, s, params) for state in [psi] + [b for _, b in branches]]
-        probs.append([p for p, _ in branches])
-    values = iter(cce_values(jobs))
-    gaps = []
-    for branch_probs in probs:
-        before, avg = next(values), 0.0
-        for p in branch_probs:
-            avg += p * next(values)
-        gaps.append(before - avg)
+        if kraus.shape[1] > 1:
+            sv = np.linalg.svd(kraus, compute_uv=False)
+            if (sv[..., 1] > 1e-10 * np.maximum(1.0, sv[..., 0])).any():
+                raise ValueError("non-rank-1 Kraus element rejected for this check")
+        points = [checked[i][2] for i in idx]
+        rows = np.concatenate([amps, states[kept]])  # each state, then its kept branches in order
+        branch_points = [p for p, row in zip(points, kept.tolist()) for k in row if k]
+        plan = cut_plan(psi.dims, subset)
+        values = [_mean(row) for row in _stack_terms(plan, rows, points + branch_points).tolist()]
+        after = iter(values[len(idx) :])
+        for i, before, row_p, row_k in zip(idx, values, probs.tolist(), kept.tolist()):
+            avg = 0.0
+            for p, k in zip(row_p, row_k):
+                if k:
+                    avg += p * next(after)
+            gaps[i] = before - avg
     return gaps
 
 

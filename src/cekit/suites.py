@@ -11,10 +11,14 @@ the generator order of a trial-by-trial loop, then evaluate the batch in
 stacked kernel calls: one eigensolve per cut dimension and one entropy
 call per cut plan. `schur` and `alpha-mono` make one entropy call per
 batch on vectors zero-padded to 6 entries, and `schur` one majorization
-test. A batch holds 64 trials (`_BATCH`), or fewer when a trial
-evaluates many points: at most 512 (state, point) evaluations
-(`_BATCH_POINTS`), so `ordering`, at 46 points a trial, takes 11. Outputs
-are the trial-by-trial ones, bit for bit, and memory is bounded by the batch.
+test. `subadd` evaluates a batch on one plan over the cover of its
+subsets (all five qubits). `locc` builds a batch's instruments with one
+stacked QR, applies them in one stacked `local_kraus_branches` call, and
+evaluates the states and their kept branches on one plan. A batch holds
+64 trials (`_BATCH`), or fewer when a trial evaluates many points: at
+most 512 (state, point) evaluations (`_BATCH_POINTS`), so `ordering`, at
+46 points a trial, takes 11. Outputs are the trial-by-trial ones, bit for
+bit, and memory is bounded by the batch.
 """
 from __future__ import annotations
 
@@ -115,16 +119,28 @@ def random_majorization_pair(rng: np.random.Generator, size: int) -> tuple[np.nd
     return _averaged(mu[None], [steps])[0], mu
 
 
+def _instrument_draws(rng: np.random.Generator, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """One instrument's draws: a d x d complex Gaussian z, then d complex
+    Gaussian vectors a_i scaled to unit norm, the rows of a."""
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    a = np.empty((d, d), dtype=complex)
+    for row in a:
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        row[:] = v / np.linalg.norm(v)  # per vector: a stacked norm differs in the last bits
+    return z, a
+
+
+def _instruments(z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Kraus sets (N, d, d, d) from stacked draws z and a, (N, d, d) each:
+    K_i = |a_i><b_i|, b_i the i-th column of z's QR basis."""
+    basis, _ = np.linalg.qr(z)
+    return a[..., :, None] * basis.conj().swapaxes(-1, -2)[..., None, :]
+
+
 def random_rank1_instrument(rng: np.random.Generator, d: int = 2) -> list[np.ndarray]:
     """Measure-and-prepare channel: K_i = |a_i><b_i| over an orthonormal {b_i}."""
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    basis, _ = np.linalg.qr(z)
-    ops = []
-    for i in range(d):
-        a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        a = a / np.linalg.norm(a)
-        ops.append(np.outer(a, basis[:, i].conj()))
-    return ops
+    z, a = _instrument_draws(rng, d)
+    return list(_instruments(z[None], a[None])[0])
 
 
 def nearby_state(psi: PureState, rng: np.random.Generator, eps: float) -> PureState:
@@ -308,12 +324,15 @@ def suite_locc(seed: int = 0, trials: int = 500) -> SuiteResult:
     rng = np.random.default_rng(seed)
     failures = []
     for batch in _batches(trials):
-        cases = []
+        drawn, zs, avecs = [], [], []
         for trial in batch:
             psi = haar_random((2, 2, 2), seed=seed * 100_003 + trial)
             site = int(rng.integers(1, 4))
-            kraus = random_rank1_instrument(rng)
-            cases.append((psi, (1, 2, 3), sample_concavity_params(rng), site, kraus))
+            z, a = _instrument_draws(rng, 2)
+            zs.append(z)
+            avecs.append(a)
+            drawn.append((psi, (1, 2, 3), sample_concavity_params(rng), site))
+        cases = [(*case, kraus) for case, kraus in zip(drawn, _instruments(np.stack(zs), np.stack(avecs)))]
         for trial, (_, _, params, site, _), gap in zip(batch, cases, locc_monotonicity_gaps(cases)):
             if gap < -GAP_TOL:
                 failures.append(

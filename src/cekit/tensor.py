@@ -25,6 +25,7 @@ __all__ = [
     "trace_distance",
     "apply_local_kraus",
     "apply_local_kraus_pure",
+    "local_kraus_branches",
     "embed_local",
     "permute_subsystems",
 ]
@@ -37,6 +38,7 @@ NEGATIVE_EIG_TOL = 1e-10
 # powers amplify 1e-17 noise into order-one entropy errors.
 ZERO_EIG_FLOOR = 1e-12
 KRAUS_COMPLETENESS_ATOL = 1e-10
+BRANCH_FLOOR = 1e-12  # outcome branches less probable than this are dropped
 
 
 def _as_dims(dims: Iterable[int]) -> tuple[int, ...]:
@@ -223,26 +225,39 @@ def embed_local(op: np.ndarray, site: int, dims: Sequence[int]) -> np.ndarray:
     d = dims[site - 1]
     if op.shape != (d, d):
         raise ValueError(f"operator shape {op.shape} does not match local dimension {d}")
-    left = prod(dims[: site - 1])
-    right = prod(dims[site:])
-    # I (x) op (x) I without products: one copy of op per (left, right) block.
-    out = np.zeros((left, d, right, left, d, right), dtype=complex)
-    i, j = np.arange(left)[:, None], np.arange(right)
-    out[i, :, j, i, :, j] = op
-    return out.reshape(left * d * right, -1)
+    return _embeddings(op[None, None], np.array([site]), dims)[0, 0]
 
 
-def _check_kraus_complete(kraus: Sequence[np.ndarray], d: int) -> list[np.ndarray]:
+def _embeddings(ops: np.ndarray, sites: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """I (x) op (x) I of every operator of a stack (N, K, d, d), row n's at
+    sites[n]: (N, K, D, D). Entry (r, c) is op[digit of r, digit of c] where
+    r and c agree off the site, else 0, so the entries are exact copies."""
+    full = np.arange(prod(dims))
+    stride = np.array([prod(dims[site:]) for site in sites.tolist()])[:, None]  # of the site's digit
+    digit = full // stride % ops.shape[-1]
+    rest = full - digit * stride
+    n, k = np.ogrid[: ops.shape[0], : ops.shape[1]]
+    vals = ops[n[..., None, None], k[..., None, None], digit[:, None, :, None], digit[:, None, None, :]]
+    return np.where((rest[:, :, None] == rest[:, None, :])[:, None], vals, 0.0)
+
+
+def _kraus_set(kraus: Sequence[np.ndarray], d: int) -> np.ndarray:
+    """A nonempty Kraus set of d x d operators as one (K, d, d) array."""
     ops = [np.asarray(k, dtype=complex) for k in kraus]
     if not ops:
         raise ValueError("empty Kraus set")
     for k in ops:
         if k.shape != (d, d):
             raise ValueError(f"Kraus operator shape {k.shape} does not match local dimension {d}")
-    total = sum(k.conj().T @ k for k in ops)
-    if np.abs(total - np.eye(d)).max() > KRAUS_COMPLETENESS_ATOL:
+    return np.stack(ops)
+
+
+def _check_complete(kraus: np.ndarray) -> None:
+    """sum_k K_k^dag K_k = I for every Kraus set of a stack (..., K, d, d)."""
+    with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf entry fails the test below
+        total = np.matmul(kraus.conj().swapaxes(-1, -2), kraus).sum(axis=-3)
+    if not np.abs(total - np.eye(kraus.shape[-1])).max() <= KRAUS_COMPLETENESS_ATOL:  # `not <=`: also NaN
         raise ValueError("Kraus set violates completeness on the site")
-    return ops
 
 
 def apply_local_kraus(
@@ -255,16 +270,52 @@ def apply_local_kraus(
     """
     if not 1 <= site <= rho.n_subsystems:
         raise ValueError(f"site must lie in 1..{rho.n_subsystems}, got {site}")
-    ops = _check_kraus_complete(kraus, rho.dims[site - 1])
+    ops = _kraus_set(kraus, rho.dims[site - 1])
+    _check_complete(ops)
     branches: list[tuple[float, DensityOperator]] = []
     for k in ops:
         full = embed_local(k, site, rho.dims)
         out = full @ rho.matrix @ full.conj().T
         p = float(np.real(np.trace(out)))
-        if p < 1e-12:
+        if p < BRANCH_FLOOR:
             continue
         branches.append((p, DensityOperator(out / p, rho.dims)))
     return branches
+
+
+def local_kraus_branches(
+    amps: np.ndarray, dims: Sequence[int], sites: Sequence[int], kraus: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pure-state branches of one local operation on each of a stack of states.
+
+    `amps` (N, D) holds the states' amplitudes, all with local dimensions
+    `dims`; row n is acted on at sites[n] by the Kraus set kraus[n], a stack
+    (N, K, d, d) whose d is the local dimension at every site. Returns the
+    outcome probabilities (N, K), the normalized branch amplitudes (N, K, D)
+    and which branches are kept (N, K): a branch with probability below
+    1e-12 is dropped, and its amplitudes are zeros.
+    """
+    dims = _as_dims(dims)
+    amps = np.asarray(amps, dtype=complex)
+    sites = np.asarray(sites, dtype=np.intp)
+    kraus = np.asarray(kraus, dtype=complex)
+    for site in sites.tolist():
+        if not 1 <= site <= len(dims):
+            raise ValueError(f"site must lie in 1..{len(dims)}, got {site}")
+        d = dims[site - 1]
+        if kraus.shape[-2:] != (d, d):
+            raise ValueError(f"Kraus operator shape {kraus.shape[-2:]} does not match local dimension {d}")
+    _check_complete(kraus)
+    v = np.matmul(_embeddings(kraus, sites, dims), amps[:, None, :, None])[..., 0]
+    probs = np.matmul(v.conj()[..., None, :], v[..., :, None])[..., 0, 0].real
+    kept = ~(probs < BRANCH_FLOOR)
+    states = np.zeros_like(v)
+    states[kept] = v[kept] / np.sqrt(probs[kept])[:, None]
+    norms = np.linalg.norm(states[kept], axis=-1)
+    off = norms[~(np.abs(norms - 1.0) <= NORM_ATOL)]  # `~ <=`: also NaN
+    if off.size:
+        raise ValueError(f"squared norm must be 1 within {NORM_ATOL}, got norm {off[0]}")
+    return probs, states, kept
 
 
 def apply_local_kraus_pure(
@@ -273,15 +324,9 @@ def apply_local_kraus_pure(
     """Pure-state branches of a local operation; one Kraus operator per outcome."""
     if not 1 <= site <= psi.n_subsystems:
         raise ValueError(f"site must lie in 1..{psi.n_subsystems}, got {site}")
-    ops = _check_kraus_complete(kraus, psi.dims[site - 1])
-    branches: list[tuple[float, PureState]] = []
-    for k in ops:
-        v = embed_local(k, site, psi.dims) @ psi.amplitudes
-        p = float(np.real(np.vdot(v, v)))
-        if p < 1e-12:
-            continue
-        branches.append((p, PureState(v / np.sqrt(p), psi.dims)))
-    return branches
+    ops = _kraus_set(kraus, psi.dims[site - 1])
+    probs, states, kept = local_kraus_branches(psi.amplitudes[None], psi.dims, [site], ops[None])
+    return [(p, PureState(v, psi.dims)) for p, v, k in zip(probs[0].tolist(), states[0], kept[0]) if k]
 
 
 def permute_subsystems(psi: PureState, order: Sequence[int]) -> PureState:

@@ -30,8 +30,10 @@ from cekit.measures import (
 )
 from cekit.states import ghz, haar_random, random_product, w
 from cekit.suites import nearby_state
+import cekit.measures as measures
 from cekit.tensor import (
     PureState,
+    apply_local_kraus_pure,
     hermitian_eigenvalues,
     kron,
     permute_subsystems,
@@ -547,3 +549,68 @@ def test_batched_gaps_match_one_case_calls():
     assert locc_monotonicity_gaps(locc) == [locc_monotonicity_spotcheck(*case) for case in locc]
     with pytest.raises(ValueError):
         subadditivity_gaps(sub[:3] + [(sub[0][0], (1,), (1, 2), LIN)])
+
+
+def test_locc_gaps_skip_dropped_branches_like_one_case_loop():
+    # Each state's gap against the branch loop: outcomes under 1e-12 (zero on
+    # the product state, 1e-13 on the other) are left out of the average.
+    tiny = math.sqrt(1e-13)
+    edge = np.array([math.sqrt(1.0 - tiny**2), tiny])
+    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    states = [
+        PureState(np.kron(np.kron([1.0, 0.0], plus), [1.0, 0.0]), (2, 2, 2)),
+        PureState(np.kron(np.kron(plus, edge), [0.0, 1.0]), (2, 2, 2)),
+        haar_random((2, 2, 2), seed=5),
+    ]
+    proj = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    cases = [(psi, (1, 2, 3), p, site, proj) for psi, p, site in zip(states, (VN, LIN, VN), (1, 2, 3))]
+    want = []
+    for psi, s, params, site, kraus in cases:
+        branches = []
+        for k in kraus:
+            ops = [np.eye(2)] * 3
+            ops[site - 1] = k
+            v = np.kron(np.kron(ops[0], ops[1]), ops[2]) @ psi.amplitudes
+            p = float(np.real(np.vdot(v, v)))
+            if p >= 1e-12:
+                branches.append((p, PureState(v / np.sqrt(p), psi.dims)))
+        avg = 0.0
+        for p, branch in branches:
+            avg += p * cce_values([(branch, s, params)])[0]
+        want.append(cce_values([(psi, s, params)])[0] - avg)
+    assert [len(apply_local_kraus_pure(psi, site, proj)) for psi, _, _, site, _ in cases] == [1, 1, 2]
+    assert locc_monotonicity_gaps(cases) == want
+
+
+def _planned_subsets(monkeypatch, cases):
+    # The subsets whose plans `subadditivity_gaps` eigensolves, in call order.
+    seen = []
+    real = measures.member_spectra
+
+    def recording(plan, tensors):
+        seen.append(plan.subset)
+        return real(plan, tensors)
+
+    monkeypatch.setattr(measures, "member_spectra", recording)
+    gaps = subadditivity_gaps(cases)
+    monkeypatch.undo()
+    assert gaps == [subadditivity_gap(*case) for case in cases]
+    return seen
+
+
+def test_subadditivity_groups_share_the_cover_plan_only_where_it_is_cheaper_and_exact(monkeypatch):
+    # Five qubits: four unions of 3 labels hold 4 x 8 masks, the full plan 32.
+    five = [haar_random((2,) * 5, seed=i) for i in range(4)]
+    splits = [((1,), (2, 3)), ((3,), (4, 5)), ((1, 4), (5,)), ((2, 3), (4,))]
+    shared = [(psi, s, s2, p) for psi, (s, s2), p in zip(five, splits, (VN, LIN, VN, EntropyParams(2.0, 1.0)))]
+    assert _planned_subsets(monkeypatch, shared) == [(1, 2, 3, 4, 5)]
+    assert _planned_subsets(monkeypatch, shared[:3]) == [(1, 2, 3), (3, 4, 5), (1, 4, 5)]
+    # The cover (1, 2, 7, 8) holds 16 masks, the two unions' plans 4 + 4.
+    eight = [haar_random((2,) * 8, seed=i) for i in range(2)]
+    costly = [(eight[0], (1,), (2,), VN), (eight[1], (8,), (7,), LIN)]
+    assert _planned_subsets(monkeypatch, costly) == [(1, 2), (7, 8)]
+    # Four qubits: the full plan is cheaper, but it reduces the tied cut {3, 4}
+    # (dimension 4 on both sides) on the side {1, 2}, which changes its bits.
+    four = [haar_random((2,) * 4, seed=i) for i in range(2)]
+    tied = [(four[0], (3,), (4,), VN), (four[1], (1, 2), (3, 4), VN)]
+    assert _planned_subsets(monkeypatch, tied) == [(3, 4), (1, 2, 3, 4)]

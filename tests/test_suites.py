@@ -181,6 +181,28 @@ def test_ordering_eigensolves_twice_per_batch(capsys, monkeypatch):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "name,per_batch",
+    [
+        ("subadd", {"eigvalsh": 2}),  # one plan over all five qubits: cut dimensions 2 and 4
+        ("locc", {"eigvalsh": 1, "qr": 1, "svd": 1}),  # states and branches on one plan; one draw stack
+    ],
+)
+def test_stacked_linalg_calls_per_batch(capsys, monkeypatch, name, per_batch):
+    calls = dict.fromkeys(("eigvalsh", "qr", "svd"), 0)
+    for fn in calls:
+        def counting(*args, _fn=fn, _real=getattr(np.linalg, fn), **kwargs):
+            calls[_fn] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, fn, counting)
+    assert main(["verify", name, "--trials", "150"]) == 0
+    batches = len(suites._batches(150))
+    assert batches == 3
+    assert calls == {fn: per_batch.get(fn, 0) * batches for fn in calls}
+    assert "PASS" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("name", ["schur", "alpha-mono"])
 def test_one_entropy_call_per_batch(monkeypatch, name):
     calls = []

@@ -12,6 +12,7 @@ from cekit.tensor import (
     embed_local,
     hermitian_eigenvalues,
     kron,
+    local_kraus_branches,
     normalize_subset,
     partial_trace,
     permute_subsystems,
@@ -352,3 +353,50 @@ def test_local_kraus_branches_match_kronecker_reference():
         q = float(np.real(np.trace(out)))
         assert p == q
         assert np.array_equal(branch.matrix, out / q)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_kraus_completeness_rejects_nan_and_inf(bad):
+    # NaN fails every comparison, so a `> atol` test let these sets through.
+    kraus = [np.array([[bad, 0.0], [0.0, 0.0]]), np.diag([0.0, 1.0])]
+    with pytest.raises(ValueError, match="completeness"):
+        apply_local_kraus_pure(ghz(3), 1, kraus)
+    with pytest.raises(ValueError, match="completeness"):
+        apply_local_kraus(ghz(3).density(), 1, kraus)
+
+
+def _branches_loop(psi, site, kraus):
+    # One Kraus operator at a time, dropping outcomes below 1e-12.
+    out = []
+    for k in kraus:
+        v = _kron_embed(k, site, psi.dims) @ psi.amplitudes
+        p = float(np.real(np.vdot(v, v)))
+        out.append((p, v / np.sqrt(p) if p >= 1e-12 else None))
+    return out
+
+
+def test_stacked_branches_drop_improbable_outcomes_like_one_case_loop():
+    tiny = math.sqrt(1e-13)  # an outcome of probability 1e-13, under the floor but not zero
+    edge = np.array([math.sqrt(1.0 - tiny**2), tiny])
+    states = [
+        PureState(kron(kron(KET0, PLUS), KET0), (2, 2, 2)),  # the |1> outcome has probability 0
+        PureState(kron(kron(PLUS, edge), KET1), (2, 2, 2)),
+        haar_random((2, 2, 2), seed=5),
+    ]
+    proj = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+    sites = [1, 2, 3]
+    probs, branches, kept = local_kraus_branches(
+        np.stack([psi.amplitudes for psi in states]), (2, 2, 2), sites, np.stack([proj] * 3)
+    )
+    assert kept.tolist() == [[True, False], [True, False], [True, True]]
+    for psi, site, row_p, row_v, row_k in zip(states, sites, probs, branches, kept):
+        for (p, v), got_p, got_v, k in zip(_branches_loop(psi, site, proj), row_p, row_v, row_k):
+            assert got_p == p
+            if k:
+                assert np.array_equal(got_v, v)
+            else:
+                assert not got_v.any()
+        one_case = apply_local_kraus_pure(psi, site, list(proj))
+        assert [(p, b.amplitudes.tobytes()) for p, b in one_case] == [
+            (p, v.tobytes()) for p, v in _branches_loop(psi, site, proj) if v is not None
+        ]
