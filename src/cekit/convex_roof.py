@@ -3,9 +3,9 @@
 Every pure-state decomposition of a rank-r state rho arises from an
 isometry ("mixer") applied to the square-rooted eigenvectors, so the
 minimization runs over mixers. The search is a seeded, restart-based
-pattern search over a Givens-angle/phase parameterization of the mixer;
-what it returns is the best ensemble average found, which upper-bounds
-the true roof but is never claimed to attain it.
+pattern search over Givens angles and phases of the mixer, applied as row
+phases and two-row rotations; it returns the best ensemble average found,
+which upper-bounds the true roof but is never claimed to attain it.
 
 Restarts are independent in their results but advance in lockstep: each
 round evaluates the pending candidates of every live restart in one batched
@@ -204,7 +204,8 @@ def _support_ensemble(rho: DensityOperator, vals, vecs, mixer: np.ndarray) -> En
         raise ValueError(f"mixer needs at least {r} rows, got {m}")
     if m > r * r:
         raise ValueError(f"mixer rows capped at r^2 = {r * r}, got {m}")
-    if np.abs(mixer.conj().T @ mixer - np.eye(r)).max() > ISOMETRY_ATOL:
+    # The finite check first: a NaN or inf entry would warn in the product and pass a `> atol` test.
+    if not (np.isfinite(mixer).all() and np.abs(mixer.conj().T @ mixer - np.eye(r)).max() <= ISOMETRY_ATOL):
         raise ValueError("mixer columns are not orthonormal")
     roots = vecs * np.sqrt(vals)
     weights, rows, _ = _members([(roots @ mixer.T)[None]])
@@ -233,25 +234,23 @@ def _support_mixer(rho: DensityOperator, vals, vecs, ensemble: Ensemble) -> np.n
     return mixer
 
 
-def _mixers(theta: np.ndarray, bases: np.ndarray, r: int) -> np.ndarray:
-    """Mixers (n, m, r), one per row of theta (n, n_params(m)): m diagonal
-    phases, then Givens (angle, phase) pairs in order, applied to bases (n, m, m)."""
-    n, m = bases.shape[:2]
-    u = np.zeros((n, m, m), dtype=complex)
-    diag = np.arange(m)
-    u[:, diag, diag] = np.exp(1j * theta[:, :m])
-    cos, sin = np.cos(theta[:, m::2]), np.sin(theta[:, m::2])
-    upper = -np.exp(1j * theta[:, m + 1 :: 2]) * sin
-    lower = np.exp(-1j * theta[:, m + 1 :: 2]) * sin
-    g = np.zeros((n, m, m), dtype=complex)
-    g[:, diag, diag] = 1.0
+def _mixers(theta: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Mixers (n, m, r), one per row of theta (n, n_params(m)), applied to
+    the start mixers `kept` (n, m, r): m diagonal phases scale the rows, then
+    each Givens (angle, phase) pair, in order, updates its two rows. Only the
+    r columns are touched; no m x m unitary is formed."""
+    m = kept.shape[1]
+    # Angles and rows first, mixers last: a row update is one pass over all mixers.
+    t = np.ascontiguousarray(theta.T)
+    cos, sin = np.cos(t), np.sin(t)
+    phase = cos + 1j * sin  # exp(1j * t), bit for bit
+    w = np.ascontiguousarray(kept.transpose(1, 2, 0)) * phase[:m, None]
+    c, s, e = cos[m::2], sin[m::2], phase[m + 1 :: 2]
+    # Rows (i, j) become (c w_i - e s w_j, conj(e) s w_i + c w_j).
+    coef = np.stack([c, e.conj() * s, -e * s, c], axis=1)[:, :, None]
     for pos, (i, j) in enumerate(itertools.combinations(range(m), 2)):
-        g[:, i, i] = g[:, j, j] = cos[:, pos]
-        g[:, i, j], g[:, j, i] = upper[:, pos], lower[:, pos]
-        u = g @ u
-        g[:, i, i] = g[:, j, j] = 1.0
-        g[:, i, j] = g[:, j, i] = 0.0
-    return (u @ bases)[:, :, :r]
+        w[i : j + 1 : j - i] = coef[pos, :2] * w[i] + coef[pos, 2:] * w[j]
+    return np.ascontiguousarray(w.transpose(2, 0, 1))
 
 
 def _n_params(m: int) -> int:
@@ -340,20 +339,16 @@ def cce_mixed_upper(
     if not r <= m <= r * r:
         raise ValueError(f"mixer_size must lie in {r}..{r * r}, got {m}")
 
-    starts: list[tuple[np.ndarray, np.ndarray]] = [(np.eye(m, dtype=complex), np.zeros(_n_params(m)))]
+    # (start mixer, start angles) per restart; the search multiplies the mixer by unitaries.
+    starts: list[tuple[np.ndarray, np.ndarray]] = [(np.eye(m, r, dtype=complex), np.zeros(_n_params(m)))]
     for ens in seed_ensembles:
         v0 = _support_mixer(rho, vals, vecs, ens)
-        m_k = v0.shape[0]
-        if m_k < m:
-            v0 = np.vstack([v0, np.zeros((m - m_k, r), dtype=complex)])
-            m_k = m
-        # Complete the isometry columns to a unitary search base.
-        q, _ = np.linalg.qr(np.hstack([v0, np.eye(m_k, dtype=complex)]))
-        starts.append((np.hstack([v0, q[:, r:m_k]]), np.zeros(_n_params(m_k))))
+        m_k = max(m, v0.shape[0])
+        starts.append((np.vstack([v0, np.zeros((m_k - v0.shape[0], r), dtype=complex)]), np.zeros(_n_params(m_k))))
     children = np.random.SeedSequence(seed).spawn(max(0, restarts - len(starts)))
     for child in children:
         rng = np.random.default_rng(child)
-        starts.append((np.eye(m, dtype=complex), rng.uniform(-math.pi, math.pi, size=_n_params(m))))
+        starts.append((np.eye(m, r, dtype=complex), rng.uniform(-math.pi, math.pi, size=_n_params(m))))
 
     roots = vecs * np.sqrt(vals)
     # Unpaired plan: pairing would halve the eigensolves on full subsets but
@@ -372,8 +367,8 @@ def cce_mixed_upper(
         """(restarts, mixers of all their candidate rows) per mixer size among restarts idx."""
         for group in ([i for i in idx if starts[i][0].shape[0] == m_k] for m_k in sizes):
             if group:
-                bases = np.repeat(np.stack([starts[i][0] for i in group]), [len(points[i]) for i in group], axis=0)
-                yield group, _mixers(np.concatenate([points[i] for i in group]), bases, r)
+                kept = np.repeat(np.stack([starts[i][0] for i in group]), [len(points[i]) for i in group], axis=0)
+                yield group, _mixers(np.concatenate([points[i] for i in group]), kept)
 
     live = list(range(len(starts)))
     while live:

@@ -143,8 +143,8 @@ class GmeCertificate:
 
 
 class CutBlock(NamedTuple):
-    """Canonical cuts whose smaller side has dimension d, masks ascending;
-    one stacked eigensolve per chunk of them."""
+    """Canonical cuts whose smaller side has dimension d, masks ascending; closed-form
+    spectra for qubit cuts (d = 2), else one stacked eigensolve per chunk of them."""
 
     d: int
     masks: np.ndarray
@@ -226,29 +226,50 @@ def cut_plan(
     return _build_plan(dims, s, use_symmetry)
 
 
-def _reduced_chunks(plan: CutPlan, tensors: np.ndarray):
-    """Reduced matrices of every planned cut for a stack of state tensors,
-    shaped (k,) + plan.dims. Yields (block index, first mask row, matrices
-    (k, c, d, d)) for chunks of one block's masks, in mask order."""
+def _reduced_chunks(block: CutBlock, tensors: np.ndarray):
+    """Reduced matrices of one block's cuts for a stack of state tensors,
+    shaped (k,) + dims. Yields (first mask row, matrices (k, c, d, d)) for
+    chunks of the block's masks, in mask order."""
+    k, d = tensors.shape[0], block.d
+    step = max(1, _CHUNK_ENTRIES // (k * d * d))
+    for lo in range(0, len(block.perms), step):
+        perms = block.perms[lo : lo + step]
+        rho = np.empty((k, len(perms), d, d), dtype=complex)
+        for j, perm in enumerate(perms):
+            a = tensors.transpose(perm).reshape(k, d, -1)
+            np.matmul(a, a.conj().swapaxes(-1, -2), out=rho[:, j])
+        yield lo, rho
+
+
+def _qubit_spectra(block: CutBlock, tensors: np.ndarray) -> np.ndarray:
+    """Ascending spectra (k, c, 2) of a block of qubit cuts (d = 2) in closed
+    form, from each state's 2 x q slice (a0; a1): with p_i = sum |a_i|^2 and
+    off = sum a0 conj(a1), they are (p0 + p1)/2 -+ hypot((p0 - p1)/2, |off|)."""
     k = tensors.shape[0]
-    for b, block in enumerate(plan.blocks):
-        d = block.d
-        step = max(1, _CHUNK_ENTRIES // (k * d * d))
-        for lo in range(0, len(block.perms), step):
-            perms = block.perms[lo : lo + step]
-            rho = np.empty((k, len(perms), d, d), dtype=complex)
-            for j, perm in enumerate(perms):
-                a = tensors.transpose(perm).reshape(k, d, -1)
-                np.matmul(a, a.conj().swapaxes(-1, -2), out=rho[:, j])
-            yield b, lo, rho
+    p = np.empty((2, k, len(block.perms)))
+    off = np.empty((k, len(block.perms)), dtype=complex)
+    for j, perm in enumerate(block.perms):
+        a = np.ascontiguousarray(tensors.transpose(perm).reshape(k, 2, -1), dtype=complex)
+        x = a.view(float)  # (re, im) pairs: a row's sum of squares is sum |a_i|^2
+        p[:, :, j] = (x * x).sum(-1).T  # pairwise sums: about 1 ulp at any q
+        # Not `*`, which may swap operands on a large temporary: complex products' bits depend on order.
+        off[:, j] = np.multiply(a[:, 0], a[:, 1].conj()).sum(-1)
+    mid, rad = 0.5 * (p[0] + p[1]), np.hypot(0.5 * (p[0] - p[1]), np.abs(off))
+    return np.stack([mid - rad, mid + rad], axis=-1)
 
 
 def member_spectra(plan: CutPlan, tensors: np.ndarray) -> SpectraTable:
     """Spectra of every planned cut for a stack of state tensors, shaped
-    (k,) + plan.dims: one stacked eigensolve per chunk of a cut dimension."""
-    blocks = [np.empty((tensors.shape[0], len(block.masks), block.d)) for block in plan.blocks]
-    for b, lo, rho in _reduced_chunks(plan, tensors):
-        blocks[b][:, lo : lo + rho.shape[1]] = clamped_spectra(np.linalg.eigvalsh(rho))
+    (k,) + plan.dims: qubit cuts in closed form (`_qubit_spectra`), larger
+    ones by one stacked eigensolve per chunk of a cut dimension."""
+    blocks = []
+    for block in plan.blocks:
+        if block.d == 2:
+            blocks.append(clamped_spectra(_qubit_spectra(block, tensors)))
+            continue
+        blocks.append(np.empty((tensors.shape[0], len(block.masks), block.d)))
+        for lo, rho in _reduced_chunks(block, tensors):
+            blocks[-1][:, lo : lo + rho.shape[1]] = clamped_spectra(np.linalg.eigvalsh(rho))
     return SpectraTable(plan, tuple(blocks))
 
 
@@ -257,9 +278,10 @@ def cut_purities(psi: PureState) -> np.ndarray:
     (bit j selects label j+1), from squared Frobenius norms: no eigensolve."""
     plan = cut_plan(psi.dims, range(1, psi.n_subsystems + 1))
     out = np.ones(plan.n_masks)  # the empty and the full cut are pure
-    for b, lo, rho in _reduced_chunks(plan, psi.amplitudes.reshape((1,) + psi.dims)):
-        masks = plan.blocks[b].masks[lo : lo + rho.shape[1]]
-        out[masks] = out[(plan.n_masks - 1) ^ masks] = (rho[0].real**2 + rho[0].imag**2).sum(axis=(1, 2))
+    for block in plan.blocks:
+        for lo, rho in _reduced_chunks(block, psi.amplitudes.reshape((1,) + psi.dims)):
+            masks = block.masks[lo : lo + rho.shape[1]]
+            out[masks] = out[(plan.n_masks - 1) ^ masks] = (rho[0].real**2 + rho[0].imag**2).sum(axis=(1, 2))
     return out
 
 

@@ -1,10 +1,14 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cekit
 from cekit.cli import main
 from cekit.measures import named_measures
 from cekit.states import StateRecipe, dicke
@@ -20,6 +24,18 @@ def parse_csv(text):
     lines = [line for line in text.strip().splitlines() if line]
     header = lines[0].split(",")
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def test_module_entry_point_runs_the_cli(capsys):
+    # `python -m cekit` is the console script: same output, same exit codes.
+    src = os.path.dirname(os.path.dirname(cekit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["compute", "--state", "ghz:3", "--named"]
+    done = subprocess.run([sys.executable, "-m", "cekit", *argv], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout) == run_cli(capsys, *argv)[:2]
+    bad = subprocess.run([sys.executable, "-m", "cekit", "verify", "ordering", "--trials", "0"], env=env,
+                         capture_output=True, text=True)
+    assert bad.returncode == 2
 
 
 def test_compute_ghz3_named(capsys):
@@ -244,8 +260,9 @@ def test_csv_fifteen_significant_digits(capsys):
 
 def test_compute_grid_eigensolves_each_cut_once(capsys, monkeypatch):
     # Six qubits: 31 nontrivial canonical cuts (6 of dimension 2, 15 of 4,
-    # 10 of 8), shared by all nine grid points and the four named measures,
-    # stacked into one eigensolve per cut dimension.
+    # 10 of 8), shared by all nine grid points and the four named measures.
+    # The qubit cuts take closed-form spectra; the others are stacked into
+    # one eigensolve per cut dimension.
     stacks = []
     original = np.linalg.eigvalsh
 
@@ -260,11 +277,11 @@ def test_compute_grid_eigensolves_each_cut_once(capsys, monkeypatch):
     )
     assert code == 0
     assert len(parse_csv(out)) == 9
-    assert [a.shape for a in stacks] == [(1, 6, 2, 2), (1, 15, 4, 4), (1, 10, 8, 8)]
+    assert [a.shape for a in stacks] == [(1, 15, 4, 4), (1, 10, 8, 8)]
     # Match every stacked matrix to the cut {chi, complement} with its
-    # Schmidt spectrum: each of the 31 cuts must be matched exactly once.
+    # Schmidt spectrum: each of the 25 cuts must be matched exactly once.
     t = StateRecipe.parse("haar:2x2x2x2x2x2:1").build().amplitudes.reshape((2,) * 6)
-    cuts = [chi for size in (1, 2, 3) for chi in itertools.combinations(range(6), size) if 0 in chi or size < 3]
+    cuts = [chi for size in (2, 3) for chi in itertools.combinations(range(6), size) if 0 in chi or size < 3]
     schmidt = [
         np.linalg.svd(np.moveaxis(t, chi, range(len(chi))).reshape(2 ** len(chi), -1), compute_uv=False) ** 2
         for chi in cuts
@@ -273,4 +290,4 @@ def test_compute_grid_eigensolves_each_cut_once(capsys, monkeypatch):
     for a in stacks:
         for lam in original(a[0])[:, ::-1]:
             matched += [i for i, sv in enumerate(schmidt) if sv.size == lam.size and np.allclose(sv, lam, atol=1e-10)]
-    assert sorted(matched) == list(range(31))
+    assert sorted(matched) == list(range(25))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -5,8 +6,11 @@ import numpy as np
 import pytest
 
 from cekit.convex_roof import (
+    ISOMETRY_ATOL,
     Ensemble,
     _compass,
+    _mixers,
+    _n_params,
     _raw_averages,
     cce_mixed_upper,
     mixed_ordering_spotcheck,
@@ -72,6 +76,18 @@ def test_mixing_ensemble_validation():
         mixing_ensemble(rho, np.eye(3)[:, :1].reshape(3, 1))  # wrong column count
     with pytest.raises(ValueError):
         mixing_ensemble(rho, np.eye(5)[:, :2])  # m > r^2
+
+
+@pytest.mark.parametrize("entry", [(3, 1, float("nan")), (3, 0, float("inf")), (0, 0, complex(0, float("nan")))])
+def test_mixing_ensemble_rejects_nan_and_inf_mixers(entry):
+    # A NaN fails every comparison, so a `> atol` test let such a mixer through,
+    # and the NaN member was then dropped as too light.
+    rho = random_density((2, 2), rank=2, seed=4)
+    mixer = np.eye(4, 2, dtype=complex)
+    row, col, value = entry
+    mixer[row, col] = value
+    with pytest.raises(ValueError, match="orthonormal"):
+        mixing_ensemble(rho, mixer)
 
 
 def test_mixer_for_ensemble_roundtrip():
@@ -165,21 +181,53 @@ def test_roof_deterministic_under_seed():
     assert a.upper_bound == b.upper_bound
 
 
-def _givens_unitary(m, theta):
-    u = np.diag(np.exp(1j * theta[:m]))
+def _givens_mixer(start, theta):
+    """Reference for `_mixers` on one start mixer (m, r): row phases, then
+    one Givens (angle, phase) pair at a time as a two-row update."""
+    m = start.shape[0]
+    w = start * np.exp(1j * theta[:m])[:, None]
     pos = m
     for i in range(m):
         for j in range(i + 1, m):
             a, ph = theta[pos], theta[pos + 1]
             pos += 2
-            g = np.eye(m, dtype=complex)
             c, s = math.cos(a), math.sin(a)
-            g[i, i] = c
-            g[j, j] = c
-            g[i, j] = -np.exp(1j * ph) * s
-            g[j, i] = np.exp(-1j * ph) * s
-            u = g @ u
-    return u
+            upper, lower = -np.exp(1j * ph) * s, np.exp(-1j * ph) * s
+            w[i], w[j] = c * w[i] + upper * w[j], lower * w[i] + c * w[j]
+    return w
+
+
+def _full_product_mixers(theta, bases, r):
+    """Mixers as m x m products: the Givens matrices multiplied into the
+    diagonal phases one at a time, then applied to the full bases (n, m, m)."""
+    n, m = bases.shape[:2]
+    u = np.zeros((n, m, m), dtype=complex)
+    diag = np.arange(m)
+    u[:, diag, diag] = np.exp(1j * theta[:, :m])
+    cos, sin = np.cos(theta[:, m::2]), np.sin(theta[:, m::2])
+    upper = -np.exp(1j * theta[:, m + 1 :: 2]) * sin
+    lower = np.exp(-1j * theta[:, m + 1 :: 2]) * sin
+    for pos, (i, j) in enumerate(itertools.combinations(range(m), 2)):
+        g = np.repeat(np.eye(m, dtype=complex)[None], n, axis=0)
+        g[:, i, i] = g[:, j, j] = cos[:, pos]
+        g[:, i, j], g[:, j, i] = upper[:, pos], lower[:, pos]
+        u = g @ u
+    return (u @ bases)[:, :, :r]
+
+
+@pytest.mark.parametrize("m,r", [(2, 1), (2, 2), (3, 2), (4, 2), (4, 3), (6, 2), (9, 3)])
+def test_two_row_mixers_match_full_products(m, r):
+    rng = np.random.default_rng(10 * m + r)
+    n = 40
+    z = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
+    bases = np.linalg.qr(z)[0]
+    theta = rng.uniform(-math.pi, math.pi, (n, _n_params(m)))
+    got = _mixers(theta, bases[:, :, :r])
+    assert got.shape == (n, m, r) and got.flags.c_contiguous
+    assert np.abs(got - _full_product_mixers(theta, bases, r)).max() <= 1e-15
+    assert np.abs(got.conj().swapaxes(-1, -2) @ got - np.eye(r)).max() <= ISOMETRY_ATOL
+    # Each mixer is the one-at-a-time two-row reference, bit for bit.
+    assert all(np.array_equal(got[k], _givens_mixer(bases[k, :, :r], theta[k])) for k in range(n))
 
 
 def _sequential_compass(f, x, max_evals, step0=0.5, step_tol=1e-4):
@@ -267,23 +315,21 @@ def _sequential_roof(rho, subset, params, budget, seed, mixer_size=None, seed_en
     r = int((np.linalg.eigvalsh(rho.matrix) > 1e-12).sum())
     restarts, max_evals = budget
     m = mixer_size if mixer_size is not None else min(r * r, r + 2)
-    starts = [(np.eye(m, dtype=complex), np.zeros(m * m))]
+    starts = [(np.eye(m, r, dtype=complex), np.zeros(m * m))]
     for ens in seed_ensembles:
         v0 = mixer_for_ensemble(rho, ens)
         m_k = max(m, v0.shape[0])
-        v0 = np.vstack([v0, np.zeros((m_k - v0.shape[0], r), dtype=complex)])
-        q, _ = np.linalg.qr(np.hstack([v0, np.eye(m_k, dtype=complex)]))
-        starts.append((np.hstack([v0, q[:, r:m_k]]), np.zeros(m_k * m_k)))
+        starts.append((np.vstack([v0, np.zeros((m_k - v0.shape[0], r), dtype=complex)]), np.zeros(m_k * m_k)))
     for child in np.random.SeedSequence(seed).spawn(max(0, restarts - len(starts))):
-        starts.append((np.eye(m, dtype=complex), np.random.default_rng(child).uniform(-math.pi, math.pi, m * m)))
+        starts.append((np.eye(m, r, dtype=complex), np.random.default_rng(child).uniform(-math.pi, math.pi, m * m)))
 
-    def ensemble(base, theta):
-        return mixing_ensemble(rho, (_givens_unitary(base.shape[0], theta) @ base)[:, :r])
+    def ensemble(start, theta):
+        return mixing_ensemble(rho, _givens_mixer(start, theta))
 
     results = []
-    for base, x in starts:
-        x, _, converged, evals = _sequential_compass(lambda t: ensemble(base, t).average(subset, params), x, max_evals)
-        results.append((ensemble(base, x).average(subset, params), evals, converged))
+    for start, x in starts:
+        x, _, converged, evals = _sequential_compass(lambda t: ensemble(start, t).average(subset, params), x, max_evals)
+        results.append((ensemble(start, x).average(subset, params), evals, converged))
     best = min(range(len(results)), key=lambda i: (results[i][0], i))
     return results[best][0], len(results), results[best][2], results
 
@@ -335,11 +381,11 @@ def test_raw_averages_do_not_depend_on_batch():
 
 
 def test_roof_eigensolves_once_per_round(monkeypatch):
-    # (2, 2) on subset (1,) has one cut: each lockstep round is one stacked
-    # eigensolve for all candidates of all restarts, then each final member
-    # is solved once. Trying one candidate per restart per round took 1 022
-    # calls here; yielding the rest of each sweep at once takes 121.
-    rho = random_density((2, 2), rank=2, seed=3)
+    # (3, 3) on subset (1,) has one cut, of dimension 3: each lockstep round
+    # is one stacked eigensolve for all candidates of all restarts, then each
+    # final member is solved once (107 calls here). Qubit cuts take
+    # closed-form spectra, so the same search on a (2, 2) state solves none.
+    qutrits, qubits = random_density((3, 3), rank=2, seed=3), random_density((2, 2), rank=2, seed=3)
     calls = []
     original = np.linalg.eigvalsh
 
@@ -348,8 +394,11 @@ def test_roof_eigensolves_once_per_round(monkeypatch):
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    cce_mixed_upper(rho, (1,), VN, budget=(6, 1000), seed=0)
-    assert len(calls) <= 200
+    cce_mixed_upper(qutrits, (1,), VN, budget=(6, 1000), seed=0)
+    assert 0 < len(calls) <= 200
+    calls.clear()
+    cce_mixed_upper(qubits, (1,), VN, budget=(6, 1000), seed=0)
+    assert calls == []
 
 
 def test_roof_eigendecomposes_rho_once(monkeypatch):

@@ -9,7 +9,9 @@ from cekit.entropy import EntropyParams, binary_entropy, unified_entropy_spectru
 from cekit.errors import ResourceLimitError
 from cekit.measures import (
     BENCHMARKS,
+    CutBlock,
     SpectraTable,
+    _qubit_spectra,
     cce_pure,
     cce_values,
     continuity_gap,
@@ -519,8 +521,10 @@ def test_bad_subsets_raise_on_every_pure_state_path(subset):
 
 @pytest.mark.parametrize("bad", [float("nan"), -2e-10])
 def test_member_spectra_rejects_nan_and_negative_eigenvalues(monkeypatch, bad):
-    plan = cut_plan((2, 2, 2), (1, 2, 3))
-    tensors = haar_random((2, 2, 2), seed=0).amplitudes.reshape((1,) + plan.dims)
+    # Four qubits: the two-qubit cuts (d = 4) are the ones eigensolved.
+    plan = cut_plan((2, 2, 2, 2), (1, 2, 3, 4))
+    assert [block.d for block in plan.blocks] == [2, 4]
+    tensors = haar_random((2, 2, 2, 2), seed=0).amplitudes.reshape((1,) + plan.dims)
     eigvalsh = np.linalg.eigvalsh
 
     def spoiled(rho):
@@ -530,6 +534,55 @@ def test_member_spectra_rejects_nan_and_negative_eigenvalues(monkeypatch, bad):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spoiled)
     with pytest.raises(ValueError, match="not PSD"):
+        member_spectra(plan, tensors)
+
+
+def _qubit_slices(q, k=64, seed=0):
+    """Unit-norm 2 x q slices by kind: random, exact product (a1 = c a0),
+    near-pure (lambda- below 1e-12) and, for q >= 2, near-degenerate."""
+    rng = np.random.default_rng(seed + q)
+
+    def z(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    a0, c = z(k, q), z(k, 1)
+    cases = {
+        "random": z(k, 2, q),
+        "product": np.stack([a0, c * a0], axis=1),
+        "near_pure": np.stack([a0, c * a0 + 1e-7 * z(k, q)], axis=1),
+    }
+    if q > 1:  # orthogonal rows of equal norm, then a 1e-9 nudge
+        u, v = z(k, q), z(k, q)
+        v -= (np.sum(u.conj() * v, -1) / np.sum(abs(u) ** 2, -1))[:, None] * u
+        v *= np.linalg.norm(u, axis=-1, keepdims=True) / np.linalg.norm(v, axis=-1, keepdims=True)
+        cases["near_degenerate"] = np.stack([u, v + 1e-9 * z(k, q)], axis=1)
+    return {name: a / np.linalg.norm(a.reshape(k, -1), axis=-1)[:, None, None] for name, a in cases.items()}
+
+
+@pytest.mark.parametrize("q", [1, 2, 8, 512])
+def test_qubit_spectra_match_eigensolve(q):
+    block = CutBlock(2, np.array([1]), ((0, 1, 2),))  # the whole (k, 2, q) stack is one cut
+    for name, a in _qubit_slices(q).items():
+        got = _qubit_spectra(block, a)[:, 0]
+        want = np.linalg.eigvalsh(a @ a.conj().swapaxes(-1, -2))
+        ulps = 8 * np.spacing(want[:, 1:])
+        assert np.all(np.abs(got - want) <= ulps), name
+        # Each state's spectrum has the bits it has alone.
+        assert np.array_equal(got, np.concatenate([_qubit_spectra(block, a[i : i + 1])[:, 0] for i in range(len(a))]))
+        if name in ("product", "near_pure"):
+            assert want[:, 0].max() < 1e-12, name
+        if q > 1:  # the slices as states of dims (2, q): descending and clamped
+            spectra = member_spectra(cut_plan((2, q), (1,)), a).blocks[0][:, 0]
+            assert np.all(spectra >= 0.0) and np.all(np.abs(spectra - np.clip(want[:, ::-1], 0.0, None)) <= ulps), name
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), complex(0, float("nan"))])
+def test_qubit_spectra_reject_nan_and_inf_amplitudes(bad):
+    plan = cut_plan((2, 2, 2), (1, 2, 3))
+    assert [block.d for block in plan.blocks] == [2]
+    tensors = haar_random((2, 2, 2), seed=0).amplitudes.reshape((1,) + plan.dims).copy()
+    tensors[0, 1, 0, 1] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not PSD"):  # inf - inf is NaN
         member_spectra(plan, tensors)
 
 

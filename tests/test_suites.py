@@ -165,7 +165,7 @@ def test_batched_gaps_match_trial_by_trial_loop(monkeypatch, name, loop, trials,
     assert result.failures == loop(seed, trials)
 
 
-def test_ordering_eigensolves_twice_per_batch(capsys, monkeypatch):
+def test_ordering_eigensolves_once_per_batch(capsys, monkeypatch):
     calls = []
     real = np.linalg.eigvalsh
 
@@ -177,15 +177,15 @@ def test_ordering_eigensolves_twice_per_batch(capsys, monkeypatch):
     assert main(["verify", "ordering", "--trials", "130"]) == 0
     batches = suites._batches(130, 6 + 2 * 20)
     assert len(batches) > 1
-    assert len(calls) == 2 * len(batches)  # one stacked call per cut dimension (2 and 4)
+    assert len(calls) == len(batches)  # one stacked call for the cuts of dimension 4; qubit cuts need none
     assert "PASS" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
     "name,per_batch",
     [
-        ("subadd", {"eigvalsh": 2}),  # one plan over all five qubits: cut dimensions 2 and 4
-        ("locc", {"eigvalsh": 1, "qr": 1, "svd": 1}),  # states and branches on one plan; one draw stack
+        ("subadd", {"eigvalsh": 1}),  # one plan over all five qubits: cut dimension 4 (qubit cuts in closed form)
+        ("locc", {"qr": 1, "svd": 1}),  # states and branches on one all-qubit plan; one draw stack
     ],
 )
 def test_stacked_linalg_calls_per_batch(capsys, monkeypatch, name, per_batch):
