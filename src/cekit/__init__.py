@@ -42,13 +42,9 @@ from .swaptest import (
 from .tensor import (
     DensityOperator,
     PureState,
-    apply_local_kraus,
     hermitian_eigenvalues,
-    kron,
-    partial_trace,
     reduced_state,
     trace_distance,
-    trace_power,
 )
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .entropy import EntropyParams
 from .errors import ResourceLimitError
-from .measures import MAX_SUBSET_SIZE, cut_plan, named_measures, spectra_table, table_named, table_value
+from .measures import MAX_SUBSET_SIZE, ORDER_TOL, cut_plan, named_measures, spectra_table, table_named, table_value
 from .states import StateRecipe, dicke, ghz, ghz_w_closed_forms, star, w
 from .suites import DEFAULT_TRIALS, SUITES, run_suite
 from .swaptest import (
@@ -89,9 +89,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
     grid = [(a, b) for a in alphas for b in betas]
     for recipe_text in args.state:
         recipe = StateRecipe.parse(recipe_text)
-        psi = recipe.build()
-        if not hasattr(psi, "amplitudes"):
+        if recipe.family == "mixed-random":  # rejected unbuilt: building one takes O(d^3) time
             raise ValueError(f"compute needs a pure-state recipe, got {recipe_text!r}")
+        psi = recipe.build()
         subset = _parse_subset(args.s) if args.s else tuple(range(1, psi.n_subsystems + 1))
         if len(subset) > 12:
             print(
@@ -155,15 +155,15 @@ def cmd_star_sweep(args: argparse.Namespace) -> int:
 
     rows = [{"theta": theta, **named_measures(star(theta), (1, 2, 3, 4))._asdict()} for theta in thetas]
     ok = True
-    tol = 1e-10
     for row in rows:
-        if not (row["e"] >= row["r2"] - tol and row["r2"] >= row["c"] - tol and row["c"] >= row["t3"] - tol):
+        e, r2, t3, c = (row[m] for m in ("e", "r2", "t3", "c"))
+        if not (e >= r2 - ORDER_TOL and r2 >= c - ORDER_TOL and c >= t3 - ORDER_TOL):
             ok = False
             print(f"ordering chain violated at theta={row['theta']}", file=sys.stderr)
     nearest = min(range(len(thetas)), key=lambda i: abs(thetas[i] - math.pi / 4))
     for measure in ("e", "r2", "t3", "c"):
         peak = max(range(len(rows)), key=lambda i: rows[i][measure])
-        if rows[peak][measure] > rows[nearest][measure] + tol:
+        if rows[peak][measure] > rows[nearest][measure] + ORDER_TOL:
             ok = False
             print(f"{measure} peaks away from pi/4 (theta={thetas[peak]})", file=sys.stderr)
     _emit(rows, ["theta", "e", "r2", "t3", "c"], args.format, args.out)
@@ -175,13 +175,12 @@ def cmd_dicke_table(args: argparse.Namespace) -> int:
     for k in range(5):
         rows.append({"k": k, **named_measures(dicke(4, k), (1, 2, 3, 4))._asdict()})
     ok = True
-    tol = 1e-10
     for measure in ("e", "r2", "t3", "c"):
         for k in range(5):
-            if abs(rows[k][measure] - rows[4 - k][measure]) > tol:
+            if abs(rows[k][measure] - rows[4 - k][measure]) > ORDER_TOL:
                 ok = False
                 print(f"k <-> 4-k symmetry violated for {measure} at k={k}", file=sys.stderr)
-            if k != 2 and rows[k][measure] >= rows[2][measure] + tol:
+            if k != 2 and rows[k][measure] >= rows[2][measure] + ORDER_TOL:
                 ok = False
                 print(f"k=2 is not maximal for {measure} (k={k})", file=sys.stderr)
     _emit(rows, ["k", "e", "r2", "t3", "c"], args.format, args.out)
@@ -199,9 +198,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_swaptest(args: argparse.Namespace) -> int:
     recipe = StateRecipe.parse(args.state)
-    psi = recipe.build()
-    if not hasattr(psi, "amplitudes"):
+    if recipe.family == "mixed-random":  # as in `cmd_compute`
         raise ValueError("swaptest needs a pure-state recipe")
+    psi = recipe.build()
     subset = _parse_subset(args.s) if args.s else tuple(range(1, psi.n_subsystems + 1))
     dist = swap_test_distribution(psi)
     exact = cce_from_distribution(dist, subset)

@@ -306,7 +306,6 @@ def cce_mixed_upper(
     *,
     budget: tuple[int, int] = (50, 500),
     seed: int = 0,
-    mixer_size: int | None = None,
     seed_ensembles: Sequence[Ensemble] = (),
 ) -> RoofResult:
     """Upper bound on the convex-roof measure of a mixed state.
@@ -335,9 +334,7 @@ def cce_mixed_upper(
         ens = _support_ensemble(rho, vals, vecs, np.eye(1))
         return RoofResult(ens.average(s, params), ens, restarts_used=0, converged=True)
 
-    m = mixer_size if mixer_size is not None else min(r * r, r + 2)
-    if not r <= m <= r * r:
-        raise ValueError(f"mixer_size must lie in {r}..{r * r}, got {m}")
+    m = min(r * r, r + 2)
 
     # (start mixer, start angles) per restart; the search multiplies the mixer by unitaries.
     starts: list[tuple[np.ndarray, np.ndarray]] = [(np.eye(m, r, dtype=complex), np.zeros(_n_params(m)))]

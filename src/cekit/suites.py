@@ -17,7 +17,7 @@ stacked QR, applies them in one stacked `local_kraus_branches` call, and
 evaluates the states and their kept branches on one plan. A batch holds
 64 trials (`_BATCH`), or fewer when a trial evaluates many points: at
 most 512 (state, point) evaluations (`_BATCH_POINTS`), so `ordering`, at
-46 points a trial, takes 11. Outputs are the trial-by-trial ones, bit for
+44 points a trial, takes 11. Outputs are the trial-by-trial ones, bit for
 bit, and memory is bounded by the batch.
 """
 from __future__ import annotations
@@ -224,7 +224,7 @@ def suite_ordering(seed: int = 0, trials: int = 1000, alpha_pairs: int = 20) -> 
     """Lower-bound chain plus alpha-monotonicity of the measure on Haar states."""
     rng = np.random.default_rng(seed)
     failures = []
-    for batch in _batches(trials, 6 + 2 * alpha_pairs):  # 6 points of an ordering report
+    for batch in _batches(trials, 4 + 2 * alpha_pairs):  # 4 points of an ordering report
         cases, drawn = [], []
         for trial in batch:
             pairs = [

@@ -16,14 +16,10 @@ __all__ = [
     "PureState",
     "DensityOperator",
     "normalize_subset",
-    "kron",
     "reduced_state",
-    "partial_trace",
     "hermitian_eigenvalues",
     "clamped_spectra",
-    "trace_power",
     "trace_distance",
-    "apply_local_kraus",
     "apply_local_kraus_pure",
     "local_kraus_branches",
     "embed_local",
@@ -127,18 +123,6 @@ class DensityOperator:
         return int(self.matrix.shape[0])
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two vectors or two matrices.
-
-    Row-major index convention: index(i, j) = i * dim(b) + j.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != b.ndim or a.ndim not in (1, 2):
-        raise ValueError("operands must be both vectors or both matrices")
-    return np.kron(a, b)
-
-
 def clamped_spectra(vals: np.ndarray) -> np.ndarray:
     """Descending spectra from ascending `eigvalsh` output (any leading axes).
 
@@ -170,42 +154,27 @@ def hermitian_eigenvalues(m: np.ndarray | DensityOperator) -> np.ndarray:
     return _spectrum(mat, HERMITIAN_ATOL)
 
 
+def _reduced_matrices(
+    tensors: np.ndarray, perm: Sequence[int], d: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Reduced matrices A A^dag (k, d, d) of a stack of state tensors shaped
+    (k,) + dims, A each state's kept-side slice (d x rest) once `perm` puts
+    the axes in the order (stack, kept..., traced...)."""
+    a = tensors.transpose(perm).reshape(tensors.shape[0], d, -1)
+    return np.matmul(a, a.conj().swapaxes(-1, -2), out=out)
+
+
 def reduced_state(psi: PureState, subset: Iterable[int]) -> DensityOperator:
     """Reduced density matrix of `psi` on `subset`, complement traced out.
 
     Kept subsystems appear in ascending original order.
     """
-    keep = normalize_subset(subset, psi.n_subsystems)
-    keep_axes = [i - 1 for i in keep]
-    traced = [ax for ax in range(psi.n_subsystems) if ax not in keep_axes]
-    t = psi.amplitudes.reshape(psi.dims)
-    rho = np.tensordot(t, t.conj(), axes=(traced, traced))
-    dk = prod(psi.dims[ax] for ax in keep_axes)
-    return DensityOperator(rho.reshape(dk, dk), tuple(psi.dims[ax] for ax in keep_axes))
-
-
-def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
-    """Partial trace keeping `keep`, the mixed-state analogue of reduced_state."""
-    n = rho.n_subsystems
-    kept = normalize_subset(keep, n)
-    kept_axes = [i - 1 for i in kept]
-    traced = [ax for ax in range(n) if ax not in kept_axes]
-    t = rho.matrix.reshape(rho.dims + rho.dims)
-    remaining = n
-    for ax in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=ax, axis2=ax + remaining)
-        remaining -= 1
-    dk = prod(rho.dims[ax] for ax in kept_axes)
-    return DensityOperator(t.reshape(dk, dk), tuple(rho.dims[ax] for ax in kept_axes))
-
-
-def trace_power(rho: DensityOperator | np.ndarray, alpha: float) -> float:
-    """Sum of eigenvalues raised to `alpha`, with 0**alpha treated as 0."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    lam = hermitian_eigenvalues(rho)
-    lam = lam[lam > ZERO_EIG_FLOOR]
-    return float(np.sum(lam**alpha))
+    kept = tuple(i - 1 for i in normalize_subset(subset, psi.n_subsystems))
+    traced = tuple(ax for ax in range(psi.n_subsystems) if ax not in kept)
+    dims = tuple(psi.dims[ax] for ax in kept)
+    perm = (0,) + tuple(ax + 1 for ax in kept + traced)
+    rho = _reduced_matrices(psi.amplitudes.reshape((1,) + psi.dims), perm, prod(dims))
+    return DensityOperator(rho[0], dims)
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
@@ -258,29 +227,6 @@ def _check_complete(kraus: np.ndarray) -> None:
         total = np.matmul(kraus.conj().swapaxes(-1, -2), kraus).sum(axis=-3)
     if not np.abs(total - np.eye(kraus.shape[-1])).max() <= KRAUS_COMPLETENESS_ATOL:  # `not <=`: also NaN
         raise ValueError("Kraus set violates completeness on the site")
-
-
-def apply_local_kraus(
-    rho: DensityOperator, site: int, kraus: Sequence[np.ndarray]
-) -> list[tuple[float, DensityOperator]]:
-    """Outcome branches of a local operation acting on one subsystem.
-
-    Returns (probability, normalized post-measurement state) pairs; branches
-    with probability below 1e-12 are dropped.
-    """
-    if not 1 <= site <= rho.n_subsystems:
-        raise ValueError(f"site must lie in 1..{rho.n_subsystems}, got {site}")
-    ops = _kraus_set(kraus, rho.dims[site - 1])
-    _check_complete(ops)
-    branches: list[tuple[float, DensityOperator]] = []
-    for k in ops:
-        full = embed_local(k, site, rho.dims)
-        out = full @ rho.matrix @ full.conj().T
-        p = float(np.real(np.trace(out)))
-        if p < BRANCH_FLOOR:
-            continue
-        branches.append((p, DensityOperator(out / p, rho.dims)))
-    return branches
 
 
 def local_kraus_branches(

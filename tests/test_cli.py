@@ -1,7 +1,9 @@
+import importlib
 import itertools
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -179,6 +181,30 @@ def test_swaptest_rejects_non_qubit(capsys):
     code, _, err = run_cli(capsys, "swaptest", "--state", "star:0.5")
     assert code == 2
     assert "qubit" in err
+
+
+@pytest.mark.parametrize("command", ["compute", "swaptest"])
+def test_mixed_recipe_rejected_before_it_is_built(capsys, monkeypatch, command):
+    # Building a 14-qubit mixed state would take O(d^3) time and O(d^2) memory.
+    def build(self):
+        raise AssertionError("recipe built")
+
+    monkeypatch.setattr(StateRecipe, "build", build)
+    code, out, err = run_cli(capsys, command, "--state", "mixed-random:" + "x".join(["2"] * 14) + ":3")
+    assert code == 2
+    assert out == ""
+    assert "pure-state recipe" in err
+
+
+def test_module_all_names_exist():
+    # A stale name in `__all__` fails `from cekit.<module> import *`, and tools
+    # that read `__all__` through getattr(..., None) would skip it silently.
+    for info in pkgutil.iter_modules(cekit.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"cekit.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], f"cekit.{info.name}"
 
 
 def test_compute_rejects_bad_recipe(capsys):

@@ -307,14 +307,14 @@ def test_speculative_compass_yields_the_rest_of_the_sweep():
     assert np.array_equal(x, [0, 0.5, 0]) and (fx, converged, evals) == (0.5, False, 5)
 
 
-def _sequential_roof(rho, subset, params, budget, seed, mixer_size=None, seed_ensembles=()):
+def _sequential_roof(rho, subset, params, budget, seed, seed_ensembles=()):
     """Reference search: each restart runs its own compass loop to the end
     before the next starts, on the public ensemble average. Returns the
     bound, the restart count, the best restart's convergence and, per
     restart, (final value, evaluations, converged)."""
     r = int((np.linalg.eigvalsh(rho.matrix) > 1e-12).sum())
     restarts, max_evals = budget
-    m = mixer_size if mixer_size is not None else min(r * r, r + 2)
+    m = min(r * r, r + 2)
     starts = [(np.eye(m, r, dtype=complex), np.zeros(m * m))]
     for ens in seed_ensembles:
         v0 = mixer_for_ensemble(rho, ens)
@@ -337,13 +337,13 @@ def _sequential_roof(rho, subset, params, budget, seed, mixer_size=None, seed_en
 def _isometry_ensemble(rho, rows, seed):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((rows, rows)) + 1j * rng.standard_normal((rows, rows))
-    return mixing_ensemble(rho, np.linalg.qr(z)[0][:, :2])
+    return mixing_ensemble(rho, np.linalg.qr(z)[0][:, :3])
 
 
 @pytest.mark.parametrize("point", [(1.0, 1.0), (2.0, 1.0), (1.7, 0.4)])
 def test_roof_lockstep_matches_sequential_search(point):
     params = EntropyParams(*point)
-    mixed3 = random_density((2, 2, 2), rank=2, seed=33)
+    mixed3 = random_density((2, 2, 2), rank=3, seed=33)
     cases = [
         # Budget enough for restart 0 to converge while the best restart does not.
         (random_density((2, 2), rank=2, seed=33), (1,), (4, 1000), {}),
@@ -352,11 +352,10 @@ def test_roof_lockstep_matches_sequential_search(point):
         (random_density((2, 2), rank=2, seed=34), (1,), (3, 7), {}),
         (random_density((2, 2), rank=2, seed=34), (1,), (3, 33), {}),
         (random_density((2, 3), rank=3, seed=32), (1, 2), (3, 200), {}),
-        # Mixer size 3 with seed ensembles of 4 and 2 members: the 4-member
-        # restart searches 4 x 4 unitaries beside the 3 x 3 ones.
+        # Rank 3 (mixer size 5) with seed ensembles of 6 and 3 members: the
+        # 6-member restart searches 6 x 6 unitaries beside the 5 x 5 ones.
         (mixed3, (1, 2), (5, 200), {
-            "mixer_size": 3,
-            "seed_ensembles": [_isometry_ensemble(mixed3, 4, 0), _isometry_ensemble(mixed3, 2, 1)],
+            "seed_ensembles": [_isometry_ensemble(mixed3, 6, 0), _isometry_ensemble(mixed3, 3, 1)],
         }),
     ]
     for rho, subset, budget, kwargs in cases:

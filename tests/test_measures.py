@@ -37,10 +37,8 @@ from cekit.tensor import (
     PureState,
     apply_local_kraus_pure,
     hermitian_eigenvalues,
-    kron,
     permute_subsystems,
     reduced_state,
-    trace_power,
 )
 
 VN = EntropyParams.von_neumann()
@@ -150,7 +148,7 @@ def test_zero_iff_fully_product():
     prod = random_product((2, 2, 2), seed=4)
     assert cce_pure(prod, (1, 2, 3), VN).value < 1e-12
     entangled = PureState(
-        kron(np.array([1, 0, 0, 1]) / math.sqrt(2), np.array([1.0, 0.0])), (2, 2, 2)
+        np.kron(np.array([1, 0, 0, 1]) / math.sqrt(2), np.array([1.0, 0.0])), (2, 2, 2)
     )
     assert cce_pure(entangled, (1, 2, 3), VN).value > 1e-6
 
@@ -184,7 +182,8 @@ def test_named_linear_equals_one_minus_mean_purity():
         total = 1.0  # empty subset has purity one
         for mask in range(1, 16):
             chi = [i + 1 for i in range(4) if (mask >> i) & 1]
-            total += trace_power(reduced_state(psi, chi), 2.0)
+            rho = reduced_state(psi, chi).matrix
+            total += np.trace(rho @ rho).real
         want = 1.0 - total / 16.0
         assert named_measures(psi, (1, 2, 3, 4)).c == pytest.approx(want, abs=1e-10)
 
@@ -225,13 +224,6 @@ def test_ordering_report_haar_sweep():
         assert ordering_report(psi, (1, 2, 3, 4)).all_hold
 
 
-def test_ordering_report_custom_renyi_orders():
-    report = ordering_report(haar_random((2, 2), seed=0), (1, 2), renyi_orders=(0.5, 3.0))
-    assert report.renyi_lo >= report.renyi_hi - 1e-10
-    with pytest.raises(ValueError):
-        ordering_report(ghz(3), (1, 2, 3), renyi_orders=(2.0, 1.0))
-
-
 def test_tensor_identity_additive_branches(bell):
     other = haar_random((2, 2), seed=40)
     for params in [VN, EntropyParams.renyi(2.0), EntropyParams.renyi(0.6)]:
@@ -245,7 +237,7 @@ def test_tensor_identity_pseudo_additive_linear(bell):
     assert tensor_identity_residual(bell, other, (1, 2, 3, 4), LIN) < 1e-10
     e_a = cce_pure(bell, (1, 2), LIN).value
     e_b = cce_pure(other, (1, 2), LIN).value
-    joint = PureState(kron(bell.amplitudes, other.amplitudes), (2, 2, 2, 2))
+    joint = PureState(np.kron(bell.amplitudes, other.amplitudes), (2, 2, 2, 2))
     e = cce_pure(joint, (1, 2, 3, 4), LIN).value
     assert e == pytest.approx(e_a + e_b - e_a * e_b, abs=1e-12)
 
@@ -270,7 +262,7 @@ def test_tensor_identity_empty_side():
 def test_super_and_subadditivity_across_factors():
     a = haar_random((2, 2), seed=50)
     b = haar_random((2, 2), seed=51)
-    joint = PureState(kron(a.amplitudes, b.amplitudes), (2, 2, 2, 2))
+    joint = PureState(np.kron(a.amplitudes, b.amplitudes), (2, 2, 2, 2))
     s = (1, 2, 3, 4)
     for alpha in (0.4, 0.8):
         params = EntropyParams(alpha, 1.3)
@@ -289,7 +281,7 @@ def test_tensor_power_additivity(k):
     base = haar_random((2, 2), seed=60)
     amp = base.amplitudes
     for _ in range(k - 1):
-        amp = kron(amp, base.amplitudes)
+        amp = np.kron(amp, base.amplitudes)
     power = PureState(amp, (2,) * (2 * k))
     for params in [VN, EntropyParams.renyi(2.0)]:
         single = cce_pure(base, (1, 2), params).value
@@ -337,7 +329,7 @@ def test_gme_certificate_ghz3_linear():
 
 
 def test_gme_certificate_biseparable_not_certified(bell):
-    psi = PureState(kron(bell.amplitudes, np.array([1.0, 0.0])), (2, 2, 2))
+    psi = PureState(np.kron(bell.amplitudes, np.array([1.0, 0.0])), (2, 2, 2))
     for params in [LIN, VN]:
         cert = gme_certificate(psi, params)
         assert cert.value <= cert.threshold + 1e-12
@@ -495,13 +487,10 @@ def test_batched_values_and_orderings_match_one_state_calls():
     assert cce_values(jobs) == want
     extra = [POINTS[2:6], POINTS[4:8], POINTS[:4]]
     cases = [(psi, s, points) for psi, s, points in zip(states, subsets, extra)]
-    for orders in [(1.0, 2.0), (0.5, 3.0)]:
-        base = [*BENCHMARKS.values(), EntropyParams.renyi(orders[0]), EntropyParams.renyi(orders[1])]
-        for (psi, s, points), (report, values) in zip(cases, ordering_reports(cases, orders)):
-            table = spectra_table(psi, s)
-            got = [report.e, report.r2, report.t3, report.c, report.renyi_lo, report.renyi_hi]
-            assert got == [table_value(table, p) for p in base]
-            assert values == [table_value(table, p) for p in points]
+    for (psi, s, points), (report, values) in zip(cases, ordering_reports(cases)):
+        table = spectra_table(psi, s)
+        assert [report.e, report.r2, report.t3, report.c] == [table_value(table, p) for p in BENCHMARKS.values()]
+        assert values == [table_value(table, p) for p in points]
     with pytest.raises(ValueError):
         ordering_reports([(states[0], (), [])])
 

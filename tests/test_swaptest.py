@@ -17,7 +17,7 @@ from cekit.swaptest import (
     sample_shots,
     swap_test_distribution,
 )
-from cekit.tensor import PureState, kron, permute_subsystems
+from cekit.tensor import PureState, permute_subsystems
 
 
 def brute_force_distribution(psi: PureState) -> np.ndarray:
@@ -28,7 +28,7 @@ def brute_force_distribution(psi: PureState) -> np.ndarray:
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
     def embed(gate_1q: np.ndarray, pos: int) -> np.ndarray:
-        return kron(kron(np.eye(2**pos), gate_1q), np.eye(2 ** (total - pos - 1)))
+        return np.kron(np.kron(np.eye(2**pos), gate_1q), np.eye(2 ** (total - pos - 1)))
 
     def cswap_matrix(control: int, a: int, b: int) -> np.ndarray:
         mat = np.zeros((dim, dim))
@@ -41,7 +41,7 @@ def brute_force_distribution(psi: PureState) -> np.ndarray:
         return mat
 
     state = np.zeros(dim, dtype=complex)
-    state[: 4**n] = kron(psi.amplitudes, psi.amplitudes)
+    state[: 4**n] = np.kron(psi.amplitudes, psi.amplitudes)
     for c in range(n):
         state = embed(h, c) @ state
     for i in range(n):

@@ -1,24 +1,22 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from cekit.entropy import EntropyParams, unified_entropy
 from cekit.states import ghz, haar_random, random_density, star, w
 from cekit.tensor import (
     DensityOperator,
     PureState,
-    apply_local_kraus,
     apply_local_kraus_pure,
     embed_local,
     hermitian_eigenvalues,
-    kron,
     local_kraus_branches,
     normalize_subset,
-    partial_trace,
     permute_subsystems,
     reduced_state,
     trace_distance,
-    trace_power,
 )
 
 KET0 = np.array([1.0, 0.0])
@@ -26,25 +24,11 @@ KET1 = np.array([0.0, 1.0])
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
 
-def test_kron_computational_basis():
-    v = kron(KET0, KET1)
-    assert np.allclose(v, [0.0, 1.0, 0.0, 0.0])
-
-
-def test_kron_identity():
-    assert np.allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_rejects_mixed_operands():
-    with pytest.raises(ValueError):
-        kron(KET0, np.eye(2))
-
-
 def test_kron_three_bell_pairs_matches_star_state():
     # Triple Kronecker power of the Bell pair, with the three first registers
     # regrouped in front, must equal the direct 64-amplitude construction.
     pair = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
-    raw = PureState(kron(kron(pair, pair), pair), (2,) * 6)
+    raw = PureState(np.kron(np.kron(pair, pair), pair), (2,) * 6)
     grouped = permute_subsystems(raw, (1, 3, 5, 2, 4, 6))
     direct = star(np.pi / 4)
     assert np.allclose(grouped.amplitudes, direct.amplitudes, atol=1e-12)
@@ -56,7 +40,7 @@ def test_reduced_state_bell_is_maximally_mixed(bell):
 
 
 def test_reduced_state_of_product_factor():
-    psi = PureState(kron(KET0, PLUS), (2, 2))
+    psi = PureState(np.kron(KET0, PLUS), (2, 2))
     rho = reduced_state(psi, [2])
     assert np.allclose(rho.matrix, np.outer(PLUS, PLUS), atol=1e-12)
 
@@ -81,24 +65,26 @@ def test_reduced_state_rejects_bad_subsets(bell):
 
 
 def test_partial_trace_of_product():
-    rho_a = np.diag([0.25, 0.75])
-    rho_b = np.outer(PLUS, PLUS)
-    joint = DensityOperator(kron(rho_a, rho_b), (2, 2))
-    out = partial_trace(joint, [1])
-    assert np.allclose(out.matrix, rho_a, atol=1e-12)
+    # A purification of rho_a (subsystems 1, 2) next to |+> (subsystem 3):
+    # tracing out the rest leaves each factor.
+    purified = np.array([0.5, 0.0, 0.0, math.sqrt(0.75)])
+    joint = PureState(np.kron(purified, PLUS), (2, 2, 2))
+    assert np.allclose(reduced_state(joint, [1]).matrix, np.diag([0.25, 0.75]), atol=1e-12)
+    assert np.allclose(reduced_state(joint, [3]).matrix, np.outer(PLUS, PLUS), atol=1e-12)
 
 
 def test_partial_trace_ghz3_single_qubit():
-    out = partial_trace(ghz(3).density(), [2])
+    out = reduced_state(ghz(3), [2])
     assert np.allclose(out.matrix, np.diag([0.5, 0.5]), atol=1e-12)
 
 
 def test_partial_trace_preserves_trace_and_positivity():
     for seed in range(5):
-        rho = random_density((2, 2), rank=3, seed=seed)
-        out = partial_trace(rho, [1])
-        assert abs(np.trace(out.matrix) - 1.0) < 1e-10
-        assert np.linalg.eigvalsh(out.matrix)[0] > -1e-10
+        psi = haar_random((2, 2, 3), seed=seed)
+        for keep in ([1], [3], [1, 3], [1, 2, 3]):
+            out = reduced_state(psi, keep)
+            assert abs(np.trace(out.matrix) - 1.0) < 1e-10
+            assert np.linalg.eigvalsh(out.matrix)[0] > -1e-10
 
 
 def test_hermitian_eigenvalues_trivial():
@@ -145,22 +131,19 @@ def test_hermitian_eigenvalues_rejects_non_hermitian():
 
 
 def test_trace_power_basics(bell):
-    assert trace_power(DensityOperator(np.eye(2) / 2.0, (2,)), 2.0) == pytest.approx(0.5)
+    # Power traces through the entropy kernel: Tsallis-2 is 1 - Tr rho^2, and
+    # Tr rho^alpha = 1 for a pure state makes every unified entropy 0.
+    assert unified_entropy(np.eye(2) / 2.0, EntropyParams.tsallis(2.0)) == pytest.approx(0.5)
     for alpha in (0.5, 1.0, 2.0, 3.7):
-        assert trace_power(bell.density(), alpha) == pytest.approx(1.0, abs=1e-12)
+        assert unified_entropy(bell.density(), EntropyParams(alpha, 1.0)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_trace_power_w_state_cubes():
-    # Feeds the Tsallis-3 closed form 3(n-1)/(8n) for W states.
+    # Feeds the Tsallis-3 closed form 3(n-1)/(8n) for W states: Tsallis-3 is (1 - Tr rho^3)/2.
     for n, k in [(3, 1), (4, 1), (4, 2)]:
         rho = reduced_state(w(n), list(range(1, k + 1)))
         want = (k**3 + (n - k) ** 3) / n**3
-        assert trace_power(rho, 3.0) == pytest.approx(want, abs=1e-12)
-
-
-def test_trace_power_rejects_nonpositive_alpha(bell):
-    with pytest.raises(ValueError):
-        trace_power(bell.density(), 0.0)
+        assert 1.0 - 2.0 * unified_entropy(rho, EntropyParams.tsallis(3.0)) == pytest.approx(want, abs=1e-12)
 
 
 def test_trace_distance_extremes():
@@ -177,10 +160,10 @@ def test_trace_distance_rejects_dim_mismatch(bell):
 
 def test_trace_distance_monotone_under_partial_trace():
     for seed in range(10):
-        a = haar_random((2, 2, 2), seed=seed).density()
-        b = haar_random((2, 2, 2), seed=1000 + seed).density()
-        full = trace_distance(a, b)
-        reducedd = trace_distance(partial_trace(a, [1, 3]), partial_trace(b, [1, 3]))
+        a = haar_random((2, 2, 2), seed=seed)
+        b = haar_random((2, 2, 2), seed=1000 + seed)
+        full = trace_distance(a.density(), b.density())
+        reducedd = trace_distance(reduced_state(a, [1, 3]), reduced_state(b, [1, 3]))
         assert reducedd <= full + 1e-10
 
 
@@ -200,19 +183,17 @@ def test_trace_distance_triangle_and_unitary_invariance():
 
 def test_apply_local_kraus_unitary_single_branch(bell):
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    branches = apply_local_kraus(bell.density(), 1, [h])
+    branches = apply_local_kraus_pure(bell, 1, [h])
     assert len(branches) == 1
     p, out = branches[0]
     assert p == pytest.approx(1.0, abs=1e-12)
-    full = kron(h, np.eye(2))
-    want = full @ bell.density().matrix @ full.conj().T
-    assert np.allclose(out.matrix, want, atol=1e-12)
+    assert np.allclose(out.amplitudes, np.kron(h, np.eye(2)) @ bell.amplitudes, atol=1e-12)
 
 
-def test_apply_local_kraus_projective_on_mixed():
-    rho = DensityOperator(np.eye(4) / 4.0, (2, 2))
+def test_apply_local_kraus_projective_on_mixed(bell):
+    # Site 2 of a Bell pair is maximally mixed, so each outcome has probability 1/2.
     proj = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-    branches = apply_local_kraus(rho, 2, proj)
+    branches = apply_local_kraus_pure(bell, 2, proj)
     assert [p for p, _ in branches] == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
@@ -223,25 +204,15 @@ def test_apply_local_kraus_probabilities_sum_to_one():
     d = np.sqrt(rng.uniform(0.2, 0.8))
     k1 = q @ np.diag([d, np.sqrt(1 - d**2)])
     k2 = np.linalg.cholesky(np.eye(2) - k1.conj().T @ k1 + 1e-15 * np.eye(2)).conj().T
-    branches = apply_local_kraus(ghz(3).density(), 2, [k1, k2])
+    branches = apply_local_kraus_pure(ghz(3), 2, [k1, k2])
     assert sum(p for p, _ in branches) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_apply_local_kraus_rejects_incomplete_set(bell):
     with pytest.raises(ValueError):
-        apply_local_kraus(bell.density(), 1, [np.diag([1.0, 0.0])])
+        apply_local_kraus_pure(bell, 1, [np.diag([1.0, 0.0])])
     with pytest.raises(ValueError):
-        apply_local_kraus(bell.density(), 5, [np.eye(2)])
-
-
-def test_apply_local_kraus_pure_matches_density_path(bell):
-    proj = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-    pure = apply_local_kraus_pure(bell, 1, proj)
-    dens = apply_local_kraus(bell.density(), 1, proj)
-    assert len(pure) == len(dens) == 2
-    for (p1, s), (p2, r) in zip(pure, dens):
-        assert p1 == pytest.approx(p2, abs=1e-12)
-        assert np.allclose(s.density().matrix, r.matrix, atol=1e-10)
+        apply_local_kraus_pure(bell, 5, [np.eye(2)])
 
 
 def test_schmidt_duality_spectra():
@@ -347,12 +318,6 @@ def test_local_kraus_branches_match_kronecker_reference():
         q = float(np.real(np.vdot(v, v)))
         assert p == q
         assert np.array_equal(branch.amplitudes, v / np.sqrt(q))
-    rho = psi.density()
-    for (p, branch), m in zip(apply_local_kraus(rho, 2, kraus), full):
-        out = m @ rho.matrix @ m.conj().T
-        q = float(np.real(np.trace(out)))
-        assert p == q
-        assert np.array_equal(branch.matrix, out / q)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -361,8 +326,6 @@ def test_kraus_completeness_rejects_nan_and_inf(bad):
     kraus = [np.array([[bad, 0.0], [0.0, 0.0]]), np.diag([0.0, 1.0])]
     with pytest.raises(ValueError, match="completeness"):
         apply_local_kraus_pure(ghz(3), 1, kraus)
-    with pytest.raises(ValueError, match="completeness"):
-        apply_local_kraus(ghz(3).density(), 1, kraus)
 
 
 def _branches_loop(psi, site, kraus):
@@ -379,8 +342,8 @@ def test_stacked_branches_drop_improbable_outcomes_like_one_case_loop():
     tiny = math.sqrt(1e-13)  # an outcome of probability 1e-13, under the floor but not zero
     edge = np.array([math.sqrt(1.0 - tiny**2), tiny])
     states = [
-        PureState(kron(kron(KET0, PLUS), KET0), (2, 2, 2)),  # the |1> outcome has probability 0
-        PureState(kron(kron(PLUS, edge), KET1), (2, 2, 2)),
+        PureState(np.kron(np.kron(KET0, PLUS), KET0), (2, 2, 2)),  # the |1> outcome has probability 0
+        PureState(np.kron(np.kron(PLUS, edge), KET1), (2, 2, 2)),
         haar_random((2, 2, 2), seed=5),
     ]
     proj = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
@@ -400,3 +363,33 @@ def test_stacked_branches_drop_improbable_outcomes_like_one_case_loop():
         assert [(p, b.amplitudes.tobytes()) for p, b in one_case] == [
             (p, v.tobytes()) for p, v in _branches_loop(psi, site, proj) if v is not None
         ]
+
+
+def _tensordot_reduced(psi, keep):
+    # Reference: contract the traced axes of the amplitude tensor with its conjugate.
+    kept = [i - 1 for i in keep]
+    traced = [ax for ax in range(psi.n_subsystems) if ax not in kept]
+    t = psi.amplitudes.reshape(psi.dims)
+    d = math.prod(psi.dims[ax] for ax in kept)
+    return np.tensordot(t, t.conj(), axes=(traced, traced)).reshape(d, d)
+
+
+def test_reduced_state_keeps_tensordot_bits():
+    # Every (dims, rank > 1) that `random_density` gets from the alpha-mono,
+    # roof-eof and roof-mixed draws (rank 1 takes no reduction), and more.
+    shapes = [(2,), (3,), (4,), (2, 2), (2, 3), (2, 2, 2), (3, 3)]
+    for dims in shapes:
+        d = math.prod(dims)
+        for rank in range(2, d + 1):
+            for seed in range(20):
+                got = random_density(dims, rank, seed)
+                psi = haar_random(dims + (rank,), seed)
+                want = _tensordot_reduced(psi, range(1, len(dims) + 1))
+                assert got.dims == dims
+                assert got.matrix.tobytes() == want.tobytes()
+    for seed, dims in enumerate([(2, 2, 2, 2), (2, 3, 2, 2), (2, 2, 3, 2, 2), (2,) * 6]):
+        psi = haar_random(dims, seed=seed)
+        n = len(dims)
+        for size in range(1, n + 1):
+            for keep in itertools.combinations(range(1, n + 1), size):
+                assert reduced_state(psi, keep).matrix.tobytes() == _tensordot_reduced(psi, keep).tobytes()
