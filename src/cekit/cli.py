@@ -22,6 +22,7 @@ from .swaptest import (
     bounds_from_estimate,
     cce_from_distribution,
     estimate_from_shots,
+    register_size,
     sample_shots,
     swap_test_distribution,
 )
@@ -91,12 +92,14 @@ def cmd_compute(args: argparse.Namespace) -> int:
         recipe = StateRecipe.parse(recipe_text)
         if recipe.family == "mixed-random":  # rejected unbuilt: building one takes O(d^3) time
             raise ValueError(f"compute needs a pure-state recipe, got {recipe_text!r}")
+        dims = recipe.local_dims
+        subset = _parse_subset(args.s) if args.s else tuple(range(1, len(dims) + 1))
+        plan = cut_plan(dims, subset)  # checks the labels and the power-set guard before the state is built
         psi = recipe.build()
-        subset = _parse_subset(args.s) if args.s else tuple(range(1, psi.n_subsystems + 1))
         if len(subset) > 12:
             print(
                 f"note: subset of {len(subset)} labels means "
-                f"{sum(len(b.masks) for b in cut_plan(psi.dims, subset).blocks)} "
+                f"{sum(len(b.masks) for b in plan.blocks)} "
                 "reduced-state eigensolves per state",
                 file=sys.stderr,
             )
@@ -200,8 +203,10 @@ def cmd_swaptest(args: argparse.Namespace) -> int:
     recipe = StateRecipe.parse(args.state)
     if recipe.family == "mixed-random":  # as in `cmd_compute`
         raise ValueError("swaptest needs a pure-state recipe")
+    dims = recipe.local_dims
+    subset = _parse_subset(args.s) if args.s else tuple(range(1, len(dims) + 1))
+    register_size(dims)  # before the state is built: its statevector alone takes 2^n amplitudes
     psi = recipe.build()
-    subset = _parse_subset(args.s) if args.s else tuple(range(1, psi.n_subsystems + 1))
     dist = swap_test_distribution(psi)
     exact = cce_from_distribution(dist, subset)
     record = sample_shots(dist, args.shots, args.seed)

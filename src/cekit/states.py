@@ -12,7 +12,7 @@ import numpy as np
 
 from .entropy import unified_entropy_spectrum
 from .measures import BENCHMARKS
-from .tensor import DensityOperator, PureState, reduced_state
+from .tensor import DensityOperator, PureState, _as_dims, reduced_state
 
 __all__ = [
     "ghz",
@@ -220,6 +220,11 @@ class StateRecipe:
         if self.family == "product":
             return random_product(self.dims, self.seed)
         return random_density(self.dims, self.rank, self.seed)
+
+    @property
+    def local_dims(self) -> tuple[int, ...]:
+        """Local dimensions of the state `build()` makes, read and validated without building it."""
+        return _as_dims((8, 2, 2, 2) if self.family == "star" else self.dims or (2,) * self.n)
 
     def label(self) -> str:
         if self.family in ("ghz", "w"):

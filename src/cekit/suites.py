@@ -5,20 +5,15 @@ violation as a string carrying enough detail to replay it. Tolerances are
 fixed here, not configurable, because they are part of what is being
 verified.
 
-The `schur`, `alpha-mono`, `ordering`, `subadd`, `locc` and
-`swap-consistency` suites draw the inputs of a batch of trials first, in
-the generator order of a trial-by-trial loop, then evaluate the batch in
-stacked kernel calls: one eigensolve per cut dimension and one entropy
-call per cut plan. `schur` and `alpha-mono` make one entropy call per
-batch on vectors zero-padded to 6 entries, and `schur` one majorization
-test. `subadd` evaluates a batch on one plan over the cover of its
-subsets (all five qubits). `locc` builds a batch's instruments with one
-stacked QR, applies them in one stacked `local_kraus_branches` call, and
-evaluates the states and their kept branches on one plan. A batch holds
-64 trials (`_BATCH`), or fewer when a trial evaluates many points: at
-most 512 (state, point) evaluations (`_BATCH_POINTS`), so `ordering`, at
-44 points a trial, takes 11. Outputs are the trial-by-trial ones, bit for
-bit, and memory is bounded by the batch.
+All ten suites run through one draw-then-check loop, `_run`: a suite is a
+per-trial draw and a batch check. The loop draws the cases of a batch from
+one generator, in trial order, then checks them together, most suites in
+stacked kernel calls (one eigensolve per cut dimension, one entropy call
+per cut plan). A batch holds 64 trials (`_BATCH`), or fewer when a trial
+evaluates many points: at most 512 (state, point) evaluations
+(`_BATCH_POINTS`), so `ordering`, at 44 points a trial, takes 11. No check
+draws from the suite's generator, so outputs are the trial-by-trial ones,
+bit for bit, and memory is bounded by the batch.
 """
 from __future__ import annotations
 
@@ -51,8 +46,6 @@ __all__ = [
     "run_suite",
     "wootters_eof",
     "sample_concavity_params",
-    "random_majorization_pair",
-    "random_rank1_instrument",
     "nearby_state",
 ]
 
@@ -92,14 +85,22 @@ def sample_concavity_params(rng: np.random.Generator) -> EntropyParams:
     return EntropyParams(a, b)
 
 
-def _transposition_draws(rng: np.random.Generator, size: int) -> tuple[np.ndarray, list[tuple[int, int, float]]]:
-    """mu ~ Dirichlet(1, ..., 1) and 1-3 transpositions (i, j, weight t), padded to 3 by no-ops (0, 1, 0.0)."""
-    mu = rng.dirichlet(np.ones(size))
-    steps = [(0, 1, 0.0)] * 3
-    for k in range(int(rng.integers(1, 4))):
-        i, j = rng.choice(size, size=2, replace=False)
-        steps[k] = (i, j, float(rng.uniform(0.0, 1.0)))
-    return mu, steps
+def _run(
+    name: str, seed: int, trials: int, draw: Callable, check: Callable, points: int = 1,
+    label: Callable | None = None,
+) -> SuiteResult:
+    """The one suite loop. `draw(rng, trial)` makes each trial's case, in trial order from one generator;
+    `check(cases)` yields (index in the batch, message) for each failure of a batch, in case order, so a
+    message is built only for a failing case (messages print arrays, which costs more than the check).
+    Each gets the prefix `trial {t} seed {s}: `, or `{label(case)} seed {s}: ` where `label` is given."""
+    rng = np.random.default_rng(seed)
+    failures = []
+    for batch in _batches(trials, points):
+        cases = [draw(rng, trial) for trial in batch]
+        for j, message in check(cases):
+            tag = label(cases[j]) if label else f"trial {batch[j]}"
+            failures.append(f"{tag} seed {seed}: {message}")
+    return SuiteResult(name, trials, failures)
 
 
 def _averaged(mus: np.ndarray, steps: list[list[tuple[int, int, float]]]) -> np.ndarray:
@@ -111,36 +112,6 @@ def _averaged(mus: np.ndarray, steps: list[list[tuple[int, int, float]]]) -> np.
         swapped[at, i], swapped[at, j] = lam[at, j], lam[at, i]
         lam = (1.0 - t[:, None]) * lam + t[:, None] * swapped
     return lam
-
-
-def random_majorization_pair(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, mu) with mu majorizing lam, built by averaging transpositions."""
-    mu, steps = _transposition_draws(rng, size)
-    return _averaged(mu[None], [steps])[0], mu
-
-
-def _instrument_draws(rng: np.random.Generator, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """One instrument's draws: a d x d complex Gaussian z, then d complex
-    Gaussian vectors a_i scaled to unit norm, the rows of a."""
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    a = np.empty((d, d), dtype=complex)
-    for row in a:
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        row[:] = v / np.linalg.norm(v)  # per vector: a stacked norm differs in the last bits
-    return z, a
-
-
-def _instruments(z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Kraus sets (N, d, d, d) from stacked draws z and a, (N, d, d) each:
-    K_i = |a_i><b_i|, b_i the i-th column of z's QR basis."""
-    basis, _ = np.linalg.qr(z)
-    return a[..., :, None] * basis.conj().swapaxes(-1, -2)[..., None, :]
-
-
-def random_rank1_instrument(rng: np.random.Generator, d: int = 2) -> list[np.ndarray]:
-    """Measure-and-prepare channel: K_i = |a_i><b_i| over an orthonormal {b_i}."""
-    z, a = _instrument_draws(rng, d)
-    return list(_instruments(z[None], a[None])[0])
 
 
 def nearby_state(psi: PureState, rng: np.random.Generator, eps: float) -> PureState:
@@ -170,109 +141,103 @@ def wootters_eof(rho: DensityOperator) -> float:
 
 def suite_schur(seed: int = 0, trials: int = 10_000) -> SuiteResult:
     """Entropy never increases along a majorization: S(lam) >= S(mu) when lam < mu."""
-    rng = np.random.default_rng(seed)
-    failures = []
-    for batch in _batches(trials):
-        # Sizes 2-6, stacked with zero padding, which changes no bit of an average, a majorization
-        # test or an entropy: the entropy kernel drops entries at or below the zero floor and sums
-        # a row of at most 7 entries left to right, so trailing zeros add exact 0.0s.
-        mus, drawn = np.zeros((len(batch), 6)), []
-        for row in mus:
-            mu, steps = _transposition_draws(rng, int(rng.integers(2, 7)))
-            row[: mu.size] = mu
-            drawn.append((mu, steps, EntropyParams(float(rng.uniform(0.05, 4.0)), float(rng.uniform(0.0, 3.0)))))
-        lams = _averaged(mus, [steps for _, steps, _ in drawn])
+    def draw(rng, trial):
+        # mu ~ Dirichlet(1, ..., 1) of size 2-6 and 1-3 transpositions (i, j, weight t), padded to 3 by
+        # no-ops (0, 1, 0.0); lam averages mu along them. mu is zero-padded to 6 entries, which changes no
+        # bit of an average, a majorization test or an entropy: the entropy kernel drops entries at or
+        # below the zero floor and sums a row of at most 7 entries left to right, so trailing zeros add 0.0s.
+        size = int(rng.integers(2, 7))
+        mu = np.zeros(6)
+        mu[:size] = rng.dirichlet(np.ones(size))
+        steps = [(0, 1, 0.0)] * 3
+        for k in range(int(rng.integers(1, 4))):
+            i, j = rng.choice(size, size=2, replace=False)
+            steps[k] = (i, j, float(rng.uniform(0.0, 1.0)))
+        return mu, size, steps, EntropyParams(float(rng.uniform(0.05, 4.0)), float(rng.uniform(0.0, 3.0)))
+
+    def check(cases):
+        mus = np.array([mu for mu, *_ in cases])
+        lams = _averaged(mus, [steps for _, _, steps, _ in cases])
         ok = majorizes_rows(mus, lams).tolist()  # also validates both blocks as probability vectors
-        points = np.array([p for _, _, p in drawn], dtype=object)[:, None]
+        points = np.array([p for *_, p in cases], dtype=object)[:, None]
         vals = unified_entropy_rows(np.stack([lams, mus], axis=1), points)
         gaps = (vals[:, 0] - vals[:, 1]).tolist()
-        for trial, lam, (mu, _, p), good, gap in zip(batch, lams, drawn, ok, gaps):
+        for j, (lam, (mu, size, _, p), good, gap) in enumerate(zip(lams, cases, ok, gaps)):
             if not good:
-                failures.append(f"trial {trial} seed {seed}: generated pair fails majorization")
+                yield j, "generated pair fails majorization"
             elif gap < -GAP_TOL:
-                failures.append(
-                    f"trial {trial} seed {seed}: gap {gap} at alpha={p.alpha}, beta={p.beta}, "
-                    f"lam={lam[: mu.size]}, mu={mu}"
-                )
-    return SuiteResult("schur", trials, failures)
+                yield j, f"gap {gap} at alpha={p.alpha}, beta={p.beta}, lam={lam[:size]}, mu={mu[:size]}"
+
+    return _run("schur", seed, trials, draw, check)
 
 
 def suite_alpha_mono(seed: int = 0, trials: int = 10_000) -> SuiteResult:
     """Entropy is nonincreasing in alpha for beta >= 1."""
-    rng = np.random.default_rng(seed)
     dims_pool = [(2,), (3,), (4,), (2, 2), (2, 3)]
-    failures = []
-    for batch in _batches(trials):
-        spectra, cases = np.zeros((len(batch), 6)), []  # zero-padded as in `suite_schur`
-        for trial, row in zip(batch, spectra):
-            dims = dims_pool[int(rng.integers(len(dims_pool)))]
-            rho = random_density(dims, rank=int(rng.integers(1, math.prod(dims) + 1)), seed=seed * 100_003 + trial)
-            row[: rho.spectrum.size] = rho.spectrum
-            a_lo, a_hi = np.sort(rng.uniform(0.05, 4.0, size=2)).tolist()
-            cases.append((a_lo, a_hi, float(rng.uniform(1.0, 3.0))))
-        pairs = [[EntropyParams(a, beta) for a in (a_lo, a_hi)] for a_lo, a_hi, beta in cases]
+
+    def draw(rng, trial):
+        dims = dims_pool[int(rng.integers(len(dims_pool)))]
+        rank = int(rng.integers(1, math.prod(dims) + 1))
+        lam = np.zeros(6)  # zero-padded as in `suite_schur`
+        lam[: math.prod(dims)] = random_density(dims, rank=rank, seed=seed * 100_003 + trial).spectrum
+        a_lo, a_hi = np.sort(rng.uniform(0.05, 4.0, size=2)).tolist()
+        return lam, a_lo, a_hi, float(rng.uniform(1.0, 3.0))
+
+    def check(cases):
+        pairs = [[EntropyParams(a, beta) for a in (a_lo, a_hi)] for _, a_lo, a_hi, beta in cases]
+        spectra = np.array([lam for lam, *_ in cases])
         vals = unified_entropy_rows(spectra[:, None], np.array(pairs, dtype=object))
-        for trial, (a_lo, a_hi, beta), gap in zip(batch, cases, (vals[:, 0] - vals[:, 1]).tolist()):
+        for j, ((_, a_lo, a_hi, beta), gap) in enumerate(zip(cases, (vals[:, 0] - vals[:, 1]).tolist())):
             if gap < -GAP_TOL:
-                failures.append(
-                    f"trial {trial} seed {seed}: gap {gap} at alpha_lo={a_lo}, alpha_hi={a_hi}, beta={beta}"
-                )
-    return SuiteResult("alpha-mono", trials, failures)
+                yield j, f"gap {gap} at alpha_lo={a_lo}, alpha_hi={a_hi}, beta={beta}"
+
+    return _run("alpha-mono", seed, trials, draw, check)
 
 
 def suite_ordering(seed: int = 0, trials: int = 1000, alpha_pairs: int = 20) -> SuiteResult:
     """Lower-bound chain plus alpha-monotonicity of the measure on Haar states."""
-    rng = np.random.default_rng(seed)
-    failures = []
-    for batch in _batches(trials, 4 + 2 * alpha_pairs):  # 4 points of an ordering report
-        cases, drawn = [], []
-        for trial in batch:
-            pairs = [
-                (*np.sort(rng.uniform(0.3, 3.5, size=2)), float(rng.uniform(1.0, 3.0))) for _ in range(alpha_pairs)
-            ]
-            points = [EntropyParams(float(a), beta) for a_lo, a_hi, beta in pairs for a in (a_lo, a_hi)]
-            cases.append((haar_random((2, 2, 2, 2), seed=seed * 100_003 + trial), (1, 2, 3, 4), points))
-            drawn.append(pairs)
-        for trial, pairs, (report, values) in zip(batch, drawn, ordering_reports(cases)):
-            for name, ok in report.checks.items():
-                if not ok:
-                    failures.append(f"trial {trial} seed {seed}: {name} violated")
-            for (a_lo, a_hi, beta), lo, hi in zip(pairs, values[::2], values[1::2]):
-                if lo < hi - GAP_TOL:
-                    failures.append(
-                        f"trial {trial} seed {seed}: measure increased from alpha {a_lo} to {a_hi} at beta {beta}"
-                    )
-    return SuiteResult("ordering", trials, failures)
+    def draw(rng, trial):
+        points = []  # alpha pairs (lo, hi) at a shared beta
+        for _ in range(alpha_pairs):
+            a_lo, a_hi = np.sort(rng.uniform(0.3, 3.5, size=2))
+            beta = float(rng.uniform(1.0, 3.0))
+            points += [EntropyParams(float(a_lo), beta), EntropyParams(float(a_hi), beta)]
+        return haar_random((2, 2, 2, 2), seed=seed * 100_003 + trial), (1, 2, 3, 4), points
+
+    def check(cases):
+        for j, ((*_, points), (report, values)) in enumerate(zip(cases, ordering_reports(cases))):
+            yield from ((j, f"{name} violated") for name, ok in report.checks.items() if not ok)
+            for lo, hi, v_lo, v_hi in zip(points[::2], points[1::2], values[::2], values[1::2]):
+                if v_lo < v_hi - GAP_TOL:
+                    yield j, f"measure increased from alpha {lo.alpha} to {hi.alpha} at beta {lo.beta}"
+
+    return _run("ordering", seed, trials, draw, check, 4 + 2 * alpha_pairs)  # 4 points of an ordering report
 
 
 def suite_subadd(seed: int = 0, trials: int = 1000) -> SuiteResult:
     """E(s) + E(s') >= E(s u s') for disjoint subsets on the subadditive region."""
-    rng = np.random.default_rng(seed)
     alphas = (1.0, 1.5, 2.0, 3.0)
-    failures = []
-    for batch in _batches(trials):
-        cases = []
-        for trial in batch:
-            psi = haar_random((2,) * 5, seed=seed * 100_003 + trial)
-            labels = rng.permutation(5) + 1
-            k1 = int(rng.integers(1, 4))
-            k2 = int(rng.integers(1, 6 - k1))
-            s = tuple(int(x) for x in labels[:k1])
-            s2 = tuple(int(x) for x in labels[k1 : k1 + k2])
-            cases.append((psi, s, s2, EntropyParams(alphas[int(rng.integers(len(alphas)))], 1.0)))
-        for trial, (_, s, s2, params), gap in zip(batch, cases, subadditivity_gaps(cases)):
+
+    def draw(rng, trial):
+        psi = haar_random((2,) * 5, seed=seed * 100_003 + trial)
+        labels = rng.permutation(5) + 1
+        k1 = int(rng.integers(1, 4))
+        k2 = int(rng.integers(1, 6 - k1))
+        s = tuple(int(x) for x in labels[:k1])
+        s2 = tuple(int(x) for x in labels[k1 : k1 + k2])
+        return psi, s, s2, EntropyParams(alphas[int(rng.integers(len(alphas)))], 1.0)
+
+    def check(cases):
+        for j, ((_, s, s2, params), gap) in enumerate(zip(cases, subadditivity_gaps(cases))):
             if gap < -GAP_TOL:
-                failures.append(
-                    f"trial {trial} seed {seed}: gap {gap} for s={s}, s'={s2}, alpha={params.alpha}"
-                )
-    return SuiteResult("subadd", trials, failures)
+                yield j, f"gap {gap} for s={s}, s'={s2}, alpha={params.alpha}"
+
+    return _run("subadd", seed, trials, draw, check)
 
 
 def suite_tensor_id(seed: int = 0, trials: int = 200) -> SuiteResult:
     """Composition identity across a tensor factorization, all branches."""
-    rng = np.random.default_rng(seed)
-    failures = []
-    for trial in range(trials):
+    def draw(rng, trial):
         dims_a = (2, 2) if rng.integers(2) else (2,)
         dims_b = (2, 2) if rng.integers(2) else (3,)
         psi_a = haar_random(dims_a, seed=seed * 100_003 + 2 * trial)
@@ -289,102 +254,100 @@ def suite_tensor_id(seed: int = 0, trials: int = 200) -> SuiteResult:
             params = EntropyParams.linear()
         else:
             params = EntropyParams(float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.2, 3.0)))
-        residual = tensor_identity_residual(psi_a, psi_b, s, params)
-        if residual >= 1e-10:
-            failures.append(
-                f"trial {trial} seed {seed}: residual {residual} at alpha={params.alpha}, "
-                f"beta={params.beta}, s={s}"
-            )
-    return SuiteResult("tensor-id", trials, failures)
+        return psi_a, psi_b, s, params
+
+    def check(cases):
+        for j, (psi_a, psi_b, s, p) in enumerate(cases):
+            residual = tensor_identity_residual(psi_a, psi_b, s, p)
+            if residual >= 1e-10:
+                yield j, f"residual {residual} at alpha={p.alpha}, beta={p.beta}, s={s}"
+
+    return _run("tensor-id", seed, trials, draw, check)
 
 
 def suite_continuity(seed: int = 0, trials: int = 500) -> SuiteResult:
     """Both continuity bounds on random nearby pure-state pairs."""
-    rng = np.random.default_rng(seed)
-    failures = []
-    for trial in range(trials):
+    def draw(rng, trial):
         psi = haar_random((2, 2, 2), seed=seed * 100_003 + trial)
         eps = float(rng.uniform(0.01, 0.399))
         phi = nearby_state(psi, rng, eps)
         if trial % 2 == 0:
-            params = EntropyParams(float(rng.uniform(1.2, 4.0)), float(rng.uniform(1.0, 3.0)))
-        else:
-            params = EntropyParams.von_neumann()
-        lhs, bound = continuity_gap(psi, phi, (1, 2, 3), params)
-        if lhs > bound + GAP_TOL:
-            failures.append(
-                f"trial {trial} seed {seed}: |dE| {lhs} exceeds bound {bound} at "
-                f"alpha={params.alpha}, beta={params.beta}, eps={eps}"
-            )
-    return SuiteResult("continuity", trials, failures)
+            return psi, phi, eps, EntropyParams(float(rng.uniform(1.2, 4.0)), float(rng.uniform(1.0, 3.0)))
+        return psi, phi, eps, EntropyParams.von_neumann()
+
+    def check(cases):
+        for j, (psi, phi, eps, p) in enumerate(cases):
+            lhs, bound = continuity_gap(psi, phi, (1, 2, 3), p)
+            if lhs > bound + GAP_TOL:
+                yield j, f"|dE| {lhs} exceeds bound {bound} at alpha={p.alpha}, beta={p.beta}, eps={eps}"
+
+    return _run("continuity", seed, trials, draw, check)
 
 
 def suite_locc(seed: int = 0, trials: int = 500) -> SuiteResult:
     """Average measure never increases under rank-1 local instruments."""
-    rng = np.random.default_rng(seed)
-    failures = []
-    for batch in _batches(trials):
-        drawn, zs, avecs = [], [], []
-        for trial in batch:
-            psi = haar_random((2, 2, 2), seed=seed * 100_003 + trial)
-            site = int(rng.integers(1, 4))
-            z, a = _instrument_draws(rng, 2)
-            zs.append(z)
-            avecs.append(a)
-            drawn.append((psi, (1, 2, 3), sample_concavity_params(rng), site))
-        cases = [(*case, kraus) for case, kraus in zip(drawn, _instruments(np.stack(zs), np.stack(avecs)))]
-        for trial, (_, _, params, site, _), gap in zip(batch, cases, locc_monotonicity_gaps(cases)):
+    def draw(rng, trial):
+        # z, then two vectors a_i, each normed on its own: a stacked norm differs in the last bits
+        psi = haar_random((2, 2, 2), seed=seed * 100_003 + trial)
+        site = int(rng.integers(1, 4))
+        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        a = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2)]
+        return psi, site, z, [v / np.linalg.norm(v) for v in a], sample_concavity_params(rng)
+
+    def check(cases):
+        # Measure-and-prepare instruments: K_i = |a_i><b_i|, b_i the i-th column of z's QR basis.
+        basis, _ = np.linalg.qr(np.stack([z for _, _, z, _, _ in cases]))
+        a = np.array([a for *_, a, _ in cases])
+        kraus = a[..., :, None] * basis.conj().swapaxes(-1, -2)[..., None, :]
+        jobs = [(psi, (1, 2, 3), params, site, k) for (psi, site, _, _, params), k in zip(cases, kraus)]
+        for j, ((_, _, p, site, _), gap) in enumerate(zip(jobs, locc_monotonicity_gaps(jobs))):
             if gap < -GAP_TOL:
-                failures.append(
-                    f"trial {trial} seed {seed}: gap {gap} at site {site}, "
-                    f"alpha={params.alpha}, beta={params.beta}"
-                )
-    return SuiteResult("locc", trials, failures)
+                yield j, f"gap {gap} at site {site}, alpha={p.alpha}, beta={p.beta}"
+
+    return _run("locc", seed, trials, draw, check)
 
 
 def suite_swap_consistency(seed: int = 0, trials: int = 100) -> SuiteResult:
     """Exact SWAP-test distribution reproduces the linear-entropy measure."""
-    fixed: list[tuple[str, PureState]] = []
-    for n in (3, 4, 5):
-        fixed.append((f"ghz:{n}", ghz(n)))
-        fixed.append((f"w:{n}", w(n)))
-    for k in range(5):
-        fixed.append((f"dicke:4:{k}", dicke(4, k)))
-    failures = []
-    for batch in _batches(len(fixed) + trials):
-        cases = [fixed[i] for i in batch if i < len(fixed)]
-        for trial in (i - len(fixed) for i in batch if i >= len(fixed)):
-            n = 2 + trial % 4
-            cases.append((f"haar:{n}q:{trial}", haar_random((2,) * n, seed=seed * 100_003 + trial)))
+    fixed = [(f"{name}:{n}", make(n)) for n in (3, 4, 5) for name, make in (("ghz", ghz), ("w", w))]
+    fixed += [(f"dicke:4:{k}", dicke(4, k)) for k in range(5)]
+
+    def draw(rng, i):
+        if i < len(fixed):
+            return fixed[i]
+        trial = i - len(fixed)
+        n = 2 + trial % 4
+        return f"haar:{n}q:{trial}", haar_random((2,) * n, seed=seed * 100_003 + trial)
+
+    def check(cases):
         # Only C is compared, so only the linear point is evaluated, grouped by n.
         jobs = [(psi, tuple(range(1, psi.n_subsystems + 1)), BENCHMARKS["c"]) for _, psi in cases]
-        for (label, psi), (_, s, _), want in zip(cases, jobs, cce_values(jobs)):
+        for j, ((psi, s, _), want) in enumerate(zip(jobs, cce_values(jobs))):
             got = cce_from_distribution(swap_test_distribution(psi), s)
             if abs(got - want) > 1e-10:
-                failures.append(f"{label} seed {seed}: swap-test {got} vs direct {want}")
-    return SuiteResult("swap-consistency", len(fixed) + trials, failures)
+                yield j, f"swap-test {got} vs direct {want}"
+
+    return _run("swap-consistency", seed, len(fixed) + trials, draw, check, label=lambda case: case[0])
 
 
 def suite_roof_separable(seed: int = 0, trials: int = 20) -> SuiteResult:
     """Roof upper bound collapses on constructed fully separable states."""
-    rng = np.random.default_rng(seed)
-    failures = []
-    for trial in range(trials):
-        k = int(rng.integers(2, 5))
-        probs = rng.dirichlet(np.ones(k))
-        members = tuple(
-            (float(p), random_product((2, 2), seed=seed * 100_003 + 10 * trial + i))
-            for i, p in enumerate(probs)
-        )
-        ens = Ensemble(members)
-        rho = ens.density()
-        result = cce_mixed_upper(
-            rho, (1, 2), EntropyParams.von_neumann(),
-            budget=(2, 400), seed=seed + trial, seed_ensembles=[ens],
-        )
-        if result.upper_bound > 1e-3:
-            failures.append(f"trial {trial} seed {seed}: upper bound {result.upper_bound} > 1e-3")
-    return SuiteResult("roof-separable", trials, failures)
+    def draw(rng, trial):
+        probs = rng.dirichlet(np.ones(int(rng.integers(2, 5))))
+        base = seed * 100_003 + 10 * trial
+        members = tuple((float(p), random_product((2, 2), seed=base + i)) for i, p in enumerate(probs))
+        return trial, Ensemble(members)
+
+    def check(cases):
+        for j, (trial, ens) in enumerate(cases):
+            result = cce_mixed_upper(
+                ens.density(), (1, 2), EntropyParams.von_neumann(),
+                budget=(2, 400), seed=seed + trial, seed_ensembles=[ens],
+            )
+            if result.upper_bound > 1e-3:
+                yield j, f"upper bound {result.upper_bound} > 1e-3"
+
+    return _run("roof-separable", seed, trials, draw, check)
 
 
 def suite_roof_eof(seed: int = 0, trials: int = 20) -> SuiteResult:
@@ -393,19 +356,20 @@ def suite_roof_eof(seed: int = 0, trials: int = 20) -> SuiteResult:
     The measure averages over P({1}) = {empty, {1}}, so its roof equals half
     the entanglement of formation.
     """
-    failures = []
-    for trial in range(trials):
-        rho = random_density((2, 2), rank=2, seed=seed * 100_003 + trial)
-        result = cce_mixed_upper(
-            rho, (1,), EntropyParams.von_neumann(), budget=(6, 1000), seed=seed + trial
-        )
-        target = 0.5 * wootters_eof(rho)
-        err = result.upper_bound - target
-        if abs(err) > 5e-3:
-            failures.append(
-                f"trial {trial} seed {seed}: upper bound {result.upper_bound} vs EOF/2 {target} (err {err})"
+    def draw(rng, trial):
+        return trial, random_density((2, 2), rank=2, seed=seed * 100_003 + trial)
+
+    def check(cases):
+        for j, (trial, rho) in enumerate(cases):
+            result = cce_mixed_upper(
+                rho, (1,), EntropyParams.von_neumann(), budget=(6, 1000), seed=seed + trial
             )
-    return SuiteResult("roof-eof", trials, failures)
+            target = 0.5 * wootters_eof(rho)
+            err = result.upper_bound - target
+            if abs(err) > 5e-3:
+                yield j, f"upper bound {result.upper_bound} vs EOF/2 {target} (err {err})"
+
+    return _run("roof-eof", seed, trials, draw, check)
 
 
 SUITES: dict[str, Callable[..., SuiteResult]] = {

@@ -27,6 +27,7 @@ __all__ = [
     "ControlDistribution",
     "ShotRecord",
     "BoundTriplet",
+    "register_size",
     "swap_test_distribution",
     "cce_from_distribution",
     "sample_shots",
@@ -80,15 +81,20 @@ class ShotRecord:
         return {"counts": dict(self.counts), "shots": self.shots, "seed": self.seed}
 
 
+def register_size(dims: tuple[int, ...]) -> int:
+    """Qubit count of a register the SWAP test takes: qubits only, at most MAX_SUBSET_SIZE of them."""
+    if any(d != 2 for d in dims):
+        raise ValueError(f"SWAP test is defined for qubit registers, got dims {dims}")
+    if len(dims) > MAX_SUBSET_SIZE:
+        raise ResourceLimitError(f"SWAP test of {len(dims)} qubits exceeds the n <= {MAX_SUBSET_SIZE} guard")
+    return len(dims)
+
+
 def swap_test_distribution(psi: PureState) -> ControlDistribution:
     """Exact control distribution of the parallelized SWAP test on two
     copies of a qubit state, by a fast Walsh-Hadamard transform of its cut
     purities."""
-    if any(d != 2 for d in psi.dims):
-        raise ValueError(f"SWAP test is defined for qubit registers, got dims {psi.dims}")
-    n = psi.n_subsystems
-    if n > MAX_SUBSET_SIZE:
-        raise ResourceLimitError(f"SWAP test of {n} qubits exceeds the n <= {MAX_SUBSET_SIZE} guard")
+    n = register_size(psi.dims)
     # Mask bit j selects label j+1; reversed axes put control 1 on axis 0.
     t = cut_purities(psi).reshape((2,) * n).transpose(range(n - 1, -1, -1))
     for axis in range(n):

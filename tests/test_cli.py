@@ -196,6 +196,30 @@ def test_mixed_recipe_rejected_before_it_is_built(capsys, monkeypatch, command):
     assert "pure-state recipe" in err
 
 
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (["compute", "--state", "ghz:25"], 4, "power set of 25 labels exceeds the enumeration guard of 20"),
+        (["compute", "--state", "haar:" + "x".join(["2"] * 21)], 4, "power set of 21 labels"),
+        (["swaptest", "--state", "ghz:21"], 4, "SWAP test of 21 qubits exceeds the n <= 20 guard"),
+        (["compute", "--state", "ghz:21", "--s", "1,22"], 2, "subsystem labels must lie in 1..21"),
+        (["compute", "--state", "haar:1x" + "x".join(["2"] * 20)], 2, "every local dimension must be >= 2"),
+        (["swaptest", "--state", "haar:3x" + "x".join(["2"] * 20)], 2, "defined for qubit registers"),
+    ],
+    ids=["compute-ghz25", "compute-haar21", "swaptest-ghz21", "bad-label", "bad-dim", "swaptest-qutrit"],
+)
+def test_recipe_checked_before_it_is_built(capsys, monkeypatch, argv, code, message):
+    # The statevector alone takes 2^n amplitudes, so the labels, the local dimensions and the
+    # size guards are read from the recipe; each keeps the exit code it had after building.
+    def build(self):
+        raise AssertionError("recipe built")
+
+    monkeypatch.setattr(StateRecipe, "build", build)
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert message in err
+
+
 def test_module_all_names_exist():
     # A stale name in `__all__` fails `from cekit.<module> import *`, and tools
     # that read `__all__` through getattr(..., None) would skip it silently.

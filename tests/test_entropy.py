@@ -21,7 +21,7 @@ from cekit.entropy import (
 )
 from cekit.measures import continuity_gap
 from cekit.states import haar_random, random_density
-from cekit.suites import nearby_state, random_majorization_pair
+from cekit.suites import nearby_state
 from cekit.tensor import ZERO_EIG_FLOOR, DensityOperator
 
 MIXED_QUBIT = DensityOperator(np.eye(2) / 2.0, (2,))
@@ -134,10 +134,23 @@ def test_unified_entropy_rejects_nan_matrix():
             unified_entropy(np.array([[np.nan, 0.0], [0.0, 0.5]]), params)
 
 
+def _majorization_pair(rng, size):
+    # mu ~ Dirichlet(1, ..., 1), then lam averaged along 1-3 random transpositions, so mu majorizes lam.
+    mu = rng.dirichlet(np.ones(size))
+    lam = mu.copy()
+    for _ in range(int(rng.integers(1, 4))):
+        i, j = rng.choice(size, size=2, replace=False)
+        t = float(rng.uniform(0.0, 1.0))
+        swapped = lam.copy()
+        swapped[i], swapped[j] = lam[j], lam[i]
+        lam = (1.0 - t) * lam + t * swapped
+    return lam, mu
+
+
 def test_schur_witness_random_sweep():
     rng = np.random.default_rng(7)
     for _ in range(2000):
-        lam, mu = random_majorization_pair(rng, int(rng.integers(2, 7)))
+        lam, mu = _majorization_pair(rng, int(rng.integers(2, 7)))
         params = EntropyParams(float(rng.uniform(0.05, 4.0)), float(rng.uniform(0.0, 3.0)))
         assert majorizes(mu, lam)
         assert schur_concavity_witness(lam, mu, params) >= -1e-10

@@ -402,15 +402,25 @@ def test_locc_projective_measurement_kills_ghz():
     assert gap == pytest.approx(0.75, abs=1e-12)
 
 
+def _rank1_instrument(rng, d=2):
+    # Measure-and-prepare channel K_i = |a_i><b_i|: {b_i} the QR basis of a complex Gaussian z,
+    # then each a_i a complex Gaussian vector scaled to unit norm.
+    basis, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    kraus = []
+    for b in basis.T:
+        a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        kraus.append(np.outer(a / np.linalg.norm(a), b.conj()))
+    return kraus
+
+
 def test_locc_random_sweep():
-    from cekit.suites import random_rank1_instrument, sample_concavity_params
+    from cekit.suites import sample_concavity_params
 
     rng = np.random.default_rng(10)
     for seed in range(100):
         psi = haar_random((2, 2, 2), seed=seed)
         gap = locc_monotonicity_spotcheck(
-            psi, (1, 2, 3), sample_concavity_params(rng), int(rng.integers(1, 4)),
-            random_rank1_instrument(rng),
+            psi, (1, 2, 3), sample_concavity_params(rng), int(rng.integers(1, 4)), _rank1_instrument(rng)
         )
         assert gap >= -1e-10
 

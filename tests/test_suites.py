@@ -11,6 +11,7 @@ from cekit.cli import main
 from cekit.entropy import EntropyParams, majorizes, schur_concavity_witness, unified_entropy_spectrum
 from cekit.measures import (
     BENCHMARKS,
+    continuity_gap,
     locc_monotonicity_spotcheck,
     spectra_table,
     subadditivity_gap,
@@ -37,13 +38,24 @@ def _subadd_loop(seed, trials):
     return out
 
 
+def _rank1_instrument(rng, d=2):
+    # Measure-and-prepare channel K_i = |a_i><b_i|: {b_i} the QR basis of a complex Gaussian z,
+    # then each a_i a complex Gaussian vector scaled to unit norm.
+    basis, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    kraus = []
+    for b in basis.T:
+        a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        kraus.append(np.outer(a / np.linalg.norm(a), b.conj()))
+    return kraus
+
+
 def _locc_loop(seed, trials):
     rng = np.random.default_rng(seed)
     out = []
     for trial in range(trials):
         psi = haar_random((2, 2, 2), seed=seed * 100_003 + trial)
         site = int(rng.integers(1, 4))
-        kraus = suites.random_rank1_instrument(rng)
+        kraus = _rank1_instrument(rng)
         params = suites.sample_concavity_params(rng)
         gap = locc_monotonicity_spotcheck(psi, (1, 2, 3), params, site, kraus)
         out.append(
@@ -52,17 +64,49 @@ def _locc_loop(seed, trials):
     return out
 
 
+def _majorization_pair_loop(rng, size):
+    # mu ~ Dirichlet(1, ..., 1), then lam averaged along 1-3 random transpositions.
+    mu = rng.dirichlet(np.ones(size))
+    lam = mu.copy()
+    for _ in range(int(rng.integers(1, 4))):
+        i, j = rng.choice(size, size=2, replace=False)
+        t = float(rng.uniform(0.0, 1.0))
+        swapped = lam.copy()
+        swapped[i], swapped[j] = lam[j], lam[i]
+        lam = (1.0 - t) * lam + t * swapped
+    return lam, mu
+
+
 def _schur_loop(seed, trials):
     rng = np.random.default_rng(seed)
     out = []
     for trial in range(trials):
         size = int(rng.integers(2, 7))
-        lam, mu = suites.random_majorization_pair(rng, size)
+        lam, mu = _majorization_pair_loop(rng, size)
         a = float(rng.uniform(0.05, 4.0))
         b = float(rng.uniform(0.0, 3.0))
         assert majorizes(mu, lam)
         gap = schur_concavity_witness(lam, mu, EntropyParams(a, b))
         out.append(f"trial {trial} seed {seed}: gap {gap} at alpha={a}, beta={b}, lam={lam}, mu={mu}")
+    return out
+
+
+def _continuity_loop(seed, trials):
+    rng = np.random.default_rng(seed)
+    out = []
+    for trial in range(trials):
+        psi = haar_random((2, 2, 2), seed=seed * 100_003 + trial)
+        eps = float(rng.uniform(0.01, 0.399))
+        phi = suites.nearby_state(psi, rng, eps)
+        if trial % 2 == 0:
+            params = EntropyParams(float(rng.uniform(1.2, 4.0)), float(rng.uniform(1.0, 3.0)))
+        else:
+            params = EntropyParams.von_neumann()
+        lhs, bound = continuity_gap(psi, phi, (1, 2, 3), params)
+        out.append(
+            f"trial {trial} seed {seed}: |dE| {lhs} exceeds bound {bound} at "
+            f"alpha={params.alpha}, beta={params.beta}, eps={eps}"
+        )
     return out
 
 
@@ -80,31 +124,6 @@ def _alpha_mono_loop(seed, trials):
         gap = lo - unified_entropy_spectrum(lam, EntropyParams(float(a_hi), beta))
         out.append(f"trial {trial} seed {seed}: gap {gap} at alpha_lo={a_lo}, alpha_hi={a_hi}, beta={beta}")
     return out
-
-
-def _majorization_pair_loop(rng, size):
-    mu = rng.dirichlet(np.ones(size))
-    lam = mu.copy()
-    for _ in range(int(rng.integers(1, 4))):
-        i, j = rng.choice(size, size=2, replace=False)
-        t = float(rng.uniform(0.0, 1.0))
-        swapped = lam.copy()
-        swapped[i], swapped[j] = lam[j], lam[i]
-        lam = (1.0 - t) * lam + t * swapped
-    return lam, mu
-
-
-def test_random_majorization_pair_keeps_the_one_pair_bytes():
-    # The stacked averaging, padded with no-op transpositions, against the
-    # one-vector loop it replaced: same arrays, same generator state after.
-    for seed in range(40):
-        for size in range(2, 7):
-            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = suites.random_majorization_pair(got_rng, size)
-            want = _majorization_pair_loop(want_rng, size)
-            assert [a.shape for a in got] == [(size,), (size,)]
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def _chain(table, tol=1e-10):
@@ -154,6 +173,7 @@ def test_batched_ordering_matches_trial_by_trial_loop(monkeypatch, seed):
         ("locc", _locc_loop, 150),
         ("schur", _schur_loop, 300),
         ("alpha-mono", _alpha_mono_loop, 150),
+        ("continuity", _continuity_loop, 150),
     ],
 )
 def test_batched_gaps_match_trial_by_trial_loop(monkeypatch, name, loop, trials, seed):
@@ -174,8 +194,16 @@ def test_ordering_eigensolves_once_per_batch(capsys, monkeypatch):
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    planned = []  # the suite's own batches, at its own points per trial
+    real_batches = suites._batches
+
+    def spying(*args):
+        planned.append(real_batches(*args))
+        return planned[-1]
+
+    monkeypatch.setattr(suites, "_batches", spying)
     assert main(["verify", "ordering", "--trials", "130"]) == 0
-    batches = suites._batches(130, 6 + 2 * 20)
+    [batches] = planned
     assert len(batches) > 1
     assert len(calls) == len(batches)  # one stacked call for the cuts of dimension 4; qubit cuts need none
     assert "PASS" in capsys.readouterr().out
@@ -222,7 +250,18 @@ def test_one_entropy_call_per_batch(monkeypatch, name):
 
 @pytest.mark.parametrize(
     "name,trials",
-    [("ordering", 40), ("subadd", 300), ("locc", 300), ("schur", 300), ("swap-consistency", 300), ("alpha-mono", 300)],
+    [
+        ("ordering", 40),
+        ("subadd", 300),
+        ("locc", 300),
+        ("schur", 300),
+        ("swap-consistency", 300),
+        ("alpha-mono", 300),
+        ("tensor-id", 70),
+        ("continuity", 70),
+        ("roof-separable", 3),
+        ("roof-eof", 2),
+    ],
 )
 def test_batch_size_does_not_change_output(monkeypatch, name, trials):
     monkeypatch.setattr(suites, "GAP_TOL", -10.0)
