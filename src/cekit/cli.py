@@ -11,11 +11,13 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
+from math import prod
 from typing import Iterable, Sequence
 
 from .entropy import EntropyParams
 from .errors import ResourceLimitError
-from .measures import MAX_SUBSET_SIZE, ORDER_TOL, cut_plan, named_measures, spectra_table, table_named, table_value
+from .measures import BENCHMARKS, MAX_SUBSET_SIZE, ORDER_TOL, cut_plan, named_measures, spectra_table, table_values
 from .states import StateRecipe, dicke, ghz, ghz_w_closed_forms, star, w
 from .suites import DEFAULT_TRIALS, SUITES, run_suite
 from .swaptest import (
@@ -34,6 +36,7 @@ EXIT_RESOURCE = 4
 
 MAX_GRID_STEPS = 10_000
 MAX_GRID_POINTS = 1_000_000
+MAX_STATE_DIM = 1 << MAX_SUBSET_SIZE  # amplitudes of a built state: every state of up to 20 qubits
 
 
 def _fmt(value) -> str:
@@ -88,6 +91,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             f"grid of {len(alphas)} x {len(betas)} points exceeds the guard of {MAX_GRID_POINTS}"
         )
     grid = [(a, b) for a in alphas for b in betas]
+    points = [EntropyParams(a, b) for a, b in grid] + (list(BENCHMARKS.values()) if args.named else [])
     for recipe_text in args.state:
         recipe = StateRecipe.parse(recipe_text)
         if recipe.family == "mixed-random":  # rejected unbuilt: building one takes O(d^3) time
@@ -95,19 +99,18 @@ def cmd_compute(args: argparse.Namespace) -> int:
         dims = recipe.local_dims
         subset = _parse_subset(args.s) if args.s else tuple(range(1, len(dims) + 1))
         plan = cut_plan(dims, subset)  # checks the labels and the power-set guard before the state is built
+        if prod(dims) > MAX_STATE_DIM:
+            raise ResourceLimitError(f"state of dimension {prod(dims)} exceeds the guard of {MAX_STATE_DIM}")
         psi = recipe.build()
         if len(subset) > 12:
             print(
-                f"note: subset of {len(subset)} labels means "
-                f"{sum(len(b.masks) for b in plan.blocks)} "
-                "reduced-state eigensolves per state",
+                f"note: subset of {len(subset)} labels means {plan.n_eigensolves} reduced-state eigensolves per state",
                 file=sys.stderr,
             )
-        table = spectra_table(psi, subset)
-        named = table_named(table)._asdict() if args.named else {}
+        values = table_values(spectra_table(psi, subset), points)
+        named = dict(zip(BENCHMARKS, values[len(grid) :]))
         state, joined = recipe.label(), "+".join(str(i) for i in subset)
-        for a, b in grid:
-            value = table_value(table, EntropyParams(a, b))
+        for (a, b), value in zip(grid, values):
             rows.append({"state": state, "subset": joined, "alpha": a, "beta": b, "value": value, **named})
     _emit(rows, columns, args.format, args.out)
     return EXIT_OK
@@ -221,7 +224,9 @@ def cmd_swaptest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cekit",
         description="Concentratable-entanglement tables, sweeps, SWAP-test estimates, and property suites.",

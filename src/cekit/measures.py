@@ -14,13 +14,15 @@ s = [n] case pair each subset with its complement and halve the work.
 
 A cut plan fixes those choices once per (dims, subset). A spectra table
 holds each planned cut's spectrum once per state, in one dense block per
-cut dimension, and every (alpha, beta) point is evaluated from it.
+cut dimension, and every (alpha, beta) point is evaluated from it; points
+that share alpha share one power pass over it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import prod
 from typing import Iterable, NamedTuple, Sequence
 
@@ -28,6 +30,8 @@ import numpy as np
 
 from .entropy import (
     EntropyParams,
+    _from_traces,
+    _traces,
     fannes_audenaert_bound,
     in_concavity_region,
     in_subadditivity_region,
@@ -38,7 +42,6 @@ from .errors import ResourceLimitError
 from .tensor import (
     PureState,
     _kraus_set,
-    _reduced_matrices,
     clamped_spectra,
     local_kraus_branches,
     normalize_subset,
@@ -60,6 +63,7 @@ __all__ = [
     "member_spectra",
     "spectra_table",
     "table_terms",
+    "table_values",
     "table_value",
     "table_named",
     "cce_pure",
@@ -80,7 +84,12 @@ MAX_SUBSET_SIZE = 20
 GME_MARGIN = 1e-9
 ORDER_TOL = 1e-10  # slack of every ordering relation checked here
 LN2 = math.log(2.0)
-_CHUNK_ENTRIES = 1 << 14  # entries per stack of reduced matrices: bounds its memory
+# Amplitudes gathered per chunk of cuts: bounds a chunk's memory. 20 Ki keeps the ten
+# two-qubit cuts of a batch of 64 five-qubit states (`verify subadd`) in one eigensolve.
+_CHUNK_ENTRIES = 20 << 10
+# A block whose gather index has at most this many entries keeps it in its plan: on
+# small states, building the index per call costs more than the gather itself.
+_KEPT_INDEX = 1 << 10
 
 #: The four benchmark parameter points: von Neumann, Renyi-2, Tsallis-3, linear.
 BENCHMARKS = {
@@ -140,13 +149,55 @@ class GmeCertificate:
     certified: bool
 
 
+def _offset_form(dims: tuple[int, ...], sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(coef (c, P), places (P,)) of the flat offsets of the multi-indices
+    over each of the sides (c,), bit ax for axis ax: entry r of a side's
+    offsets, in C order over its axes with the other digits 0, is
+    sum_j coef[., j] * (r // places[j]). At place value p the digit of axis
+    ax is r // p - e * (r // (e * p)), e = dims[ax], so the offsets are
+    integer linear forms in r // p."""
+    axes = np.arange(len(dims))
+    on = (sides[:, None] >> axes & 1).astype(bool)
+    e = np.where(on, dims, 1)
+    place = np.cumprod(e[:, ::-1], axis=1)[:, ::-1] // e  # product of e over the later axes
+    stride = np.where(on, [prod(dims[ax + 1 :]) for ax in range(len(dims))], 0)
+    places, at = np.unique(np.concatenate([place, place * e], axis=1), return_inverse=True)
+    coef = np.zeros((len(sides), places.size))
+    cuts = np.arange(len(sides))[:, None]
+    np.add.at(coef, (cuts, at.reshape(len(sides), -1)), np.concatenate([stride, -stride * e], axis=1))
+    return coef, places
+
+
+def _gather_index(rows, cols, lo: int, hi: int, d: int, q: int) -> np.ndarray:
+    """Flat indices (hi - lo, d, q) of the kept-side slices of cuts lo:hi,
+    from the `_offset_form`s of their kept and traced sides: row offset plus
+    column offset. Every term is an integer below 2^53, so the products in
+    doubles are exact."""
+    r, c = (
+        coef[lo:hi].dot(np.arange(size) // places[:, None]).astype(np.intp)
+        for (coef, places), size in ((rows, d), (cols, q))
+    )
+    return r[:, :, None] + c[:, None, :]
+
+
 class CutBlock(NamedTuple):
     """Canonical cuts whose smaller side has dimension d, masks ascending; closed-form
     spectra for qubit cuts (d = 2), else one stacked eigensolve per chunk of them."""
 
     d: int
     masks: np.ndarray
-    perms: tuple[tuple[int, ...], ...]  # per mask: stacked-tensor axes (stack, kept..., traced...)
+    kept: np.ndarray  # per mask: the axes of the side it is reduced to, bit ax for axis ax
+    rows: tuple[np.ndarray, np.ndarray]  # `_offset_form` of the kept sides
+    cols: tuple[np.ndarray, np.ndarray]  # and of the traced ones
+    index: np.ndarray | None  # `_gather_index` of all the cuts, if it has at most _KEPT_INDEX entries
+
+    @classmethod
+    def of(cls, dims: tuple[int, ...], d: int, masks: Sequence[int], kept: Sequence[int]) -> "CutBlock":
+        kept = np.array(kept, dtype=np.int64)
+        rows, cols = _offset_form(dims, kept), _offset_form(dims, ((1 << len(dims)) - 1) ^ kept)
+        size = prod(dims)
+        index = _gather_index(rows, cols, 0, len(kept), d, size // d) if len(kept) * size <= _KEPT_INDEX else None
+        return cls(d, np.array(masks, dtype=np.int64), kept, rows, cols, index)
 
 
 class CutPlan(NamedTuple):
@@ -167,6 +218,11 @@ class CutPlan(NamedTuple):
     def n_masks(self) -> int:
         return 1 << len(self.subset)
 
+    @property
+    def n_eigensolves(self) -> int:
+        """Cuts whose spectrum takes an eigensolve: qubit cuts take the closed form."""
+        return sum(len(block.masks) for block in self.blocks if block.d > 2)
+
 
 class SpectraTable(NamedTuple):
     """Spectra of a plan's cuts: blocks[b][..., i, :] is the descending,
@@ -181,7 +237,8 @@ class SpectraTable(NamedTuple):
 def _build_plan(dims: tuple[int, ...], subset: tuple[int, ...], paired: bool) -> CutPlan:
     m = len(subset)
     full = (1 << m) - 1
-    by_dim: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
+    axes = (1 << len(dims)) - 1
+    by_dim: dict[int, tuple[list[int], list[int]]] = {}
     for mask in range(1 << m):
         if paired and mask > full ^ mask:
             continue
@@ -191,14 +248,12 @@ def _build_plan(dims: tuple[int, ...], subset: tuple[int, ...], paired: bool) ->
             continue
         d_chi = prod(dims[ax] for ax in chi)
         d_comp = prod(dims[ax] for ax in comp)
-        d, kept, traced = (d_chi, chi, comp) if d_chi <= d_comp else (d_comp, comp, chi)
-        masks, perms = by_dim.setdefault(d, ([], []))
+        chi_axes = sum(1 << ax for ax in chi)
+        d, kept = (d_chi, chi_axes) if d_chi <= d_comp else (d_comp, axes ^ chi_axes)
+        masks, sides = by_dim.setdefault(d, ([], []))
         masks.append(mask)
-        perms.append((0,) + tuple(ax + 1 for ax in kept + traced))
-    blocks = tuple(
-        CutBlock(d, np.array(masks, dtype=np.int64), tuple(perms))
-        for d, (masks, perms) in sorted(by_dim.items())
-    )
+        sides.append(kept)
+    blocks = tuple(CutBlock.of(dims, d, masks, sides) for d, (masks, sides) in sorted(by_dim.items()))
     return CutPlan(dims, subset, paired, blocks)
 
 
@@ -224,33 +279,45 @@ def cut_plan(
     return _build_plan(dims, s, use_symmetry)
 
 
+def _slices(block: CutBlock, tensors: np.ndarray):
+    """Kept-side slices of one block's cuts for a stack of state tensors,
+    shaped (k,) + dims. Yields (first mask row, slices (k, c, d, D/d)) for
+    chunks of at most _CHUNK_ENTRIES gathered amplitudes (or one cut), in
+    mask order: a slice's rows run over the kept axes and its columns over
+    the traced ones, each in C order, as a transpose to (kept..., traced...)
+    lays them out. One gather per chunk, its index built for the chunk
+    unless the block keeps it."""
+    k = tensors.shape[0]
+    flat = tensors.reshape(k, -1)
+    q = flat.shape[1] // block.d
+    step = max(1, _CHUNK_ENTRIES // flat.size)
+    for lo in range(0, len(block.kept), step):
+        hi = min(lo + step, len(block.kept))
+        if block.index is None:
+            index = _gather_index(block.rows, block.cols, lo, hi, block.d, q)
+        else:
+            index = block.index[lo:hi]
+        yield lo, flat.take(index, axis=1)  # C order, unlike flat[:, index]
+
+
 def _reduced_chunks(block: CutBlock, tensors: np.ndarray):
-    """Reduced matrices of one block's cuts for a stack of state tensors,
-    shaped (k,) + dims. Yields (first mask row, matrices (k, c, d, d)) for
-    chunks of the block's masks, in mask order."""
-    k, d = tensors.shape[0], block.d
-    step = max(1, _CHUNK_ENTRIES // (k * d * d))
-    for lo in range(0, len(block.perms), step):
-        perms = block.perms[lo : lo + step]
-        rho = np.empty((k, len(perms), d, d), dtype=complex)
-        for j, perm in enumerate(perms):
-            _reduced_matrices(tensors, perm, d, out=rho[:, j])
-        yield lo, rho
+    """Reduced matrices A A^dag of one block's cuts, A each kept-side slice
+    (`_slices`): yields (first mask row, matrices (k, c, d, d)) per chunk."""
+    for lo, a in _slices(block, tensors):
+        yield lo, np.matmul(a, a.conj().swapaxes(-1, -2))
 
 
 def _qubit_spectra(block: CutBlock, tensors: np.ndarray) -> np.ndarray:
     """Ascending spectra (k, c, 2) of a block of qubit cuts (d = 2) in closed
     form, from each state's 2 x q slice (a0; a1): with p_i = sum |a_i|^2 and
     off = sum a0 conj(a1), they are (p0 + p1)/2 -+ hypot((p0 - p1)/2, |off|)."""
-    k = tensors.shape[0]
-    p = np.empty((2, k, len(block.perms)))
-    off = np.empty((k, len(block.perms)), dtype=complex)
-    for j, perm in enumerate(block.perms):
-        a = np.ascontiguousarray(tensors.transpose(perm).reshape(k, 2, -1), dtype=complex)
+    p = np.empty((2, tensors.shape[0], len(block.kept)))
+    off = np.empty(p.shape[1:], dtype=complex)
+    for lo, a in _slices(block, tensors.astype(complex, copy=False)):
         x = a.view(float)  # (re, im) pairs: a row's sum of squares is sum |a_i|^2
-        p[:, :, j] = (x * x).sum(-1).T  # pairwise sums: about 1 ulp at any q
+        p[:, :, lo : lo + a.shape[1]] = (x * x).sum(-1).transpose(2, 0, 1)  # pairwise sums: about 1 ulp at any q
         # Not `*`, which may swap operands on a large temporary: complex products' bits depend on order.
-        off[:, j] = np.multiply(a[:, 0], a[:, 1].conj()).sum(-1)
+        off[:, lo : lo + a.shape[1]] = np.multiply(a[..., 0, :], a[..., 1, :].conj()).sum(-1)
     mid, rad = 0.5 * (p[0] + p[1]), np.hypot(0.5 * (p[0] - p[1]), np.abs(off))
     return np.stack([mid - rad, mid + rad], axis=-1)
 
@@ -317,9 +384,28 @@ def _mean(terms: list[float]) -> float:
     return math.fsum(terms) / len(terms)
 
 
+def table_values(table: SpectraTable, points: Sequence[EntropyParams]) -> list[float]:
+    """The measure of a one-state table at each point, with the bits of a
+    one-point call: one `_traces` power per block for each distinct alpha
+    (all von Neumann points share one), held while the points at that alpha
+    are finished from it. A point's sum is exactly rounded, so it does not
+    depend on the order of the blocks; a paired plan's complements repeat
+    their masks' terms, which doubles that sum exactly."""
+    plan = table.plan
+    copies = 2 if plan.paired else 1
+    out = [0.0] * len(points)
+    for idx in _groups(None if p.is_von_neumann else p.alpha for p in points):
+        traces = list(chain.from_iterable(_traces(spectra, points[idx[0]].alpha).tolist() for spectra in table.blocks))
+        for i in idx:
+            p = points[i]
+            terms = traces if p.is_von_neumann else _from_traces(traces, p.alpha, p.beta)
+            out[i] = copies * math.fsum(terms) / plan.n_masks
+    return out
+
+
 def table_value(table: SpectraTable, params: EntropyParams) -> float:
     """The measure of a one-state table."""
-    return _mean(table_terms(table, params).tolist())
+    return table_values(table, [params])[0]
 
 
 def cce_pure(psi: PureState, subset: Iterable[int], params: EntropyParams) -> MeasureReport:
@@ -370,7 +456,7 @@ def cce_values(jobs: Sequence[tuple[PureState, Iterable[int], EntropyParams]]) -
 
 def table_named(table: SpectraTable) -> NamedMeasures:
     """The four benchmark measures of a one-state table."""
-    return NamedMeasures(**{k: table_value(table, p) for k, p in BENCHMARKS.items()})
+    return NamedMeasures(*table_values(table, list(BENCHMARKS.values())))
 
 
 def named_measures(psi: PureState, subset: Iterable[int]) -> NamedMeasures:
@@ -439,15 +525,15 @@ def tensor_identity_residual(
 
 
 @lru_cache(maxsize=256)
-def _cut_sides(dims: tuple[int, ...], subset: tuple[int, ...]) -> dict[frozenset, tuple[int, ...]]:
-    """The axes (`CutBlock.perms`) each nontrivial cut of P(subset) is reduced
-    with, keyed by the cut's labels; a paired cut's complement shares them."""
+def _cut_sides(dims: tuple[int, ...], subset: tuple[int, ...]) -> dict[frozenset, int]:
+    """The side (`CutBlock.kept`) each nontrivial cut of P(subset) is reduced
+    to, keyed by the cut's labels; a paired cut's complement shares it."""
     plan = cut_plan(dims, subset)
     sides = {}
     for block in plan.blocks:
-        for mask, perm in zip(block.masks.tolist(), block.perms):
+        for mask, kept in zip(block.masks.tolist(), block.kept.tolist()):
             for m in (mask, plan.n_masks - 1 ^ mask) if plan.paired else (mask,):
-                sides[frozenset(label for j, label in enumerate(subset) if m >> j & 1)] = perm
+                sides[frozenset(label for j, label in enumerate(subset) if m >> j & 1)] = kept
     return sides
 
 

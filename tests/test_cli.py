@@ -220,6 +220,37 @@ def test_recipe_checked_before_it_is_built(capsys, monkeypatch, argv, code, mess
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (["--state", "haar:20000x20000"], 4, "state of dimension 400000000 exceeds the guard of 1048576"),
+        (["--state", "haar:1025x1024"], 4, "state of dimension 1049600 exceeds the guard of 1048576"),
+        (["--state", "haar:1024x1024"], 2, "built"),  # 2^20 amplitudes, as many as 20 qubits: admitted
+        (["--state", "ghz:20", "--s", "1"], 2, "built"),
+        (["--state", "ghz:21", "--s", "1"], 4, "state of dimension 2097152 exceeds the guard of 1048576"),
+    ],
+)
+def test_compute_state_size_guard(capsys, monkeypatch, argv, code, message):
+    # The total dimension is guarded before the state is built, not only the label count.
+    def build(self):
+        raise ValueError("built")
+
+    monkeypatch.setattr(StateRecipe, "build", build)
+    assert run_cli(capsys, "compute", *argv) == (code, "", f"{'resource guard' if code == 4 else 'error'}: {message}\n")
+
+
+def test_compute_note_counts_eigensolves(capsys, monkeypatch):
+    # Over 12 labels a note gives the eigensolves per state: 13 qubits have
+    # 4095 planned cuts, and the 13 one-qubit cuts take the closed form.
+    def tabulate(psi, subset):
+        raise ValueError("tabulated")
+
+    monkeypatch.setattr(cekit.cli, "spectra_table", tabulate)
+    code, _, err = run_cli(capsys, "compute", "--state", "haar:" + "x".join(["2"] * 13))
+    assert code == 2
+    assert err == "note: subset of 13 labels means 4082 reduced-state eigensolves per state\nerror: tabulated\n"
+
+
 def test_module_all_names_exist():
     # A stale name in `__all__` fails `from cekit.<module> import *`, and tools
     # that read `__all__` through getattr(..., None) would skip it silently.

@@ -28,6 +28,7 @@ from cekit.measures import (
     subadditivity_gaps,
     table_terms,
     table_value,
+    table_values,
     tensor_identity_residual,
 )
 from cekit.states import ghz, haar_random, random_product, w
@@ -35,6 +36,7 @@ from cekit.suites import nearby_state
 import cekit.measures as measures
 from cekit.tensor import (
     PureState,
+    _reduced_matrices,
     apply_local_kraus_pure,
     hermitian_eigenvalues,
     permute_subsystems,
@@ -560,7 +562,7 @@ def _qubit_slices(q, k=64, seed=0):
 
 @pytest.mark.parametrize("q", [1, 2, 8, 512])
 def test_qubit_spectra_match_eigensolve(q):
-    block = CutBlock(2, np.array([1]), ((0, 1, 2),))  # the whole (k, 2, q) stack is one cut
+    block = CutBlock.of((2, q), 2, [1], [1])  # the whole (k, 2, q) stack is one cut, kept on axis 0
     for name, a in _qubit_slices(q).items():
         got = _qubit_spectra(block, a)[:, 0]
         want = np.linalg.eigvalsh(a @ a.conj().swapaxes(-1, -2))
@@ -666,3 +668,142 @@ def test_subadditivity_groups_share_the_cover_plan_only_where_it_is_cheaper_and_
     four = [haar_random((2,) * 4, seed=i) for i in range(2)]
     tied = [(four[0], (3,), (4,), VN), (four[1], (1, 2), (3, 4), VN)]
     assert _planned_subsets(monkeypatch, tied) == [(3, 4), (1, 2, 3, 4)]
+
+
+# Points on both sides of every dispatch threshold: the scalar exponents 0.5
+# and 2, the von Neumann band |alpha - 1| < 1e-9 and the Renyi band beta < 1e-12.
+GRID_POINTS = [
+    EntropyParams(a, b)
+    for a in (0.5, 2.0, 1.0, 1.0 - 5e-10, 1.0 + 5e-10, 1.0 + 2e-9, 0.3, 1.7, 3.0)
+    for b in (0.0, 1e-13, 2e-12, 0.4, 1.0, 2.5)
+]
+
+
+@pytest.mark.parametrize(
+    "dims,subset",
+    [((2,) * 5, (1, 2, 3, 4, 5)), ((2,) * 5, (1, 3, 4)), ((2, 3, 2), (1, 2, 3)), ((3, 2, 4, 2), (2, 3))],
+    ids=["paired", "unpaired", "mixed-dims", "mixed-partial"],
+)
+def test_table_values_match_one_point_calls(monkeypatch, dims, subset):
+    # Many points in one call keep the bits of one-point calls, and of the
+    # exactly rounded mean over every mask's term (the complement copies and
+    # trivial masks included). The three von Neumann alphas share one power
+    # pass: seven distinct passes per block.
+    table = spectra_table(haar_random(dims, seed=len(dims)), subset)
+    assert table.plan.paired == (len(subset) == len(dims))
+    calls = []
+    traces = measures._traces
+    monkeypatch.setattr(measures, "_traces", lambda lam, alpha: calls.append(alpha) or traces(lam, alpha))
+    got = [v.hex() for v in table_values(table, GRID_POINTS)]
+    assert len(calls) == 7 * len(table.blocks)
+    assert got == [table_value(table, p).hex() for p in GRID_POINTS]
+    assert got == [(math.fsum(table_terms(table, p).tolist()) / table.plan.n_masks).hex() for p in GRID_POINTS]
+
+
+def test_grid_takes_one_power_per_block_per_alpha(monkeypatch, capsys):
+    # The pure-grid benchmark op: 6 x 6 grid plus the four named points. Its
+    # alphas are 0.5, 1, ..., 3 and the named points reuse 1, 2 and 3.
+    from cekit.cli import main
+
+    calls = []
+    traces = measures._traces
+    monkeypatch.setattr(measures, "_traces", lambda lam, alpha: calls.append((lam.shape, alpha)) or traces(lam, alpha))
+    state = "haar:" + "x".join(["2"] * 10) + ":3"
+    assert main(["compute", "--state", state, "--named", "--alpha", "0.5:3:6", "--beta", "0:2:6"]) == 0
+    blocks = cut_plan((2,) * 10, range(1, 11)).blocks
+    assert len(calls) == 6 * len(blocks) == 30
+    assert sorted({alpha for _, alpha in calls}) == [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+    assert len(capsys.readouterr().out.splitlines()) == 37
+
+
+def _sides(dims, kept):
+    axes = [ax for ax in range(len(dims)) if kept >> ax & 1]
+    return axes, [ax for ax in range(len(dims)) if ax not in axes]
+
+
+def _per_cut(tensors, dims, block):
+    """Reduced matrices and closed-form qubit spectra of a block's cuts, one
+    cut at a time, from a transpose of the state tensors."""
+    rhos, qubits = [], []
+    for kept in block.kept.tolist():
+        axes, traced = _sides(dims, kept)
+        perm = (0,) + tuple(ax + 1 for ax in axes + traced)
+        rhos.append(_reduced_matrices(tensors, perm, block.d))
+        if block.d == 2:
+            a = np.ascontiguousarray(tensors.transpose(perm).reshape(len(tensors), 2, -1))
+            x = a.view(float)
+            p = (x * x).sum(-1)
+            off = np.multiply(a[:, 0], a[:, 1].conj()).sum(-1)
+            mid, rad = 0.5 * (p[:, 0] + p[:, 1]), np.hypot(0.5 * (p[:, 0] - p[:, 1]), np.abs(off))
+            qubits.append(np.stack([mid - rad, mid + rad], axis=-1))
+    return np.stack(rhos, axis=1), qubits and np.stack(qubits, axis=1)
+
+
+@pytest.mark.parametrize("chunk", [measures._CHUNK_ENTRIES, 100])
+@pytest.mark.parametrize(
+    "dims,subset,k",
+    [
+        ((2, 3, 2, 2), (1, 2, 3, 4), 1),
+        ((4, 2, 2, 3), (1, 2, 3, 4), 2),  # the d = 4 block holds sides {1} (one axis of 4) and {2, 3} (two qubits)
+        ((3, 2, 4, 2), (1, 3), 1),
+        ((2, 3, 2, 2), (1, 2, 3, 4), 5),
+        ((2,) * 6, (2, 3, 5), 3),
+        ((2,) * 7, range(1, 8), 2),  # blocks above _KEPT_INDEX: no index kept
+    ],
+    ids=["mixed", "mixed-radix", "partial", "stack", "qubit-stack", "qubits-7"],
+)
+def test_gathered_slices_match_per_cut_transposes(monkeypatch, chunk, dims, subset, k):
+    # One gather per chunk gives each cut the bits of a transpose of its
+    # state tensor: reduced matrices equal `reduced_state`'s and the per-cut
+    # kernel's, and the closed-form qubit spectra equal those from 2 x q
+    # slices taken by transpose, with the index kept in the plan or built
+    # per chunk. A chunk holds at most _CHUNK_ENTRIES gathered amplitudes,
+    # or one cut, and the chunks run in mask order.
+    monkeypatch.setattr(measures, "_CHUNK_ENTRIES", chunk)
+    states = [haar_random(dims, seed=10 + i) for i in range(k)]
+    tensors = np.stack([psi.amplitudes for psi in states]).reshape((k,) + dims)
+    plan = cut_plan(dims, subset)
+    kept_index = [block.index is not None for block in plan.blocks]
+    assert kept_index == [len(block.masks) * np.prod(dims) <= measures._KEPT_INDEX for block in plan.blocks]
+    if dims == (4, 2, 2, 3):
+        assert [sorted(b.kept.tolist()) for b in plan.blocks if b.d == 4] == [[0b0001, 0b0110]]
+    for block in plan.blocks:
+        want, qubits = _per_cut(tensors, dims, block)
+        for variant in (block, block._replace(index=None)):
+            los = []
+            for lo, a in measures._slices(variant, tensors):
+                los.append(lo)
+                assert a.shape[:3] == (k, a.shape[1], block.d) and a.flags.c_contiguous
+                assert a.size <= chunk or a.shape[1] == 1
+            steps = np.diff(los + [len(block.masks)])
+            assert los[0] == 0 and steps.min() >= 1 and (steps[:-1] == steps[0]).all()
+            got = np.concatenate([rho for _, rho in measures._reduced_chunks(variant, tensors)], axis=1)
+            assert np.array_equal(got, want)
+            if block.d == 2:
+                assert np.array_equal(_qubit_spectra(variant, tensors), qubits)
+        for i, kept in enumerate(block.kept.tolist()):
+            labels = [ax + 1 for ax in _sides(dims, kept)[0]]
+            assert np.array_equal(reduced_state(states[0], labels).matrix, want[0, i])
+
+
+def test_plan_holds_no_per_cut_index_arrays():
+    # The plan keeps O(n) numbers per cut (its side and two offset forms),
+    # and a gather index only for a block of at most _KEPT_INDEX entries;
+    # other blocks' index arrays are built for one chunk at a time.
+    n = 12
+    plan = cut_plan((2,) * n, range(1, n + 1))
+    for block in plan.blocks:
+        assert block.index is None
+        for coef, places in (block.rows, block.cols):
+            assert coef.shape == (len(block.masks), places.size) and places.size <= 2 * n
+    assert sum(b.index.size for b in cut_plan((2,) * 5, range(1, 6)).blocks) <= 2 * measures._KEPT_INDEX
+
+
+def test_n_eigensolves_counts_only_cuts_above_qubits():
+    # 13 qubits, paired: 2^12 - 1 canonical nontrivial cuts, of which the 13
+    # one-qubit cuts take the closed form.
+    plan = cut_plan((2,) * 13, range(1, 14))
+    assert sum(len(b.masks) for b in plan.blocks) == 2**12 - 1
+    assert plan.n_eigensolves == 2**12 - 1 - 13
+    # (2, 3, 2): the cuts {1} and {3} are qubit cuts, {2} is a qutrit cut.
+    assert cut_plan((2, 3, 2), (1, 2, 3)).n_eigensolves == 1
