@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from functools import lru_cache
 from math import prod
 from typing import Iterable, Sequence
 
@@ -224,9 +223,7 @@ def cmd_swaptest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cekit",
         description="Concentratable-entanglement tables, sweeps, SWAP-test estimates, and property suites.",

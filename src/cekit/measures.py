@@ -42,6 +42,7 @@ from .errors import ResourceLimitError
 from .tensor import (
     PureState,
     _kraus_set,
+    _reduced_matrices,
     clamped_spectra,
     local_kraus_branches,
     normalize_subset,
@@ -84,12 +85,7 @@ MAX_SUBSET_SIZE = 20
 GME_MARGIN = 1e-9
 ORDER_TOL = 1e-10  # slack of every ordering relation checked here
 LN2 = math.log(2.0)
-# Amplitudes gathered per chunk of cuts: bounds a chunk's memory. 20 Ki keeps the ten
-# two-qubit cuts of a batch of 64 five-qubit states (`verify subadd`) in one eigensolve.
-_CHUNK_ENTRIES = 20 << 10
-# A block whose gather index has at most this many entries keeps it in its plan: on
-# small states, building the index per call costs more than the gather itself.
-_KEPT_INDEX = 1 << 10
+_CHUNK_ENTRIES = 1 << 14  # entries per stack of reduced matrices: bounds its memory
 
 #: The four benchmark parameter points: von Neumann, Renyi-2, Tsallis-3, linear.
 BENCHMARKS = {
@@ -149,55 +145,13 @@ class GmeCertificate:
     certified: bool
 
 
-def _offset_form(dims: tuple[int, ...], sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(coef (c, P), places (P,)) of the flat offsets of the multi-indices
-    over each of the sides (c,), bit ax for axis ax: entry r of a side's
-    offsets, in C order over its axes with the other digits 0, is
-    sum_j coef[., j] * (r // places[j]). At place value p the digit of axis
-    ax is r // p - e * (r // (e * p)), e = dims[ax], so the offsets are
-    integer linear forms in r // p."""
-    axes = np.arange(len(dims))
-    on = (sides[:, None] >> axes & 1).astype(bool)
-    e = np.where(on, dims, 1)
-    place = np.cumprod(e[:, ::-1], axis=1)[:, ::-1] // e  # product of e over the later axes
-    stride = np.where(on, [prod(dims[ax + 1 :]) for ax in range(len(dims))], 0)
-    places, at = np.unique(np.concatenate([place, place * e], axis=1), return_inverse=True)
-    coef = np.zeros((len(sides), places.size))
-    cuts = np.arange(len(sides))[:, None]
-    np.add.at(coef, (cuts, at.reshape(len(sides), -1)), np.concatenate([stride, -stride * e], axis=1))
-    return coef, places
-
-
-def _gather_index(rows, cols, lo: int, hi: int, d: int, q: int) -> np.ndarray:
-    """Flat indices (hi - lo, d, q) of the kept-side slices of cuts lo:hi,
-    from the `_offset_form`s of their kept and traced sides: row offset plus
-    column offset. Every term is an integer below 2^53, so the products in
-    doubles are exact."""
-    r, c = (
-        coef[lo:hi].dot(np.arange(size) // places[:, None]).astype(np.intp)
-        for (coef, places), size in ((rows, d), (cols, q))
-    )
-    return r[:, :, None] + c[:, None, :]
-
-
 class CutBlock(NamedTuple):
     """Canonical cuts whose smaller side has dimension d, masks ascending; closed-form
     spectra for qubit cuts (d = 2), else one stacked eigensolve per chunk of them."""
 
     d: int
     masks: np.ndarray
-    kept: np.ndarray  # per mask: the axes of the side it is reduced to, bit ax for axis ax
-    rows: tuple[np.ndarray, np.ndarray]  # `_offset_form` of the kept sides
-    cols: tuple[np.ndarray, np.ndarray]  # and of the traced ones
-    index: np.ndarray | None  # `_gather_index` of all the cuts, if it has at most _KEPT_INDEX entries
-
-    @classmethod
-    def of(cls, dims: tuple[int, ...], d: int, masks: Sequence[int], kept: Sequence[int]) -> "CutBlock":
-        kept = np.array(kept, dtype=np.int64)
-        rows, cols = _offset_form(dims, kept), _offset_form(dims, ((1 << len(dims)) - 1) ^ kept)
-        size = prod(dims)
-        index = _gather_index(rows, cols, 0, len(kept), d, size // d) if len(kept) * size <= _KEPT_INDEX else None
-        return cls(d, np.array(masks, dtype=np.int64), kept, rows, cols, index)
+    perms: tuple[tuple[int, ...], ...]  # per mask: stacked-tensor axes (stack, kept..., traced...)
 
 
 class CutPlan(NamedTuple):
@@ -237,8 +191,7 @@ class SpectraTable(NamedTuple):
 def _build_plan(dims: tuple[int, ...], subset: tuple[int, ...], paired: bool) -> CutPlan:
     m = len(subset)
     full = (1 << m) - 1
-    axes = (1 << len(dims)) - 1
-    by_dim: dict[int, tuple[list[int], list[int]]] = {}
+    by_dim: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
     for mask in range(1 << m):
         if paired and mask > full ^ mask:
             continue
@@ -248,12 +201,14 @@ def _build_plan(dims: tuple[int, ...], subset: tuple[int, ...], paired: bool) ->
             continue
         d_chi = prod(dims[ax] for ax in chi)
         d_comp = prod(dims[ax] for ax in comp)
-        chi_axes = sum(1 << ax for ax in chi)
-        d, kept = (d_chi, chi_axes) if d_chi <= d_comp else (d_comp, axes ^ chi_axes)
-        masks, sides = by_dim.setdefault(d, ([], []))
+        d, kept, traced = (d_chi, chi, comp) if d_chi <= d_comp else (d_comp, comp, chi)
+        masks, perms = by_dim.setdefault(d, ([], []))
         masks.append(mask)
-        sides.append(kept)
-    blocks = tuple(CutBlock.of(dims, d, masks, sides) for d, (masks, sides) in sorted(by_dim.items()))
+        perms.append((0,) + tuple(ax + 1 for ax in kept + traced))
+    blocks = tuple(
+        CutBlock(d, np.array(masks, dtype=np.int64), tuple(perms))
+        for d, (masks, perms) in sorted(by_dim.items())
+    )
     return CutPlan(dims, subset, paired, blocks)
 
 
@@ -279,45 +234,33 @@ def cut_plan(
     return _build_plan(dims, s, use_symmetry)
 
 
-def _slices(block: CutBlock, tensors: np.ndarray):
-    """Kept-side slices of one block's cuts for a stack of state tensors,
-    shaped (k,) + dims. Yields (first mask row, slices (k, c, d, D/d)) for
-    chunks of at most _CHUNK_ENTRIES gathered amplitudes (or one cut), in
-    mask order: a slice's rows run over the kept axes and its columns over
-    the traced ones, each in C order, as a transpose to (kept..., traced...)
-    lays them out. One gather per chunk, its index built for the chunk
-    unless the block keeps it."""
-    k = tensors.shape[0]
-    flat = tensors.reshape(k, -1)
-    q = flat.shape[1] // block.d
-    step = max(1, _CHUNK_ENTRIES // flat.size)
-    for lo in range(0, len(block.kept), step):
-        hi = min(lo + step, len(block.kept))
-        if block.index is None:
-            index = _gather_index(block.rows, block.cols, lo, hi, block.d, q)
-        else:
-            index = block.index[lo:hi]
-        yield lo, flat.take(index, axis=1)  # C order, unlike flat[:, index]
-
-
 def _reduced_chunks(block: CutBlock, tensors: np.ndarray):
-    """Reduced matrices A A^dag of one block's cuts, A each kept-side slice
-    (`_slices`): yields (first mask row, matrices (k, c, d, d)) per chunk."""
-    for lo, a in _slices(block, tensors):
-        yield lo, np.matmul(a, a.conj().swapaxes(-1, -2))
+    """Reduced matrices of one block's cuts for a stack of state tensors,
+    shaped (k,) + dims. Yields (first mask row, matrices (k, c, d, d)) for
+    chunks of the block's masks, in mask order."""
+    k, d = tensors.shape[0], block.d
+    step = max(1, _CHUNK_ENTRIES // (k * d * d))
+    for lo in range(0, len(block.perms), step):
+        perms = block.perms[lo : lo + step]
+        rho = np.empty((k, len(perms), d, d), dtype=complex)
+        for j, perm in enumerate(perms):
+            _reduced_matrices(tensors, perm, d, out=rho[:, j])
+        yield lo, rho
 
 
 def _qubit_spectra(block: CutBlock, tensors: np.ndarray) -> np.ndarray:
     """Ascending spectra (k, c, 2) of a block of qubit cuts (d = 2) in closed
     form, from each state's 2 x q slice (a0; a1): with p_i = sum |a_i|^2 and
     off = sum a0 conj(a1), they are (p0 + p1)/2 -+ hypot((p0 - p1)/2, |off|)."""
-    p = np.empty((2, tensors.shape[0], len(block.kept)))
-    off = np.empty(p.shape[1:], dtype=complex)
-    for lo, a in _slices(block, tensors.astype(complex, copy=False)):
+    k = tensors.shape[0]
+    p = np.empty((2, k, len(block.perms)))
+    off = np.empty((k, len(block.perms)), dtype=complex)
+    for j, perm in enumerate(block.perms):
+        a = np.ascontiguousarray(tensors.transpose(perm).reshape(k, 2, -1), dtype=complex)
         x = a.view(float)  # (re, im) pairs: a row's sum of squares is sum |a_i|^2
-        p[:, :, lo : lo + a.shape[1]] = (x * x).sum(-1).transpose(2, 0, 1)  # pairwise sums: about 1 ulp at any q
+        p[:, :, j] = (x * x).sum(-1).T  # pairwise sums: about 1 ulp at any q
         # Not `*`, which may swap operands on a large temporary: complex products' bits depend on order.
-        off[:, lo : lo + a.shape[1]] = np.multiply(a[..., 0, :], a[..., 1, :].conj()).sum(-1)
+        off[:, j] = np.multiply(a[:, 0], a[:, 1].conj()).sum(-1)
     mid, rad = 0.5 * (p[0] + p[1]), np.hypot(0.5 * (p[0] - p[1]), np.abs(off))
     return np.stack([mid - rad, mid + rad], axis=-1)
 
@@ -525,15 +468,15 @@ def tensor_identity_residual(
 
 
 @lru_cache(maxsize=256)
-def _cut_sides(dims: tuple[int, ...], subset: tuple[int, ...]) -> dict[frozenset, int]:
-    """The side (`CutBlock.kept`) each nontrivial cut of P(subset) is reduced
-    to, keyed by the cut's labels; a paired cut's complement shares it."""
+def _cut_sides(dims: tuple[int, ...], subset: tuple[int, ...]) -> dict[frozenset, tuple[int, ...]]:
+    """The axes (`CutBlock.perms`) each nontrivial cut of P(subset) is reduced
+    with, keyed by the cut's labels; a paired cut's complement shares them."""
     plan = cut_plan(dims, subset)
     sides = {}
     for block in plan.blocks:
-        for mask, kept in zip(block.masks.tolist(), block.kept.tolist()):
+        for mask, perm in zip(block.masks.tolist(), block.perms):
             for m in (mask, plan.n_masks - 1 ^ mask) if plan.paired else (mask,):
-                sides[frozenset(label for j, label in enumerate(subset) if m >> j & 1)] = kept
+                sides[frozenset(label for j, label in enumerate(subset) if m >> j & 1)] = perm
     return sides
 
 

@@ -36,7 +36,6 @@ from cekit.suites import nearby_state
 import cekit.measures as measures
 from cekit.tensor import (
     PureState,
-    _reduced_matrices,
     apply_local_kraus_pure,
     hermitian_eigenvalues,
     permute_subsystems,
@@ -562,7 +561,7 @@ def _qubit_slices(q, k=64, seed=0):
 
 @pytest.mark.parametrize("q", [1, 2, 8, 512])
 def test_qubit_spectra_match_eigensolve(q):
-    block = CutBlock.of((2, q), 2, [1], [1])  # the whole (k, 2, q) stack is one cut, kept on axis 0
+    block = CutBlock(2, np.array([1]), ((0, 1, 2),))  # the whole (k, 2, q) stack is one cut
     for name, a in _qubit_slices(q).items():
         got = _qubit_spectra(block, a)[:, 0]
         want = np.linalg.eigvalsh(a @ a.conj().swapaxes(-1, -2))
@@ -716,87 +715,20 @@ def test_grid_takes_one_power_per_block_per_alpha(monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 37
 
 
-def _sides(dims, kept):
-    axes = [ax for ax in range(len(dims)) if kept >> ax & 1]
-    return axes, [ax for ax in range(len(dims)) if ax not in axes]
+def test_one_qubit_cut_of_a_large_state_allocates_little_beyond_it():
+    # A one-qubit cut whose kept axis leads takes its 2 x q slice as a view
+    # of the state, with no copy: the closed-form spectrum's squares are
+    # the one state-sized temporary.
+    import tracemalloc
 
-
-def _per_cut(tensors, dims, block):
-    """Reduced matrices and closed-form qubit spectra of a block's cuts, one
-    cut at a time, from a transpose of the state tensors."""
-    rhos, qubits = [], []
-    for kept in block.kept.tolist():
-        axes, traced = _sides(dims, kept)
-        perm = (0,) + tuple(ax + 1 for ax in axes + traced)
-        rhos.append(_reduced_matrices(tensors, perm, block.d))
-        if block.d == 2:
-            a = np.ascontiguousarray(tensors.transpose(perm).reshape(len(tensors), 2, -1))
-            x = a.view(float)
-            p = (x * x).sum(-1)
-            off = np.multiply(a[:, 0], a[:, 1].conj()).sum(-1)
-            mid, rad = 0.5 * (p[:, 0] + p[:, 1]), np.hypot(0.5 * (p[:, 0] - p[:, 1]), np.abs(off))
-            qubits.append(np.stack([mid - rad, mid + rad], axis=-1))
-    return np.stack(rhos, axis=1), qubits and np.stack(qubits, axis=1)
-
-
-@pytest.mark.parametrize("chunk", [measures._CHUNK_ENTRIES, 100])
-@pytest.mark.parametrize(
-    "dims,subset,k",
-    [
-        ((2, 3, 2, 2), (1, 2, 3, 4), 1),
-        ((4, 2, 2, 3), (1, 2, 3, 4), 2),  # the d = 4 block holds sides {1} (one axis of 4) and {2, 3} (two qubits)
-        ((3, 2, 4, 2), (1, 3), 1),
-        ((2, 3, 2, 2), (1, 2, 3, 4), 5),
-        ((2,) * 6, (2, 3, 5), 3),
-        ((2,) * 7, range(1, 8), 2),  # blocks above _KEPT_INDEX: no index kept
-    ],
-    ids=["mixed", "mixed-radix", "partial", "stack", "qubit-stack", "qubits-7"],
-)
-def test_gathered_slices_match_per_cut_transposes(monkeypatch, chunk, dims, subset, k):
-    # One gather per chunk gives each cut the bits of a transpose of its
-    # state tensor: reduced matrices equal `reduced_state`'s and the per-cut
-    # kernel's, and the closed-form qubit spectra equal those from 2 x q
-    # slices taken by transpose, with the index kept in the plan or built
-    # per chunk. A chunk holds at most _CHUNK_ENTRIES gathered amplitudes,
-    # or one cut, and the chunks run in mask order.
-    monkeypatch.setattr(measures, "_CHUNK_ENTRIES", chunk)
-    states = [haar_random(dims, seed=10 + i) for i in range(k)]
-    tensors = np.stack([psi.amplitudes for psi in states]).reshape((k,) + dims)
-    plan = cut_plan(dims, subset)
-    kept_index = [block.index is not None for block in plan.blocks]
-    assert kept_index == [len(block.masks) * np.prod(dims) <= measures._KEPT_INDEX for block in plan.blocks]
-    if dims == (4, 2, 2, 3):
-        assert [sorted(b.kept.tolist()) for b in plan.blocks if b.d == 4] == [[0b0001, 0b0110]]
-    for block in plan.blocks:
-        want, qubits = _per_cut(tensors, dims, block)
-        for variant in (block, block._replace(index=None)):
-            los = []
-            for lo, a in measures._slices(variant, tensors):
-                los.append(lo)
-                assert a.shape[:3] == (k, a.shape[1], block.d) and a.flags.c_contiguous
-                assert a.size <= chunk or a.shape[1] == 1
-            steps = np.diff(los + [len(block.masks)])
-            assert los[0] == 0 and steps.min() >= 1 and (steps[:-1] == steps[0]).all()
-            got = np.concatenate([rho for _, rho in measures._reduced_chunks(variant, tensors)], axis=1)
-            assert np.array_equal(got, want)
-            if block.d == 2:
-                assert np.array_equal(_qubit_spectra(variant, tensors), qubits)
-        for i, kept in enumerate(block.kept.tolist()):
-            labels = [ax + 1 for ax in _sides(dims, kept)[0]]
-            assert np.array_equal(reduced_state(states[0], labels).matrix, want[0, i])
-
-
-def test_plan_holds_no_per_cut_index_arrays():
-    # The plan keeps O(n) numbers per cut (its side and two offset forms),
-    # and a gather index only for a block of at most _KEPT_INDEX entries;
-    # other blocks' index arrays are built for one chunk at a time.
-    n = 12
-    plan = cut_plan((2,) * n, range(1, n + 1))
-    for block in plan.blocks:
-        assert block.index is None
-        for coef, places in (block.rows, block.cols):
-            assert coef.shape == (len(block.masks), places.size) and places.size <= 2 * n
-    assert sum(b.index.size for b in cut_plan((2,) * 5, range(1, 6)).blocks) <= 2 * measures._KEPT_INDEX
+    psi = haar_random((2,) * 16, seed=3)
+    tracemalloc.start()
+    try:
+        spectra_table(psi, (1,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * psi.amplitudes.nbytes
 
 
 def test_n_eigensolves_counts_only_cuts_above_qubits():
