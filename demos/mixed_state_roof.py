@@ -1,11 +1,12 @@
 """Convex-roof upper bounds for mixed states.
 
-The roof over pure-state decompositions is searched with a seeded pattern
-search over decomposition mixers. Two checks anchor it: a constructed
-separable state must collapse to zero once its product decomposition seeds
-a restart, and on rank-2 two-qubit states the s = {1} von Neumann roof must
-land on half the entanglement of formation (half, because the power set of
-a singleton averages the one nonzero term with the empty set).
+The roof over pure-state decompositions is searched with seeded, restarted
+conjugate gradient over decomposition mixers. Two checks anchor it: a
+constructed separable state must collapse to zero once its product
+decomposition seeds a restart, and on rank-2 two-qubit states the s = {1}
+von Neumann roof must land on half the entanglement of formation (half,
+because the power set of a singleton averages the one nonzero term with the
+empty set).
 """
 import math
 

@@ -2,34 +2,35 @@
 
 Every pure-state decomposition of a rank-r state rho arises from an
 isometry ("mixer") applied to the square-rooted eigenvectors, so the
-minimization runs over mixers. The search is a seeded, restart-based
-pattern search over Givens angles and phases of the mixer, applied as row
-phases and two-row rotations; it returns the best ensemble average found,
-which upper-bounds the true roof but is never claimed to attain it.
+minimization runs over mixers. The search is seeded, restarted Riemannian
+conjugate gradient over the unitaries acting on a mixer, driven by the
+analytic gradient of the ensemble average (Rothlisberger, Rotzer & Lehmann,
+PRA 80, 042301 (2009)) and stepping along a Cayley retraction (Wen & Yin,
+Math. Program. 142, 397 (2013)); `_search` states the rules. It returns the
+best ensemble average found, which upper-bounds the true roof but is never
+claimed to attain it.
 
 Restarts are independent in their results but advance in lockstep: each
-round evaluates the pending candidates of every live restart in one batched
-objective call, whose values are bit-identical to evaluating each alone.
-A restart's pending candidates are the whole rest of its current compass
-sweep; it reads their values in order up to the first accepted move and
-discards the rest, so no result depends on them, and its evaluation budget
-counts the consumed values only.
+round evaluates the gradients of the restarts that moved in one batched
+call per mixer size, then the step ladders of every live restart in one
+more, and each call gives a matrix the bits it gets alone.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .entropy import EntropyParams
+from .entropy import EntropyParams, _slopes
 from .errors import ResourceLimitError
 from .measures import (
     BENCHMARKS,
     CutPlan,
     _chain_checks,
+    _qubit_moments,
+    _reduced_chunks,
     cce_values,
     cut_plan,
     member_spectra,
@@ -55,6 +56,9 @@ MAX_ROOF_RANK = 6
 RANK_EIG_TOL = 1e-12
 MEMBER_DROP_TOL = 1e-12
 ISOMETRY_ATOL = 1e-10
+LADDER = 8  # step sizes per search iteration, halving from the first
+GRAD_TOL = 1e-7  # Riemannian gradient norm at which a restart has converged
+STEP_TOL = 1e-12  # a failed steepest ladder this short (|t H|) ends a restart
 
 
 @dataclass(frozen=True)
@@ -101,10 +105,10 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class RestartTrace:
-    """How one roof restart went: its start (`eigen`, `seed` or `random`),
-    the objective evaluations its search consumed, the values computed for
-    it (consumed plus discarded speculative ones), its final ensemble
-    average and whether its step fell below tolerance."""
+    """How one roof restart went: its start (`eigen`, `seed` or `random`), the
+    objective evaluations its search spent, the values computed for it (each
+    counts, so this equals `evals`), its final ensemble average and whether
+    it converged before its budget ran out (`_search`)."""
 
     start: str
     evals: int
@@ -149,9 +153,9 @@ def _roof_support(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def _members(raws: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weights, normalized columns and matrix indices of the member columns,
-    not lighter than 1e-12, of every matrix in the stacks `raws` (n, D, m)."""
+def _members(raws: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Weights, normalized columns, matrix indices and flat column indices of
+    the member columns, not lighter than 1e-12, of the stacks `raws` (n, D, m)."""
     cols = [raw.swapaxes(-1, -2) for raw in raws]
     # One BLAS dot product per column, read in place along its stride: that
     # fixes the summation order, which a contiguous copy would change for D >= 8.
@@ -159,10 +163,10 @@ def _members(raws: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.nda
     owner = np.repeat(np.arange(sum(map(len, cols))), [c.shape[1] for c in cols for _ in c])
     kept = np.flatnonzero(p >= MEMBER_DROP_TOL)
     rows = np.concatenate([c.reshape(-1, c.shape[-1]) for c in cols])[kept]
-    return p[kept], rows / np.sqrt(p[kept])[:, None], owner[kept]
+    return p[kept], rows / np.sqrt(p[kept])[:, None], owner[kept], kept
 
 
-def _raw_averages(raws: Sequence[np.ndarray], plan: CutPlan, params: EntropyParams) -> list[float]:
+def _raw_averages(raws: Sequence[np.ndarray], plan: CutPlan, params: EntropyParams, grad: bool = False):
     """Ensemble average of the measure for every matrix of unnormalized member
     columns in the stacks `raws`, from one spectra table over all members.
 
@@ -170,9 +174,13 @@ def _raw_averages(raws: Sequence[np.ndarray], plan: CutPlan, params: EntropyPara
     the reported result is always re-evaluated through the public path.
     Each member's terms are summed in mask order, then weighted, in member
     order per matrix, so a value does not depend on the other matrices.
+    With `grad` and one stack, also returns the gradient of each value by the
+    conjugate of its matrix, shaped like the stack (`_cut_gradients`);
+    members lighter than 1e-12 get 0.
     """
-    p, members, owner = _members(raws)
-    spectra = member_spectra(plan, members.reshape((-1,) + plan.dims))
+    p, members, owner, kept = _members(raws)
+    tensors = members.reshape((-1,) + plan.dims)
+    spectra = member_spectra(plan, tensors)
     # A plan without cuts (one subsystem) yields one row of zeros for all members.
     terms = np.broadcast_to(table_terms(spectra, params), (p.size, plan.n_masks))
     acc = np.zeros(p.size)
@@ -181,7 +189,12 @@ def _raw_averages(raws: Sequence[np.ndarray], plan: CutPlan, params: EntropyPara
     totals = np.zeros(sum(map(len, raws)))
     # Unbuffered: adds each member's share to its matrix's total in member order.
     np.add.at(totals, owner, p * acc * (1.0 / plan.n_masks))
-    return totals.tolist()
+    if not grad:
+        return totals.tolist()
+    (raw,) = raws  # the gradient takes one stack
+    cols = np.zeros((raw.shape[0] * raw.shape[-1], raw.shape[1]), dtype=complex)
+    cols[kept] = _cut_gradients(plan, params, tensors, terms).reshape(p.size, -1) * (np.sqrt(p) / plan.n_masks)[:, None]
+    return totals.tolist(), cols.reshape(raw.shape[0], raw.shape[-1], -1).swapaxes(-1, -2)
 
 
 def mixing_ensemble(rho: DensityOperator, mixer: np.ndarray) -> Ensemble:
@@ -208,7 +221,7 @@ def _support_ensemble(rho: DensityOperator, vals, vecs, mixer: np.ndarray) -> En
     if not (np.isfinite(mixer).all() and np.abs(mixer.conj().T @ mixer - np.eye(r)).max() <= ISOMETRY_ATOL):
         raise ValueError("mixer columns are not orthonormal")
     roots = vecs * np.sqrt(vals)
-    weights, rows, _ = _members([(roots @ mixer.T)[None]])
+    weights, rows = _members([(roots @ mixer.T)[None]])[:2]
     total = math.fsum(weights.tolist())
     return Ensemble(tuple((p / total, PureState(v, rho.dims)) for p, v in zip(weights.tolist(), rows)))
 
@@ -234,69 +247,115 @@ def _support_mixer(rho: DensityOperator, vals, vecs, ensemble: Ensemble) -> np.n
     return mixer
 
 
-def _mixers(theta: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Mixers (n, m, r), one per row of theta (n, n_params(m)), applied to
-    the start mixers `kept` (n, m, r): m diagonal phases scale the rows, then
-    each Givens (angle, phase) pair, in order, updates its two rows. Only the
-    r columns are touched; no m x m unitary is formed."""
-    m = kept.shape[1]
-    # Angles and rows first, mixers last: a row update is one pass over all mixers.
-    t = np.ascontiguousarray(theta.T)
-    cos, sin = np.cos(t), np.sin(t)
-    phase = cos + 1j * sin  # exp(1j * t), bit for bit
-    w = np.ascontiguousarray(kept.transpose(1, 2, 0)) * phase[:m, None]
-    c, s, e = cos[m::2], sin[m::2], phase[m + 1 :: 2]
-    # Rows (i, j) become (c w_i - e s w_j, conj(e) s w_i + c w_j).
-    coef = np.stack([c, e.conj() * s, -e * s, c], axis=1)[:, :, None]
-    for pos, (i, j) in enumerate(itertools.combinations(range(m), 2)):
-        w[i : j + 1 : j - i] = coef[pos, :2] * w[i] + coef[pos, 2:] * w[j]
-    return np.ascontiguousarray(w.transpose(2, 0, 1))
+def _random_isometry(rng: np.random.Generator, m: int, r: int) -> np.ndarray:
+    """First r columns of the unitary QR factor of an m x m complex Gaussian."""
+    z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    return np.linalg.qr(z)[0][:, :r]
 
 
-def _n_params(m: int) -> int:
-    return m + m * (m - 1)
+def _cut_gradients(plan: CutPlan, params: EntropyParams, tensors: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Sum over the cuts of an unpaired plan of (S'(rho_chi) (x) 1) psi +
+    (S(rho_chi) - Tr rho_chi S'(rho_chi)) psi, for each normalized member
+    tensor psi of a stack (k,) + dims: rho_chi is the cut's smaller side and
+    S its term in `terms` (k, n_masks). Times sqrt(p), this is the Wirtinger
+    gradient of p S(rho_chi) at the member sqrt(p) psi. Qubit cuts take S' as
+    a 2 x 2 function of rho from its two eigenvalues, larger cuts from one
+    stacked `eigh` per chunk."""
+    k = tensors.shape[0]
+    out = np.zeros(tensors.shape, dtype=complex)
+    for block in plan.blocks:
+        chunks = []
+        if block.d == 2:
+            # S' = even I + odd (rho - mid I) takes the values s at the eigenvalues lam.
+            h, off, lam = _qubit_moments(block, tensors)
+            s, width = _slopes(lam, params), lam[..., 1] - lam[..., 0]
+            even, odd = 0.5 * (s[..., 1] + s[..., 0]), np.zeros_like(width)
+            np.divide(s[..., 1] - s[..., 0], width, out=odd, where=width > 0.0)
+            deriv = np.stack([even + odd * h, odd * off, odd * off.conj(), even - odd * h], axis=-1)
+            chunks.append((0, lam, s, deriv.reshape(lam.shape + (2,))))
+        else:
+            for lo, rho in _reduced_chunks(block, tensors):
+                lam, u = np.linalg.eigh(rho)
+                s = _slopes(lam, params)
+                chunks.append((lo, lam, s, (u * s[..., None, :]) @ u.conj().swapaxes(-1, -2)))
+        for lo, lam, s, deriv in chunks:
+            shift = terms[:, block.masks[lo : lo + lam.shape[1]]] - (lam * s).sum(-1)
+            for j, perm in enumerate(block.perms[lo : lo + lam.shape[1]]):
+                a = tensors.transpose(perm)
+                psi = a.reshape(k, block.d, -1)
+                out += (deriv[:, j] @ psi + shift[:, j, None, None] * psi).reshape(a.shape).transpose(np.argsort(perm))
+    return out
 
 
-def _compass(x0: np.ndarray, max_evals: int, step0: float = 0.5, step_tol: float = 1e-4):
-    """Compass search: sweep coordinates, halve the step on stalled sweeps.
+def _cayley(mix: np.ndarray, direction: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Cayley retraction (I - tH/2)^-1 (I + tH/2) V of mixers V (..., m, r)
+    along skew-Hermitian directions H (..., m, m), at steps t (...)."""
+    half = 0.5 * t[..., None, None] * direction
+    return np.linalg.solve(np.eye(mix.shape[-2]) - half, mix + half @ mix)
 
-    A speculative generator: it yields the rest of the current sweep from
-    the current point as candidate rows (k, +step), (k, -step), ... for k
-    from k0 on, cut to the remaining budget, and is sent their values. It
-    consumes them in order up to the first accepted one and discards the
-    rest, so the path and the evaluation count (consumed values only) are
-    those of trying one candidate at a time. Returns (x, fx, converged, evals).
+
+def _search(roots: np.ndarray, plan: CutPlan, params: EntropyParams, starts: list[np.ndarray], max_evals: int):
+    """Riemannian conjugate gradient over unitary mixers from each start, in
+    lockstep. Returns (mixers, evaluations, converged), one entry a start.
+
+    With G the members' gradient (`_raw_averages`) and Gamma = G^T conj(roots),
+    Omega = Gamma V^dag - V Gamma^dag is the gradient on the unitaries acting
+    on a mixer V: the slope along V -> exp(tH) V is Re Tr(Omega^dag H).
+    Directions are Polak-Ribiere+, reset to -Omega where that slope is not
+    negative. An iteration evaluates (one evaluation each) a ladder of steps
+    t0 2^-j, j < LADDER, along `_cayley` and moves to its lowest value if
+    lower; the next ladder starts at twice that step. A failed ladder is
+    retried along -Omega, then below its last step. A restart has converged
+    at |Omega| <= GRAD_TOL, or when a failed ladder along -Omega stepped by
+    less than STEP_TOL.
     """
-    x = x0.copy()
-    (fx,) = yield x[None]
-    evals = 1
-    step = step0
-    converged = False
-    # Sweep slot j moves coordinate j // 2 by signs[j] * step.
-    signs = np.tile((1.0, -1.0), x.size)
-    coords = np.arange(2 * x.size) // 2
-    while evals < max_evals:
-        improved = False
-        k0 = 0
-        while k0 < x.size and evals < max_evals:
-            slots = slice(2 * k0, min(2 * x.size, 2 * k0 + max_evals - evals))
-            ks = coords[slots]
-            cands = np.repeat(x[None], ks.size, axis=0)
-            cands[np.arange(ks.size), ks] += signs[slots] * step
-            values = yield cands
-            k0 = x.size
-            for j, fc in enumerate(values):
-                evals += 1
-                if fc < fx - 1e-14:
-                    x, fx, improved = cands[j], fc, True
-                    k0 = int(ks[j]) + 1
-                    break
-        if not improved:
-            step *= 0.5
-            if step < step_tol:
-                converged = True
-                break
-    return x, fx, converged, evals
+    n = len(starts)
+    mix, value, step, evals = list(starts), [0.0] * n, [1.0] * n, [0] * n
+    grad, sq = [np.zeros((len(v), len(v))) for v in starts], [math.inf] * n
+    direction, steepest, converged = [None] * n, [True] * n, [False] * n
+    sizes = sorted({v.shape[0] for v in starts})
+
+    def groups(idx):  # restarts idx by mixer size, a group to a stack
+        return [g for g in ([i for i in idx if mix[i].shape[0] == m] for m in sizes) if g]
+
+    live = pending = list(range(n))  # pending: the restarts that need a gradient
+    while True:
+        for g in groups(pending):
+            v = np.stack([mix[i] for i in g])
+            values, grads = _raw_averages([roots @ v.swapaxes(-1, -2)], plan, params, grad=True)
+            x = grads.swapaxes(-1, -2) @ roots.conj() @ v.conj().swapaxes(-1, -2)
+            for i, f, omega in zip(g, values, x - x.conj().swapaxes(-1, -2)):
+                prev, sq[i] = sq[i], np.vdot(omega, omega).real
+                beta = max(0.0, (sq[i] - np.vdot(grad[i], omega).real) / prev)  # 0 at a first gradient
+                steepest[i] = not (beta > 0.0 and beta * np.vdot(omega, direction[i]).real < sq[i])
+                d = -omega if steepest[i] else beta * direction[i] - omega
+                value[i], grad[i], direction[i], converged[i] = f, omega, d, bool(sq[i] <= GRAD_TOL**2)
+                evals[i] += 1
+        live = [i for i in live if not converged[i] and evals[i] < max_evals]
+        if not live:
+            return mix, evals, converged
+        stacks, moves = [], []
+        for g in groups(live):
+            t = np.array([step[i] for i in g])[:, None] * 0.5 ** np.arange(LADDER)
+            cands = _cayley(np.stack([mix[i] for i in g])[:, None], np.stack([direction[i] for i in g])[:, None], t)
+            cut = [min(LADDER, max_evals - evals[i]) for i in g]  # a last ladder takes what budget is left
+            moves += [(i, t[k, :size], cands[k, :size]) for k, (i, size) in enumerate(zip(g, cut))]
+            stacks.append(np.concatenate([c for _, _, c in moves[-len(g):]]))
+        values = _raw_averages([roots @ c.swapaxes(-1, -2) for c in stacks], plan, params)
+        pending, hi = [], 0
+        for i, t, cands in moves:
+            lo, hi = hi, hi + len(t)
+            j = int(np.argmin(values[lo:hi]))  # the first of equal values
+            evals[i] += len(t)
+            if values[lo + j] < value[i]:
+                mix[i], value[i], step[i] = cands[j], values[lo + j], 2.0 * t[j]
+                pending += [i] if evals[i] < max_evals else []
+            elif not steepest[i]:
+                direction[i], steepest[i] = -grad[i], True
+            elif t[-1] * math.sqrt(sq[i]) < STEP_TOL:
+                converged[i] = True
+            else:
+                step[i] = 0.5 * t[-1]
 
 
 def cce_mixed_upper(
@@ -310,18 +369,12 @@ def cce_mixed_upper(
 ) -> RoofResult:
     """Upper bound on the convex-roof measure of a mixed state.
 
-    `budget` is (restarts, objective evaluations per restart). Restart 0
-    always starts from the eigendecomposition ensemble; any seed ensembles
-    follow; remaining restarts start from seeded random mixer angles. The
-    reduction takes the minimum with ties broken by lowest restart index,
-    so results are reproducible under a fixed seed.
-
-    Each round evaluates, for every live restart, the rest of its current
-    coordinate sweep (cut to its remaining budget) in one batch. A restart
-    consumes those values in order up to its first accepted move; only
-    consumed values count against the budget, and the values past that
-    move are discarded without affecting any result. `RoofResult.restarts`
-    reports both counts per restart.
+    `budget` is (restarts, objective evaluations per restart), an evaluation
+    being a gradient or a ladder value of `_search`. Restart 0 starts from
+    the eigendecomposition ensemble, seed ensembles follow, and remaining
+    restarts start from seeded random isometries. The minimum is taken with
+    ties broken by lowest restart index, so a fixed seed reproduces results.
+    `RoofResult.converged` is the best restart's flag from `_search`.
     """
     s = normalize_subset(subset, rho.n_subsystems)
     vals, vecs = _roof_support(rho)
@@ -335,59 +388,22 @@ def cce_mixed_upper(
         return RoofResult(ens.average(s, params), ens, restarts_used=0, converged=True)
 
     m = min(r * r, r + 2)
-
-    # (start mixer, start angles) per restart; the search multiplies the mixer by unitaries.
-    starts: list[tuple[np.ndarray, np.ndarray]] = [(np.eye(m, r, dtype=complex), np.zeros(_n_params(m)))]
+    starts = [np.eye(m, r, dtype=complex)]
     for ens in seed_ensembles:
         v0 = _support_mixer(rho, vals, vecs, ens)
-        m_k = max(m, v0.shape[0])
-        starts.append((np.vstack([v0, np.zeros((m_k - v0.shape[0], r), dtype=complex)]), np.zeros(_n_params(m_k))))
+        starts.append(np.vstack([v0, np.zeros((max(m, v0.shape[0]) - v0.shape[0], r), dtype=complex)]))
     children = np.random.SeedSequence(seed).spawn(max(0, restarts - len(starts)))
-    for child in children:
-        rng = np.random.default_rng(child)
-        starts.append((np.eye(m, r, dtype=complex), rng.uniform(-math.pi, math.pi, size=_n_params(m))))
+    starts += [_random_isometry(np.random.default_rng(child), m, r) for child in children]
 
-    roots = vecs * np.sqrt(vals)
     # Unpaired plan: pairing would halve the eigensolves on full subsets but
     # move objective values, and with them the search path, in the last bits.
     plan = cut_plan(rho.dims, s, use_symmetry=False)
-    # Restarts are independent searches advanced in lockstep: each round
-    # evaluates the pending candidates of every live restart in one batch.
-    searches = [_compass(x0, max_evals) for _, x0 in starts]
-    points = [next(search) for search in searches]
-    converged = [False] * len(starts)
-    evals = [0] * len(starts)
-    computed = [0] * len(starts)
-    sizes = sorted({base.shape[0] for base, _ in starts})
-
-    def batches(idx: Iterable[int]):
-        """(restarts, mixers of all their candidate rows) per mixer size among restarts idx."""
-        for group in ([i for i in idx if starts[i][0].shape[0] == m_k] for m_k in sizes):
-            if group:
-                kept = np.repeat(np.stack([starts[i][0] for i in group]), [len(points[i]) for i in group], axis=0)
-                yield group, _mixers(np.concatenate([points[i] for i in group]), kept)
-
-    live = list(range(len(starts)))
-    while live:
-        order, mixers = zip(*batches(live))
-        values = _raw_averages([roots @ mix.swapaxes(-1, -2) for mix in mixers], plan, params)
-        live, hi = [], 0
-        for i in itertools.chain(*order):
-            lo, hi = hi, hi + len(points[i])
-            computed[i] += hi - lo
-            try:
-                points[i] = searches[i].send(values[lo:hi])
-                live.append(i)
-            except StopIteration as stop:
-                x, _, converged[i], evals[i] = stop.value
-                points[i] = x[None]
-
-    ensembles = {i: _support_ensemble(rho, vals, vecs, mix) for group, mixers in batches(range(len(starts)))
-                 for i, mix in zip(group, mixers)}
-    values = [ensembles[i].average(s, params) for i in range(len(starts))]
+    mixers, evals, converged = _search(vecs * np.sqrt(vals), plan, params, starts, max_evals)
+    ensembles = [_support_ensemble(rho, vals, vecs, mix) for mix in mixers]
+    values = [ens.average(s, params) for ens in ensembles]
     best = min(range(len(values)), key=values.__getitem__)  # first index among equal values
     kinds = ["eigen"] + ["seed"] * len(seed_ensembles) + ["random"] * len(children)
-    trace = tuple(RestartTrace(*row) for row in zip(kinds, evals, computed, values, converged))
+    trace = tuple(RestartTrace(*row) for row in zip(kinds, evals, evals, values, converged))
     return RoofResult(values[best], ensembles[best], restarts_used=len(values), converged=converged[best],
                       restarts=trace)
 
@@ -422,12 +438,7 @@ def mixed_ordering_spotcheck(
     rng = np.random.default_rng(seed)
     failures: list[str] = []
     for trial in range(n_mixers):
-        if r == 1:
-            mixer = np.eye(1)
-        else:
-            z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-            q, _ = np.linalg.qr(z)
-            mixer = q[:, :r]
+        mixer = np.eye(1) if r == 1 else _random_isometry(rng, m, r)
         ens = _support_ensemble(rho, vals, vecs, mixer)
         avg = dict.fromkeys(BENCHMARKS, 0.0)
         for (p, _), (report, _) in zip(ens.members, ordering_reports([(psi, s, ()) for _, psi in ens.members])):

@@ -141,6 +141,20 @@ def _from_traces(traces: list[float], a: float, b: float) -> list[float]:
     return [(t**b - 1.0) / scale + 0.0 for t in traces]
 
 
+def _slopes(lam: np.ndarray, params: EntropyParams) -> np.ndarray:
+    """S'(lambda) at every eigenvalue of the spectra rows `lam`: the entropy's
+    derivative at rho = U diag(lam) U^dag is U diag(S'(lam)) U^dag. Entries
+    at or below the numerically-zero floor, which the entropy drops, get 0."""
+    keep = lam > ZERO_EIG_FLOOR
+    lam, a = np.where(keep, lam, 1.0), params.alpha  # no log or negative power of a dropped entry
+    if params.is_von_neumann:
+        return np.where(keep, -(np.log2(lam) + 1.0 / math.log(2.0)), 0.0)
+    trace = np.where(keep, lam**a, 0.0).sum(axis=-1, keepdims=True)
+    if params.is_renyi:
+        return np.where(keep, a / ((1.0 - a) * math.log(2.0) * trace) * lam ** (a - 1.0), 0.0)
+    return np.where(keep, a * trace ** (params.beta - 1.0) / (1.0 - a) * lam ** (a - 1.0), 0.0)
+
+
 def unified_entropy_rows(rows: np.ndarray, p: EntropyParams | Sequence[EntropyParams]) -> np.ndarray:
     """Unified entropy of every spectrum along the last axis of `rows`.
 

@@ -248,10 +248,11 @@ def _reduced_chunks(block: CutBlock, tensors: np.ndarray):
         yield lo, rho
 
 
-def _qubit_spectra(block: CutBlock, tensors: np.ndarray) -> np.ndarray:
-    """Ascending spectra (k, c, 2) of a block of qubit cuts (d = 2) in closed
-    form, from each state's 2 x q slice (a0; a1): with p_i = sum |a_i|^2 and
-    off = sum a0 conj(a1), they are (p0 + p1)/2 -+ hypot((p0 - p1)/2, |off|)."""
+def _qubit_moments(block: CutBlock, tensors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduced matrices mid I + [[h, off], [conj(off), -h]] of a block of qubit
+    cuts (d = 2) from each state's 2 x q slice (a0; a1): with p_i = sum |a_i|^2,
+    h = (p0 - p1)/2, mid = (p0 + p1)/2 and off = sum a0 conj(a1). Returns h and
+    off (k, c) and the ascending spectra (k, c, 2), mid -+ hypot(h, |off|)."""
     k = tensors.shape[0]
     p = np.empty((2, k, len(block.perms)))
     off = np.empty((k, len(block.perms)), dtype=complex)
@@ -261,18 +262,19 @@ def _qubit_spectra(block: CutBlock, tensors: np.ndarray) -> np.ndarray:
         p[:, :, j] = (x * x).sum(-1).T  # pairwise sums: about 1 ulp at any q
         # Not `*`, which may swap operands on a large temporary: complex products' bits depend on order.
         off[:, j] = np.multiply(a[:, 0], a[:, 1].conj()).sum(-1)
-    mid, rad = 0.5 * (p[0] + p[1]), np.hypot(0.5 * (p[0] - p[1]), np.abs(off))
-    return np.stack([mid - rad, mid + rad], axis=-1)
+    h, mid = 0.5 * (p[0] - p[1]), 0.5 * (p[0] + p[1])
+    rad = np.hypot(h, np.abs(off))
+    return h, off, np.stack([mid - rad, mid + rad], axis=-1)
 
 
 def member_spectra(plan: CutPlan, tensors: np.ndarray) -> SpectraTable:
     """Spectra of every planned cut for a stack of state tensors, shaped
-    (k,) + plan.dims: qubit cuts in closed form (`_qubit_spectra`), larger
+    (k,) + plan.dims: qubit cuts in closed form (`_qubit_moments`), larger
     ones by one stacked eigensolve per chunk of a cut dimension."""
     blocks = []
     for block in plan.blocks:
         if block.d == 2:
-            blocks.append(clamped_spectra(_qubit_spectra(block, tensors)))
+            blocks.append(clamped_spectra(_qubit_moments(block, tensors)[2]))
             continue
         blocks.append(np.empty((tensors.shape[0], len(block.masks), block.d)))
         for lo, rho in _reduced_chunks(block, tensors):

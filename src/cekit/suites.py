@@ -44,6 +44,7 @@ __all__ = [
     "SUITES",
     "DEFAULT_TRIALS",
     "run_suite",
+    "concurrence",
     "wootters_eof",
     "sample_concavity_params",
     "nearby_state",
@@ -123,8 +124,8 @@ def nearby_state(psi: PureState, rng: np.random.Generator, eps: float) -> PureSt
     return PureState(math.cos(angle) * psi.amplitudes + math.sin(angle) * z, psi.dims)
 
 
-def wootters_eof(rho: DensityOperator) -> float:
-    """Two-qubit entanglement of formation from the concurrence closed form."""
+def concurrence(rho: DensityOperator) -> float:
+    """Wootters' concurrence max(0, l1 - l2 - l3 - l4) of a two-qubit state."""
     if rho.dims != (2, 2):
         raise ValueError(f"concurrence formula needs a two-qubit state, got dims {rho.dims}")
     sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -132,11 +133,13 @@ def wootters_eof(rho: DensityOperator) -> float:
     rho_tilde = yy @ rho.matrix.conj() @ yy
     evals = np.linalg.eigvals(rho.matrix @ rho_tilde)
     lam = np.sort(np.sqrt(np.clip(evals.real, 0.0, None)))[::-1]
-    conc = max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
-    if conc == 0.0:
-        return 0.0
-    x = 0.5 * (1.0 + math.sqrt(1.0 - conc * conc))
-    return binary_entropy(x)
+    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+def wootters_eof(rho: DensityOperator) -> float:
+    """Two-qubit entanglement of formation from the concurrence closed form."""
+    conc = concurrence(rho)
+    return binary_entropy(0.5 * (1.0 + math.sqrt(1.0 - conc * conc))) if conc > 0.0 else 0.0
 
 
 def suite_schur(seed: int = 0, trials: int = 10_000) -> SuiteResult:

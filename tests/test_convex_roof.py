@@ -1,27 +1,30 @@
-import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import cekit.convex_roof as cr
 from cekit.convex_roof import (
     ISOMETRY_ATOL,
+    LADDER,
     Ensemble,
-    _compass,
-    _mixers,
-    _n_params,
+    _cayley,
+    _eigen_support,
+    _random_isometry,
     _raw_averages,
+    _search,
     cce_mixed_upper,
     mixed_ordering_spotcheck,
     mixer_for_ensemble,
     mixing_ensemble,
 )
-from cekit.entropy import EntropyParams
+from cekit.entropy import EntropyParams, unified_entropy_spectrum
 from cekit.errors import ResourceLimitError
 from cekit.measures import cce_pure, cut_plan, ordering_report
 from cekit.states import haar_random, random_density, random_product
-from cekit.suites import wootters_eof
+from cekit.suites import concurrence, wootters_eof
 from cekit.tensor import DensityOperator
 
 VN = EntropyParams.von_neumann()
@@ -181,157 +184,95 @@ def test_roof_deterministic_under_seed():
     assert a.upper_bound == b.upper_bound
 
 
-def _givens_mixer(start, theta):
-    """Reference for `_mixers` on one start mixer (m, r): row phases, then
-    one Givens (angle, phase) pair at a time as a two-row update."""
-    m = start.shape[0]
-    w = start * np.exp(1j * theta[:m])[:, None]
-    pos = m
-    for i in range(m):
-        for j in range(i + 1, m):
-            a, ph = theta[pos], theta[pos + 1]
-            pos += 2
-            c, s = math.cos(a), math.sin(a)
-            upper, lower = -np.exp(1j * ph) * s, np.exp(-1j * ph) * s
-            w[i], w[j] = c * w[i] + upper * w[j], lower * w[i] + c * w[j]
-    return w
+def _half_f(rho, params):
+    """Test-only oracle: the two-qubit roof at s = {1} where f is convex,
+    half of f(C) = S(x, 1 - x) with x = (1 + sqrt(1 - C^2))/2."""
+    c = concurrence(rho)
+    x = 0.5 * (1.0 + math.sqrt(1.0 - c * c))
+    return 0.5 * unified_entropy_spectrum([x, 1.0 - x], EntropyParams(*params))
 
 
-def _full_product_mixers(theta, bases, r):
-    """Mixers as m x m products: the Givens matrices multiplied into the
-    diagonal phases one at a time, then applied to the full bases (n, m, m)."""
-    n, m = bases.shape[:2]
-    u = np.zeros((n, m, m), dtype=complex)
-    diag = np.arange(m)
-    u[:, diag, diag] = np.exp(1j * theta[:, :m])
-    cos, sin = np.cos(theta[:, m::2]), np.sin(theta[:, m::2])
-    upper = -np.exp(1j * theta[:, m + 1 :: 2]) * sin
-    lower = np.exp(-1j * theta[:, m + 1 :: 2]) * sin
-    for pos, (i, j) in enumerate(itertools.combinations(range(m), 2)):
-        g = np.repeat(np.eye(m, dtype=complex)[None], n, axis=0)
-        g[:, i, i] = g[:, j, j] = cos[:, pos]
-        g[:, i, j], g[:, j, i] = upper[:, pos], lower[:, pos]
-        u = g @ u
-    return (u @ bases)[:, :, :r]
+@pytest.mark.parametrize("point", [(1.0, 1.0), (2.0, 1.0), (1.7, 0.4)])
+def test_roof_matches_concurrence_closed_form(point):
+    # f is convex at these points, so half f(C) is the roof itself: no
+    # decomposition averages below it, and the search must come within 1e-6.
+    for seed in range(4):
+        rho = random_density((2, 2), rank=2, seed=200 + seed)
+        bound = cce_mixed_upper(rho, (1,), EntropyParams(*point), budget=(6, 1000), seed=seed).upper_bound
+        target = _half_f(rho, point)
+        assert target - 1e-12 <= bound <= target + 1e-6
+
+
+def _roots(rho):
+    vals, vecs = _eigen_support(rho)
+    return vecs * np.sqrt(vals)
+
+
+def _random_raws(rng, n, dims, m):
+    d = math.prod(dims)
+    return rng.standard_normal((n, d, m)) + 1j * rng.standard_normal((n, d, m))
+
+
+@pytest.mark.parametrize("point", [(1.0, 1.0), (1.5, 0.0), (0.4, 0.0), (1.7, 0.4), (0.5, 1.0), (2.0, 1.0), (0.6, 2.5)])
+@pytest.mark.parametrize("dims,subset", [
+    ((2, 2), (1,)), ((2, 3), (1, 2)), ((2, 2, 2), (1, 2, 3)),  # qubit cuts only
+    ((3, 3), (1,)), ((3, 2, 2), (1, 2, 3)),  # a qutrit cut, alone and among qubit cuts
+])
+def test_raw_gradients_match_finite_differences(point, dims, subset):
+    # von Neumann, Renyi at alpha > 1 and < 1, the general branch, the
+    # scalar exponents 0.5 and 2, and alpha < 1 at beta > 1. Matrix 1 holds
+    # a member lighter than 1e-12, which must get a zero gradient, and
+    # matrix 2 a product member, whose cuts have a zero eigenvalue: neither
+    # may warn or give a NaN.
+    rng = np.random.default_rng(40)
+    params = EntropyParams(*point)
+    plan = cut_plan(dims, subset, use_symmetry=False)
+    raws = _random_raws(rng, 3, dims, 4)
+    raws[1, :, 3] *= 1e-7
+    raws[2, :, 0] = random_product(dims, seed=41).amplitudes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, grad = _raw_averages([raws], plan, params, grad=True)
+    assert values == _raw_averages([raws], plan, params)
+    assert np.isfinite(grad).all() and not grad[1, :, 3].any()
+    h = 1e-6
+    for _ in range(3):
+        delta = _random_raws(rng, 3, dims, 4)
+        delta[1, :, 3] = delta[2, :, 0] = 0.0
+        up, down = (np.array(_raw_averages([raws + sign * h * delta], plan, params)) for sign in (1, -1))
+        want = 2.0 * (grad.conj() * delta).real.sum(axis=(1, 2))
+        assert np.abs((up - down) / (2 * h) - want).max() <= 1e-6 * (1.0 + np.abs(want).max())
 
 
 @pytest.mark.parametrize("m,r", [(2, 1), (2, 2), (3, 2), (4, 2), (4, 3), (6, 2), (9, 3)])
-def test_two_row_mixers_match_full_products(m, r):
+def test_cayley_ladder_matches_full_products(m, r):
     rng = np.random.default_rng(10 * m + r)
     n = 40
+    v = np.linalg.qr(rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m)))[0][:, :, :r]
     z = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
-    bases = np.linalg.qr(z)[0]
-    theta = rng.uniform(-math.pi, math.pi, (n, _n_params(m)))
-    got = _mixers(theta, bases[:, :, :r])
-    assert got.shape == (n, m, r) and got.flags.c_contiguous
-    assert np.abs(got - _full_product_mixers(theta, bases, r)).max() <= 1e-15
+    h = z - z.conj().swapaxes(-1, -2)
+    t = rng.uniform(0.0, 2.0, (n, 1)) * 0.5 ** np.arange(LADDER)
+    got = _cayley(v[:, None], h[:, None], t)
+    assert got.shape == (n, LADDER, m, r)
+    half = 0.5 * t[..., None, None] * h[:, None]
+    eye = np.eye(m)
+    assert np.abs(got - np.linalg.inv(eye - half) @ (eye + half) @ v[:, None]).max() <= 1e-13
     assert np.abs(got.conj().swapaxes(-1, -2) @ got - np.eye(r)).max() <= ISOMETRY_ATOL
-    # Each mixer is the one-at-a-time two-row reference, bit for bit.
-    assert all(np.array_equal(got[k], _givens_mixer(bases[k, :, :r], theta[k])) for k in range(n))
+    # Each start's ladder is the one it gets alone, bit for bit.
+    assert all(np.array_equal(got[k], _cayley(v[k], h[k], t[k])) for k in (0, n // 2, n - 1))
 
 
-def _sequential_compass(f, x, max_evals, step0=0.5, step_tol=1e-4):
-    """Reference compass search: one candidate at a time."""
-    fx = f(x)
-    evals, step, converged = 1, step0, False
-    while evals < max_evals:
-        improved = False
-        for k in range(x.size):
-            if evals >= max_evals:
-                break
-            for sign in (1.0, -1.0):
-                cand = x.copy()
-                cand[k] += sign * step
-                fc = f(cand)
-                evals += 1
-                if fc < fx - 1e-14:
-                    x, fx, improved = cand, fc, True
-                    break
-                if evals >= max_evals:
-                    break
-        if not improved:
-            step *= 0.5
-            if step < step_tol:
-                converged = True
-                break
-    return x, fx, converged, evals
-
-
-def _drive(search, f):
-    """Run a speculative `_compass` on f: (its return value, the candidate
-    rows it asked for)."""
-    rows, asked = next(search), 0
-    while True:
-        asked += len(rows)
-        try:
-            rows = search.send([f(row) for row in rows])
-        except StopIteration as stop:
-            return stop.value, asked
-
-
-def _toy_smooth(x):
-    return float(np.sum((x - np.linspace(-1.3, 0.9, x.size)) ** 2) + 0.3 * math.sin(x[0] * x[-1]))
-
-
-def _toy_plateaus(x):
-    # Rounded to 0.05: many candidates tie with the current value and are refused.
-    return round(float(np.sum(np.abs(x - 0.7))) * 20) / 20
-
-
-@pytest.mark.parametrize("f", [_toy_smooth, _toy_plateaus])
-@pytest.mark.parametrize("max_evals", [1, 2, 31, 32, 33, 100, 2000])
-def test_speculative_compass_matches_sequential(f, max_evals):
-    # Five coordinates give ten candidates per sweep, so budgets 31-33 end
-    # a search just before, at and just after a sweep boundary.
-    x0 = np.array([0.4, -0.2, 1.1, 0.0, -0.6])
-    (x, fx, converged, evals), asked = _drive(_compass(x0, max_evals), f)
-    want_x, want_fx, want_converged, want_evals = _sequential_compass(f, x0.copy(), max_evals)
-    assert np.array_equal(x, want_x)
-    assert (fx, converged, evals) == (want_fx, want_converged, want_evals)
-    assert evals <= max_evals and (converged or evals == max_evals)
-    assert asked >= evals
-
-
-def test_speculative_compass_yields_the_rest_of_the_sweep():
-    # Each yield is the sweep from the current coordinate on, cut to the budget.
-    search = _compass(np.zeros(3), 5)
-    assert next(search).shape == (1, 3)
-    rows = search.send([1.0])
-    assert np.array_equal(rows, [[0.5, 0, 0], [-0.5, 0, 0], [0, 0.5, 0], [0, -0.5, 0]])
-    # Accepting the third candidate discards the fourth and restarts from coordinate 2.
-    rows = search.send([2.0, 2.0, 0.5, 0.0])
-    assert np.array_equal(rows, [[0, 0.5, 0.5]])
-    with pytest.raises(StopIteration) as stop:
-        search.send([3.0])
-    x, fx, converged, evals = stop.value.value
-    assert np.array_equal(x, [0, 0.5, 0]) and (fx, converged, evals) == (0.5, False, 5)
-
-
-def _sequential_roof(rho, subset, params, budget, seed, seed_ensembles=()):
-    """Reference search: each restart runs its own compass loop to the end
-    before the next starts, on the public ensemble average. Returns the
-    bound, the restart count, the best restart's convergence and, per
-    restart, (final value, evaluations, converged)."""
-    r = int((np.linalg.eigvalsh(rho.matrix) > 1e-12).sum())
-    restarts, max_evals = budget
+def _starts(rho, restarts, seed, seed_ensembles=()):
+    """`cce_mixed_upper`'s start mixers: the eigendecomposition, the seed
+    ensembles padded with zero rows to m, then seeded random isometries."""
+    r = _eigen_support(rho)[0].size
     m = min(r * r, r + 2)
-    starts = [(np.eye(m, r, dtype=complex), np.zeros(m * m))]
+    starts = [np.eye(m, r, dtype=complex)]
     for ens in seed_ensembles:
         v0 = mixer_for_ensemble(rho, ens)
-        m_k = max(m, v0.shape[0])
-        starts.append((np.vstack([v0, np.zeros((m_k - v0.shape[0], r), dtype=complex)]), np.zeros(m_k * m_k)))
-    for child in np.random.SeedSequence(seed).spawn(max(0, restarts - len(starts))):
-        starts.append((np.eye(m, r, dtype=complex), np.random.default_rng(child).uniform(-math.pi, math.pi, m * m)))
-
-    def ensemble(start, theta):
-        return mixing_ensemble(rho, _givens_mixer(start, theta))
-
-    results = []
-    for start, x in starts:
-        x, _, converged, evals = _sequential_compass(lambda t: ensemble(start, t).average(subset, params), x, max_evals)
-        results.append((ensemble(start, x).average(subset, params), evals, converged))
-    best = min(range(len(results)), key=lambda i: (results[i][0], i))
-    return results[best][0], len(results), results[best][2], results
+        starts.append(np.vstack([v0, np.zeros((max(m, len(v0)) - len(v0), r))]))
+    children = np.random.SeedSequence(seed).spawn(max(0, restarts - len(starts)))
+    return starts + [_random_isometry(np.random.default_rng(child), m, r) for child in children]
 
 
 def _isometry_ensemble(rho, rows, seed):
@@ -342,28 +283,93 @@ def _isometry_ensemble(rho, rows, seed):
 
 @pytest.mark.parametrize("point", [(1.0, 1.0), (2.0, 1.0), (1.7, 0.4)])
 def test_roof_lockstep_matches_sequential_search(point):
+    # Each restart searched on its own ends with the bits, evaluations and
+    # flag it gets inside the lockstep batch, and the public trace reports it.
     params = EntropyParams(*point)
     mixed3 = random_density((2, 2, 2), rank=3, seed=33)
     cases = [
-        # Budget enough for restart 0 to converge while the best restart does not.
         (random_density((2, 2), rank=2, seed=33), (1,), (4, 1000), {}),
-        # Budgets that cut each restart inside its first sweep (at most 32
-        # candidates) and at or just past the end of that sweep.
-        (random_density((2, 2), rank=2, seed=34), (1,), (3, 7), {}),
-        (random_density((2, 2), rank=2, seed=34), (1,), (3, 33), {}),
+        # Budgets that end restarts at their first gradient, inside their
+        # first ladder and just past it.
+        (random_density((2, 2), rank=2, seed=34), (1,), (3, 1), {}),
+        (random_density((2, 2), rank=2, seed=34), (1,), (3, 6), {}),
+        (random_density((2, 2), rank=2, seed=34), (1,), (3, 10), {}),
         (random_density((2, 3), rank=3, seed=32), (1, 2), (3, 200), {}),
         # Rank 3 (mixer size 5) with seed ensembles of 6 and 3 members: the
-        # 6-member restart searches 6 x 6 unitaries beside the 5 x 5 ones.
+        # 6-member restart is a stack of its own beside the 5-row ones.
         (mixed3, (1, 2), (5, 200), {
             "seed_ensembles": [_isometry_ensemble(mixed3, 6, 0), _isometry_ensemble(mixed3, 3, 1)],
         }),
     ]
-    for rho, subset, budget, kwargs in cases:
-        got = cce_mixed_upper(rho, subset, params, budget=budget, seed=7, **kwargs)
-        bound, restarts, converged, per_restart = _sequential_roof(rho, subset, params, budget, 7, **kwargs)
-        assert (got.upper_bound, got.restarts_used, got.converged) == (bound, restarts, converged)
-        assert [(t.value, t.evals, t.converged) for t in got.restarts] == per_restart
-        assert all(t.computed >= t.evals for t in got.restarts)
+    for rho, subset, (restarts, max_evals), kwargs in cases:
+        plan = cut_plan(rho.dims, subset, use_symmetry=False)
+        starts = _starts(rho, restarts, 7, **kwargs)
+        mixers, evals, converged = _search(_roots(rho), plan, params, starts, max_evals)
+        for k, start in enumerate(starts):
+            (alone,), (alone_evals,), (alone_converged,) = _search(_roots(rho), plan, params, [start], max_evals)
+            assert np.array_equal(alone, mixers[k])
+            assert (alone_evals, alone_converged) == (evals[k], converged[k])
+        got = cce_mixed_upper(rho, subset, params, budget=(restarts, max_evals), seed=7, **kwargs)
+        values = [mixing_ensemble(rho, mix).average(subset, params) for mix in mixers]
+        assert [(t.value, t.evals, t.computed, t.converged) for t in got.restarts] == list(
+            zip(values, evals, evals, converged))
+
+
+@pytest.mark.parametrize("max_evals", [1, 2, 9, 10, 11, 100])
+def test_search_spends_no_more_than_its_budget(max_evals, monkeypatch):
+    # A gradient is one evaluation, and each ladder value one more; the last
+    # ladder is cut to the budget, and nothing else is evaluated. A restart
+    # that has not converged spends its whole budget, and never ends above
+    # its start.
+    rho = random_density((2, 2), rank=2, seed=36)
+    plan, params = cut_plan((2, 2), (1,), use_symmetry=False), EntropyParams(1.7, 0.4)
+    starts = _starts(rho, 4, 3)
+    rows = []
+    original = cr._raw_averages
+
+    def counting(raws, *args, **kwargs):
+        rows.append(sum(map(len, raws)))
+        return original(raws, *args, **kwargs)
+
+    monkeypatch.setattr(cr, "_raw_averages", counting)
+    mixers, evals, converged = _search(_roots(rho), plan, params, starts, max_evals)
+    assert sum(rows) == sum(evals)
+    assert all(e <= max_evals and (c or e == max_evals) for e, c in zip(evals, converged))
+    before, after = (original([_roots(rho) @ np.stack(v).swapaxes(-1, -2)], plan, params) for v in (starts, mixers))
+    assert all(b >= a for b, a in zip(before, after))
+    if max_evals == 1:
+        assert all(np.array_equal(v, s) for v, s in zip(mixers, starts))
+
+
+def test_roof_search_converges_before_its_budget():
+    # On a rank-2 two-qubit state every restart reaches a vanishing gradient
+    # well inside a budget of 1000 evaluations.
+    rho = random_density((2, 2), rank=2, seed=37)
+    result = cce_mixed_upper(rho, (1,), VN, budget=(6, 1000), seed=0)
+    assert result.converged and all(t.converged and t.evals < 1000 for t in result.restarts)
+
+
+@pytest.mark.parametrize("dims,subset", [((2, 2), (1,)), ((2, 2, 2), (1, 2, 3)), ((3, 3), (1,)), ((3, 2, 2), (1, 2, 3))])
+def test_roof_kernels_keep_row_bits_in_large_stacks(dims, subset):
+    # numpy may compute a complex product on a temporary of 256 KiB or more
+    # in place, with its operands swapped, and complex products' bits depend
+    # on the order. Row i of a stack that large has the bits it has alone.
+    rng = np.random.default_rng(38)
+    plan, params = cut_plan(dims, subset, use_symmetry=False), EntropyParams(1.7, 0.4)
+    m = 5
+    n = 2 * (1 << 14) // (math.prod(dims) * m) + 1  # members x dims: twice 2^14 complex entries
+    raws = _random_raws(rng, n, dims, m)
+    raws[1, :, 2] = 0.0  # a dropped member
+    values, grad = _raw_averages([raws], plan, params, grad=True)
+    z = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
+    h = z - z.conj().swapaxes(-1, -2)
+    v = rng.standard_normal((n, m, 2)) + 1j * rng.standard_normal((n, m, 2))
+    t = rng.uniform(0.0, 2.0, (n, 1)) * 0.5 ** np.arange(LADDER)
+    ladder = _cayley(v[:, None], h[:, None], t)
+    for i in (0, 1, n // 2, n - 1):
+        alone, alone_grad = _raw_averages([raws[i : i + 1]], plan, params, grad=True)
+        assert alone == values[i : i + 1] and np.array_equal(alone_grad[0], grad[i])
+        assert np.array_equal(_cayley(v[i], h[i], t[i]), ladder[i])
 
 
 def test_raw_averages_do_not_depend_on_batch():
@@ -381,9 +387,10 @@ def test_raw_averages_do_not_depend_on_batch():
 
 def test_roof_eigensolves_once_per_round(monkeypatch):
     # (3, 3) on subset (1,) has one cut, of dimension 3: each lockstep round
-    # is one stacked eigensolve for all candidates of all restarts, then each
-    # final member is solved once (107 calls here). Qubit cuts take
-    # closed-form spectra, so the same search on a (2, 2) state solves none.
+    # is one stacked eigensolve for the ladders of all restarts and one for
+    # the values at their gradients, then each final member is solved once
+    # (50 calls here). Qubit cuts take closed-form spectra, so the same
+    # search on a (2, 2) state solves none.
     qutrits, qubits = random_density((3, 3), rank=2, seed=3), random_density((2, 2), rank=2, seed=3)
     calls = []
     original = np.linalg.eigvalsh

@@ -11,7 +11,7 @@ from cekit.measures import (
     BENCHMARKS,
     CutBlock,
     SpectraTable,
-    _qubit_spectra,
+    _qubit_moments,
     cce_pure,
     cce_values,
     continuity_gap,
@@ -563,12 +563,12 @@ def _qubit_slices(q, k=64, seed=0):
 def test_qubit_spectra_match_eigensolve(q):
     block = CutBlock(2, np.array([1]), ((0, 1, 2),))  # the whole (k, 2, q) stack is one cut
     for name, a in _qubit_slices(q).items():
-        got = _qubit_spectra(block, a)[:, 0]
+        got = _qubit_moments(block, a)[2][:, 0]
         want = np.linalg.eigvalsh(a @ a.conj().swapaxes(-1, -2))
         ulps = 8 * np.spacing(want[:, 1:])
         assert np.all(np.abs(got - want) <= ulps), name
         # Each state's spectrum has the bits it has alone.
-        assert np.array_equal(got, np.concatenate([_qubit_spectra(block, a[i : i + 1])[:, 0] for i in range(len(a))]))
+        assert np.array_equal(got, np.concatenate([_qubit_moments(block, a[i : i + 1])[2][:, 0] for i in range(len(a))]))
         if name in ("product", "near_pure"):
             assert want[:, 0].max() < 1e-12, name
         if q > 1:  # the slices as states of dims (2, q): descending and clamped
