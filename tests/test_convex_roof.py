@@ -7,8 +7,10 @@ import pytest
 
 import cekit.convex_roof as cr
 from cekit.convex_roof import (
+    GRAD_TOL,
     ISOMETRY_ATOL,
     LADDER,
+    STEP_TOL,
     Ensemble,
     _cayley,
     _eigen_support,
@@ -245,7 +247,10 @@ def test_raw_gradients_match_finite_differences(point, dims, subset):
 
 
 @pytest.mark.parametrize("m,r", [(2, 1), (2, 2), (3, 2), (4, 2), (4, 3), (6, 2), (9, 3)])
-def test_cayley_ladder_matches_full_products(m, r):
+def test_two_row_mixers_match_full_products(m, r):
+    # Cayley ladders along full directions are (I - tH/2)^-1 (I + tH/2) V as
+    # m x m products; along a direction on rows i and j only, a step mixes
+    # those two rows by the 2 x 2 Cayley unitary and leaves every other row's bits.
     rng = np.random.default_rng(10 * m + r)
     n = 40
     v = np.linalg.qr(rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m)))[0][:, :, :r]
@@ -260,6 +265,13 @@ def test_cayley_ladder_matches_full_products(m, r):
     assert np.abs(got.conj().swapaxes(-1, -2) @ got - np.eye(r)).max() <= ISOMETRY_ATOL
     # Each start's ladder is the one it gets alone, bit for bit.
     assert all(np.array_equal(got[k], _cayley(v[k], h[k], t[k])) for k in (0, n // 2, n - 1))
+    pair = np.zeros((n, m, m), dtype=complex)
+    pair[:, -2:, -2:] = h[:, -2:, -2:]  # rows i, j = m - 2, m - 1
+    two = _cayley(v[:, None], pair[:, None], t)
+    assert np.array_equal(two[:, :, :-2], np.broadcast_to(v[:, None, :-2], two[:, :, :-2].shape))
+    block = 0.5 * t[..., None, None] * h[:, None, -2:, -2:]
+    rotation = np.linalg.inv(np.eye(2) - block) @ (np.eye(2) + block)
+    assert np.abs(two[:, :, -2:] - rotation @ v[:, None, -2:]).max() <= 1e-13
 
 
 def _starts(rho, restarts, seed, seed_ensembles=()):
@@ -339,6 +351,111 @@ def test_search_spends_no_more_than_its_budget(max_evals, monkeypatch):
     assert all(b >= a for b, a in zip(before, after))
     if max_evals == 1:
         assert all(np.array_equal(v, s) for v, s in zip(mixers, starts))
+
+
+def _toy_smooth(v):
+    """A smooth objective on mixers v (m, r): its value and its gradient by conj(v)."""
+    target = np.linspace(-1.3, 0.9, v.size).reshape(v.shape)
+    x, y = v[0, 0].real, v[-1, -1].real
+    grad = v - target
+    grad[0, 0] += 0.15 * math.cos(x * y) * y
+    grad[-1, -1] += 0.15 * math.cos(x * y) * x
+    return float(np.sum(np.abs(v - target) ** 2) + 0.3 * math.sin(x * y)), grad
+
+
+def _toy_plateaus(v):
+    # Values rounded to 0.05 under the slope of the unrounded sum: many
+    # ladder values tie with the current value and are refused.
+    diff = v - 0.7
+    return round(float(np.sum(np.abs(diff))) * 20) / 20, diff / (2.0 * np.abs(diff))
+
+
+def _sequential_search(f, v, max_evals):
+    """Reference for `_search` from one start on a toy objective f: the same
+    rules, one evaluation at a time, each ladder step as a full product."""
+    evals, step, sq, grad, direction = 0, 1.0, math.inf, np.zeros((len(v), len(v))), None
+    while evals < max_evals:
+        value, g = f(v)
+        evals += 1
+        x = g @ v.conj().T
+        omega = x - x.conj().T
+        prev, sq = sq, np.vdot(omega, omega).real
+        beta = max(0.0, (sq - np.vdot(grad, omega).real) / prev)
+        steepest = not (beta > 0.0 and beta * np.vdot(omega, direction).real < sq)
+        direction = -omega if steepest else beta * direction - omega
+        grad = omega
+        if sq <= GRAD_TOL**2:
+            return v, evals, True
+        moved = False
+        while not moved and evals < max_evals:
+            best = None
+            for j in range(min(LADDER, max_evals - evals)):
+                t = step * 0.5**j
+                half = 0.5 * t * direction
+                cand = np.linalg.inv(np.eye(len(v)) - half) @ (np.eye(len(v)) + half) @ v
+                fc = f(cand)[0]
+                evals += 1
+                if best is None or fc < best[0]:
+                    best = (fc, t, cand)
+            if best[0] < value:
+                v, step, moved = best[2], 2.0 * best[1], True
+            elif not steepest:
+                direction, steepest = -grad, True
+            elif t * math.sqrt(sq) < STEP_TOL:
+                return v, evals, True
+            else:
+                step = 0.5 * t
+    return v, evals, False
+
+
+def _patch_toy(monkeypatch, f):
+    """Make `_search` minimize f over mixers, run with roots I and no plan.
+    Returns the list that gets the mixers of each `_raw_averages` call."""
+    asked = []
+
+    def toy(raws, plan, params, grad=False):
+        asked.append([raw.T for stack in raws for raw in stack])
+        values, grads = zip(*map(f, asked[-1]))
+        return (list(values), np.stack([g.T for g in grads])) if grad else list(values)
+
+    monkeypatch.setattr(cr, "_raw_averages", toy)
+    return asked
+
+
+@pytest.mark.parametrize("f", [_toy_smooth, _toy_plateaus])
+@pytest.mark.parametrize("max_evals", [1, 2, 31, 32, 33, 100, 2000])
+def test_speculative_compass_matches_sequential(f, max_evals, monkeypatch):
+    # The name is kept from the compass search that the ladder replaced. A
+    # ladder is speculative: all of its steps are evaluated, in one batch
+    # with the other restarts', before one is taken. Run on a toy objective
+    # in lockstep, restarts of two mixer sizes take the path, evaluations
+    # and flag of a search that evaluates one candidate at a time, and no
+    # value is computed that the budget does not count. Budgets 31-33 end
+    # searches around a ladder boundary.
+    asked = _patch_toy(monkeypatch, f)
+    r = 2
+    starts = [np.eye(4, r, dtype=complex)] + [_random_isometry(np.random.default_rng(k), m, r) for k, m in
+                                               enumerate([4, 5, 4])]
+    mixers, evals, converged = _search(np.eye(r, dtype=complex), None, None, starts, max_evals)
+    assert sum(map(len, asked)) == sum(evals)
+    for k, start in enumerate(starts):
+        want_v, want_evals, want_converged = _sequential_search(f, start, max_evals)
+        assert np.abs(mixers[k] - want_v).max() <= 1e-12
+        assert (evals[k], converged[k]) == (want_evals, want_converged)
+        assert evals[k] <= max_evals and (converged[k] or evals[k] == max_evals)
+        assert f(mixers[k])[0] <= f(start)[0]
+
+
+def test_speculative_compass_yields_the_rest_of_the_sweep(monkeypatch):
+    # A gradient, then a ladder cut to the 4 evaluations the budget has left;
+    # the search moves to the lowest of its values.
+    asked = _patch_toy(monkeypatch, _toy_smooth)
+    start = np.eye(3, 2, dtype=complex)
+    (v,), evals, converged = _search(np.eye(2, dtype=complex), None, None, [start], 5)
+    assert [len(rows) for rows in asked] == [1, 4] and (evals, converged) == ([5], [False])
+    assert np.array_equal(asked[0][0], start)
+    values = [_toy_smooth(w)[0] for w in asked[1]]
+    assert min(values) < _toy_smooth(start)[0] and np.array_equal(v, asked[1][int(np.argmin(values))])
 
 
 def test_roof_search_converges_before_its_budget():
