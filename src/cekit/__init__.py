@@ -9,11 +9,8 @@ from .convex_roof import (
 )
 from .entropy import (
     EntropyParams,
-    alpha_monotonicity_gap,
     binary_entropy,
     fannes_audenaert_bound,
-    majorizes,
-    schur_concavity_witness,
     unified_entropy,
     unified_entropy_spectrum,
 )
@@ -24,10 +21,7 @@ from .measures import (
     cce_pure,
     continuity_gap,
     gme_certificate,
-    locc_monotonicity_spotcheck,
     named_measures,
-    ordering_report,
-    subadditivity_gap,
     tensor_identity_residual,
 )
 from .states import StateRecipe, dicke, ghz, haar_random, random_density, random_product, star, w

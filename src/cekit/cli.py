@@ -96,7 +96,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         if recipe.family == "mixed-random":  # rejected unbuilt: building one takes O(d^3) time
             raise ValueError(f"compute needs a pure-state recipe, got {recipe_text!r}")
         dims = recipe.local_dims
-        subset = _parse_subset(args.s) if args.s else tuple(range(1, len(dims) + 1))
+        subset = _parse_subset(args.s) if args.s is not None else tuple(range(1, len(dims) + 1))
         plan = cut_plan(dims, subset)  # checks the labels and the power-set guard before the state is built
         if prod(dims) > MAX_STATE_DIM:
             raise ResourceLimitError(f"state of dimension {prod(dims)} exceeds the guard of {MAX_STATE_DIM}")
@@ -206,7 +206,7 @@ def cmd_swaptest(args: argparse.Namespace) -> int:
     if recipe.family == "mixed-random":  # as in `cmd_compute`
         raise ValueError("swaptest needs a pure-state recipe")
     dims = recipe.local_dims
-    subset = _parse_subset(args.s) if args.s else tuple(range(1, len(dims) + 1))
+    subset = _parse_subset(args.s) if args.s is not None else tuple(range(1, len(dims) + 1))
     register_size(dims)  # before the state is built: its statevector alone takes 2^n amplitudes
     psi = recipe.build()
     dist = swap_test_distribution(psi)

@@ -47,7 +47,6 @@ __all__ = [
     "RoofResult",
     "MixedOrderingResult",
     "mixing_ensemble",
-    "mixer_for_ensemble",
     "cce_mixed_upper",
     "mixed_ordering_spotcheck",
 ]
@@ -226,14 +225,9 @@ def _support_ensemble(rho: DensityOperator, vals, vecs, mixer: np.ndarray) -> En
     return Ensemble(tuple((p / total, PureState(v, rho.dims)) for p, v in zip(weights.tolist(), rows)))
 
 
-def mixer_for_ensemble(rho: DensityOperator, ensemble: Ensemble) -> np.ndarray:
-    """Mixer that reproduces a known decomposition of rho (e.g. a constructed
-    separable one), used to seed a restart."""
-    return _support_mixer(rho, *_eigen_support(rho), ensemble)
-
-
 def _support_mixer(rho: DensityOperator, vals, vecs, ensemble: Ensemble) -> np.ndarray:
-    """`mixer_for_ensemble` given the eigen support (vals, vecs) of rho."""
+    """Mixer that reproduces a known decomposition of rho (e.g. a constructed
+    separable one), given the eigen support (vals, vecs) of rho; seeds a restart."""
     r = vals.size
     if ensemble.reconstruction_error(rho) > 1e-8:
         raise ValueError("ensemble does not reconstruct rho")

@@ -1,4 +1,4 @@
-"""The two-parameter unified entropy, its named limits, and order oracles.
+"""The two-parameter unified entropy, its named limits, and the majorization order.
 
 Branch conventions (base 2 wherever a logarithm appears):
 
@@ -25,10 +25,7 @@ __all__ = [
     "unified_entropy_spectrum",
     "unified_entropy_rows",
     "binary_entropy",
-    "majorizes",
     "majorizes_rows",
-    "schur_concavity_witness",
-    "alpha_monotonicity_gap",
     "fannes_audenaert_bound",
     "in_concavity_region",
     "in_subadditivity_region",
@@ -38,6 +35,7 @@ __all__ = [
 VON_NEUMANN_ALPHA_ATOL = 1e-9
 RENYI_BETA_ATOL = 1e-12
 PROB_SUM_ATOL = 1e-10
+MAJORIZATION_ATOL = 1e-10  # slack of every partial-sum comparison in `majorizes_rows`
 
 
 @dataclass(frozen=True)
@@ -115,10 +113,6 @@ def _as_prob_rows(arr: np.ndarray) -> np.ndarray:
             raise ValueError(f"negative probability {lo}")
         raise ValueError(f"probabilities must sum to 1 within {PROB_SUM_ATOL}, got {total}")
     return np.clip(arr, 0.0, None) if (lows <= 0.0).any() else arr
-
-
-def _as_vector(v: Iterable[float]) -> np.ndarray:
-    return np.asarray(v if isinstance(v, np.ndarray) else list(v), dtype=float).reshape(-1)
 
 
 def _traces(lam: np.ndarray, alpha: float) -> np.ndarray:
@@ -208,15 +202,12 @@ def unified_entropy_rows(rows: np.ndarray, p: EntropyParams | Sequence[EntropyPa
     return np.array(out).reshape(shape)
 
 
-def _finite(lam: np.ndarray) -> np.ndarray:
-    if not np.isfinite(lam).all():
-        raise ValueError(f"spectrum must be finite, got {lam}")
-    return lam
-
-
 def unified_entropy_spectrum(spectrum: Iterable[float], p: EntropyParams) -> float:
     """Unified entropy of one clamped eigenvalue vector: the one-row case of `unified_entropy_rows`."""
-    return float(unified_entropy_rows(_finite(_as_vector(spectrum)), p))
+    lam = np.asarray(spectrum if isinstance(spectrum, np.ndarray) else list(spectrum), dtype=float).reshape(-1)
+    if not np.isfinite(lam).all():
+        raise ValueError(f"spectrum must be finite, got {lam}")
+    return float(unified_entropy_rows(lam, p))
 
 
 def unified_entropy(rho: DensityOperator | np.ndarray, p: EntropyParams) -> float:
@@ -233,38 +224,14 @@ def binary_entropy(eps: float) -> float:
     return float(-eps * math.log2(eps) - (1.0 - eps) * math.log2(1.0 - eps))
 
 
-def majorizes_rows(lam: np.ndarray, mu: np.ndarray, *, atol: float = 1e-10) -> np.ndarray:
+def majorizes_rows(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Whether each vector along the last axis of `lam` majorizes `mu`'s at the same leading index (lengths
     may differ), by descending partial sums added left to right, as `itertools.accumulate` adds them."""
     a, b = (np.cumsum(np.sort(_as_prob_rows(np.asarray(v, dtype=float)))[..., ::-1], axis=-1) for v in (lam, mu))
     # Zero padding would repeat the shorter vector's last partial sum.
     n = max(a.shape[-1], b.shape[-1])
     a, b = (np.concatenate([s] + [s[..., -1:]] * (n - s.shape[-1]), axis=-1) for s in (a, b))
-    return (a >= b - atol).all(axis=-1)
-
-
-def majorizes(lam: Iterable[float], mu: Iterable[float], *, atol: float = 1e-10) -> bool:
-    """True iff lam majorizes mu: descending partial sums of lam dominate mu's."""
-    return bool(majorizes_rows(_as_vector(lam), _as_vector(mu), atol=atol))
-
-
-def schur_concavity_witness(lam: Iterable[float], mu: Iterable[float], p: EntropyParams) -> float:
-    """Signed gap S(diag lam) - S(diag mu); nonnegative whenever mu majorizes lam."""
-    lo, hi = (float(unified_entropy_rows(_as_prob_rows(_as_vector(v)), p)) for v in (lam, mu))
-    return lo - hi
-
-
-def alpha_monotonicity_gap(
-    rho: DensityOperator | np.ndarray, alpha_lo: float, alpha_hi: float, beta: float
-) -> float:
-    """S_{alpha_lo,beta}(rho) - S_{alpha_hi,beta}(rho) for alpha_lo <= alpha_hi, beta >= 1."""
-    if not 0 < alpha_lo <= alpha_hi:
-        raise ValueError(f"need 0 < alpha_lo <= alpha_hi, got {alpha_lo}, {alpha_hi}")
-    if beta < 1:
-        raise ValueError(f"beta must be >= 1, got {beta}")
-    lam = hermitian_eigenvalues(rho)
-    lo, hi = (unified_entropy_spectrum(lam, EntropyParams(a, beta)) for a in (alpha_lo, alpha_hi))
-    return lo - hi
+    return (a >= b - MAJORIZATION_ATOL).all(axis=-1)
 
 
 def fannes_audenaert_bound(eps: float, d: int) -> float:

@@ -65,19 +65,14 @@ __all__ = [
     "spectra_table",
     "table_terms",
     "table_values",
-    "table_value",
-    "table_named",
     "cce_pure",
     "named_measures",
     "cce_values",
-    "ordering_report",
     "ordering_reports",
     "tensor_identity_residual",
-    "subadditivity_gap",
     "subadditivity_gaps",
     "gme_certificate",
     "continuity_gap",
-    "locc_monotonicity_spotcheck",
     "locc_monotonicity_gaps",
 ]
 
@@ -212,14 +207,12 @@ def _build_plan(dims: tuple[int, ...], subset: tuple[int, ...], paired: bool) ->
     return CutPlan(dims, subset, paired, blocks)
 
 
-def cut_plan(
-    dims: tuple[int, ...], subset: Iterable[int], *, use_symmetry: bool | None = None
-) -> CutPlan:
+def cut_plan(dims: tuple[int, ...], subset: Iterable[int], *, use_symmetry: bool = True) -> CutPlan:
     """Cut plan of P(subset) for a pure state with local dimensions `dims`.
 
     Each cut is eigensolved on its smaller side. When `subset` covers all
-    subsystems (the default trigger), a subset and its complement share one
-    spectrum, which halves the eigensolves.
+    subsystems, a subset and its complement share one spectrum, which halves
+    the eigensolves; `use_symmetry=False` turns that pairing off.
     """
     dims = tuple(dims)
     s = normalize_subset(subset, len(dims))
@@ -227,11 +220,7 @@ def cut_plan(
         raise ResourceLimitError(
             f"power set of {len(s)} labels exceeds the enumeration guard of {MAX_SUBSET_SIZE}"
         )
-    if use_symmetry is None:
-        use_symmetry = len(s) == len(dims)
-    elif use_symmetry and len(s) != len(dims):
-        raise ValueError("complement pairing requires the subset to cover every subsystem")
-    return _build_plan(dims, s, use_symmetry)
+    return _build_plan(dims, s, use_symmetry and len(s) == len(dims))
 
 
 def _reduced_chunks(block: CutBlock, tensors: np.ndarray):
@@ -348,11 +337,6 @@ def table_values(table: SpectraTable, points: Sequence[EntropyParams]) -> list[f
     return out
 
 
-def table_value(table: SpectraTable, params: EntropyParams) -> float:
-    """The measure of a one-state table."""
-    return table_values(table, [params])[0]
-
-
 def cce_pure(psi: PureState, subset: Iterable[int], params: EntropyParams) -> MeasureReport:
     """Concentratable entanglement of a pure state over P(subset)."""
     table = spectra_table(psi, subset)
@@ -393,21 +377,16 @@ def _grouped_terms(jobs: Sequence[tuple]) -> list[np.ndarray]:
 
 
 def cce_values(jobs: Sequence[tuple[PureState, Iterable[int], EntropyParams]]) -> list[float]:
-    """`table_value` of each (state, subset, point) job, 0 on an empty
-    subset: one spectra call and one terms call per group of jobs with equal
-    dims and subset."""
+    """The measure of each (state, subset, point) job, 0 on an empty subset:
+    one spectra call and one terms call per group of jobs with equal dims and
+    subset."""
     return [_mean(terms.tolist()) for terms in _grouped_terms(jobs)]
-
-
-def table_named(table: SpectraTable) -> NamedMeasures:
-    """The four benchmark measures of a one-state table."""
-    return NamedMeasures(*table_values(table, list(BENCHMARKS.values())))
 
 
 def named_measures(psi: PureState, subset: Iterable[int]) -> NamedMeasures:
     """The four benchmark measures (von Neumann, Renyi-2, Tsallis-3, linear)
     from one spectra table."""
-    return table_named(spectra_table(psi, subset))
+    return NamedMeasures(*table_values(spectra_table(psi, subset), list(BENCHMARKS.values())))
 
 
 def _chain_checks(e: float, r2: float, t3: float, c: float) -> dict[str, bool]:
@@ -421,17 +400,13 @@ def _chain_checks(e: float, r2: float, t3: float, c: float) -> dict[str, bool]:
     }
 
 
-def ordering_report(psi: PureState, subset: Iterable[int]) -> OrderingReport:
-    """Benchmark values plus the chain of lower-bound relations among them."""
-    return ordering_reports([(psi, subset, ())])[0][0]
-
-
 def ordering_reports(
     cases: Sequence[tuple[PureState, Iterable[int], Sequence[EntropyParams]]],
 ) -> list[tuple[OrderingReport, list[float]]]:
-    """`ordering_report` of every (psi, subset, extra points) case, with the
-    measure at the case's extra points: one spectra call and one terms call
-    per group of cases with equal dims, subset and number of extra points."""
+    """Benchmark values plus the chain of lower-bound relations among them, for
+    every (psi, subset, extra points) case, with the measure at the case's
+    extra points: one spectra call and one terms call per group of cases with
+    equal dims, subset and number of extra points."""
     base = list(BENCHMARKS.values())
     out = []
     jobs = [(psi, normalize_subset(s, psi.n_subsystems), base + list(extra)) for psi, s, extra in cases]
@@ -507,10 +482,11 @@ def _submasks(subset: tuple[int, ...], labels: tuple[int, ...]) -> np.ndarray:
 def subadditivity_gaps(
     cases: Sequence[tuple[PureState, Iterable[int], Iterable[int], EntropyParams]],
 ) -> list[float]:
-    """`subadditivity_gap` of every (psi, s, s', params) case: one spectra
-    call and one terms call per group of cases with equal dims, on one plan
-    over the union of the group's unions where that plan costs no more than
-    theirs (see `_plan_subsets`), else per union."""
+    """E(s) + E(s') - E(s u s') of every (psi, s, s', params) case, for
+    disjoint subsets on the subadditive region: one spectra call and one terms
+    call per group of cases with equal dims, on one plan over the union of the
+    group's unions where that plan costs no more than theirs (see
+    `_plan_subsets`), else per union."""
     splits = []
     for psi, s, s_prime, params in cases:
         if not in_subadditivity_region(params):
@@ -534,13 +510,6 @@ def subadditivity_gaps(
     return [
         part(t, p, a) + part(t, p, b) - part(t, p, u) for (a, b, u), p, t in zip(splits, planned, all_terms)
     ]
-
-
-def subadditivity_gap(
-    psi: PureState, s: Iterable[int], s_prime: Iterable[int], params: EntropyParams
-) -> float:
-    """E(s) + E(s') - E(s u s') for disjoint subsets, on the subadditive region."""
-    return subadditivity_gaps([(psi, s, s_prime, params)])[0]
 
 
 def gme_certificate(psi: PureState, params: EntropyParams) -> GmeCertificate:
@@ -592,10 +561,16 @@ def continuity_gap(
 def locc_monotonicity_gaps(
     cases: Sequence[tuple[PureState, Iterable[int], EntropyParams, int, list[np.ndarray]]],
 ) -> list[float]:
-    """`locc_monotonicity_spotcheck` of every (psi, subset, params, site,
-    kraus) case: each group of equal dims, subset and Kraus-set shape takes
-    one `local_kraus_branches` call, one rank check, and one spectra call and
-    one terms call on its states and their kept branches."""
+    """E(psi) minus the branch-averaged measure after a local operation, for
+    every (psi, subset, params, site, kraus) case.
+
+    Restricted to rank-1 Kraus elements so each outcome branch is pure and
+    the pure-state formula applies directly; nonnegative (within tolerance)
+    for parameters in the concavity region. Each group of equal dims, subset
+    and Kraus-set shape takes one `local_kraus_branches` call, one rank check,
+    and one spectra call and one terms call on its states and their kept
+    branches.
+    """
     checked = []
     for psi, subset, params, site, kraus in cases:
         if not in_concavity_region(params):
@@ -631,19 +606,3 @@ def locc_monotonicity_gaps(
                     avg += p * next(after)
             gaps[i] = before - avg
     return gaps
-
-
-def locc_monotonicity_spotcheck(
-    psi: PureState,
-    subset: Iterable[int],
-    params: EntropyParams,
-    site: int,
-    kraus: list[np.ndarray],
-) -> float:
-    """E(psi) minus the branch-averaged measure after a local operation.
-
-    Restricted to rank-1 Kraus elements so each outcome branch is pure and
-    the pure-state formula applies directly; nonnegative (within tolerance)
-    for parameters in the concavity region.
-    """
-    return locc_monotonicity_gaps([(psi, subset, params, site, kraus)])[0]

@@ -1,7 +1,6 @@
 """Factories for the benchmark state families and seeded random generators."""
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -136,7 +135,9 @@ def ghz_w_closed_forms(n: int, size: int) -> tuple[dict[str, float], dict[str, f
     return ghz_vals, w_vals
 
 
-_FAMILIES = ("ghz", "w", "dicke", "star", "product", "haar", "mixed-random")
+#: Each family and the most fields its shorthand takes after the family name.
+_MAX_FIELDS = {"ghz": 1, "w": 1, "dicke": 2, "star": 1, "product": 2, "haar": 2, "mixed-random": 3}
+_FAMILIES = tuple(_MAX_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -175,6 +176,9 @@ class StateRecipe:
         parts = text.strip().split(":")
         family = parts[0].lower()
         args = parts[1:]
+        most = _MAX_FIELDS.get(family, len(args))
+        if len(args) > most:
+            raise ValueError(f"cannot parse state recipe {text!r}: {family} takes at most {most} field(s)")
         try:
             if family in ("ghz", "w"):
                 return cls(family, n=int(args[0]))
@@ -194,17 +198,6 @@ class StateRecipe:
         except (IndexError, ValueError) as exc:
             raise ValueError(f"cannot parse state recipe {text!r}: {exc}") from exc
         raise ValueError(f"unknown family {family!r}; choose from {_FAMILIES}")
-
-    @classmethod
-    def from_json(cls, obj: str | dict) -> "StateRecipe":
-        data = json.loads(obj) if isinstance(obj, str) else dict(obj)
-        family = data.pop("family", None)
-        if family is None:
-            raise ValueError("recipe JSON needs a 'family' key")
-        dims = data.pop("dims", None)
-        if dims is not None:
-            data["dims"] = tuple(int(d) for d in dims)
-        return cls(family=family, **data)
 
     def build(self) -> PureState | DensityOperator:
         if self.family == "ghz":

@@ -20,10 +20,7 @@ __all__ = [
     "hermitian_eigenvalues",
     "clamped_spectra",
     "trace_distance",
-    "apply_local_kraus_pure",
     "local_kraus_branches",
-    "embed_local",
-    "permute_subsystems",
 ]
 
 NORM_ATOL = 1e-12
@@ -185,18 +182,6 @@ def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     return float(0.5 * np.abs(diff_eigs).sum())
 
 
-def embed_local(op: np.ndarray, site: int, dims: Sequence[int]) -> np.ndarray:
-    """Embed a single-site operator into the full space via identity padding."""
-    dims = _as_dims(dims)
-    if not 1 <= site <= len(dims):
-        raise ValueError(f"site must lie in 1..{len(dims)}, got {site}")
-    op = np.asarray(op, dtype=complex)
-    d = dims[site - 1]
-    if op.shape != (d, d):
-        raise ValueError(f"operator shape {op.shape} does not match local dimension {d}")
-    return _embeddings(op[None, None], np.array([site]), dims)[0, 0]
-
-
 def _embeddings(ops: np.ndarray, sites: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     """I (x) op (x) I of every operator of a stack (N, K, d, d), row n's at
     sites[n]: (N, K, D, D). Entry (r, c) is op[digit of r, digit of c] where
@@ -262,25 +247,3 @@ def local_kraus_branches(
     if off.size:
         raise ValueError(f"squared norm must be 1 within {NORM_ATOL}, got norm {off[0]}")
     return probs, states, kept
-
-
-def apply_local_kraus_pure(
-    psi: PureState, site: int, kraus: Sequence[np.ndarray]
-) -> list[tuple[float, PureState]]:
-    """Pure-state branches of a local operation; one Kraus operator per outcome."""
-    if not 1 <= site <= psi.n_subsystems:
-        raise ValueError(f"site must lie in 1..{psi.n_subsystems}, got {site}")
-    ops = _kraus_set(kraus, psi.dims[site - 1])
-    probs, states, kept = local_kraus_branches(psi.amplitudes[None], psi.dims, [site], ops[None])
-    return [(p, PureState(v, psi.dims)) for p, v, k in zip(probs[0].tolist(), states[0], kept[0]) if k]
-
-
-def permute_subsystems(psi: PureState, order: Sequence[int]) -> PureState:
-    """Relabel subsystems so that new subsystem k is old subsystem order[k-1]."""
-    n = psi.n_subsystems
-    perm = [int(i) for i in order]
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"order must be a permutation of 1..{n}, got {order}")
-    axes = [i - 1 for i in perm]
-    t = psi.amplitudes.reshape(psi.dims).transpose(axes)
-    return PureState(t.reshape(-1), tuple(psi.dims[ax] for ax in axes))

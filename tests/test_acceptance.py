@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cekit.entropy import EntropyParams, binary_entropy
-from cekit.measures import cce_pure, locc_monotonicity_spotcheck, named_measures
+from cekit.measures import cce_pure, locc_monotonicity_gaps, named_measures
 from cekit.states import dicke, ghz, haar_random, star, w
 from cekit.suites import (
     suite_alpha_mono,
@@ -25,7 +25,7 @@ from cekit.suites import (
     suite_tensor_id,
 )
 from cekit.swaptest import cce_from_distribution, estimate_from_shots, sample_shots, swap_test_distribution
-from cekit.tensor import embed_local, PureState
+from cekit.tensor import PureState, local_kraus_branches
 
 TOL = 1e-10
 
@@ -87,7 +87,7 @@ def test_c02_ghz_w_separation():
 
 def test_c03_ordering_chain():
     start = time.monotonic()
-    result = suite_ordering(seed=0, trials=1000, alpha_pairs=20)
+    result = suite_ordering(seed=0, trials=1000)
     _assert_suite(result)
     elapsed = time.monotonic() - start
     assert elapsed < 300.0
@@ -184,11 +184,12 @@ def test_c11_local_unitary_invariance():
         z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         u, _ = np.linalg.qr(z)
         site = int(rng.integers(1, 4))
-        rotated = PureState(embed_local(u, site, psi.dims) @ psi.amplitudes, psi.dims)
+        branches = local_kraus_branches(psi.amplitudes[None], psi.dims, [site], u[None, None])[1]
+        rotated = PureState(branches[0, 0], psi.dims)
         before = cce_pure(psi, (1, 2, 3), params).value
         after = cce_pure(rotated, (1, 2, 3), params).value
         assert after == pytest.approx(before, abs=TOL)
-        gap = locc_monotonicity_spotcheck(psi, (1, 2, 3), params, site, [u])
+        [gap] = locc_monotonicity_gaps([(psi, (1, 2, 3), params, site, [u])])
         assert abs(gap) <= TOL
     _report("c11a local-unitary-invariance", "(50 states)")
 

@@ -262,6 +262,26 @@ def test_module_all_names_exist():
         assert missing == [], f"cekit.{info.name}"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["compute", "--state", "ghz:3:7"], "ghz takes at most 1 field(s)"),
+        (["compute", "--state", "ghz:3:"], "ghz takes at most 1 field(s)"),
+        (["compute", "--state", "star:0.5:1"], "star takes at most 1 field(s)"),
+        (["compute", "--state", "haar:2x2:3:junk"], "haar takes at most 2 field(s)"),
+        (["swaptest", "--state", "ghz:3:7"], "ghz takes at most 1 field(s)"),
+        (["compute", "--state", "ghz:3", "--s", ""], "invalid literal"),
+        (["swaptest", "--state", "ghz:3", "--s", ""], "invalid literal"),
+    ],
+)
+def test_input_is_rejected_not_reinterpreted(capsys, argv, message):
+    # A recipe field beyond the family's grammar, or an empty --s, is an error: neither is
+    # dropped to run the command on another state or on all subsystems.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_compute_rejects_bad_recipe(capsys):
     code, _, err = run_cli(capsys, "compute", "--state", "nope:3")
     assert code == 2

@@ -17,14 +17,14 @@ from cekit.convex_roof import (
     _random_isometry,
     _raw_averages,
     _search,
+    _support_mixer,
     cce_mixed_upper,
     mixed_ordering_spotcheck,
-    mixer_for_ensemble,
     mixing_ensemble,
 )
 from cekit.entropy import EntropyParams, unified_entropy_spectrum
 from cekit.errors import ResourceLimitError
-from cekit.measures import cce_pure, cut_plan, ordering_report
+from cekit.measures import cce_pure, cut_plan, ordering_reports
 from cekit.states import haar_random, random_density, random_product
 from cekit.suites import concurrence, wootters_eof
 from cekit.tensor import DensityOperator
@@ -97,7 +97,7 @@ def test_mixing_ensemble_rejects_nan_and_inf_mixers(entry):
 
 def test_mixer_for_ensemble_roundtrip():
     rho, ens = separable_mix(seed=5, k=3)
-    mixer = mixer_for_ensemble(rho, ens)
+    mixer = _support_mixer(rho, *_eigen_support(rho), ens)
     rebuilt = mixing_ensemble(rho, mixer)
     assert rebuilt.reconstruction_error(rho) < 1e-8
     assert rebuilt.average((1, 2), VN) == pytest.approx(ens.average((1, 2), VN), abs=1e-8)
@@ -127,6 +127,26 @@ def test_wootters_werner_closed_form():
         conc = max(0.0, (3.0 * p - 1.0) / 2.0)
         want = binary_entropy(0.5 * (1.0 + math.sqrt(1.0 - conc**2))) if conc > 0 else 0.0
         assert wootters_eof(werner_like(p)) == pytest.approx(want, abs=1e-10)
+
+
+def test_concurrence_of_rotated_rank_two_bell_diagonal_states():
+    # 0.8 |Phi+><Phi+| + 0.2 |Psi+><Psi+| has C = 2 * 0.8 - 1 = 0.6, and local unitaries keep it. At rank 2
+    # two of the l_i are 0: square roots of the rounding residues in the eigenvalues of rho rho~ are off by
+    # up to 1e-8, the singular values on the eigen support are exact zeros.
+    rng = np.random.default_rng(11)
+    phi, psi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0), np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    bell_diagonal = 0.8 * np.outer(phi, phi) + 0.2 * np.outer(psi, psi)
+    for _ in range(40):
+        z = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+        u = np.kron(*np.linalg.qr(z)[0])
+        assert abs(concurrence(DensityOperator(u @ bell_diagonal @ u.conj().T, (2, 2))) - 0.6) <= 1e-12
+    # At full rank the support form agrees with the eigenvalues of rho rho~.
+    yy = np.kron(*[np.array([[0.0, -1.0j], [1.0j, 0.0]])] * 2)
+    for seed in range(40):
+        rho = random_density((2, 2), rank=4, seed=seed)
+        m = rho.matrix
+        lam = np.sort(np.sqrt(np.clip(np.linalg.eigvals(m @ yy @ m.conj() @ yy).real, 0.0, None)))[::-1]
+        assert concurrence(rho) == pytest.approx(max(0.0, lam[0] - lam[1:].sum()), abs=1e-12)
 
 
 def test_roof_on_pure_state_is_exact():
@@ -281,7 +301,7 @@ def _starts(rho, restarts, seed, seed_ensembles=()):
     m = min(r * r, r + 2)
     starts = [np.eye(m, r, dtype=complex)]
     for ens in seed_ensembles:
-        v0 = mixer_for_ensemble(rho, ens)
+        v0 = _support_mixer(rho, *_eigen_support(rho), ens)
         starts.append(np.vstack([v0, np.zeros((max(m, len(v0)) - len(v0), r))]))
     children = np.random.SeedSequence(seed).spawn(max(0, restarts - len(starts)))
     return starts + [_random_isometry(np.random.default_rng(child), m, r) for child in children]
@@ -587,7 +607,7 @@ def test_mixed_ordering_pure_state_reduces_to_report():
     psi = haar_random((2, 2), seed=20)
     result = mixed_ordering_spotcheck(psi.density(), (1, 2), n_mixers=5, seed=0)
     assert result.all_hold
-    assert ordering_report(psi, (1, 2)).all_hold
+    assert ordering_reports([(psi, (1, 2), ())])[0][0].all_hold
 
 
 def test_mixed_ordering_separable_state():

@@ -4,17 +4,15 @@ import math
 import numpy as np
 import pytest
 
+import cekit.entropy as entropy
 from cekit.entropy import (
     EntropyParams,
-    alpha_monotonicity_gap,
     binary_entropy,
     fannes_audenaert_bound,
     in_concavity_region,
     in_subadditivity_region,
-    majorizes,
     majorizes_rows,
     max_entropy_value,
-    schur_concavity_witness,
     unified_entropy,
     unified_entropy_rows,
     unified_entropy_spectrum,
@@ -22,7 +20,7 @@ from cekit.entropy import (
 from cekit.measures import continuity_gap
 from cekit.states import haar_random, random_density
 from cekit.suites import nearby_state
-from cekit.tensor import ZERO_EIG_FLOOR, DensityOperator
+from cekit.tensor import ZERO_EIG_FLOOR, DensityOperator, hermitian_eigenvalues
 
 MIXED_QUBIT = DensityOperator(np.eye(2) / 2.0, (2,))
 
@@ -86,18 +84,24 @@ def test_binary_entropy_endpoints_and_half():
 
 
 def test_majorizes_basics():
-    assert majorizes([1.0, 0.0], [0.5, 0.5])
-    assert not majorizes([0.5, 0.5], [1.0, 0.0])
-    assert majorizes([0.4, 0.3, 0.3], [0.4, 0.3, 0.3])
-    assert majorizes([1.0], [0.5, 0.5])
+    assert majorizes_rows([1.0, 0.0], [0.5, 0.5])
+    assert not majorizes_rows([0.5, 0.5], [1.0, 0.0])
+    assert majorizes_rows([0.4, 0.3, 0.3], [0.4, 0.3, 0.3])
+    assert majorizes_rows([1.0], [0.5, 0.5])
     with pytest.raises(ValueError):
-        majorizes([0.7, 0.7], [0.5, 0.5])
+        majorizes_rows([0.7, 0.7], [0.5, 0.5])
+
+
+def _schur_gap(lam, mu, params):
+    # S(diag lam) - S(diag mu): nonnegative whenever mu majorizes lam.
+    lo, hi = unified_entropy_rows(np.array([lam, mu]), params).tolist()
+    return lo - hi
 
 
 def test_schur_witness_trivial_cases():
     vn = EntropyParams.von_neumann()
-    assert schur_concavity_witness([0.5, 0.5], [1.0, 0.0], vn) == pytest.approx(1.0, abs=1e-12)
-    assert schur_concavity_witness([0.3, 0.7], [0.3, 0.7], vn) == 0.0
+    assert _schur_gap([0.5, 0.5], [1.0, 0.0], vn) == pytest.approx(1.0, abs=1e-12)
+    assert _schur_gap([0.3, 0.7], [0.3, 0.7], vn) == 0.0
 
 
 NON_FINITE = [[float("nan"), 1.0], [float("inf"), 1.0], [float("-inf"), 1.0], [0.5, float("nan"), 0.5]]
@@ -106,18 +110,20 @@ NON_FINITE = [[float("nan"), 1.0], [float("inf"), 1.0], [float("-inf"), 1.0], [0
 @pytest.mark.parametrize("bad", NON_FINITE)
 def test_majorizes_rejects_non_finite(bad):
     with pytest.raises(ValueError):
-        majorizes(bad, [0.5, 0.5])
+        majorizes_rows(bad, [0.5, 0.5])
     with pytest.raises(ValueError):
-        majorizes([0.5, 0.5], bad)
+        majorizes_rows([0.5, 0.5], bad)
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
 def test_schur_witness_rejects_non_finite(bad):
-    params = EntropyParams(2.0, 1.0)
+    # The schur suite validates its stacked (lam, mu) rows through `majorizes_rows`: one bad row raises.
+    good = np.full((3, len(bad)), 1.0 / len(bad))
+    rows = np.vstack([good[:2], [bad]])
     with pytest.raises(ValueError):
-        schur_concavity_witness(bad, [0.5, 0.5], params)
+        majorizes_rows(rows, good)
     with pytest.raises(ValueError):
-        schur_concavity_witness([1.0, 0.0], bad, params)
+        majorizes_rows(good, rows)
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
@@ -152,24 +158,28 @@ def test_schur_witness_random_sweep():
     for _ in range(2000):
         lam, mu = _majorization_pair(rng, int(rng.integers(2, 7)))
         params = EntropyParams(float(rng.uniform(0.05, 4.0)), float(rng.uniform(0.0, 3.0)))
-        assert majorizes(mu, lam)
-        assert schur_concavity_witness(lam, mu, params) >= -1e-10
+        assert majorizes_rows(mu, lam)
+        assert _schur_gap(lam, mu, params) >= -1e-10
+
+
+def _alpha_gap(rho, alpha_lo, alpha_hi, beta):
+    # S_{alpha_lo,beta}(rho) - S_{alpha_hi,beta}(rho): one spectrum at a pair of points, as `alpha-mono` evaluates it.
+    lo, hi = unified_entropy_rows(hermitian_eigenvalues(rho), [EntropyParams(a, beta) for a in (alpha_lo, alpha_hi)])
+    return lo - hi
 
 
 def test_alpha_monotonicity_trivial_and_exact():
     pure = DensityOperator(np.diag([1.0, 0.0]), (2,))
-    assert alpha_monotonicity_gap(pure, 1.5, 2.5, 1.0) == 0.0
+    assert _alpha_gap(pure, 1.5, 2.5, 1.0) == 0.0
     # Tsallis on the maximally mixed qubit: S_2 = 1/2, S_3 = 3/8.
-    assert alpha_monotonicity_gap(MIXED_QUBIT, 2.0, 3.0, 1.0) == pytest.approx(0.125, abs=1e-14)
+    assert _alpha_gap(MIXED_QUBIT, 2.0, 3.0, 1.0) == pytest.approx(0.125, abs=1e-14)
 
 
 def test_alpha_monotonicity_validation():
-    with pytest.raises(ValueError):
-        alpha_monotonicity_gap(MIXED_QUBIT, 2.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        alpha_monotonicity_gap(MIXED_QUBIT, 1.0, 2.0, 0.5)
-    with pytest.raises(ValueError, match="finite"):  # eigvalsh returns NaNs, which the Hermitian check lets by
-        alpha_monotonicity_gap(np.array([[0.5, np.nan], [np.nan, 0.5]]), 1.5, 2.0, 1.0)
+    # The spectrum comes from `hermitian_eigenvalues`, which rejects a matrix with NaNs off the diagonal:
+    # eigvalsh returns NaNs there, which the Hermitian check lets by.
+    with pytest.raises(ValueError, match="finite"):
+        _alpha_gap(np.array([[0.5, np.nan], [np.nan, 0.5]]), 1.5, 2.0, 1.0)
 
 
 def test_alpha_monotonicity_random_sweep():
@@ -178,7 +188,7 @@ def test_alpha_monotonicity_random_sweep():
         rho = random_density((2, 2), rank=int(rng.integers(1, 5)), seed=trial)
         lo, hi = np.sort(rng.uniform(0.05, 4.0, size=2))
         beta = float(rng.uniform(1.0, 3.0))
-        assert alpha_monotonicity_gap(rho, float(lo), float(hi), beta) >= -1e-10
+        assert _alpha_gap(rho, float(lo), float(hi), beta) >= -1e-10
 
 
 def test_fannes_audenaert_values():
@@ -476,18 +486,19 @@ def test_majorizes_rows_match_accumulate_reference(n_lam, n_mu):
     for a, b in ((lam, mu), (mu, lam)):
         got = majorizes_rows(a, b)
         assert got.tolist() == [_majorizes_reference(x, y) for x, y in zip(a, b)]
-        assert got.tolist() == [majorizes(x, y) for x, y in zip(a, b)]
+        assert got.tolist() == [bool(majorizes_rows(x, y)) for x, y in zip(a, b)]
 
 
-def test_majorizes_rows_at_the_tolerance_edge():
-    atol = 1e-10
+def test_majorizes_rows_at_the_tolerance_edge(monkeypatch):
+    atol = entropy.MAJORIZATION_ATOL
     d = np.array([0.0, atol / 2, np.nextafter(atol, 0.0), atol, np.nextafter(atol, 1.0), 1.5 * atol, 2 * atol])
     lam = np.stack([0.5 + d, 0.5 - d], axis=1)
     mu = np.full_like(lam, 0.5)
     got = majorizes_rows(mu, lam)  # up to the tolerance: 0.5 >= (0.5 + d) - atol
     assert got.tolist() == [_majorizes_reference(m, x) for m, x in zip(mu, lam)]
     assert got[:2].all() and not got[-2:].any()
-    exact = majorizes_rows(mu, lam, atol=0.0)
+    assert majorizes_rows(lam, mu).all()
+    monkeypatch.setattr(entropy, "MAJORIZATION_ATOL", 0.0)
+    exact = majorizes_rows(mu, lam)
     assert exact.tolist() == [_majorizes_reference(m, x, atol=0.0) for m, x in zip(mu, lam)]
     assert exact.tolist() == [True] + [False] * (len(d) - 1)
-    assert majorizes_rows(lam, mu).all()

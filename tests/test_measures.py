@@ -1,11 +1,14 @@
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cekit.convex_roof import Ensemble
-from cekit.entropy import EntropyParams, binary_entropy, unified_entropy_spectrum
+from cekit.entropy import EntropyParams, binary_entropy, majorizes_rows, unified_entropy_rows, unified_entropy_spectrum
 from cekit.errors import ResourceLimitError
 from cekit.measures import (
     BENCHMARKS,
@@ -18,29 +21,19 @@ from cekit.measures import (
     cut_plan,
     gme_certificate,
     locc_monotonicity_gaps,
-    locc_monotonicity_spotcheck,
     member_spectra,
     named_measures,
-    ordering_report,
     ordering_reports,
     spectra_table,
-    subadditivity_gap,
     subadditivity_gaps,
     table_terms,
-    table_value,
     table_values,
     tensor_identity_residual,
 )
 from cekit.states import ghz, haar_random, random_product, w
 from cekit.suites import nearby_state
 import cekit.measures as measures
-from cekit.tensor import (
-    PureState,
-    apply_local_kraus_pure,
-    hermitian_eigenvalues,
-    permute_subsystems,
-    reduced_state,
-)
+from cekit.tensor import ZERO_EIG_FLOOR, PureState, hermitian_eigenvalues, local_kraus_branches, reduced_state
 
 VN = EntropyParams.von_neumann()
 LIN = EntropyParams.linear()
@@ -132,12 +125,12 @@ def test_complement_symmetry_termwise():
         assert term == pytest.approx(terms[15 ^ mask], abs=1e-10)
 
 
-def test_permutation_covariance():
+def test_permutation_covariance(relabel):
     rng = np.random.default_rng(17)
     psi = haar_random((2, 2, 2), seed=23)
     for _ in range(5):
         order = tuple(int(x) for x in rng.permutation(3) + 1)
-        permuted = permute_subsystems(psi, order)
+        permuted = relabel(psi, order)
         s_old = (1, 3)
         s_new = tuple(k + 1 for k in range(3) if order[k] in s_old)
         a = cce_pure(psi, s_old, LIN).value
@@ -207,22 +200,21 @@ def test_dicke42_collapses_to_two_reductions():
 
 
 def test_ordering_report_ghz5():
-    report = ordering_report(ghz(5), range(1, 6))
+    report = ordering_reports([(ghz(5), range(1, 6), ())])[0][0]
     assert report.e == pytest.approx(0.9375, abs=1e-12)
     assert report.r2 == pytest.approx(0.9375, abs=1e-10)
     assert report.all_hold
 
 
 def test_ordering_report_product_state():
-    report = ordering_report(random_product((2, 2, 2, 2), seed=2), (1, 2, 3, 4))
+    report = ordering_reports([(random_product((2, 2, 2, 2), seed=2), (1, 2, 3, 4), ())])[0][0]
     assert report.e == pytest.approx(0.0, abs=1e-12)
     assert report.all_hold
 
 
 def test_ordering_report_haar_sweep():
-    for seed in range(100):
-        psi = haar_random((2, 2, 2, 2), seed=seed)
-        assert ordering_report(psi, (1, 2, 3, 4)).all_hold
+    cases = [(haar_random((2, 2, 2, 2), seed=seed), (1, 2, 3, 4), ()) for seed in range(100)]
+    assert all(report.all_hold for report, _ in ordering_reports(cases))
 
 
 def test_tensor_identity_additive_branches(bell):
@@ -292,12 +284,12 @@ def test_tensor_power_additivity(k):
 
 def test_subadditivity_product_state_gap_zero():
     psi = random_product((2, 2, 2, 2, 2), seed=70)
-    gap = subadditivity_gap(psi, (1, 2, 3), (4, 5), VN)
+    [gap] = subadditivity_gaps([(psi, (1, 2, 3), (4, 5), VN)])
     assert gap == pytest.approx(0.0, abs=1e-12)
 
 
 def test_subadditivity_ghz5_split():
-    gap = subadditivity_gap(ghz(5), (1, 2, 3), (4, 5), VN)
+    [gap] = subadditivity_gaps([(ghz(5), (1, 2, 3), (4, 5), VN)])
     assert gap == pytest.approx(0.875 + 0.75 - 0.9375, abs=1e-12)
     assert gap >= 0.0
 
@@ -312,14 +304,14 @@ def test_subadditivity_random_sweep():
         s = tuple(int(x) for x in labels[:k1])
         s2 = tuple(int(x) for x in labels[k1 : k1 + k2])
         alpha = [1.0, 1.5, 2.0, 3.0][seed % 4]
-        assert subadditivity_gap(psi, s, s2, EntropyParams(alpha, 1.0)) >= -1e-10
+        assert subadditivity_gaps([(psi, s, s2, EntropyParams(alpha, 1.0))])[0] >= -1e-10
 
 
 def test_subadditivity_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        subadditivity_gap(ghz(5), (1, 2), (2, 3), VN)
+        subadditivity_gaps([(ghz(5), (1, 2), (2, 3), VN)])
     with pytest.raises(ValueError):
-        subadditivity_gap(ghz(5), (1, 2), (3,), EntropyParams(0.5, 1.0))
+        subadditivity_gaps([(ghz(5), (1, 2), (3,), EntropyParams(0.5, 1.0))])
 
 
 def test_gme_certificate_ghz3_linear():
@@ -360,9 +352,8 @@ def test_continuity_identical_states():
 def test_continuity_rotated_ghz3():
     c, s = math.cos(0.05), math.sin(0.05)
     ry = np.array([[c, -s], [s, c]])
-    from cekit.tensor import embed_local
-
-    rotated = PureState(embed_local(ry, 1, (2, 2, 2)) @ ghz(3).amplitudes, (2, 2, 2))
+    branches = local_kraus_branches(ghz(3).amplitudes[None], (2, 2, 2), [1], ry[None, None])[1]
+    rotated = PureState(branches[0, 0], (2, 2, 2))
     lhs, bound = continuity_gap(ghz(3), rotated, (1, 2, 3), LIN)
     assert lhs <= bound + 1e-10
     eps = math.sin(0.05)
@@ -393,13 +384,13 @@ def test_locc_local_unitary_gap_zero():
     z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     u, _ = np.linalg.qr(z)
     psi = haar_random((2, 2, 2), seed=90)
-    gap = locc_monotonicity_spotcheck(psi, (1, 2, 3), VN, 2, [u])
+    [gap] = locc_monotonicity_gaps([(psi, (1, 2, 3), VN, 2, [u])])
     assert gap == pytest.approx(0.0, abs=1e-10)
 
 
 def test_locc_projective_measurement_kills_ghz():
     proj = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-    gap = locc_monotonicity_spotcheck(ghz(3), (1, 2, 3), VN, 1, proj)
+    [gap] = locc_monotonicity_gaps([(ghz(3), (1, 2, 3), VN, 1, proj)])
     assert gap == pytest.approx(0.75, abs=1e-12)
 
 
@@ -420,8 +411,8 @@ def test_locc_random_sweep():
     rng = np.random.default_rng(10)
     for seed in range(100):
         psi = haar_random((2, 2, 2), seed=seed)
-        gap = locc_monotonicity_spotcheck(
-            psi, (1, 2, 3), sample_concavity_params(rng), int(rng.integers(1, 4)), _rank1_instrument(rng)
+        [gap] = locc_monotonicity_gaps(
+            [(psi, (1, 2, 3), sample_concavity_params(rng), int(rng.integers(1, 4)), _rank1_instrument(rng))]
         )
         assert gap >= -1e-10
 
@@ -430,10 +421,10 @@ def test_locc_rejects_full_rank_kraus_and_bad_region():
     d = math.sqrt(0.5)
     kraus = [d * np.eye(2), d * np.eye(2)]
     with pytest.raises(ValueError):
-        locc_monotonicity_spotcheck(ghz(3), (1, 2, 3), VN, 1, kraus)
+        locc_monotonicity_gaps([(ghz(3), (1, 2, 3), VN, 1, kraus)])
     proj = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     with pytest.raises(ValueError):
-        locc_monotonicity_spotcheck(ghz(3), (1, 2, 3), EntropyParams(2.0, 0.1), 1, proj)
+        locc_monotonicity_gaps([(ghz(3), (1, 2, 3), EntropyParams(2.0, 0.1), 1, proj)])
 
 
 def test_report_serialization_roundtrip():
@@ -448,11 +439,6 @@ def test_report_serialization_roundtrip():
     assert report.value == pytest.approx(
         sum(report.terms.values()) / 2 ** len(report.subset), abs=1e-12
     )
-
-
-def test_subset_spectra_rejects_symmetry_on_partial_subset():
-    with pytest.raises(ValueError):
-        cut_plan(ghz(3).dims, (1, 2), use_symmetry=True)
 
 
 POINTS = [
@@ -494,14 +480,14 @@ def test_batched_values_and_orderings_match_one_state_calls():
     states = [haar_random(dims, seed=i) for i, dims in enumerate([(2, 2, 2), (2, 3, 2), (2, 2, 2), (2, 2, 2)])]
     subsets = [(3, 1), (1, 2, 3), (1, 3), ()]
     jobs = [(psi, s, POINTS[i]) for i, (psi, s) in enumerate(zip(states, subsets))]
-    want = [table_value(spectra_table(psi, s), p) if s else 0.0 for psi, s, p in jobs]
+    want = [table_values(spectra_table(psi, s), [p])[0] if s else 0.0 for psi, s, p in jobs]
     assert cce_values(jobs) == want
     extra = [POINTS[2:6], POINTS[4:8], POINTS[:4]]
     cases = [(psi, s, points) for psi, s, points in zip(states, subsets, extra)]
     for (psi, s, points), (report, values) in zip(cases, ordering_reports(cases)):
         table = spectra_table(psi, s)
-        assert [report.e, report.r2, report.t3, report.c] == [table_value(table, p) for p in BENCHMARKS.values()]
-        assert values == [table_value(table, p) for p in points]
+        assert [report.e, report.r2, report.t3, report.c] == [table_values(table, [p])[0] for p in BENCHMARKS.values()]
+        assert values == [table_values(table, [p])[0] for p in points]
     with pytest.raises(ValueError):
         ordering_reports([(states[0], (), [])])
 
@@ -514,7 +500,7 @@ def test_bad_subsets_raise_on_every_pure_state_path(subset):
     with pytest.raises(ValueError):
         cce_pure(psi, subset, VN)
     with pytest.raises(ValueError):
-        ordering_report(psi, subset)
+        ordering_reports([(psi, subset, ())])
     with pytest.raises(ValueError):
         ens.average(subset, VN)
 
@@ -598,8 +584,8 @@ def test_batched_gaps_match_one_case_calls():
         basis = np.linalg.qr(z)[0]
         kraus = [np.outer(basis[:, i], basis[:, i].conj()) for i in range(2)]
         locc.append((psi, (1, 2, 3, 4), EntropyParams(0.5 + 0.05 * trial, 1.0), site, kraus))
-    assert subadditivity_gaps(sub) == [subadditivity_gap(*case) for case in sub]
-    assert locc_monotonicity_gaps(locc) == [locc_monotonicity_spotcheck(*case) for case in locc]
+    assert subadditivity_gaps(sub) == [subadditivity_gaps([case])[0] for case in sub]
+    assert locc_monotonicity_gaps(locc) == [locc_monotonicity_gaps([case])[0] for case in locc]
     with pytest.raises(ValueError):
         subadditivity_gaps(sub[:3] + [(sub[0][0], (1,), (1, 2), LIN)])
 
@@ -631,7 +617,8 @@ def test_locc_gaps_skip_dropped_branches_like_one_case_loop():
         for p, branch in branches:
             avg += p * cce_values([(branch, s, params)])[0]
         want.append(cce_values([(psi, s, params)])[0] - avg)
-    assert [len(apply_local_kraus_pure(psi, site, proj)) for psi, _, _, site, _ in cases] == [1, 1, 2]
+    for (psi, _, _, site, _), n_kept in zip(cases, (1, 1, 2)):
+        assert local_kraus_branches(psi.amplitudes[None], psi.dims, [site], np.array(proj)[None])[2].sum() == n_kept
     assert locc_monotonicity_gaps(cases) == want
 
 
@@ -647,7 +634,7 @@ def _planned_subsets(monkeypatch, cases):
     monkeypatch.setattr(measures, "member_spectra", recording)
     gaps = subadditivity_gaps(cases)
     monkeypatch.undo()
-    assert gaps == [subadditivity_gap(*case) for case in cases]
+    assert gaps == [subadditivity_gaps([case])[0] for case in cases]
     return seen
 
 
@@ -695,7 +682,7 @@ def test_table_values_match_one_point_calls(monkeypatch, dims, subset):
     monkeypatch.setattr(measures, "_traces", lambda lam, alpha: calls.append(alpha) or traces(lam, alpha))
     got = [v.hex() for v in table_values(table, GRID_POINTS)]
     assert len(calls) == 7 * len(table.blocks)
-    assert got == [table_value(table, p).hex() for p in GRID_POINTS]
+    assert got == [table_values(table, [p])[0].hex() for p in GRID_POINTS]
     assert got == [(math.fsum(table_terms(table, p).tolist()) / table.plan.n_masks).hex() for p in GRID_POINTS]
 
 
@@ -739,3 +726,56 @@ def test_n_eigensolves_counts_only_cuts_above_qubits():
     assert plan.n_eigensolves == 2**12 - 1 - 13
     # (2, 3, 2): the cuts {1} and {3} are qubit cuts, {2} is a qutrit cut.
     assert cut_plan((2, 3, 2), (1, 2, 3)).n_eigensolves == 1
+
+
+@functools.cache
+def _large_stacks():
+    """Each batched kernel's call, its inputs stacked along the first axis and its output on the whole
+    stack. Every stack makes temporaries past 256 KiB, the size from which numpy may compute an
+    elementwise product in place with its operands swapped, which can change a complex product's bits."""
+    rng = np.random.default_rng(17)
+    pool = [EntropyParams(a, b) for a in (0.5, 1.0, 2.0, 0.3, 1.7, 3.0) for b in (0.0, 0.4, 1.0, 2.5)]
+    points = np.empty(20_000, dtype=object)
+    points[:] = [pool[i] for i in rng.integers(len(pool), size=points.size)]
+    spectra = rng.dirichlet(np.ones(6), size=20_000)
+    spectra[::3] = np.pad(rng.dirichlet(np.ones(4), size=len(spectra[::3])), ((0, 0), (0, 2)))  # zero padded
+    spectra[1::3, 0] += spectra[1::3, -1] - ZERO_EIG_FLOOR / 2
+    spectra[1::3, -1] = ZERO_EIG_FLOOR / 2  # dust under the floor
+    mixed = spectra[:, ::-1] * 0.5 + spectra * 0.5  # majorized by `spectra`'s rows
+    amps = rng.standard_normal((2_000, 8)) + 1j * rng.standard_normal((2_000, 8))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    sites = rng.integers(1, 4, size=2_000)
+    basis = np.linalg.qr(rng.standard_normal((2_000, 2, 2)) + 1j * rng.standard_normal((2_000, 2, 2)))[0]
+    kraus = basis.swapaxes(-1, -2)[..., :, None] * basis.conj().swapaxes(-1, -2)[..., None, :]  # rank-1 projectors
+
+    def branches(amps, sites, kraus):
+        probs, states, kept = local_kraus_branches(amps, (2, 2, 2), sites, kraus)
+        return np.concatenate([probs, states.reshape(len(amps), -1).view(float), kept], axis=1)
+
+    states = rng.standard_normal((3_000, 16)) + 1j * rng.standard_normal((3_000, 16))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    jobs = [(PureState(v, (2, 2, 2, 2)), (1, 2, 3, 4), pool[i % len(pool)]) for i, v in enumerate(states)]
+    calls = {
+        "unified_entropy_rows": (unified_entropy_rows, (spectra, points)),
+        "majorizes_rows": (majorizes_rows, (spectra, mixed)),
+        "local_kraus_branches": (branches, (amps, sites, kraus)),
+        "cce_values": (lambda jobs: np.array(cce_values(jobs)), (jobs,)),
+    }
+    return {name: (call, args, call(*args)) for name, (call, args) in calls.items()}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["unified_entropy_rows", "majorizes_rows", "local_kraus_branches", "cce_values"]),
+    st.floats(0.0, 1.0),
+    st.integers(1, 64),
+)
+def test_rows_keep_their_bits_in_any_stack(name, where, size):
+    # A one-case call is a batch of one through the same kernel, so a row must come out with the same
+    # bits from a stack of any size: here a slice of 1-64 rows, and each of its rows alone, against the
+    # whole large stack.
+    call, args, whole = _large_stacks()[name]
+    lo = int(where * (len(args[0]) - size))
+    want = whole[lo : lo + size].tobytes()
+    assert call(*(a[lo : lo + size] for a in args)).tobytes() == want
+    assert b"".join(call(*(a[i : i + 1] for a in args)).tobytes() for i in range(lo, lo + size)) == want

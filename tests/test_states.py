@@ -201,20 +201,15 @@ def test_recipe_parse_and_build(text, family):
     assert StateRecipe.parse(recipe.label()).build().dims == built.dims
 
 
-def test_recipe_json_roundtrip():
-    recipe = StateRecipe.from_json({"family": "dicke", "n": 4, "k": 2})
-    assert recipe == StateRecipe.parse("dicke:4:2")
-    recipe = StateRecipe.from_json('{"family": "haar", "dims": [2, 2], "seed": 3}')
-    assert recipe.dims == (2, 2)
-    assert recipe.seed == 3
-
-
 def test_recipe_rejects_garbage():
     for text in ["nope:3", "ghz", "dicke:4", "ghz:1", "dicke:4:9", "mixed-random:2x2"]:
         with pytest.raises(ValueError):
             StateRecipe.parse(text)
-    with pytest.raises(ValueError):
-        StateRecipe.from_json({"n": 3})
+    # A field beyond the family's grammar, even an empty one, is rejected, not dropped.
+    for text in ["ghz:3:7", "w:3:", "ghz:3:", "dicke:4:2:1", "star:0.5:1", "haar:2x2:3:junk", "product:2:0:1",
+                 "mixed-random:2x2:2:0:0"]:
+        with pytest.raises(ValueError, match="at most"):
+            StateRecipe.parse(text)
 
 
 _DIMS = st.lists(st.integers(2, 5), min_size=1, max_size=4).map(tuple)

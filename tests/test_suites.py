@@ -8,14 +8,14 @@ import cekit.entropy as entropy
 import cekit.measures as measures
 import cekit.suites as suites
 from cekit.cli import main
-from cekit.entropy import EntropyParams, majorizes, schur_concavity_witness, unified_entropy_spectrum
+from cekit.entropy import EntropyParams, majorizes_rows, unified_entropy_rows, unified_entropy_spectrum
 from cekit.measures import (
     BENCHMARKS,
     continuity_gap,
-    locc_monotonicity_spotcheck,
+    locc_monotonicity_gaps,
     spectra_table,
-    subadditivity_gap,
-    table_value,
+    subadditivity_gaps,
+    table_values,
 )
 from cekit.states import haar_random, random_density
 from cekit.tensor import hermitian_eigenvalues
@@ -33,7 +33,7 @@ def _subadd_loop(seed, trials):
         s = tuple(int(x) for x in labels[:k1])
         s2 = tuple(int(x) for x in labels[k1 : k1 + k2])
         params = EntropyParams(alphas[int(rng.integers(len(alphas)))], 1.0)
-        gap = subadditivity_gap(psi, s, s2, params)
+        [gap] = subadditivity_gaps([(psi, s, s2, params)])
         out.append(f"trial {trial} seed {seed}: gap {gap} for s={s}, s'={s2}, alpha={params.alpha}")
     return out
 
@@ -57,7 +57,7 @@ def _locc_loop(seed, trials):
         site = int(rng.integers(1, 4))
         kraus = _rank1_instrument(rng)
         params = suites.sample_concavity_params(rng)
-        gap = locc_monotonicity_spotcheck(psi, (1, 2, 3), params, site, kraus)
+        [gap] = locc_monotonicity_gaps([(psi, (1, 2, 3), params, site, kraus)])
         out.append(
             f"trial {trial} seed {seed}: gap {gap} at site {site}, alpha={params.alpha}, beta={params.beta}"
         )
@@ -85,8 +85,9 @@ def _schur_loop(seed, trials):
         lam, mu = _majorization_pair_loop(rng, size)
         a = float(rng.uniform(0.05, 4.0))
         b = float(rng.uniform(0.0, 3.0))
-        assert majorizes(mu, lam)
-        gap = schur_concavity_witness(lam, mu, EntropyParams(a, b))
+        assert majorizes_rows(mu, lam)
+        s_lam, s_mu = unified_entropy_rows(np.array([lam, mu]), EntropyParams(a, b)).tolist()
+        gap = s_lam - s_mu
         out.append(f"trial {trial} seed {seed}: gap {gap} at alpha={a}, beta={b}, lam={lam}, mu={mu}")
     return out
 
@@ -129,7 +130,7 @@ def _alpha_mono_loop(seed, trials):
 def _chain(table, tol=1e-10):
     # The ordering report's relations, from one-point values at its six points.
     points = [*BENCHMARKS.values(), EntropyParams.renyi(1.0), EntropyParams.renyi(2.0)]
-    e, r2, t3, c, renyi_lo, renyi_hi = (table_value(table, p) for p in points)
+    e, r2, t3, c, renyi_lo, renyi_hi = (table_values(table, [p])[0] for p in points)
     return {
         "e_ge_c_over_ln2": e >= c / math.log(2.0) - tol,
         "e_ge_2c_minus_half": e >= 2.0 * c - 0.5 - tol,
@@ -139,17 +140,17 @@ def _chain(table, tol=1e-10):
     }
 
 
-def _ordering_loop(seed, trials, alpha_pairs=20):
+def _ordering_loop(seed, trials):
     rng = np.random.default_rng(seed)
     out = []
     for trial in range(trials):
         table = spectra_table(haar_random((2, 2, 2, 2), seed=seed * 100_003 + trial), (1, 2, 3, 4))
         out += [f"trial {trial} seed {seed}: {k} violated" for k, ok in _chain(table).items() if not ok]
-        for _ in range(alpha_pairs):
+        for _ in range(suites.ALPHA_PAIRS):
             a_lo, a_hi = np.sort(rng.uniform(0.3, 3.5, size=2))
             beta = float(rng.uniform(1.0, 3.0))
-            lo = table_value(table, EntropyParams(float(a_lo), beta))
-            hi = table_value(table, EntropyParams(float(a_hi), beta))
+            lo = table_values(table, [EntropyParams(float(a_lo), beta)])[0]
+            hi = table_values(table, [EntropyParams(float(a_hi), beta)])[0]
             if lo < hi - suites.GAP_TOL:
                 out.append(f"trial {trial} seed {seed}: measure increased from alpha {a_lo} to {a_hi} at beta {beta}")
     return out

@@ -17,7 +17,7 @@ from cekit.swaptest import (
     sample_shots,
     swap_test_distribution,
 )
-from cekit.tensor import PureState, permute_subsystems
+from cekit.tensor import PureState
 
 
 def brute_force_distribution(psi: PureState) -> np.ndarray:
@@ -171,11 +171,11 @@ def test_identity_on_haar_states_and_subsets():
         assert got == pytest.approx(want, abs=1e-10)
 
 
-def test_distribution_permutation_covariance():
+def test_distribution_permutation_covariance(relabel):
     psi = haar_random((2, 2, 2), seed=21)
     base = swap_test_distribution(psi).probs
     order = (2, 3, 1)
-    permuted = swap_test_distribution(permute_subsystems(psi, order)).probs
+    permuted = swap_test_distribution(relabel(psi, order)).probs
     n = 3
     for z in range(2**n):
         bits = [(z >> (n - 1 - i)) & 1 for i in range(n)]

@@ -9,12 +9,10 @@ from cekit.states import ghz, haar_random, random_density, star, w
 from cekit.tensor import (
     DensityOperator,
     PureState,
-    apply_local_kraus_pure,
-    embed_local,
+    _embeddings,
     hermitian_eigenvalues,
     local_kraus_branches,
     normalize_subset,
-    permute_subsystems,
     reduced_state,
     trace_distance,
 )
@@ -24,12 +22,18 @@ KET1 = np.array([0.0, 1.0])
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
 
-def test_kron_three_bell_pairs_matches_star_state():
+def _branches(psi, site, kraus):
+    # The kept (probability, amplitudes) branches of one local operation on one state.
+    probs, states, kept = local_kraus_branches(psi.amplitudes[None], psi.dims, [site], np.array(kraus)[None])
+    return [(p, v) for p, v, k in zip(probs[0].tolist(), states[0], kept[0]) if k]
+
+
+def test_kron_three_bell_pairs_matches_star_state(relabel):
     # Triple Kronecker power of the Bell pair, with the three first registers
     # regrouped in front, must equal the direct 64-amplitude construction.
     pair = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     raw = PureState(np.kron(np.kron(pair, pair), pair), (2,) * 6)
-    grouped = permute_subsystems(raw, (1, 3, 5, 2, 4, 6))
+    grouped = relabel(raw, (1, 3, 5, 2, 4, 6))
     direct = star(np.pi / 4)
     assert np.allclose(grouped.amplitudes, direct.amplitudes, atol=1e-12)
 
@@ -183,17 +187,17 @@ def test_trace_distance_triangle_and_unitary_invariance():
 
 def test_apply_local_kraus_unitary_single_branch(bell):
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    branches = apply_local_kraus_pure(bell, 1, [h])
+    branches = _branches(bell, 1, [h])
     assert len(branches) == 1
     p, out = branches[0]
     assert p == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(out.amplitudes, np.kron(h, np.eye(2)) @ bell.amplitudes, atol=1e-12)
+    assert np.allclose(out, np.kron(h, np.eye(2)) @ bell.amplitudes, atol=1e-12)
 
 
 def test_apply_local_kraus_projective_on_mixed(bell):
     # Site 2 of a Bell pair is maximally mixed, so each outcome has probability 1/2.
     proj = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-    branches = apply_local_kraus_pure(bell, 2, proj)
+    branches = _branches(bell, 2, proj)
     assert [p for p, _ in branches] == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
@@ -204,15 +208,15 @@ def test_apply_local_kraus_probabilities_sum_to_one():
     d = np.sqrt(rng.uniform(0.2, 0.8))
     k1 = q @ np.diag([d, np.sqrt(1 - d**2)])
     k2 = np.linalg.cholesky(np.eye(2) - k1.conj().T @ k1 + 1e-15 * np.eye(2)).conj().T
-    branches = apply_local_kraus_pure(ghz(3), 2, [k1, k2])
+    branches = _branches(ghz(3), 2, [k1, k2])
     assert sum(p for p, _ in branches) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_apply_local_kraus_rejects_incomplete_set(bell):
     with pytest.raises(ValueError):
-        apply_local_kraus_pure(bell, 1, [np.diag([1.0, 0.0])])
+        _branches(bell, 1, [np.diag([1.0, 0.0])])
     with pytest.raises(ValueError):
-        apply_local_kraus_pure(bell, 5, [np.eye(2)])
+        _branches(bell, 5, [np.eye(2)])
 
 
 def test_schmidt_duality_spectra():
@@ -226,16 +230,6 @@ def test_schmidt_duality_spectra():
             a, b = a[a > 1e-12], b[b > 1e-12]
             assert len(a) == len(b)
             assert np.allclose(a, b, atol=1e-10)
-
-
-def test_permute_subsystems_roundtrip():
-    psi = haar_random((2, 3, 2), seed=5)
-    out = permute_subsystems(psi, (3, 1, 2))
-    assert out.dims == (2, 2, 3)
-    back = permute_subsystems(out, (2, 3, 1))
-    assert np.allclose(back.amplitudes, psi.amplitudes, atol=1e-15)
-    with pytest.raises(ValueError):
-        permute_subsystems(psi, (1, 1, 2))
 
 
 def test_normalize_subset_contract():
@@ -296,14 +290,12 @@ def test_embed_local_matches_kronecker_products():
         for site in range(1, len(dims) + 1):
             d = dims[site - 1]
             op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            got, want = embed_local(op, site, dims), _kron_embed(op, site, dims)
+            got, want = _embeddings(op[None, None], np.array([site]), dims)[0, 0], _kron_embed(op, site, dims)
             assert got.shape == want.shape
             assert np.array_equal(got != 0, want != 0)
             assert np.array_equal(got, want)
             v = rng.standard_normal(got.shape[0]) + 1j * rng.standard_normal(got.shape[0])
             assert np.array_equal((got @ v).view(float), (want @ v).view(float))
-    with pytest.raises(ValueError):
-        embed_local(np.eye(3), 1, (2, 2))
 
 
 def test_local_kraus_branches_match_kronecker_reference():
@@ -313,11 +305,11 @@ def test_local_kraus_branches_match_kronecker_reference():
     basis = np.linalg.qr(z)[0]
     kraus = [np.outer(basis[:, i], basis[:, i].conj()) for i in range(3)]
     full = [_kron_embed(k, 2, psi.dims) for k in kraus]
-    for (p, branch), m in zip(apply_local_kraus_pure(psi, 2, kraus), full):
+    for (p, branch), m in zip(_branches(psi, 2, kraus), full):
         v = m @ psi.amplitudes
         q = float(np.real(np.vdot(v, v)))
         assert p == q
-        assert np.array_equal(branch.amplitudes, v / np.sqrt(q))
+        assert np.array_equal(branch, v / np.sqrt(q))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -325,7 +317,7 @@ def test_kraus_completeness_rejects_nan_and_inf(bad):
     # NaN fails every comparison, so a `> atol` test let these sets through.
     kraus = [np.array([[bad, 0.0], [0.0, 0.0]]), np.diag([0.0, 1.0])]
     with pytest.raises(ValueError, match="completeness"):
-        apply_local_kraus_pure(ghz(3), 1, kraus)
+        _branches(ghz(3), 1, kraus)
 
 
 def _branches_loop(psi, site, kraus):
@@ -359,8 +351,8 @@ def test_stacked_branches_drop_improbable_outcomes_like_one_case_loop():
                 assert np.array_equal(got_v, v)
             else:
                 assert not got_v.any()
-        one_case = apply_local_kraus_pure(psi, site, list(proj))
-        assert [(p, b.amplitudes.tobytes()) for p, b in one_case] == [
+        one_case = _branches(psi, site, proj)
+        assert [(p, b.tobytes()) for p, b in one_case] == [
             (p, v.tobytes()) for p, v in _branches_loop(psi, site, proj) if v is not None
         ]
 
