@@ -59,13 +59,11 @@ def _emit(rows: list[dict], columns: Sequence[str], fmt: str, out: str | None) -
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Either a single float or 'start:stop:steps' inclusive of both ends."""
-    parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
-        raise ValueError(f"grid must be a number or start:stop:steps, got {text!r}")
-    start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    """Either a single finite number or 'start:stop:steps' inclusive of both ends."""
+    start, stop, steps = text.split(":") if ":" in text else (text, text, "1")  # a ValueError if not 3 fields
+    start, stop, steps = float(start), float(stop), int(steps)
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError("grid ends must be finite")
     if steps < 1:
         raise ValueError(f"grid needs at least one step, got {steps}")
     if steps > MAX_GRID_STEPS:
@@ -75,8 +73,13 @@ def _parse_grid(text: str) -> list[float]:
     return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
 
 
-def _parse_subset(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
+def _parse_option(option: str, text: str, grid: bool) -> list[float] | tuple[int, ...]:
+    """An option's grid (`_parse_grid`) or integers; a ValueError names the option and its form."""
+    try:
+        return _parse_grid(text) if grid else tuple(int(part) for part in text.split(","))
+    except ValueError as exc:
+        form = "a finite number or start:stop:steps" if grid else "comma-separated integers"
+        raise ValueError(f"{option} takes {form}, got {text!r}: {exc}") from None
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -84,7 +87,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     columns = ["state", "subset", "alpha", "beta", "value"]
     if args.named:
         columns += ["e", "r2", "t3", "c"]
-    alphas, betas = _parse_grid(args.alpha), _parse_grid(args.beta)
+    alphas, betas = _parse_option("--alpha", args.alpha, True), _parse_option("--beta", args.beta, True)
     if len(alphas) * len(betas) > MAX_GRID_POINTS:
         raise ResourceLimitError(
             f"grid of {len(alphas)} x {len(betas)} points exceeds the guard of {MAX_GRID_POINTS}"
@@ -96,7 +99,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         if recipe.family == "mixed-random":  # rejected unbuilt: building one takes O(d^3) time
             raise ValueError(f"compute needs a pure-state recipe, got {recipe_text!r}")
         dims = recipe.local_dims
-        subset = _parse_subset(args.s) if args.s is not None else tuple(range(1, len(dims) + 1))
+        subset = _parse_option("--s", args.s, False) if args.s is not None else tuple(range(1, len(dims) + 1))
         plan = cut_plan(dims, subset)  # checks the labels and the power-set guard before the state is built
         if prod(dims) > MAX_STATE_DIM:
             raise ResourceLimitError(f"state of dimension {prod(dims)} exceeds the guard of {MAX_STATE_DIM}")
@@ -121,7 +124,7 @@ def cmd_ghz_w_sweep(args: argparse.Namespace) -> int:
     rows = []
     ok = True
     for n in range(args.nmin, args.nmax + 1):
-        sizes = range(1, n + 1) if args.sizes == "all" else _parse_subset(args.sizes)
+        sizes = range(1, n + 1) if args.sizes == "all" else _parse_option("--sizes", args.sizes, False)
         exact = n <= 10  # statevectors up to n = 10, closed forms beyond
         if exact:
             psi_g, psi_w = ghz(n), w(n)
@@ -154,8 +157,8 @@ def cmd_ghz_w_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_star_sweep(args: argparse.Namespace) -> int:
-    thetas = _parse_grid(args.grid)
-    if any(t < 0 or t > math.pi / 2 + 1e-12 for t in thetas):
+    thetas = _parse_option("--grid", args.grid, True)
+    if not all(0 <= t <= math.pi / 2 + 1e-12 for t in thetas):
         raise ValueError("star sweep grid must lie within [0, pi/2]")
 
     rows = [{"theta": theta, **named_measures(star(theta), (1, 2, 3, 4))._asdict()} for theta in thetas]
@@ -206,7 +209,7 @@ def cmd_swaptest(args: argparse.Namespace) -> int:
     if recipe.family == "mixed-random":  # as in `cmd_compute`
         raise ValueError("swaptest needs a pure-state recipe")
     dims = recipe.local_dims
-    subset = _parse_subset(args.s) if args.s is not None else tuple(range(1, len(dims) + 1))
+    subset = _parse_option("--s", args.s, False) if args.s is not None else tuple(range(1, len(dims) + 1))
     register_size(dims)  # before the state is built: its statevector alone takes 2^n amplitudes
     psi = recipe.build()
     dist = swap_test_distribution(psi)

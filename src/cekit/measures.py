@@ -253,21 +253,29 @@ def _qubit_moments(block: CutBlock, tensors: np.ndarray) -> tuple[np.ndarray, np
         off[:, j] = np.multiply(a[:, 0], a[:, 1].conj()).sum(-1)
     h, mid = 0.5 * (p[0] - p[1]), 0.5 * (p[0] + p[1])
     rad = np.hypot(h, np.abs(off))
-    return h, off, np.stack([mid - rad, mid + rad], axis=-1)
+    lam = np.empty(h.shape + (2,))
+    lam[..., 0], lam[..., 1] = mid - rad, mid + rad
+    return h, off, lam
 
 
-def member_spectra(plan: CutPlan, tensors: np.ndarray) -> SpectraTable:
+def member_spectra(plan: CutPlan, tensors: np.ndarray, reduced: list | None = None) -> SpectraTable:
     """Spectra of every planned cut for a stack of state tensors, shaped
     (k,) + plan.dims: qubit cuts in closed form (`_qubit_moments`), larger
-    ones by one stacked eigensolve per chunk of a cut dimension."""
+    ones by one stacked eigensolve per chunk of a cut dimension. A list
+    `reduced` gets each block's reduced states as they were formed: a qubit
+    block's `_qubit_moments`, else its `_reduced_chunks` as a list."""
     blocks = []
     for block in plan.blocks:
         if block.d == 2:
-            blocks.append(clamped_spectra(_qubit_moments(block, tensors)[2]))
-            continue
-        blocks.append(np.empty((tensors.shape[0], len(block.masks), block.d)))
-        for lo, rho in _reduced_chunks(block, tensors):
-            blocks[-1][:, lo : lo + rho.shape[1]] = clamped_spectra(np.linalg.eigvalsh(rho))
+            states = _qubit_moments(block, tensors)
+            blocks.append(clamped_spectra(states[2]))
+        else:
+            states = _reduced_chunks(block, tensors) if reduced is None else list(_reduced_chunks(block, tensors))
+            blocks.append(np.empty((tensors.shape[0], len(block.masks), block.d)))
+            for lo, rho in states:
+                blocks[-1][:, lo : lo + rho.shape[1]] = clamped_spectra(np.linalg.eigvalsh(rho))
+        if reduced is not None:
+            reduced.append(states)
     return SpectraTable(plan, tuple(blocks))
 
 
@@ -578,9 +586,7 @@ def locc_monotonicity_gaps(
                 f"average monotonicity requires the concavity region, got "
                 f"alpha={params.alpha}, beta={params.beta}"
             )
-        if not 1 <= site <= psi.n_subsystems:
-            raise ValueError(f"site must lie in 1..{psi.n_subsystems}, got {site}")
-        checked.append((psi, tuple(subset), params, site, _kraus_set(kraus, psi.dims[site - 1])))
+        checked.append((psi, tuple(subset), params, site, _kraus_set(kraus)))
     gaps = [0.0] * len(checked)
     for idx in _groups((psi.dims, s, ops.shape) for psi, s, _, _, ops in checked):
         psi, subset = checked[idx[0]][:2]

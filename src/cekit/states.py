@@ -164,8 +164,10 @@ class StateRecipe:
         if self.family == "dicke":
             if self.n is None or self.k is None or not 0 <= self.k <= self.n:
                 raise ValueError("dicke needs 0 <= k <= n")
-        if self.family == "star" and self.theta is None:
-            raise ValueError("star needs a real angle theta")
+        if self.family == "star" and not (self.theta is not None and math.isfinite(self.theta)):
+            raise ValueError(f"star needs a finite angle theta, got {self.theta}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.family in ("product", "haar") and not self.dims:
             raise ValueError(f"{self.family} needs local dimensions")
         if self.family == "mixed-random" and (not self.dims or self.rank is None):

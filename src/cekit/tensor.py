@@ -195,14 +195,11 @@ def _embeddings(ops: np.ndarray, sites: np.ndarray, dims: tuple[int, ...]) -> np
     return np.where((rest[:, :, None] == rest[:, None, :])[:, None], vals, 0.0)
 
 
-def _kraus_set(kraus: Sequence[np.ndarray], d: int) -> np.ndarray:
-    """A nonempty Kraus set of d x d operators as one (K, d, d) array."""
+def _kraus_set(kraus: Sequence[np.ndarray]) -> np.ndarray:
+    """A nonempty Kraus set as one (K, ...) array; `local_kraus_branches` checks its shape."""
     ops = [np.asarray(k, dtype=complex) for k in kraus]
     if not ops:
         raise ValueError("empty Kraus set")
-    for k in ops:
-        if k.shape != (d, d):
-            raise ValueError(f"Kraus operator shape {k.shape} does not match local dimension {d}")
     return np.stack(ops)
 
 

@@ -272,11 +272,24 @@ def test_module_all_names_exist():
         (["swaptest", "--state", "ghz:3:7"], "ghz takes at most 1 field(s)"),
         (["compute", "--state", "ghz:3", "--s", ""], "invalid literal"),
         (["swaptest", "--state", "ghz:3", "--s", ""], "invalid literal"),
+        (["compute", "--state", "ghz:3", "--s", "1,,2"], "--s takes comma-separated integers, got '1,,2'"),
+        (["swaptest", "--state", "ghz:3", "--s", "1,a"], "--s takes comma-separated integers"),
+        (["ghz-w-sweep", "--sizes", "1,x"], "--sizes takes comma-separated integers"),
+        (["compute", "--state", "ghz:3", "--alpha", "2:1:x"], "--alpha takes a finite number or start:stop:steps"),
+        (["compute", "--state", "ghz:3", "--alpha", "1:inf:3"], "--alpha takes a finite number"),
+        (["compute", "--state", "ghz:3", "--beta", "1:2"], "--beta takes a finite number or start:stop:steps"),
+        (["star-sweep", "--grid", "nan"], "--grid takes a finite number"),
+        (["star-sweep", "--grid", "0:nan:3"], "--grid takes a finite number"),
+        (["compute", "--state", "haar:2x2:-1"], "seed must be >= 0, got -1"),
+        (["compute", "--state", "mixed-random:2x2:2:-3"], "seed must be >= 0, got -3"),
+        (["compute", "--state", "star:nan"], "star needs a finite angle theta"),
     ],
 )
 def test_input_is_rejected_not_reinterpreted(capsys, argv, message):
     # A recipe field beyond the family's grammar, or an empty --s, is an error: neither is
-    # dropped to run the command on another state or on all subsystems.
+    # dropped to run the command on another state or on all subsystems. A malformed option
+    # value names the option and the form it takes, and a negative seed or a non-finite angle
+    # fails when it is parsed, not later in numpy or as a NaN.
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert message in err

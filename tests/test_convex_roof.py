@@ -313,10 +313,12 @@ def _isometry_ensemble(rho, rows, seed):
     return mixing_ensemble(rho, np.linalg.qr(z)[0][:, :3])
 
 
-@pytest.mark.parametrize("point", [(1.0, 1.0), (2.0, 1.0), (1.7, 0.4)])
+@pytest.mark.parametrize("point", [(1.0, 1.0), (2.0, 1.0), (1.7, 0.4), (0.5, 1.0)])
 def test_roof_lockstep_matches_sequential_search(point):
     # Each restart searched on its own ends with the bits, evaluations and
     # flag it gets inside the lockstep batch, and the public trace reports it.
+    # At alpha < 1 a change in the last bit of a value can reroute a search,
+    # so (0.5, 1) is the sharpest check that the stacked state keeps the bits.
     params = EntropyParams(*point)
     mixed3 = random_density((2, 2, 2), rank=3, seed=33)
     cases = [
@@ -509,6 +511,24 @@ def test_roof_kernels_keep_row_bits_in_large_stacks(dims, subset):
         assert np.array_equal(_cayley(v[i], h[i], t[i]), ladder[i])
 
 
+@pytest.mark.parametrize("dims,subset", [((2, 2), (1,)), ((3, 3), (1,)), ((3, 2, 2), (1, 2, 3))])
+def test_gradient_call_forms_each_reduced_state_once(dims, subset, monkeypatch):
+    # A gradient call takes its slopes from the reduced states its spectra
+    # were taken of: one `_qubit_moments` or `_reduced_chunks` pass a block.
+    import cekit.measures as measures
+
+    plan, calls = cut_plan(dims, subset, use_symmetry=False), []
+    for name in ("_qubit_moments", "_reduced_chunks"):
+        def counting(block, tensors, original=getattr(measures, name)):
+            calls.append(block.d)
+            return original(block, tensors)
+
+        for module in (measures, cr):
+            monkeypatch.setattr(module, name, counting, raising=False)
+    values, grad = _raw_averages([_random_raws(np.random.default_rng(42), 3, dims, 4)], plan, VN, grad=True)
+    assert sorted(calls) == sorted(block.d for block in plan.blocks) and np.isfinite(grad).all()
+
+
 def test_raw_averages_do_not_depend_on_batch():
     # Matrices of 3 and 4 member columns, one column too light to keep: each
     # value is bit-equal to that matrix evaluated on its own.
@@ -525,9 +545,9 @@ def test_raw_averages_do_not_depend_on_batch():
 def test_roof_eigensolves_once_per_round(monkeypatch):
     # (3, 3) on subset (1,) has one cut, of dimension 3: each lockstep round
     # is one stacked eigensolve for the ladders of all restarts and one for
-    # the values at their gradients, then each final member is solved once
-    # (50 calls here). Qubit cuts take closed-form spectra, so the same
-    # search on a (2, 2) state solves none.
+    # the values at their gradients, then one more for the final members of
+    # all restarts (45 calls here). Qubit cuts take closed-form spectra, so
+    # the same search on a (2, 2) state solves none.
     qutrits, qubits = random_density((3, 3), rank=2, seed=3), random_density((2, 2), rank=2, seed=3)
     calls = []
     original = np.linalg.eigvalsh

@@ -205,6 +205,11 @@ def test_recipe_rejects_garbage():
     for text in ["nope:3", "ghz", "dicke:4", "ghz:1", "dicke:4:9", "mixed-random:2x2"]:
         with pytest.raises(ValueError):
             StateRecipe.parse(text)
+    # A negative seed or a non-finite angle fails when parsed, naming the field, not later in numpy or as a NaN.
+    for text, field in [("haar:2x2:-1", "seed"), ("product:2x3:-7", "seed"), ("mixed-random:2x2:2:-1", "seed"),
+                        ("star:nan", "theta"), ("star:inf", "theta"), ("star:-inf", "theta")]:
+        with pytest.raises(ValueError, match=field):
+            StateRecipe.parse(text)
     # A field beyond the family's grammar, even an empty one, is rejected, not dropped.
     for text in ["ghz:3:7", "w:3:", "ghz:3:", "dicke:4:2:1", "star:0.5:1", "haar:2x2:3:junk", "product:2:0:1",
                  "mixed-random:2x2:2:0:0"]:
