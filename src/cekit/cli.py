@@ -39,9 +39,7 @@ MAX_STATE_DIM = 1 << MAX_SUBSET_SIZE  # amplitudes of a built state: every state
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".15g")
-    return str(value)
+    return format(value, ".15g") if isinstance(value, float) else str(value)
 
 
 def _emit(rows: list[dict], columns: Sequence[str], fmt: str, out: str | None) -> None:
@@ -179,9 +177,7 @@ def cmd_star_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_dicke_table(args: argparse.Namespace) -> int:
-    rows = []
-    for k in range(5):
-        rows.append({"k": k, **named_measures(dicke(4, k), (1, 2, 3, 4))._asdict()})
+    rows = [{"k": k, **named_measures(dicke(4, k), (1, 2, 3, 4))._asdict()} for k in range(5)]
     ok = True
     for measure in ("e", "r2", "t3", "c"):
         for k in range(5):

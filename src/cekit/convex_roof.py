@@ -10,26 +10,28 @@ Math. Program. 142, 397 (2013)); `_search` states the rules. It returns the
 best ensemble average found, which upper-bounds the true roof but is never
 claimed to attain it.
 
-Restarts are independent in their results but advance in lockstep, those of
-one mixer size as one stack: each round evaluates the gradients of the restarts
-that moved in one call per stack (forming each cut's reduced state once), then
-the ladders of every live restart in one more; a matrix gets the bits it gets alone.
+Restarts are independent in their results but advance in lockstep: each
+round evaluates the gradients of the restarts that moved, those of one mixer
+size as one stack in one call that forms each cut's reduced state once, then
+the step ladders of every live restart in one more call; each call gives a
+matrix the bits it gets alone.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .entropy import EntropyParams, _slopes
+from .entropy import EntropyParams, _slopes, unified_entropy_rows
 from .errors import ResourceLimitError
 from .measures import (
     BENCHMARKS,
     CutPlan,
     _chain_checks,
+    _qubit_moments,
+    _reduced_chunks,
     cce_values,
     cut_plan,
     member_spectra,
@@ -37,7 +39,7 @@ from .measures import (
     ordering_reports,
     table_terms,
 )
-from .tensor import DensityOperator, PureState
+from .tensor import DensityOperator, PureState, clamped_spectra
 
 __all__ = [
     "MAX_ROOF_RANK",
@@ -85,7 +87,8 @@ class Ensemble:
 
     def average(self, subset: Iterable[int], params: EntropyParams) -> float:
         s = normalize_subset(subset, self.members[0][1].n_subsystems)  # raises on (), which `cce_values` takes as 0
-        return _averages([self], s, params)[0]
+        values = cce_values([(psi, s, params) for _, psi in self.members])
+        return math.fsum(p * value for (p, _), value in zip(self.members, values))
 
     def to_dict(self) -> dict:
         return {
@@ -135,12 +138,6 @@ class RoofResult:
         }
 
 
-def _averages(ensembles: Sequence[Ensemble], s: tuple[int, ...], params: EntropyParams) -> list[float]:
-    """`Ensemble.average` of each ensemble: one `cce_values` call over all their members, then each one's fsum."""
-    values = iter(cce_values([(psi, s, params) for ens in ensembles for _, psi in ens.members]))
-    return [math.fsum(p * next(values) for p, _ in ens.members) for ens in ensembles]
-
-
 def _eigen_support(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = np.linalg.eigh(rho.matrix)
     keep = vals > RANK_EIG_TOL
@@ -162,17 +159,11 @@ def _members(raws: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.nda
     cols = [raw.swapaxes(-1, -2) for raw in raws]
     # One BLAS dot product per column, read in place along its stride: that
     # fixes the summation order, which a contiguous copy would change for D >= 8.
-    p = [np.matmul(c.conj()[..., None, :], c[..., :, None]).real.reshape(-1) for c in cols]
-    rows = [c.reshape(-1, c.shape[-1]) for c in cols]
-    if len(raws) == 1:  # the search's usual call
-        p, rows, owner = p[0], rows[0], np.arange(len(raws[0])).repeat(raws[0].shape[-1])
-    else:
-        p, rows = np.concatenate(p), np.concatenate(rows)
-        owner = np.repeat(np.arange(sum(map(len, raws))), [raw.shape[-1] for raw in raws for _ in raw])
-    kept = (p >= MEMBER_DROP_TOL).nonzero()[0]
-    if kept.size < p.size:
-        p, rows, owner = p[kept], rows[kept], owner[kept]
-    return p, rows / np.sqrt(p)[:, None], owner, kept
+    p = np.concatenate([np.matmul(c.conj()[..., None, :], c[..., :, None]).real.reshape(-1) for c in cols])
+    owner = np.arange(sum(map(len, raws))).repeat(np.concatenate([np.full(len(raw), raw.shape[-1]) for raw in raws]))
+    kept = np.flatnonzero(p >= MEMBER_DROP_TOL)
+    p, rows = p[kept], np.concatenate([c.reshape(-1, c.shape[-1]) for c in cols])[kept]
+    return p, rows / np.sqrt(p)[:, None], owner[kept], kept
 
 
 def _raw_averages(raws: Sequence[np.ndarray], plan: CutPlan, params: EntropyParams, grad: bool = False):
@@ -184,13 +175,15 @@ def _raw_averages(raws: Sequence[np.ndarray], plan: CutPlan, params: EntropyPara
     Each member's terms are summed in mask order, then weighted, in member
     order per matrix, so a value does not depend on the other matrices.
     With `grad` and one stack, also returns the gradient of each value by the
-    conjugate of its matrix, shaped like the stack (`_cut_gradients`, from the
-    reduced states the spectra were taken of); members lighter than 1e-12 get 0.
+    conjugate of its matrix, shaped like the stack (`_cut_gradients`);
+    members lighter than 1e-12 get 0.
     """
     p, members, owner, kept = _members(raws)
-    tensors, reduced = members.reshape((-1,) + plan.dims), [] if grad else None
-    # A plan without cuts (one subsystem) yields one row of zeros for all members.
-    terms = table_terms(member_spectra(plan, tensors, reduced), params)
+    tensors = members.reshape((-1,) + plan.dims)
+    if grad:
+        terms, gradients = _cut_gradients(plan, params, tensors)
+    else:  # a plan without cuts (one subsystem) yields one row of zeros for all members
+        terms = table_terms(member_spectra(plan, tensors), params)
     acc = np.zeros(p.size)
     for column in terms.T:
         acc += column
@@ -201,8 +194,7 @@ def _raw_averages(raws: Sequence[np.ndarray], plan: CutPlan, params: EntropyPara
         return totals.tolist()
     (raw,) = raws  # the gradient takes one stack
     cols = np.zeros((raw.shape[0] * raw.shape[-1], raw.shape[1]), dtype=complex)
-    gradients = _cut_gradients(plan, params, tensors, terms, reduced).reshape(p.size, -1)
-    cols[kept] = gradients * (np.sqrt(p) / plan.n_masks)[:, None]
+    cols[kept] = gradients.reshape(p.size, -1) * (np.sqrt(p) / plan.n_masks)[:, None]
     return totals.tolist(), cols.reshape(raw.shape[0], raw.shape[-1], -1).swapaxes(-1, -2)
 
 
@@ -257,22 +249,21 @@ def _random_isometry(rng: np.random.Generator, m: int, r: int) -> np.ndarray:
     return np.linalg.qr(z)[0][:, :r]
 
 
-def _cut_gradients(plan: CutPlan, params: EntropyParams, tensors: np.ndarray, terms: np.ndarray, reduced: list):
-    """Sum over the cuts of an unpaired plan of (S'(rho_chi) (x) 1) psi +
-    (S(rho_chi) - Tr rho_chi S'(rho_chi)) psi, for each normalized member
-    tensor psi of a stack (k,) + dims: rho_chi is the cut's smaller side (in
-    `reduced`, as `member_spectra` formed it) and S its term in `terms` (k, n_masks).
-    Times sqrt(p), this is the Wirtinger gradient of p S(rho_chi) at the member
-    sqrt(p) psi. Qubit cuts take S' as a 2 x 2 function of rho from its two
-    eigenvalues, larger cuts from one stacked `eigh` per chunk."""
+def _cut_gradients(plan: CutPlan, params: EntropyParams, tensors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`table_terms` (k, n_masks) of an unpaired plan for a stack of normalized
+    member tensors psi (k,) + dims, and the sum over its cuts of (S'(rho_chi) (x) 1) psi
+    + (S(rho_chi) - Tr rho_chi S'(rho_chi)) psi, rho_chi the cut's smaller side and S its
+    term: times sqrt(p), the Wirtinger gradient of p S(rho_chi) at the member sqrt(p) psi.
+    A block's reduced states are formed once, for spectra and slopes. Qubit cuts take S'
+    from rho's two eigenvalues, larger ones from one `eigh` per chunk beside its `eigvalsh`."""
     k = tensors.shape[0]
-    out = np.zeros(tensors.shape, dtype=complex)
-    for block, states in zip(plan.blocks, reduced):
+    terms, out = np.zeros((k, plan.n_masks)), np.zeros(tensors.shape, dtype=complex)
+    for block in plan.blocks:
         chunks = []
         if block.d == 2:
             # S' = even I + odd (rho - mid I) takes the values s at the eigenvalues lam.
-            h, off, lam = states
-            s, width = _slopes(lam, params), lam[..., 1] - lam[..., 0]
+            h, off, lam = _qubit_moments(block, tensors)
+            spectra, s, width = clamped_spectra(lam), _slopes(lam, params), lam[..., 1] - lam[..., 0]
             even, odd = 0.5 * (s[..., 1] + s[..., 0]), np.zeros(width.shape)
             np.divide(s[..., 1] - s[..., 0], width, out=odd, where=width > 0.0)
             deriv, tilt = np.empty(lam.shape + (2,), dtype=complex), odd * h
@@ -280,17 +271,20 @@ def _cut_gradients(plan: CutPlan, params: EntropyParams, tensors: np.ndarray, te
             deriv[..., 1, 0], deriv[..., 1, 1] = odd * off.conj(), even - tilt
             chunks.append((0, lam, s, deriv))
         else:
-            for lo, rho in states:
+            spectra = np.empty((k, len(block.masks), block.d))
+            for lo, rho in _reduced_chunks(block, tensors):
+                spectra[:, lo : lo + rho.shape[1]] = clamped_spectra(np.linalg.eigvalsh(rho))
                 lam, u = np.linalg.eigh(rho)
                 s = _slopes(lam, params)
                 chunks.append((lo, lam, s, (u * s[..., None, :]) @ u.conj().swapaxes(-1, -2)))
+        terms[:, block.masks] = unified_entropy_rows(spectra, params)
         for lo, lam, s, deriv in chunks:
             shift = terms[:, block.masks[lo : lo + lam.shape[1]]] - (lam * s).sum(-1)
             for j, perm in enumerate(block.perms[lo : lo + lam.shape[1]]):
                 a, into = tensors.transpose(perm), out.transpose(perm)  # `into` writes to `out`
                 psi = a.reshape(k, block.d, -1)
                 into += (deriv[:, j] @ psi + shift[:, j, None, None] * psi).reshape(a.shape)
-    return out
+    return terms, out
 
 
 def _cayley(mix: np.ndarray, direction: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -313,69 +307,55 @@ def _search(roots: np.ndarray, plan: CutPlan, params: EntropyParams, starts: lis
     lower; the next ladder starts at twice that step. A failed ladder is
     retried along -Omega, then below its last step. A restart has converged
     at |Omega| <= GRAD_TOL, or when a failed ladder along -Omega stepped by
-    less than STEP_TOL. The restarts of one mixer size advance as one stack,
-    an array a field with row k for restart ids[k], until they end.
+    less than STEP_TOL.
     """
-    mixers, evals, converged = list(starts), [0] * len(starts), [False] * len(starts)
-    conj_roots, ladder, halvings = roots.conj(), np.arange(LADDER), 0.5 ** np.arange(LADDER)
-    stacks = []
-    for m in sorted({v.shape[0] for v in starts}):
-        ids = np.array([i for i, v in enumerate(starts) if v.shape[0] == m])
-        zero, square = np.zeros(ids.size), np.zeros((ids.size, m, m), dtype=complex)
-        stacks.append(SimpleNamespace(
-            ids=ids, mix=np.stack([starts[i] for i in ids]).astype(complex), value=zero, step=zero + 1.0,
-            evals=np.zeros(ids.size, dtype=np.int64), sq=zero + math.inf, grad=square, direction=square.copy(),
-            steepest=zero == 0.0, converged=zero != 0.0, moved=zero == 0.0))
+    n = len(starts)
+    mix, value, step, evals = list(starts), [0.0] * n, [1.0] * n, [0] * n
+    grad, sq = [np.zeros((len(v), len(v))) for v in starts], [math.inf] * n
+    direction, steepest, converged = [None] * n, [True] * n, [False] * n
+    sizes = sorted({v.shape[0] for v in starts})
+
+    def groups(idx):  # restarts idx by mixer size, a group to a stack
+        return [g for g in ([i for i in idx if mix[i].shape[0] == m] for m in sizes) if g]
+
+    live = pending = list(range(n))  # pending: the restarts that need a gradient
     while True:
-        for st in stacks:  # one gradient call a stack, for the rows that moved
-            rows = st.moved & (st.evals < max_evals)
-            if not rows.any():
-                continue
-            rows = slice(None) if rows.all() else rows.nonzero()[0]
-            v, g0, d0 = st.mix[rows], st.grad[rows], st.direction[rows]
+        for g in groups(pending):
+            v = np.array([mix[i] for i in g])
             values, grads = _raw_averages([roots @ v.swapaxes(-1, -2)], plan, params, grad=True)
-            x = grads.swapaxes(-1, -2) @ conj_roots @ v.conj().swapaxes(-1, -2)
-            omega = x - x.conj().swapaxes(-1, -2)
-            # |Omega|^2, <G0, Omega> and <Omega, D0>: one BLAS dot a pair, as `np.vdot` takes it.
-            a, b = (np.concatenate(x).reshape(-1, omega[0].size) for x in ([omega, g0, omega], [omega, omega, d0]))
-            sq, slope, along = np.matmul(a.conj()[:, None, :], b[:, :, None]).real.reshape(3, -1)
-            beta = (sq - slope) / st.sq[rows]
-            beta = np.where(beta > 0.0, beta, 0.0)  # 0 at a first gradient
-            steepest = ~((beta > 0.0) & (beta * along < sq))
-            direction = np.where(steepest[:, None, None], -omega, beta[:, None, None] * d0 - omega)
-            st.value[rows], st.grad[rows], st.direction[rows], st.sq[rows] = values, omega, direction, sq
-            st.steepest[rows], st.converged[rows] = steepest, sq <= GRAD_TOL**2
-            st.evals[rows] += 1
-        for st in stacks:  # the restarts that have ended leave their stack
-            ended = st.converged | (st.evals >= max_evals)
-            if ended.any():
-                for k, i in zip(ended.nonzero()[0].tolist(), st.ids[ended].tolist()):
-                    mixers[i], evals[i], converged[i] = st.mix[k], int(st.evals[k]), bool(st.converged[k])
-                vars(st).update((field, a[~ended]) for field, a in vars(st).items())
-        if not (stacks := [st for st in stacks if st.ids.size]):
-            return mixers, evals, converged
-        ladders = []
-        for st in stacks:
-            t = st.step[:, None] * halvings
-            cut = ladder < (max_evals - st.evals)[:, None]  # a last ladder takes what budget is left
-            ladders.append((t, cut, _cayley(st.mix[:, None], st.direction[:, None], t)))
-        values = np.asarray(_raw_averages([roots @ c[cut].swapaxes(-1, -2) for _, cut, c in ladders], plan, params))
-        hi = 0
-        for st, (t, cut, cands) in zip(stacks, ladders):
-            size = cut.sum(axis=1)
-            lo, hi = hi, hi + size.sum()
-            grid = np.full(cut.shape, math.inf)  # the (k, LADDER) value block, inf past a ladder's cut
-            grid[cut] = values[lo:hi]
-            ar, j = np.arange(len(grid)), grid.argmin(axis=1)  # j: the first of equal values
-            best, t_last = grid[ar, j], t[ar, size - 1]
-            st.evals += size
-            st.moved = moved = best < st.value
-            turn = ~(moved | st.steepest)
-            st.converged = ~(moved | turn) & (t_last * np.sqrt(st.sq) < STEP_TOL)
-            st.step = np.where(moved, 2.0 * t[ar, j], np.where(turn | st.converged, st.step, 0.5 * t_last))
-            st.mix[moved], st.value[moved] = cands[ar, j][moved], best[moved]
-            if turn.any():
-                st.direction[turn], st.steepest[turn] = -st.grad[turn], True
+            x = grads.swapaxes(-1, -2) @ roots.conj() @ v.conj().swapaxes(-1, -2)
+            for i, f, omega in zip(g, values, x - x.conj().swapaxes(-1, -2)):
+                prev, sq[i] = sq[i], np.vdot(omega, omega).real
+                beta = max(0.0, (sq[i] - np.vdot(grad[i], omega).real) / prev)  # 0 at a first gradient
+                steepest[i] = not (beta > 0.0 and beta * np.vdot(omega, direction[i]).real < sq[i])
+                d = -omega if steepest[i] else beta * direction[i] - omega
+                value[i], grad[i], direction[i], converged[i] = f, omega, d, bool(sq[i] <= GRAD_TOL**2)
+                evals[i] += 1
+        live = [i for i in live if not converged[i] and evals[i] < max_evals]
+        if not live:
+            return mix, evals, converged
+        stacks, moves = [], []
+        for g in groups(live):
+            t = np.array([step[i] for i in g])[:, None] * 0.5 ** np.arange(LADDER)
+            cands = _cayley(np.array([mix[i] for i in g])[:, None], np.array([direction[i] for i in g])[:, None], t)
+            cut = [min(LADDER, max_evals - evals[i]) for i in g]  # a last ladder takes what budget is left
+            moves += [(i, t[k, :size], cands[k, :size]) for k, (i, size) in enumerate(zip(g, cut))]
+            stacks.append(np.concatenate([c for _, _, c in moves[-len(g):]]))
+        values = _raw_averages([roots @ c.swapaxes(-1, -2) for c in stacks], plan, params)
+        pending, hi = [], 0
+        for i, t, cands in moves:
+            lo, hi = hi, hi + len(t)
+            j = values.index(min(values[lo:hi]), lo) - lo  # the first of equal values
+            evals[i] += len(t)
+            if values[lo + j] < value[i]:
+                mix[i], value[i], step[i] = cands[j], values[lo + j], 2.0 * t[j]
+                pending += [i] if evals[i] < max_evals else []
+            elif not steepest[i]:
+                direction[i], steepest[i] = -grad[i], True
+            elif t[-1] * math.sqrt(sq[i]) < STEP_TOL:
+                converged[i] = True
+            else:
+                step[i] = 0.5 * t[-1]
 
 
 def cce_mixed_upper(
@@ -420,7 +400,9 @@ def cce_mixed_upper(
     plan = cut_plan(rho.dims, s, use_symmetry=False)
     mixers, evals, converged = _search(vecs * np.sqrt(vals), plan, params, starts, max_evals)
     ensembles = [_support_ensemble(rho, vals, vecs, mix) for mix in mixers]
-    values = _averages(ensembles, s, params)
+    # One `cce_values` call over all restarts' members, then each restart's `Ensemble.average` fsum.
+    members = iter(cce_values([(psi, s, params) for ens in ensembles for _, psi in ens.members]))
+    values = [math.fsum(p * next(members) for p, _ in ens.members) for ens in ensembles]
     best = min(range(len(values)), key=values.__getitem__)  # first index among equal values
     kinds = ["eigen"] + ["seed"] * len(seed_ensembles) + ["random"] * len(children)
     trace = tuple(RestartTrace(*row) for row in zip(kinds, evals, evals, values, converged))

@@ -82,21 +82,13 @@ def in_concavity_region(p: EntropyParams) -> bool:
     """Parameter region on which the entropy is concave (and the measure an
     average-monotone): {0<a<=1, ab<=1} u {a>=1, ab>=1} u {0<a<1, 0<=b<=1}."""
     a, b = p.alpha, p.beta
-    if 0 < a <= 1 and a * b <= 1:
-        return True
-    if a >= 1 and a * b >= 1:
-        return True
-    if 0 < a < 1 and 0 <= b <= 1:
-        return True
-    return False
+    return (0 < a <= 1 and a * b <= 1) or (a >= 1 and a * b >= 1) or (0 < a < 1 and 0 <= b <= 1)
 
 
 def in_subadditivity_region(p: EntropyParams) -> bool:
     """Parameters with a subadditive entropy: alpha >= 1 at beta = 1, plus the
     von Neumann limit."""
-    if p.is_von_neumann:
-        return True
-    return p.alpha >= 1 and p.beta == 1.0
+    return p.is_von_neumann or (p.alpha >= 1 and p.beta == 1.0)
 
 
 def _as_prob_rows(arr: np.ndarray) -> np.ndarray:

@@ -258,24 +258,18 @@ def _qubit_moments(block: CutBlock, tensors: np.ndarray) -> tuple[np.ndarray, np
     return h, off, lam
 
 
-def member_spectra(plan: CutPlan, tensors: np.ndarray, reduced: list | None = None) -> SpectraTable:
+def member_spectra(plan: CutPlan, tensors: np.ndarray) -> SpectraTable:
     """Spectra of every planned cut for a stack of state tensors, shaped
     (k,) + plan.dims: qubit cuts in closed form (`_qubit_moments`), larger
-    ones by one stacked eigensolve per chunk of a cut dimension. A list
-    `reduced` gets each block's reduced states as they were formed: a qubit
-    block's `_qubit_moments`, else its `_reduced_chunks` as a list."""
+    ones by one stacked eigensolve per chunk of a cut dimension."""
     blocks = []
     for block in plan.blocks:
         if block.d == 2:
-            states = _qubit_moments(block, tensors)
-            blocks.append(clamped_spectra(states[2]))
-        else:
-            states = _reduced_chunks(block, tensors) if reduced is None else list(_reduced_chunks(block, tensors))
-            blocks.append(np.empty((tensors.shape[0], len(block.masks), block.d)))
-            for lo, rho in states:
-                blocks[-1][:, lo : lo + rho.shape[1]] = clamped_spectra(np.linalg.eigvalsh(rho))
-        if reduced is not None:
-            reduced.append(states)
+            blocks.append(clamped_spectra(_qubit_moments(block, tensors)[2]))
+            continue
+        blocks.append(np.empty((tensors.shape[0], len(block.masks), block.d)))
+        for lo, rho in _reduced_chunks(block, tensors):
+            blocks[-1][:, lo : lo + rho.shape[1]] = clamped_spectra(np.linalg.eigvalsh(rho))
     return SpectraTable(plan, tuple(blocks))
 
 
@@ -445,10 +439,7 @@ def tensor_identity_residual(
     s_b = tuple(i - n_a for i in s if i > n_a)
     joint = PureState(np.kron(psi_a.amplitudes, psi_b.amplitudes), psi_a.dims + psi_b.dims)
     e_joint, e_a, e_b = cce_values([(joint, s, params), (psi_a, s_a, params), (psi_b, s_b, params)])
-    if params.is_von_neumann or params.is_renyi:
-        cross = 0.0
-    else:
-        cross = (1.0 - params.alpha) * params.beta
+    cross = 0.0 if params.is_von_neumann or params.is_renyi else (1.0 - params.alpha) * params.beta
     return abs(e_joint - e_a - e_b - cross * e_a * e_b)
 
 

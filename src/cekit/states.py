@@ -189,13 +189,9 @@ class StateRecipe:
             if family == "star":
                 return cls(family, theta=float(args[0]))
             if family in ("product", "haar"):
-                dims = _parse_dims(args[0])
-                seed = int(args[1]) if len(args) > 1 else 0
-                return cls(family, dims=dims, seed=seed)
+                return cls(family, dims=_parse_dims(args[0]), seed=int(args[1]) if len(args) > 1 else 0)
             if family == "mixed-random":
-                dims = _parse_dims(args[0])
-                rank = int(args[1])
-                seed = int(args[2]) if len(args) > 2 else 0
+                dims, rank, seed = _parse_dims(args[0]), int(args[1]), int(args[2]) if len(args) > 2 else 0
                 return cls(family, dims=dims, rank=rank, seed=seed)
         except (IndexError, ValueError) as exc:
             raise ValueError(f"cannot parse state recipe {text!r}: {exc}") from exc

@@ -196,10 +196,13 @@ def _embeddings(ops: np.ndarray, sites: np.ndarray, dims: tuple[int, ...]) -> np
 
 
 def _kraus_set(kraus: Sequence[np.ndarray]) -> np.ndarray:
-    """A nonempty Kraus set as one (K, ...) array; `local_kraus_branches` checks its shape."""
+    """A nonempty Kraus set of d x d operators as one (K, d, d) array; `local_kraus_branches` checks d."""
     ops = [np.asarray(k, dtype=complex) for k in kraus]
     if not ops:
         raise ValueError("empty Kraus set")
+    for k in ops:
+        if k.ndim != 2 or k.shape != (len(ops[0]),) * 2:
+            raise ValueError(f"Kraus operators must be square matrices of one shape, got shape {k.shape}")
     return np.stack(ops)
 
 

@@ -318,7 +318,7 @@ def test_roof_lockstep_matches_sequential_search(point):
     # Each restart searched on its own ends with the bits, evaluations and
     # flag it gets inside the lockstep batch, and the public trace reports it.
     # At alpha < 1 a change in the last bit of a value can reroute a search,
-    # so (0.5, 1) is the sharpest check that the stacked state keeps the bits.
+    # so (0.5, 1) is the sharpest check that the lockstep search keeps the bits.
     params = EntropyParams(*point)
     mixed3 = random_density((2, 2, 2), rank=3, seed=33)
     cases = [
@@ -524,7 +524,7 @@ def test_gradient_call_forms_each_reduced_state_once(dims, subset, monkeypatch):
             return original(block, tensors)
 
         for module in (measures, cr):
-            monkeypatch.setattr(module, name, counting, raising=False)
+            monkeypatch.setattr(module, name, counting)
     values, grad = _raw_averages([_random_raws(np.random.default_rng(42), 3, dims, 4)], plan, VN, grad=True)
     assert sorted(calls) == sorted(block.d for block in plan.blocks) and np.isfinite(grad).all()
 

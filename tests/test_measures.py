@@ -425,6 +425,11 @@ def test_locc_rejects_full_rank_kraus_and_bad_region():
     proj = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     with pytest.raises(ValueError):
         locc_monotonicity_gaps([(ghz(3), (1, 2, 3), EntropyParams(2.0, 0.1), 1, proj)])
+    # The rows of a unitary are vectors, not operators, though they stack to a
+    # square matrix; a set of mixed shapes does not stack at all.
+    for bad in (list(np.eye(2)), [np.eye(2), np.eye(3)]):
+        with pytest.raises(ValueError, match="Kraus operators must be square matrices of one shape"):
+            locc_monotonicity_gaps([(ghz(3), (1, 2, 3), VN, 1, bad)])
 
 
 def test_report_serialization_roundtrip():
