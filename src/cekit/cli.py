@@ -17,7 +17,8 @@ from typing import Iterable, Sequence
 from .entropy import EntropyParams
 from .errors import ResourceLimitError
 from .measures import BENCHMARKS, MAX_SUBSET_SIZE, ORDER_TOL, cut_plan, named_measures, spectra_table, table_values
-from .states import StateRecipe, dicke, ghz, ghz_w_closed_forms, star, w
+from .measures import symmetric_values
+from .states import StateRecipe, star, symmetric_coefficients
 from .suites import DEFAULT_TRIALS, SUITES, run_suite
 from .swaptest import (
     bounds_from_estimate,
@@ -84,7 +85,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     rows = []
     columns = ["state", "subset", "alpha", "beta", "value"]
     if args.named:
-        columns += ["e", "r2", "t3", "c"]
+        columns += list(BENCHMARKS)
     alphas, betas = _parse_option("--alpha", args.alpha, True), _parse_option("--beta", args.beta, True)
     if len(alphas) * len(betas) > MAX_GRID_POINTS:
         raise ResourceLimitError(
@@ -121,32 +122,14 @@ def cmd_ghz_w_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"need 2 <= nmin <= nmax <= 30, got {args.nmin}..{args.nmax}")
     rows = []
     ok = True
+    points = list(BENCHMARKS.values())
     for n in range(args.nmin, args.nmax + 1):
         sizes = range(1, n + 1) if args.sizes == "all" else _parse_option("--sizes", args.sizes, False)
-        exact = n <= 10  # statevectors up to n = 10, closed forms beyond
-        if exact:
-            psi_g, psi_w = ghz(n), w(n)
-        for size in sizes:
-            if not 1 <= size <= n:
-                raise ValueError(f"subset size {size} out of range for n={n}")
-            if exact:
-                subset = tuple(range(1, size + 1))
-                g = named_measures(psi_g, subset)._asdict()
-                wv = named_measures(psi_w, subset)._asdict()
-            else:
-                g, wv = ghz_w_closed_forms(n, size)
-            for measure in ("e", "r2", "t3", "c"):
-                delta = g[measure] - wv[measure]
-                rows.append(
-                    {
-                        "n": n,
-                        "size": size,
-                        "measure": measure,
-                        "ghz": g[measure],
-                        "w": wv[measure],
-                        "delta": delta,
-                    }
-                )
+        g, wv = (symmetric_values(symmetric_coefficients(family, n), sizes, points) for family in ("ghz", "w"))
+        for size, g_row, w_row in zip(sizes, g, wv):
+            for measure, g_val, w_val in zip(BENCHMARKS, g_row, w_row):
+                delta = g_val - w_val
+                rows.append({"n": n, "size": size, "measure": measure, "ghz": g_val, "w": w_val, "delta": delta})
                 if n >= 3 and delta <= 0:
                     ok = False
                     print(f"separation violated at n={n}, size={size}, {measure}", file=sys.stderr)
@@ -158,28 +141,29 @@ def cmd_star_sweep(args: argparse.Namespace) -> int:
     thetas = _parse_option("--grid", args.grid, True)
     if not all(0 <= t <= math.pi / 2 + 1e-12 for t in thetas):
         raise ValueError("star sweep grid must lie within [0, pi/2]")
-
     rows = [{"theta": theta, **named_measures(star(theta), (1, 2, 3, 4))._asdict()} for theta in thetas]
     ok = True
     for row in rows:
-        e, r2, t3, c = (row[m] for m in ("e", "r2", "t3", "c"))
+        e, r2, t3, c = (row[m] for m in BENCHMARKS)
         if not (e >= r2 - ORDER_TOL and r2 >= c - ORDER_TOL and c >= t3 - ORDER_TOL):
             ok = False
             print(f"ordering chain violated at theta={row['theta']}", file=sys.stderr)
     nearest = min(range(len(thetas)), key=lambda i: abs(thetas[i] - math.pi / 4))
-    for measure in ("e", "r2", "t3", "c"):
+    for measure in BENCHMARKS:
         peak = max(range(len(rows)), key=lambda i: rows[i][measure])
         if rows[peak][measure] > rows[nearest][measure] + ORDER_TOL:
             ok = False
             print(f"{measure} peaks away from pi/4 (theta={thetas[peak]})", file=sys.stderr)
-    _emit(rows, ["theta", "e", "r2", "t3", "c"], args.format, args.out)
+    _emit(rows, ["theta", *BENCHMARKS], args.format, args.out)
     return EXIT_OK if ok else EXIT_SUITE_FAILURE
 
 
 def cmd_dicke_table(args: argparse.Namespace) -> int:
-    rows = [{"k": k, **named_measures(dicke(4, k), (1, 2, 3, 4))._asdict()} for k in range(5)]
+    points = list(BENCHMARKS.values())
+    values = [symmetric_values(symmetric_coefficients("dicke", 4, k), [4], points)[0] for k in range(5)]
+    rows = [{"k": k, **dict(zip(BENCHMARKS, row))} for k, row in enumerate(values)]
     ok = True
-    for measure in ("e", "r2", "t3", "c"):
+    for measure in BENCHMARKS:
         for k in range(5):
             if abs(rows[k][measure] - rows[4 - k][measure]) > ORDER_TOL:
                 ok = False
@@ -187,7 +171,7 @@ def cmd_dicke_table(args: argparse.Namespace) -> int:
             if k != 2 and rows[k][measure] >= rows[2][measure] + ORDER_TOL:
                 ok = False
                 print(f"k=2 is not maximal for {measure} (k={k})", file=sys.stderr)
-    _emit(rows, ["k", "e", "r2", "t3", "c"], args.format, args.out)
+    _emit(rows, ["k", *BENCHMARKS], args.format, args.out)
     return EXIT_OK if ok else EXIT_SUITE_FAILURE
 
 

@@ -120,11 +120,16 @@ def _traces(lam: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _from_traces(traces: list[float], a: float, b: float) -> list[float]:
-    """Entropies at (a, b) off the von Neumann branch, from Tr rho^a."""
-    if b < RENYI_BETA_ATOL:
-        return [math.log2(t) / (1.0 - a) + 0.0 for t in traces]
-    scale = (1.0 - a) * b
-    return [(t**b - 1.0) / scale + 0.0 for t in traces]
+    """Entropies at (a, b) off the von Neumann branch, from Tr rho^a. A Renyi
+    trace that underflows to 0 or a power (Tr rho^a)^b that overflows raises ValueError."""
+    try:
+        if b < RENYI_BETA_ATOL:
+            return [math.log2(t) / (1.0 - a) + 0.0 for t in traces]
+        scale = (1.0 - a) * b
+        return [(t**b - 1.0) / scale + 0.0 for t in traces]
+    except (OverflowError, ValueError):
+        what = "Tr rho^alpha underflows to 0" if b < RENYI_BETA_ATOL else "(Tr rho^alpha)^beta overflows"
+        raise ValueError(f"entropy at alpha={a}, beta={b} is outside double range: {what}") from None
 
 
 def _slopes(lam: np.ndarray, params: EntropyParams) -> np.ndarray:

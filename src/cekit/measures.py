@@ -65,6 +65,7 @@ __all__ = [
     "spectra_table",
     "table_terms",
     "table_values",
+    "symmetric_values",
     "cce_pure",
     "named_measures",
     "cce_values",
@@ -337,6 +338,40 @@ def table_values(table: SpectraTable, points: Sequence[EntropyParams]) -> list[f
             terms = traces if p.is_von_neumann else _from_traces(traces, p.alpha, p.beta)
             out[i] = copies * math.fsum(terms) / plan.n_masks
     return out
+
+
+def symmetric_values(
+    coeffs: Sequence[complex], sizes: Iterable[int], points: Sequence[EntropyParams]
+) -> list[list[float]]:
+    """The measure of the n-qubit state sum_j c_j |D_n^j> on any `size` of its
+    qubits, for each of `sizes` (rows) at each of `points` (columns).
+
+    The state is permutation symmetric, so a size-k cut's spectrum depends
+    only on k: the squared singular values of the (k+1) x (n-k+1) matrix
+    M_il = c_{i+l} sqrt(C(k,i) C(n-k,l) / C(n,i+l)) (Stockton et al., PRA 67,
+    022112 (2003)), formed once per k on the smaller side. Then
+    E(s) = 2^-|s| sum_k C(|s|,k) S_k, one exactly rounded sum.
+    """
+    n, sizes = len(coeffs) - 1, list(sizes)
+    for size in sizes:
+        if not 1 <= size <= n:
+            raise ValueError(f"subset size {size} out of range for n={n}")
+    half = min(max(sizes, default=0), n // 2)
+    spectra = np.zeros((half + 1, half + 1))  # row k: the size-k cut; the empty cut is pure
+    spectra[0, 0] = 1.0
+    for k in range(1, half + 1):
+        m = np.zeros((k + 1, n - k + 1), dtype=complex)
+        for j, c in enumerate(coeffs):
+            if c:
+                for i in range(max(0, j - n + k), min(k, j) + 1):
+                    m[i, j - i] = c * math.sqrt(math.comb(k, i) * math.comb(n - k, j - i) / math.comb(n, j))
+        spectra[k, : k + 1] = np.linalg.svd(m, compute_uv=False) ** 2
+    side = [min(k, n - k) for k in range(n + 1)]
+    terms = [unified_entropy_rows(spectra, p).tolist() for p in points]
+    return [
+        [math.fsum(math.comb(size, k) * t[side[k]] for k in range(size + 1)) / (1 << size) for t in terms]
+        for size in sizes
+    ]
 
 
 def cce_pure(psi: PureState, subset: Iterable[int], params: EntropyParams) -> MeasureReport:

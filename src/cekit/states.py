@@ -3,64 +3,70 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from math import prod
 from typing import Sequence
 
 import numpy as np
 
-from .entropy import unified_entropy_spectrum
-from .measures import BENCHMARKS
 from .tensor import DensityOperator, PureState, _as_dims, reduced_state
 
 __all__ = [
     "ghz",
     "w",
     "dicke",
+    "symmetric_coefficients",
     "star",
     "haar_random",
     "random_density",
     "random_product",
-    "ghz_w_closed_forms",
     "StateRecipe",
 ]
 
 
+_SYMMETRIC = ("ghz", "w", "dicke")  # the permutation-symmetric families
+
+
+def symmetric_coefficients(family: str, n: int, k: int | None = None) -> list[float]:
+    """Dicke coefficients c_0..c_n of a permutation-symmetric family on n
+    qubits, the state sum_j c_j |D_n^j>: ghz c_0 = c_n = 1/sqrt(2), w c_1 = 1,
+    dicke (weight k) c_k = 1."""
+    if family not in _SYMMETRIC:
+        raise ValueError(f"{family!r} is not a symmetric family; choose from {_SYMMETRIC}")
+    if family == "dicke" and not (k is not None and 0 <= k <= n):
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    if n < 2:
+        raise ValueError(f"{family} needs n >= 2, got {n}")
+    c = [0.0] * (n + 1)
+    if family == "ghz":
+        c[0] = c[n] = 1.0 / math.sqrt(2.0)
+    else:
+        c[1 if family == "w" else k] = 1.0
+    return c
+
+
+def _symmetric(c: Sequence[float]) -> PureState:
+    """The n-qubit state sum_j c_j |D_n^j>: a basis string of Hamming weight j gets c_j / sqrt(C(n, j))."""
+    n = len(c) - 1
+    weight = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        weight = np.concatenate([weight, weight + 1])
+    amp = np.array([cj / math.sqrt(math.comb(n, j)) for j, cj in enumerate(c)], dtype=complex)[weight]
+    return PureState(amp, (2,) * n)
+
+
 def ghz(n: int) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2) on n qubits."""
-    if n < 2:
-        raise ValueError(f"GHZ needs n >= 2, got {n}")
-    amp = np.zeros(2**n, dtype=complex)
-    amp[0] = amp[-1] = 1.0 / math.sqrt(2.0)
-    return PureState(amp, (2,) * n)
+    return _symmetric(symmetric_coefficients("ghz", n))
 
 
 def w(n: int) -> PureState:
     """Uniform superposition of all weight-1 computational basis strings."""
-    if n < 2:
-        raise ValueError(f"W needs n >= 2, got {n}")
-    amp = np.zeros(2**n, dtype=complex)
-    for i in range(n):
-        amp[1 << (n - 1 - i)] = 1.0 / math.sqrt(n)
-    return PureState(amp, (2,) * n)
+    return _symmetric(symmetric_coefficients("w", n))
 
 
 def dicke(n: int, k: int) -> PureState:
-    """Symmetric superposition of all n-qubit strings with exactly k ones.
-
-    Amplitudes come from ranked enumeration of the k-subsets, so no basis
-    string is accumulated twice.
-    """
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if n < 2:
-        raise ValueError(f"Dicke needs n >= 2, got {n}")
-    amp = np.zeros(2**n, dtype=complex)
-    coeff = 1.0 / math.sqrt(math.comb(n, k))
-    for ones in combinations(range(n), k):
-        idx = sum(1 << (n - 1 - pos) for pos in ones)
-        amp[idx] = coeff
-    return PureState(amp, (2,) * n)
+    """Symmetric superposition of all n-qubit strings with exactly k ones."""
+    return _symmetric(symmetric_coefficients("dicke", n, k))
 
 
 def star(theta: float) -> PureState:
@@ -109,32 +115,6 @@ def random_product(dims: Sequence[int], seed: int) -> PureState:
     return PureState(amp, dims)
 
 
-def ghz_w_closed_forms(n: int, size: int) -> tuple[dict[str, float], dict[str, float]]:
-    """Benchmark measures of GHZ and W states on {1..size} without statevectors.
-
-    Every nonempty proper cut of the GHZ state has spectrum (1/2, 1/2); a
-    size-k cut of the W state has spectrum (k/n, 1-k/n). Exact for any n, so
-    this is both the large-n path and the dual-path oracle for the exact
-    evaluation.
-    """
-    if not 1 <= size <= n:
-        raise ValueError(f"need 1 <= size <= n, got size={size}, n={n}")
-    ghz_vals: dict[str, float] = {}
-    w_vals: dict[str, float] = {}
-    nonzero = (1 << size) - (1 if size < n else 2)
-    for key, params in BENCHMARKS.items():
-        ghz_vals[key] = nonzero * unified_entropy_spectrum([0.5, 0.5], params) / (1 << size)
-        w_vals[key] = (
-            math.fsum(
-                math.comb(size, k)
-                * unified_entropy_spectrum([k / n, (n - k) / n], params)
-                for k in range(size + 1)
-            )
-            / (1 << size)
-        )
-    return ghz_vals, w_vals
-
-
 #: Each family and the most fields its shorthand takes after the family name.
 _MAX_FIELDS = {"ghz": 1, "w": 1, "dicke": 2, "star": 1, "product": 2, "haar": 2, "mixed-random": 3}
 _FAMILIES = tuple(_MAX_FIELDS)
@@ -161,9 +141,8 @@ class StateRecipe:
             raise ValueError(f"unknown family {self.family!r}; choose from {_FAMILIES}")
         if self.family in ("ghz", "w") and (self.n is None or self.n < 2):
             raise ValueError(f"{self.family} needs n >= 2")
-        if self.family == "dicke":
-            if self.n is None or self.k is None or not 0 <= self.k <= self.n:
-                raise ValueError("dicke needs 0 <= k <= n")
+        if self.family == "dicke" and (self.n is None or self.k is None or not 0 <= self.k <= self.n):
+            raise ValueError("dicke needs 0 <= k <= n")
         if self.family == "star" and not (self.theta is not None and math.isfinite(self.theta)):
             raise ValueError(f"star needs a finite angle theta, got {self.theta}")
         if self.seed < 0:
@@ -198,12 +177,8 @@ class StateRecipe:
         raise ValueError(f"unknown family {family!r}; choose from {_FAMILIES}")
 
     def build(self) -> PureState | DensityOperator:
-        if self.family == "ghz":
-            return ghz(self.n)
-        if self.family == "w":
-            return w(self.n)
-        if self.family == "dicke":
-            return dicke(self.n, self.k)
+        if self.family in _SYMMETRIC:
+            return _symmetric(symmetric_coefficients(self.family, self.n, self.k))
         if self.family == "star":
             return star(self.theta)
         if self.family == "haar":

@@ -239,6 +239,28 @@ def test_compute_state_size_guard(capsys, monkeypatch, argv, code, message):
     assert run_cli(capsys, "compute", *argv) == (code, "", f"{'resource guard' if code == 4 else 'error'}: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "alpha,beta,what",
+    [("0.5", "1e308", "overflows"), ("0.5", "3000", "overflows"), ("2000", "0", "underflows to 0")],
+)
+def test_compute_power_outside_double_range_exits_2(capsys, alpha, beta, what):
+    # A GHZ cut has Tr rho^alpha = 2^(1 - alpha): sqrt(2)^3000 overflows, and 2^-1999 underflows to 0.
+    code, out, err = run_cli(capsys, "compute", "--state", "ghz:3", "--alpha", alpha, "--beta", beta)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: entropy at alpha={float(alpha)}, beta={float(beta)} ")
+    assert what in err
+
+
+def test_sweeps_build_no_statevector(capsys, monkeypatch):
+    # Both sweeps read GHZ, W and Dicke states from their n + 1 Dicke coefficients, at every n.
+    def built(self):
+        raise AssertionError("statevector built")
+
+    monkeypatch.setattr(cekit.tensor.PureState, "__post_init__", built)
+    assert run_cli(capsys, "ghz-w-sweep", "--nmin", "2", "--nmax", "30")[0] == 0
+    assert run_cli(capsys, "dicke-table")[0] == 0
+
+
 def test_compute_note_counts_eigensolves(capsys, monkeypatch):
     # Over 12 labels a note gives the eigensolves per state: 13 qubits have
     # 4095 planned cuts, and the 13 one-qubit cuts take the closed form.

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from cekit.entropy import (
     unified_entropy_rows,
     unified_entropy_spectrum,
 )
-from cekit.measures import continuity_gap
-from cekit.states import haar_random, random_density
+from cekit.measures import continuity_gap, spectra_table, table_values
+from cekit.states import ghz, haar_random, random_density
 from cekit.suites import nearby_state
 from cekit.tensor import ZERO_EIG_FLOOR, DensityOperator, hermitian_eigenvalues
 
@@ -502,3 +503,22 @@ def test_majorizes_rows_at_the_tolerance_edge(monkeypatch):
     exact = majorizes_rows(mu, lam)
     assert exact.tolist() == [_majorizes_reference(m, x, atol=0.0) for m, x in zip(mu, lam)]
     assert exact.tolist() == [True] + [False] * (len(d) - 1)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, what",
+    [(0.5, 1e308, "overflows"), (0.5, 3000.0, "overflows"), (2000.0, 0.0, "underflows to 0")],
+)
+def test_power_outside_double_range_raises_named_error(alpha, beta, what):
+    # A maximally mixed qubit has Tr rho^alpha = 2^(1 - alpha): sqrt(2)^3000 = 2^1500
+    # overflows, and 2^-1999 underflows to 0, whose log has no value.
+    p = EntropyParams(alpha, beta)
+    match = re.escape(f"alpha={alpha}, beta={beta}") + ".*" + re.escape(what)
+    with pytest.raises(ValueError, match=match):
+        unified_entropy_spectrum([0.5, 0.5], p)
+    with pytest.raises(ValueError, match=match):
+        unified_entropy_rows(np.full((3, 2), 0.5), [EntropyParams.linear(), p, p])
+    with pytest.raises(ValueError, match=match):
+        table_values(spectra_table(ghz(3), (1, 2, 3)), [EntropyParams.von_neumann(), p])
+    # A pure spectrum keeps its value: Tr rho^alpha = 1 at every alpha.
+    assert unified_entropy_spectrum([1.0, 0.0], p) == 0.0

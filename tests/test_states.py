@@ -1,21 +1,22 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cekit.entropy import EntropyParams
-from cekit.measures import cce_pure, named_measures, tensor_identity_residual
+from cekit.entropy import EntropyParams, unified_entropy_spectrum
+from cekit.measures import BENCHMARKS, cce_pure, named_measures, symmetric_values, tensor_identity_residual
 from cekit.states import (
     StateRecipe,
     dicke,
     ghz,
-    ghz_w_closed_forms,
     haar_random,
     random_density,
     random_product,
     star,
+    symmetric_coefficients,
     w,
 )
 from cekit.tensor import DensityOperator, PureState, hermitian_eigenvalues, reduced_state
@@ -164,18 +165,104 @@ def test_random_product_has_zero_measure():
     assert abs(value) < 1e-12
 
 
+def _ghz_w_closed_forms(n, size):
+    """Benchmark measures of GHZ and W states on {1..size}, by name, from
+    their cut spectra: (1/2, 1/2) on every nonempty proper GHZ cut, and
+    (k/n, 1 - k/n) on a size-k W cut."""
+    nonzero = (1 << size) - (1 if size < n else 2)
+    ghz_vals, w_vals = {}, {}
+    for key, params in BENCHMARKS.items():
+        ghz_vals[key] = nonzero * unified_entropy_spectrum([0.5, 0.5], params) / (1 << size)
+        w_vals[key] = math.fsum(
+            math.comb(size, k) * unified_entropy_spectrum([k / n, (n - k) / n], params) for k in range(size + 1)
+        ) / (1 << size)
+    return ghz_vals, w_vals
+
+
 def test_ghz_w_closed_forms_match_exact_at_n10():
-    # Dual-path comparison at the exact-path ceiling.
+    # The closed-form oracle against the statevectors, so it may stand in for them beyond n = 10.
     for size in range(1, 11):
-        g_closed, w_closed = ghz_w_closed_forms(10, size)
+        g_closed, w_closed = _ghz_w_closed_forms(10, size)
         subset = tuple(range(1, size + 1))
         g_exact = named_measures(ghz(10), subset)._asdict()
         w_exact = named_measures(w(10), subset)._asdict()
         for key in ("e", "r2", "t3", "c"):
             assert g_closed[key] == pytest.approx(g_exact[key], abs=1e-9)
             assert w_closed[key] == pytest.approx(w_exact[key], abs=1e-9)
-    with pytest.raises(ValueError):
-        ghz_w_closed_forms(4, 5)
+    with pytest.raises(ValueError, match="subset size 5 out of range for n=4"):
+        symmetric_values(symmetric_coefficients("ghz", 4), [5], list(BENCHMARKS.values()))
+
+
+def _symmetric_states(n):
+    """(family, k, state) of GHZ, W and every Dicke state on n qubits."""
+    yield "ghz", None, ghz(n)
+    yield "w", None, w(n)
+    for k in range(n + 1):
+        yield "dicke", k, dicke(n, k)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_symmetric_values_match_statevector(n):
+    points, sizes = list(BENCHMARKS.values()), range(1, n + 1)
+    for family, k, psi in _symmetric_states(n):
+        got = symmetric_values(symmetric_coefficients(family, n, k), sizes, points)
+        for size, row in zip(sizes, got):
+            want = named_measures(psi, range(1, size + 1))
+            assert row == pytest.approx(list(want), abs=1e-14, rel=0), (family, k, size)
+    # Any point, and a subset of the sizes in any order.
+    points = [EntropyParams(1.7, 0.4), EntropyParams(0.5, 0.0), EntropyParams(0.5, 1.0)]
+    sizes = list(range(n, 0, -2))
+    psi = dicke(n, n // 2)
+    got = symmetric_values(symmetric_coefficients("dicke", n, n // 2), sizes, points)
+    for size, row in zip(sizes, got):
+        want = [cce_pure(psi, range(1, size + 1), p).value for p in points]
+        assert row == pytest.approx(want, abs=1e-14, rel=0), size
+
+
+def test_symmetric_values_match_closed_forms_beyond_statevectors():
+    points = list(BENCHMARKS.values())
+    for n in range(11, 31):
+        sizes = range(1, n + 1)
+        g, wv = (symmetric_values(symmetric_coefficients(family, n), sizes, points) for family in ("ghz", "w"))
+        for size, g_row, w_row in zip(sizes, g, wv):
+            g_want, w_want = _ghz_w_closed_forms(n, size)
+            assert g_row == pytest.approx(list(g_want.values()), abs=1e-14, rel=0), (n, size)
+            assert w_row == pytest.approx(list(w_want.values()), abs=1e-14, rel=0), (n, size)
+
+
+def _reference_amplitudes(family, n, k=None):
+    """Statevectors built one basis string at a time, as the families were first written."""
+    amp = np.zeros(2**n, dtype=complex)
+    if family == "ghz":
+        amp[0] = amp[-1] = 1.0 / math.sqrt(2.0)
+    elif family == "w":
+        for i in range(n):
+            amp[1 << (n - 1 - i)] = 1.0 / math.sqrt(n)
+    else:
+        for ones in combinations(range(n), k):
+            amp[sum(1 << (n - 1 - pos) for pos in ones)] = 1.0 / math.sqrt(math.comb(n, k))
+    return amp
+
+
+def test_symmetric_builders_match_reference_amplitudes():
+    for n in range(2, 17):
+        for family, k, psi in _symmetric_states(n):
+            assert psi.amplitudes.tobytes() == _reference_amplitudes(family, n, k).tobytes(), (family, n, k)
+
+
+def test_symmetric_coefficients_declare_each_family():
+    half = 1.0 / math.sqrt(2.0)
+    assert symmetric_coefficients("ghz", 3) == [half, 0.0, 0.0, half]
+    assert symmetric_coefficients("w", 3) == [0.0, 1.0, 0.0, 0.0]
+    assert symmetric_coefficients("dicke", 4, 2) == [0.0, 0.0, 1.0, 0.0, 0.0]
+    for args, match in [
+        (("star", 3), "not a symmetric family"),
+        (("w", 1), "w needs n >= 2, got 1"),
+        (("dicke", 4, 5), "need 0 <= k <= n"),
+        (("dicke", 4), "need 0 <= k <= n"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            symmetric_coefficients(*args)
 
 
 @pytest.mark.parametrize(
