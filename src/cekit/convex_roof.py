@@ -106,13 +106,11 @@ class Ensemble:
 @dataclass(frozen=True)
 class RestartTrace:
     """How one roof restart went: its start (`eigen`, `seed` or `random`), the
-    objective evaluations its search spent, the values computed for it (each
-    counts, so this equals `evals`), its final ensemble average and whether
-    it converged before its budget ran out (`_search`)."""
+    objective evaluations its search spent, its final ensemble average and
+    whether it converged before its budget ran out (`_search`)."""
 
     start: str
     evals: int
-    computed: int
     value: float
     converged: bool
 
@@ -194,7 +192,7 @@ def _raw_averages(raws: Sequence[np.ndarray], plan: CutPlan, params: EntropyPara
         return totals.tolist()
     (raw,) = raws  # the gradient takes one stack
     cols = np.zeros((raw.shape[0] * raw.shape[-1], raw.shape[1]), dtype=complex)
-    cols[kept] = gradients.reshape(p.size, -1) * (np.sqrt(p) / plan.n_masks)[:, None]
+    cols[kept] = gradients.reshape(p.size, -1) * (np.sqrt(p) * plan.weight)[:, None]
     return totals.tolist(), cols.reshape(raw.shape[0], raw.shape[-1], -1).swapaxes(-1, -2)
 
 
@@ -250,10 +248,11 @@ def _random_isometry(rng: np.random.Generator, m: int, r: int) -> np.ndarray:
 
 
 def _cut_gradients(plan: CutPlan, params: EntropyParams, tensors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`table_terms` (k, n_masks) of an unpaired plan for a stack of normalized
-    member tensors psi (k,) + dims, and the sum over its cuts of (S'(rho_chi) (x) 1) psi
-    + (S(rho_chi) - Tr rho_chi S'(rho_chi)) psi, rho_chi the cut's smaller side and S its
+    """`table_terms` (k, n_masks) of a plan for a stack of normalized member tensors
+    psi (k,) + dims, and the sum over its rows of (S'(rho_chi) (x) 1) psi
+    + (S(rho_chi) - Tr rho_chi S'(rho_chi)) psi, rho_chi the row's reduced side and S its
     term: times sqrt(p), the Wirtinger gradient of p S(rho_chi) at the member sqrt(p) psi.
+    Every mask a row serves has that gradient: `CutPlan.weight` counts them.
     A block's reduced states are formed once, for spectra and slopes. Qubit cuts take S'
     from rho's two eigenvalues, larger ones from one `eigh` per chunk beside its `eigvalsh`."""
     k = tensors.shape[0]
@@ -277,9 +276,10 @@ def _cut_gradients(plan: CutPlan, params: EntropyParams, tensors: np.ndarray) ->
                 lam, u = np.linalg.eigh(rho)
                 s = _slopes(lam, params)
                 chunks.append((lo, lam, s, (u * s[..., None, :]) @ u.conj().swapaxes(-1, -2)))
-        terms[:, block.masks] = unified_entropy_rows(spectra, params)
+        vals = unified_entropy_rows(spectra, params)
+        terms[:, block.masks] = vals[..., None]
         for lo, lam, s, deriv in chunks:
-            shift = terms[:, block.masks[lo : lo + lam.shape[1]]] - (lam * s).sum(-1)
+            shift = vals[:, lo : lo + lam.shape[1]] - (lam * s).sum(-1)
             for j, perm in enumerate(block.perms[lo : lo + lam.shape[1]]):
                 a, into = tensors.transpose(perm), out.transpose(perm)  # `into` writes to `out`
                 psi = a.reshape(k, block.d, -1)
@@ -395,17 +395,14 @@ def cce_mixed_upper(
     children = np.random.SeedSequence(seed).spawn(max(0, restarts - len(starts)))
     starts += [_random_isometry(np.random.default_rng(child), m, r) for child in children]
 
-    # Unpaired plan: pairing would halve the eigensolves on full subsets but
-    # move objective values, and with them the search path, in the last bits.
-    plan = cut_plan(rho.dims, s, use_symmetry=False)
-    mixers, evals, converged = _search(vecs * np.sqrt(vals), plan, params, starts, max_evals)
+    mixers, evals, converged = _search(vecs * np.sqrt(vals), cut_plan(rho.dims, s), params, starts, max_evals)
     ensembles = [_support_ensemble(rho, vals, vecs, mix) for mix in mixers]
     # One `cce_values` call over all restarts' members, then each restart's `Ensemble.average` fsum.
     members = iter(cce_values([(psi, s, params) for ens in ensembles for _, psi in ens.members]))
     values = [math.fsum(p * next(members) for p, _ in ens.members) for ens in ensembles]
     best = min(range(len(values)), key=values.__getitem__)  # first index among equal values
     kinds = ["eigen"] + ["seed"] * len(seed_ensembles) + ["random"] * len(children)
-    trace = tuple(RestartTrace(*row) for row in zip(kinds, evals, evals, values, converged))
+    trace = tuple(RestartTrace(*row) for row in zip(kinds, evals, values, converged))
     return RoofResult(values[best], ensembles[best], restarts_used=len(values), converged=converged[best],
                       restarts=trace)
 

@@ -120,16 +120,19 @@ def _traces(lam: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _from_traces(traces: list[float], a: float, b: float) -> list[float]:
-    """Entropies at (a, b) off the von Neumann branch, from Tr rho^a. A Renyi
-    trace that underflows to 0 or a power (Tr rho^a)^b that overflows raises ValueError."""
-    try:
-        if b < RENYI_BETA_ATOL:
-            return [math.log2(t) / (1.0 - a) + 0.0 for t in traces]
-        scale = (1.0 - a) * b
-        return [(t**b - 1.0) / scale + 0.0 for t in traces]
-    except (OverflowError, ValueError):
-        what = "Tr rho^alpha underflows to 0" if b < RENYI_BETA_ATOL else "(Tr rho^alpha)^beta overflows"
-        raise ValueError(f"entropy at alpha={a}, beta={b} is outside double range: {what}") from None
+    """Entropies at (a, b) off the von Neumann branch, from Tr rho^a. A trace
+    that underflows to 0 (no spectrum's is 0: its largest eigenvalue is above
+    the zero floor) or a power (Tr rho^a)^b that overflows raises ValueError."""
+    what = "Tr rho^alpha underflows to 0"
+    if all(traces):  # a truth scan: the fastest test for a 0 in a list of floats
+        try:
+            if b < RENYI_BETA_ATOL:
+                return [math.log2(t) / (1.0 - a) + 0.0 for t in traces]
+            scale = (1.0 - a) * b
+            return [(t**b - 1.0) / scale + 0.0 for t in traces]
+        except OverflowError:
+            what = "(Tr rho^alpha)^beta overflows"
+    raise ValueError(f"entropy at alpha={a}, beta={b} is outside double range: {what}")
 
 
 def _slopes(lam: np.ndarray, params: EntropyParams) -> np.ndarray:
@@ -253,4 +256,9 @@ def max_entropy_value(d: int, p: EntropyParams) -> float:
     if p.is_von_neumann or p.is_renyi:
         return math.log2(d)
     e = (1.0 - p.alpha) * p.beta
-    return (d**e - 1.0) / e
+    try:
+        return (d**e - 1.0) / e
+    except OverflowError:
+        raise ValueError(
+            f"entropy at alpha={p.alpha}, beta={p.beta} is outside double range: (Tr rho^alpha)^beta overflows"
+        ) from None

@@ -8,14 +8,16 @@ with the empty subset contributing zero:
 
 Subsets are enumerated by binary counting on the sorted labels of s, so
 bit j of a mask selects the j-th smallest label. The spectrum of a reduced
-state always equals that of its complementary cut, which lets the
-evaluation eigensolve the smaller side of each bipartition, and lets the
-s = [n] case pair each subset with its complement and halve the work.
+state always equals that of its complementary cut, so the average runs
+over bipartitions: each is reduced on its smaller side, and on a tie on the
+side without the state's last subsystem, a rule of the bipartition alone.
 
-A cut plan fixes those choices once per (dims, subset). A spectra table
-holds each planned cut's spectrum once per state, in one dense block per
-cut dimension, and every (alpha, beta) point is evaluated from it; points
-that share alpha share one power pass over it.
+A cut plan lists those bipartitions once per (dims, subset), each row
+serving the masks it stands for: a cut and its complement when s = [n],
+which halves the work, else the one cut. A spectra table holds each row's
+spectrum once per state, in one dense block per cut dimension, and every
+(alpha, beta) point is evaluated from it; points that share alpha share
+one power pass over it.
 """
 from __future__ import annotations
 
@@ -142,31 +144,35 @@ class GmeCertificate:
 
 
 class CutBlock(NamedTuple):
-    """Canonical cuts whose smaller side has dimension d, masks ascending; closed-form
+    """Bipartitions whose reduced side has dimension d, first masks ascending; closed-form
     spectra for qubit cuts (d = 2), else one stacked eigensolve per chunk of them."""
 
     d: int
-    masks: np.ndarray
-    perms: tuple[tuple[int, ...], ...]  # per mask: stacked-tensor axes (stack, kept..., traced...)
+    masks: np.ndarray  # (rows, masks served): the masks each row's spectrum is the spectrum of
+    perms: tuple[tuple[int, ...], ...]  # per row: stacked-tensor axes (stack, kept..., traced...)
 
 
 class CutPlan(NamedTuple):
-    """Which cuts of P(subset) to eigensolve, and on which side.
+    """The bipartitions of P(subset) to eigensolve, each on its reduced side.
 
     Masks whose reduced state is trivial (dimension 1) carry entropy 0 and
-    appear in no block. When `paired`, every block mask m stands for both m
-    and its complement, whose spectrum is the same. Plans are cached and
-    shared between callers, so their arrays must not be written to.
+    appear in no block. Every row serves as many masks as every other.
+    Plans are cached and shared between callers, so their arrays must not
+    be written to.
     """
 
     dims: tuple[int, ...]
     subset: tuple[int, ...]
-    paired: bool
     blocks: tuple[CutBlock, ...]
 
     @property
     def n_masks(self) -> int:
         return 1 << len(self.subset)
+
+    @property
+    def weight(self) -> float:
+        """Share of the measure one row's term carries: the masks it serves over all masks."""
+        return self.blocks[0].masks.shape[1] / self.n_masks if self.blocks else 0.0
 
     @property
     def n_eigensolves(self) -> int:
@@ -175,45 +181,45 @@ class CutPlan(NamedTuple):
 
 
 class SpectraTable(NamedTuple):
-    """Spectra of a plan's cuts: blocks[b][..., i, :] is the descending,
-    clamped spectrum of cut plan.blocks[b].masks[i]; any leading axes index
-    the states the table was built from."""
+    """Spectra of a plan's rows: blocks[b][..., i, :] is the descending,
+    clamped spectrum of each mask in plan.blocks[b].masks[i]; any leading
+    axes index the states the table was built from."""
 
     plan: CutPlan
     blocks: tuple[np.ndarray, ...]
 
 
 @lru_cache(maxsize=64)
-def _build_plan(dims: tuple[int, ...], subset: tuple[int, ...], paired: bool) -> CutPlan:
-    m = len(subset)
-    full = (1 << m) - 1
-    by_dim: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
+def _build_plan(dims: tuple[int, ...], subset: tuple[int, ...]) -> CutPlan:
+    m, last = len(subset), len(dims) - 1
+    full, whole = (1 << m) - 1, m == len(dims)  # on a whole subset a row serves a cut and its complement
+    by_dim: dict[int, tuple[list[tuple[int, ...]], list[tuple[int, ...]]]] = {}
     for mask in range(1 << m):
-        if paired and mask > full ^ mask:
-            continue
         chi = tuple(subset[j] - 1 for j in range(m) if (mask >> j) & 1)
         comp = tuple(ax for ax in range(len(dims)) if ax not in chi)
-        if not chi or not comp:
+        # A whole subset's mask holding the last label is served by its complement's row.
+        if not chi or not comp or (whole and last in chi):
             continue
         d_chi = prod(dims[ax] for ax in chi)
         d_comp = prod(dims[ax] for ax in comp)
-        d, kept, traced = (d_chi, chi, comp) if d_chi <= d_comp else (d_comp, comp, chi)
+        # The smaller side; on a tie, the side without the last subsystem.
+        d, kept, traced = (d_chi, chi, comp) if (d_chi, last in chi) < (d_comp, last in comp) else (d_comp, comp, chi)
         masks, perms = by_dim.setdefault(d, ([], []))
-        masks.append(mask)
+        masks.append((mask, full ^ mask) if whole else (mask,))
         perms.append((0,) + tuple(ax + 1 for ax in kept + traced))
     blocks = tuple(
         CutBlock(d, np.array(masks, dtype=np.int64), tuple(perms))
         for d, (masks, perms) in sorted(by_dim.items())
     )
-    return CutPlan(dims, subset, paired, blocks)
+    return CutPlan(dims, subset, blocks)
 
 
-def cut_plan(dims: tuple[int, ...], subset: Iterable[int], *, use_symmetry: bool = True) -> CutPlan:
+def cut_plan(dims: tuple[int, ...], subset: Iterable[int]) -> CutPlan:
     """Cut plan of P(subset) for a pure state with local dimensions `dims`.
 
-    Each cut is eigensolved on its smaller side. When `subset` covers all
-    subsystems, a subset and its complement share one spectrum, which halves
-    the eigensolves; `use_symmetry=False` turns that pairing off.
+    A row is one bipartition, eigensolved on its smaller side (on a tie, the
+    side without the last subsystem). When `subset` covers all subsystems,
+    a row serves a subset and its complement, which halves the eigensolves.
     """
     dims = tuple(dims)
     s = normalize_subset(subset, len(dims))
@@ -221,13 +227,13 @@ def cut_plan(dims: tuple[int, ...], subset: Iterable[int], *, use_symmetry: bool
         raise ResourceLimitError(
             f"power set of {len(s)} labels exceeds the enumeration guard of {MAX_SUBSET_SIZE}"
         )
-    return _build_plan(dims, s, use_symmetry and len(s) == len(dims))
+    return _build_plan(dims, s)
 
 
 def _reduced_chunks(block: CutBlock, tensors: np.ndarray):
     """Reduced matrices of one block's cuts for a stack of state tensors,
-    shaped (k,) + dims. Yields (first mask row, matrices (k, c, d, d)) for
-    chunks of the block's masks, in mask order."""
+    shaped (k,) + dims. Yields (first row, matrices (k, c, d, d)) for
+    chunks of the block's rows, in row order."""
     k, d = tensors.shape[0], block.d
     step = max(1, _CHUNK_ENTRIES // (k * d * d))
     for lo in range(0, len(block.perms), step):
@@ -281,8 +287,7 @@ def cut_purities(psi: PureState) -> np.ndarray:
     out = np.ones(plan.n_masks)  # the empty and the full cut are pure
     for block in plan.blocks:
         for lo, rho in _reduced_chunks(block, psi.amplitudes.reshape((1,) + psi.dims)):
-            masks = block.masks[lo : lo + rho.shape[1]]
-            out[masks] = out[(plan.n_masks - 1) ^ masks] = (rho[0].real**2 + rho[0].imag**2).sum(axis=(1, 2))
+            out[block.masks[lo : lo + rho.shape[1]]] = (rho[0].real**2 + rho[0].imag**2).sum(axis=(1, 2))[:, None]
     return out
 
 
@@ -308,10 +313,7 @@ def table_terms(table: SpectraTable, params: EntropyParams | Sequence[EntropyPar
         params = params[..., None]  # pairs each point with every cut of a block
     out = np.zeros(lead + (plan.n_masks,))
     for block, spectra in zip(plan.blocks, table.blocks):
-        vals = unified_entropy_rows(spectra, params)
-        out[..., block.masks] = vals
-        if plan.paired:
-            out[..., (plan.n_masks - 1) ^ block.masks] = vals
+        out[..., block.masks] = unified_entropy_rows(spectra, params)[..., None]
     return out
 
 
@@ -326,17 +328,16 @@ def table_values(table: SpectraTable, points: Sequence[EntropyParams]) -> list[f
     one-point call: one `_traces` power per block for each distinct alpha
     (all von Neumann points share one), held while the points at that alpha
     are finished from it. A point's sum is exactly rounded, so it does not
-    depend on the order of the blocks; a paired plan's complements repeat
-    their masks' terms, which doubles that sum exactly."""
+    depend on the order of the blocks, and every row's term counts once per
+    mask it serves, so that sum is scaled exactly by the plan's weight."""
     plan = table.plan
-    copies = 2 if plan.paired else 1
     out = [0.0] * len(points)
     for idx in _groups(None if p.is_von_neumann else p.alpha for p in points):
         traces = list(chain.from_iterable(_traces(spectra, points[idx[0]].alpha).tolist() for spectra in table.blocks))
         for i in idx:
             p = points[i]
             terms = traces if p.is_von_neumann else _from_traces(traces, p.alpha, p.beta)
-            out[i] = copies * math.fsum(terms) / plan.n_masks
+            out[i] = math.fsum(terms) * plan.weight
     return out
 
 
@@ -478,32 +479,16 @@ def tensor_identity_residual(
     return abs(e_joint - e_a - e_b - cross * e_a * e_b)
 
 
-@lru_cache(maxsize=256)
-def _cut_sides(dims: tuple[int, ...], subset: tuple[int, ...]) -> dict[frozenset, tuple[int, ...]]:
-    """The axes (`CutBlock.perms`) each nontrivial cut of P(subset) is reduced
-    with, keyed by the cut's labels; a paired cut's complement shares them."""
-    plan = cut_plan(dims, subset)
-    sides = {}
-    for block in plan.blocks:
-        for mask, perm in zip(block.masks.tolist(), block.perms):
-            for m in (mask, plan.n_masks - 1 ^ mask) if plan.paired else (mask,):
-                sides[frozenset(label for j, label in enumerate(subset) if m >> j & 1)] = perm
-    return sides
-
-
-def _plan_subsets(dims: tuple[int, ...], unions: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _plan_subsets(unions: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """The subset whose plan evaluates each union of one dims group: the
     cover (the union of all of them) when its power set is no larger than the
-    unions' together and it reduces every cut of every union on the side the
-    union's own plan does, so each term keeps its bits; else the union itself."""
+    unions' together, else the union itself. A cut's reduced side depends on
+    its bipartition alone, so each term keeps the bits of the union's own plan."""
     cover = tuple(sorted(set().union(*unions)))
     distinct = set(unions)
     if len(distinct) == 1 or len(cover) > MAX_SUBSET_SIZE or 1 << len(cover) > sum(1 << len(u) for u in distinct):
         return unions
-    sides = _cut_sides(dims, cover).items()
-    if all(_cut_sides(dims, u).items() <= sides for u in distinct):
-        return [cover] * len(unions)
-    return unions
+    return [cover] * len(unions)
 
 
 @lru_cache(maxsize=1024)
@@ -534,7 +519,7 @@ def subadditivity_gaps(
         splits.append((a, b, tuple(sorted(a + b))))
     planned = [()] * len(cases)
     for idx in _groups(c[0].dims for c in cases):
-        for i, subset in zip(idx, _plan_subsets(cases[idx[0]][0].dims, [splits[i][2] for i in idx])):
+        for i, subset in zip(idx, _plan_subsets([splits[i][2] for i in idx])):
             planned[i] = subset
 
     def part(terms: np.ndarray, subset: tuple[int, ...], labels: tuple[int, ...]) -> float:

@@ -241,10 +241,16 @@ def test_compute_state_size_guard(capsys, monkeypatch, argv, code, message):
 
 @pytest.mark.parametrize(
     "alpha,beta,what",
-    [("0.5", "1e308", "overflows"), ("0.5", "3000", "overflows"), ("2000", "0", "underflows to 0")],
+    [
+        ("0.5", "1e308", "overflows"),
+        ("0.5", "3000", "overflows"),
+        ("2000", "0", "underflows to 0"),
+        ("2000", "0.001", "underflows to 0"),
+    ],
 )
 def test_compute_power_outside_double_range_exits_2(capsys, alpha, beta, what):
-    # A GHZ cut has Tr rho^alpha = 2^(1 - alpha): sqrt(2)^3000 overflows, and 2^-1999 underflows to 0.
+    # A GHZ cut has Tr rho^alpha = 2^(1 - alpha): sqrt(2)^3000 overflows, and 2^-1999 underflows
+    # to 0, which at beta = 0.001 would read as (0 - 1)/((1 - alpha) beta), not the true 0.2813.
     code, out, err = run_cli(capsys, "compute", "--state", "ghz:3", "--alpha", alpha, "--beta", beta)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: entropy at alpha={float(alpha)}, beta={float(beta)} ")

@@ -248,7 +248,7 @@ def test_raw_gradients_match_finite_differences(point, dims, subset):
     # may warn or give a NaN.
     rng = np.random.default_rng(40)
     params = EntropyParams(*point)
-    plan = cut_plan(dims, subset, use_symmetry=False)
+    plan = cut_plan(dims, subset)
     raws = _random_raws(rng, 3, dims, 4)
     raws[1, :, 3] *= 1e-7
     raws[2, :, 0] = random_product(dims, seed=41).amplitudes
@@ -336,7 +336,7 @@ def test_roof_lockstep_matches_sequential_search(point):
         }),
     ]
     for rho, subset, (restarts, max_evals), kwargs in cases:
-        plan = cut_plan(rho.dims, subset, use_symmetry=False)
+        plan = cut_plan(rho.dims, subset)
         starts = _starts(rho, restarts, 7, **kwargs)
         mixers, evals, converged = _search(_roots(rho), plan, params, starts, max_evals)
         for k, start in enumerate(starts):
@@ -345,8 +345,7 @@ def test_roof_lockstep_matches_sequential_search(point):
             assert (alone_evals, alone_converged) == (evals[k], converged[k])
         got = cce_mixed_upper(rho, subset, params, budget=(restarts, max_evals), seed=7, **kwargs)
         values = [mixing_ensemble(rho, mix).average(subset, params) for mix in mixers]
-        assert [(t.value, t.evals, t.computed, t.converged) for t in got.restarts] == list(
-            zip(values, evals, evals, converged))
+        assert [(t.value, t.evals, t.converged) for t in got.restarts] == list(zip(values, evals, converged))
 
 
 @pytest.mark.parametrize("max_evals", [1, 2, 9, 10, 11, 100])
@@ -356,7 +355,7 @@ def test_search_spends_no_more_than_its_budget(max_evals, monkeypatch):
     # that has not converged spends its whole budget, and never ends above
     # its start.
     rho = random_density((2, 2), rank=2, seed=36)
-    plan, params = cut_plan((2, 2), (1,), use_symmetry=False), EntropyParams(1.7, 0.4)
+    plan, params = cut_plan((2, 2), (1,)), EntropyParams(1.7, 0.4)
     starts = _starts(rho, 4, 3)
     rows = []
     original = cr._raw_averages
@@ -494,7 +493,7 @@ def test_roof_kernels_keep_row_bits_in_large_stacks(dims, subset):
     # in place, with its operands swapped, and complex products' bits depend
     # on the order. Row i of a stack that large has the bits it has alone.
     rng = np.random.default_rng(38)
-    plan, params = cut_plan(dims, subset, use_symmetry=False), EntropyParams(1.7, 0.4)
+    plan, params = cut_plan(dims, subset), EntropyParams(1.7, 0.4)
     m = 5
     n = 2 * (1 << 14) // (math.prod(dims) * m) + 1  # members x dims: twice 2^14 complex entries
     raws = _random_raws(rng, n, dims, m)
@@ -517,7 +516,7 @@ def test_gradient_call_forms_each_reduced_state_once(dims, subset, monkeypatch):
     # were taken of: one `_qubit_moments` or `_reduced_chunks` pass a block.
     import cekit.measures as measures
 
-    plan, calls = cut_plan(dims, subset, use_symmetry=False), []
+    plan, calls = cut_plan(dims, subset), []
     for name in ("_qubit_moments", "_reduced_chunks"):
         def counting(block, tensors, original=getattr(measures, name)):
             calls.append(block.d)
@@ -533,7 +532,7 @@ def test_raw_averages_do_not_depend_on_batch():
     # Matrices of 3 and 4 member columns, one column too light to keep: each
     # value is bit-equal to that matrix evaluated on its own.
     rng = np.random.default_rng(35)
-    plan = cut_plan((2, 2, 2), (1, 2), use_symmetry=False)
+    plan = cut_plan((2, 2, 2), (1, 2))
     stacks = [rng.standard_normal((3, 8, 3)) + 1j * rng.standard_normal((3, 8, 3)),
               rng.standard_normal((2, 8, 4)) + 1j * rng.standard_normal((2, 8, 4))]
     stacks[0][1, :, 2] = 0.0
@@ -653,7 +652,7 @@ def test_roof_result_serialization():
     amp = blob["best_ensemble"]["members"][0]["amplitudes"]
     assert len(amp) == 4 and len(amp[0]) == 2
     assert blob["restarts"] == [
-        {"start": t.start, "evals": t.evals, "computed": t.computed, "value": t.value, "converged": t.converged}
+        {"start": t.start, "evals": t.evals, "value": t.value, "converged": t.converged}
         for t in result.restarts
     ]
 
@@ -662,7 +661,7 @@ def test_roof_trace_per_restart():
     rho, ens = separable_mix(seed=24)
     result = cce_mixed_upper(rho, (1, 2), VN, budget=(4, 60), seed=0, seed_ensembles=[ens])
     assert [t.start for t in result.restarts] == ["eigen", "seed", "random", "random"]
-    assert all(1 <= t.evals <= 60 and t.computed >= t.evals for t in result.restarts)
+    assert all(1 <= t.evals <= 60 for t in result.restarts)
     # The best restart carries the bound and the reported convergence flag.
     best = min(result.restarts, key=lambda t: t.value)
     assert (best.value, best.converged) == (result.upper_bound, result.converged)

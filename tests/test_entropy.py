@@ -507,11 +507,17 @@ def test_majorizes_rows_at_the_tolerance_edge(monkeypatch):
 
 @pytest.mark.parametrize(
     "alpha, beta, what",
-    [(0.5, 1e308, "overflows"), (0.5, 3000.0, "overflows"), (2000.0, 0.0, "underflows to 0")],
+    [
+        (0.5, 1e308, "overflows"),
+        (0.5, 3000.0, "overflows"),
+        (2000.0, 0.0, "underflows to 0"),
+        (2000.0, 0.001, "underflows to 0"),
+    ],
 )
 def test_power_outside_double_range_raises_named_error(alpha, beta, what):
     # A maximally mixed qubit has Tr rho^alpha = 2^(1 - alpha): sqrt(2)^3000 = 2^1500
-    # overflows, and 2^-1999 underflows to 0, whose log has no value.
+    # overflows, and 2^-1999 underflows to 0, whose log has no value and whose power
+    # 0^beta would stand in for (2^-1999)^0.001 = 0.25. No spectrum's trace is 0.
     p = EntropyParams(alpha, beta)
     match = re.escape(f"alpha={alpha}, beta={beta}") + ".*" + re.escape(what)
     with pytest.raises(ValueError, match=match):
@@ -522,3 +528,10 @@ def test_power_outside_double_range_raises_named_error(alpha, beta, what):
         table_values(spectra_table(ghz(3), (1, 2, 3)), [EntropyParams.von_neumann(), p])
     # A pure spectrum keeps its value: Tr rho^alpha = 1 at every alpha.
     assert unified_entropy_spectrum([1.0, 0.0], p) == 0.0
+
+
+def test_max_entropy_value_outside_double_range_raises_named_error():
+    # d^((1 - alpha) beta) = 2^(0.5e308) overflows; the named error, not an OverflowError.
+    with pytest.raises(ValueError, match=re.escape("alpha=0.5, beta=1e+308") + ".*overflows"):
+        max_entropy_value(2, EntropyParams(0.5, 1e308))
+    assert max_entropy_value(2, EntropyParams(0.5, 2.0)) == (2**1.0 - 1.0) / 1.0

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import math
 
@@ -89,9 +90,10 @@ def _naive_cce(psi, subset, params):
 
 
 def _unpaired_terms(psi, subset, params):
-    # Every cut eigensolved on its own, complements too.
-    plan = cut_plan(psi.dims, subset, use_symmetry=False)
-    return table_terms(member_spectra(plan, psi.amplitudes.reshape((1,) + psi.dims)), params)[0]
+    # Every mask eigensolved on its own through `reduced_state`, complements too; the empty one is pure.
+    s = sorted(subset)
+    chis = ([s[j] for j in range(len(s)) if (mask >> j) & 1] for mask in range(1, 1 << len(s)))
+    return [0.0] + [unified_entropy_spectrum(hermitian_eigenvalues(reduced_state(psi, chi)), params) for chi in chis]
 
 
 def test_symmetric_evaluation_matches_naive():
@@ -464,9 +466,9 @@ def _bits(x):
 
 @pytest.mark.parametrize("subset", [(1, 2, 3, 4, 5), (2, 4, 5), (1, 3)])
 def test_many_points_terms_match_one_point_calls(subset):
-    # Full subsets use the paired plan, partial ones the unpaired plan.
+    # A full subset's rows serve a mask and its complement, a partial one's one mask.
     plan = cut_plan((2,) * 5, subset)
-    assert plan.paired == (len(subset) == 5)
+    assert {b.masks.shape[1] for b in plan.blocks} == {2 if len(subset) == 5 else 1}
     states = [haar_random((2,) * 5, seed=s) for s in range(4)]
     table = member_spectra(plan, np.stack([psi.amplitudes for psi in states]).reshape((-1,) + plan.dims))
     one = [table_terms(SpectraTable(plan, tuple(b[i] for b in table.blocks)), p) for i in range(4) for p in POINTS]
@@ -552,7 +554,7 @@ def _qubit_slices(q, k=64, seed=0):
 
 @pytest.mark.parametrize("q", [1, 2, 8, 512])
 def test_qubit_spectra_match_eigensolve(q):
-    block = CutBlock(2, np.array([1]), ((0, 1, 2),))  # the whole (k, 2, q) stack is one cut
+    block = CutBlock(2, np.array([[1]]), ((0, 1, 2),))  # the whole (k, 2, q) stack is one cut
     for name, a in _qubit_slices(q).items():
         got = _qubit_moments(block, a)[2][:, 0]
         want = np.linalg.eigvalsh(a @ a.conj().swapaxes(-1, -2))
@@ -654,11 +656,12 @@ def test_subadditivity_groups_share_the_cover_plan_only_where_it_is_cheaper_and_
     eight = [haar_random((2,) * 8, seed=i) for i in range(2)]
     costly = [(eight[0], (1,), (2,), VN), (eight[1], (8,), (7,), LIN)]
     assert _planned_subsets(monkeypatch, costly) == [(1, 2), (7, 8)]
-    # Four qubits: the full plan is cheaper, but it reduces the tied cut {3, 4}
-    # (dimension 4 on both sides) on the side {1, 2}, which changes its bits.
+    # Four qubits: the full plan is cheaper, and the tied cut {3, 4} (dimension
+    # 4 on both sides) is reduced on the side {1, 2} in every plan, so the
+    # batch takes the cover and each gap keeps the bits of a batch of one.
     four = [haar_random((2,) * 4, seed=i) for i in range(2)]
     tied = [(four[0], (3,), (4,), VN), (four[1], (1, 2), (3, 4), VN)]
-    assert _planned_subsets(monkeypatch, tied) == [(3, 4), (1, 2, 3, 4)]
+    assert _planned_subsets(monkeypatch, tied) == [(1, 2, 3, 4)]
 
 
 # Points on both sides of every dispatch threshold: the scalar exponents 0.5
@@ -681,7 +684,7 @@ def test_table_values_match_one_point_calls(monkeypatch, dims, subset):
     # trivial masks included). The three von Neumann alphas share one power
     # pass: seven distinct passes per block.
     table = spectra_table(haar_random(dims, seed=len(dims)), subset)
-    assert table.plan.paired == (len(subset) == len(dims))
+    assert {b.masks.shape[1] for b in table.plan.blocks} == {2 if len(subset) == len(dims) else 1}
     calls = []
     traces = measures._traces
     monkeypatch.setattr(measures, "_traces", lambda lam, alpha: calls.append(alpha) or traces(lam, alpha))
@@ -723,8 +726,31 @@ def test_one_qubit_cut_of_a_large_state_allocates_little_beyond_it():
     assert peak < 1.5 * psi.amplitudes.nbytes
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2, 2), (3, 3), (4, 2, 2)])
+def test_cut_side_depends_on_the_bipartition_alone(dims):
+    # Tied bipartitions (both sides of one dimension) are reduced on the side
+    # without the last subsystem, whatever the subset: every subset's row
+    # takes the full plan's axes for its bipartition, and every term the full
+    # table's bits.
+    def rows(subset):
+        # Each mask of P(subset) as a mask over all labels, and the axes of the row serving it.
+        over = [sum(1 << (label - 1) for j, label in enumerate(subset) if (mask >> j) & 1)
+                for mask in range(1 << len(subset))]
+        blocks = cut_plan(dims, subset).blocks
+        return over, {over[m]: perm for b in blocks for masks, perm in zip(b.masks.tolist(), b.perms) for m in masks}
+
+    labels = tuple(range(1, len(dims) + 1))
+    psi = haar_random(dims, seed=len(dims))
+    points = [VN, LIN, EntropyParams(0.5, 1.0), EntropyParams(1.7, 0.4)]
+    full, want = rows(labels)[1], table_terms(spectra_table(psi, labels), points)
+    for subset in itertools.chain.from_iterable(itertools.combinations(labels, k) for k in range(1, len(dims))):
+        over, axes = rows(subset)
+        assert axes.items() <= full.items()
+        assert _bits(table_terms(spectra_table(psi, subset), points)) == _bits(want[:, over])
+
+
 def test_n_eigensolves_counts_only_cuts_above_qubits():
-    # 13 qubits, paired: 2^12 - 1 canonical nontrivial cuts, of which the 13
+    # 13 qubits, whole subset: 2^12 - 1 rows (nontrivial bipartitions), of which the 13
     # one-qubit cuts take the closed form.
     plan = cut_plan((2,) * 13, range(1, 14))
     assert sum(len(b.masks) for b in plan.blocks) == 2**12 - 1
