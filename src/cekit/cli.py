@@ -259,6 +259,8 @@ def main(argv: Iterable[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(list(argv) if argv is not None else None)
     try:
+        if getattr(args, "seed", 0) < 0:  # `verify` and `swaptest`: before any draw
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)

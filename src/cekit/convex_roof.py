@@ -196,17 +196,14 @@ def _raw_averages(raws: Sequence[np.ndarray], plan: CutPlan, params: EntropyPara
     return totals.tolist(), cols.reshape(raw.shape[0], raw.shape[-1], -1).swapaxes(-1, -2)
 
 
-def mixing_ensemble(rho: DensityOperator, mixer: np.ndarray) -> Ensemble:
+def mixing_ensemble(rho: DensityOperator, mixer: np.ndarray, support: tuple | None = None) -> Ensemble:
     """Decomposition of rho induced by an isometric mixer on its support.
 
     Row i of the m x r mixer combines the square-rooted eigenvectors into
     the unnormalized member |psi_i>; members lighter than 1e-12 are dropped.
+    `support` is rho's eigen support (vals, vecs) where the caller has it.
     """
-    return _support_ensemble(rho, *_eigen_support(rho), mixer)
-
-
-def _support_ensemble(rho: DensityOperator, vals, vecs, mixer: np.ndarray) -> Ensemble:
-    """`mixing_ensemble` given the eigen support (vals, vecs) of rho."""
+    vals, vecs = _eigen_support(rho) if support is None else support
     mixer = np.asarray(mixer, dtype=complex)
     r = vals.size
     if mixer.ndim != 2 or mixer.shape[1] != r:
@@ -384,7 +381,7 @@ def cce_mixed_upper(
         raise ValueError(f"budget must be positive, got {budget}")
 
     if r == 1:
-        ens = _support_ensemble(rho, vals, vecs, np.eye(1))
+        ens = mixing_ensemble(rho, np.eye(1), (vals, vecs))
         return RoofResult(ens.average(s, params), ens, restarts_used=0, converged=True)
 
     m = min(r * r, r + 2)
@@ -396,7 +393,7 @@ def cce_mixed_upper(
     starts += [_random_isometry(np.random.default_rng(child), m, r) for child in children]
 
     mixers, evals, converged = _search(vecs * np.sqrt(vals), cut_plan(rho.dims, s), params, starts, max_evals)
-    ensembles = [_support_ensemble(rho, vals, vecs, mix) for mix in mixers]
+    ensembles = [mixing_ensemble(rho, mix, (vals, vecs)) for mix in mixers]
     # One `cce_values` call over all restarts' members, then each restart's `Ensemble.average` fsum.
     members = iter(cce_values([(psi, s, params) for ens in ensembles for _, psi in ens.members]))
     values = [math.fsum(p * next(members) for p, _ in ens.members) for ens in ensembles]
@@ -438,7 +435,7 @@ def mixed_ordering_spotcheck(
     failures: list[str] = []
     for trial in range(n_mixers):
         mixer = np.eye(1) if r == 1 else _random_isometry(rng, m, r)
-        ens = _support_ensemble(rho, vals, vecs, mixer)
+        ens = mixing_ensemble(rho, mixer, (vals, vecs))
         avg = dict.fromkeys(BENCHMARKS, 0.0)
         for (p, _), (report, _) in zip(ens.members, ordering_reports([(psi, s, ()) for _, psi in ens.members])):
             for k in avg:

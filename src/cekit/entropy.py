@@ -91,20 +91,20 @@ def in_subadditivity_region(p: EntropyParams) -> bool:
     return p.is_von_neumann or (p.alpha >= 1 and p.beta == 1.0)
 
 
-def _as_prob_rows(arr: np.ndarray) -> np.ndarray:
-    """Validated probability vectors along the last axis, clamped at 0 (which
-    also turns -0.0 into 0.0). A block with no entry to clamp may come back as `arr`."""
+def _as_prob_rows(arr: np.ndarray, floor: float = -1e-10, top: float | None = None) -> np.ndarray:
+    """Validated probability vectors along the last axis (no entry below `floor`), clamped at 0, which also
+    turns -0.0 into 0.0, and at `top` if given. A block with no entry to clamp may come back as `arr`."""
     if arr.shape[-1] == 0:
         raise ValueError("probability vector must be nonempty")
     flat = arr.reshape(-1, arr.shape[-1])
     lows, totals = np.minimum.reduce(flat, 1), np.add.reduce(flat, 1)
-    bad = (lows < -1e-10) | ~(np.abs(totals - 1.0) <= PROB_SUM_ATOL)  # `not <=`: also NaN and inf
+    bad = (lows < floor) | ~(np.abs(totals - 1.0) <= PROB_SUM_ATOL)  # `not <=`: also NaN and inf
     if bad.any():  # the first bad vector raises
         lo, total = float(lows[bad.argmax()]), float(totals[bad.argmax()])
-        if lo < -1e-10:
+        if lo < floor:
             raise ValueError(f"negative probability {lo}")
         raise ValueError(f"probabilities must sum to 1 within {PROB_SUM_ATOL}, got {total}")
-    return np.clip(arr, 0.0, None) if (lows <= 0.0).any() else arr
+    return np.clip(arr, 0.0, top) if top is not None or (lows <= 0.0).any() else arr
 
 
 def _traces(lam: np.ndarray, alpha: float) -> np.ndarray:
@@ -119,12 +119,13 @@ def _traces(lam: np.ndarray, alpha: float) -> np.ndarray:
     return (np.where(keep, lam, 0.0) ** alpha).sum(axis=-1)
 
 
-def _from_traces(traces: list[float], a: float, b: float) -> list[float]:
+def _from_traces(traces: list[float], a: float, b: float, nonzero: bool | None = None) -> list[float]:
     """Entropies at (a, b) off the von Neumann branch, from Tr rho^a. A trace
     that underflows to 0 (no spectrum's is 0: its largest eigenvalue is above
-    the zero floor) or a power (Tr rho^a)^b that overflows raises ValueError."""
+    the zero floor) or a power (Tr rho^a)^b that overflows raises ValueError.
+    `nonzero` is a caller's `all(traces)`: points finished from one list scan it once."""
     what = "Tr rho^alpha underflows to 0"
-    if all(traces):  # a truth scan: the fastest test for a 0 in a list of floats
+    if all(traces) if nonzero is None else nonzero:  # a truth scan: the fastest test for a 0 in a list of floats
         try:
             if b < RENYI_BETA_ATOL:
                 return [math.log2(t) / (1.0 - a) + 0.0 for t in traces]

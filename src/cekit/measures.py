@@ -63,6 +63,7 @@ __all__ = [
     "SpectraTable",
     "cut_plan",
     "cut_purities",
+    "cut_purity_rows",
     "member_spectra",
     "spectra_table",
     "table_terms",
@@ -280,15 +281,21 @@ def member_spectra(plan: CutPlan, tensors: np.ndarray) -> SpectraTable:
     return SpectraTable(plan, tuple(blocks))
 
 
-def cut_purities(psi: PureState) -> np.ndarray:
-    """Tr rho_chi^2 of every subset chi of all subsystems, indexed by mask
-    (bit j selects label j+1), from squared Frobenius norms: no eigensolve."""
-    plan = cut_plan(psi.dims, range(1, psi.n_subsystems + 1))
-    out = np.ones(plan.n_masks)  # the empty and the full cut are pure
+def cut_purity_rows(amps: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Tr rho_chi^2 (k, 2^n) of every subset chi of all subsystems, indexed by mask (bit j selects
+    label j+1), for each row of amplitudes (k, D): squared Frobenius norms, no eigensolve, from one
+    `_reduced_chunks` pass over the stack. A row has the bits it gets alone."""
+    plan = cut_plan(dims, range(1, len(dims) + 1))
+    out = np.ones((len(amps), plan.n_masks))  # the empty and the full cut are pure
     for block in plan.blocks:
-        for lo, rho in _reduced_chunks(block, psi.amplitudes.reshape((1,) + psi.dims)):
-            out[block.masks[lo : lo + rho.shape[1]]] = (rho[0].real**2 + rho[0].imag**2).sum(axis=(1, 2))[:, None]
+        for lo, rho in _reduced_chunks(block, amps.reshape((-1,) + plan.dims)):
+            out[:, block.masks[lo : lo + rho.shape[1]]] = (rho.real**2 + rho.imag**2).sum(axis=(2, 3))[..., None]
     return out
+
+
+def cut_purities(psi: PureState) -> np.ndarray:
+    """`cut_purity_rows` of one state: its purities (2^n,)."""
+    return cut_purity_rows(psi.amplitudes[None], psi.dims)[0]
 
 
 def spectra_table(psi: PureState, subset: Iterable[int]) -> SpectraTable:
@@ -325,18 +332,20 @@ def _mean(terms: list[float]) -> float:
 
 def table_values(table: SpectraTable, points: Sequence[EntropyParams]) -> list[float]:
     """The measure of a one-state table at each point, with the bits of a
-    one-point call: one `_traces` power per block for each distinct alpha
-    (all von Neumann points share one), held while the points at that alpha
-    are finished from it. A point's sum is exactly rounded, so it does not
-    depend on the order of the blocks, and every row's term counts once per
-    mask it serves, so that sum is scaled exactly by the plan's weight."""
+    one-point call: one `_traces` power per block and one zero-trace scan for
+    each distinct alpha (all von Neumann points share one), held while the
+    points at that alpha are finished from it. A point's sum is exactly
+    rounded, so it does not depend on the order of the blocks, and every
+    row's term counts once per mask it serves, so that sum is scaled exactly
+    by the plan's weight."""
     plan = table.plan
     out = [0.0] * len(points)
     for idx in _groups(None if p.is_von_neumann else p.alpha for p in points):
         traces = list(chain.from_iterable(_traces(spectra, points[idx[0]].alpha).tolist() for spectra in table.blocks))
+        nonzero = points[idx[0]].is_von_neumann or all(traces)  # one zero-trace scan per alpha
         for i in idx:
             p = points[i]
-            terms = traces if p.is_von_neumann else _from_traces(traces, p.alpha, p.beta)
+            terms = traces if p.is_von_neumann else _from_traces(traces, p.alpha, p.beta, nonzero)
             out[i] = math.fsum(terms) * plan.weight
     return out
 

@@ -28,6 +28,7 @@ from .convex_roof import Ensemble, _eigen_support, cce_mixed_upper
 from .entropy import EntropyParams, binary_entropy, majorizes_rows, unified_entropy_rows
 from .measures import (
     BENCHMARKS,
+    _groups,
     cce_values,
     continuity_gap,
     locc_monotonicity_gaps,
@@ -36,7 +37,7 @@ from .measures import (
     tensor_identity_residual,
 )
 from .states import dicke, ghz, haar_random, random_density, random_product, w
-from .swaptest import cce_from_distribution, swap_test_distribution
+from .swaptest import cce_from_rows, swap_test_rows
 from .tensor import DensityOperator, PureState
 
 __all__ = [
@@ -51,6 +52,7 @@ __all__ = [
 ]
 
 GAP_TOL = 1e-10
+SWAP_TOL = 1e-10  # |C from the SWAP-test distribution - C direct| a swap-consistency case may show
 _BATCH = 64  # trials drawn, then evaluated together
 _BATCH_POINTS = 512  # and the (state, point) evaluations they may hold: bounds a batch's memory
 ALPHA_PAIRS = 20  # (lo, hi) alpha pairs an `ordering` trial checks the measure at
@@ -326,12 +328,15 @@ def suite_swap_consistency(seed: int = 0, trials: int = 100) -> SuiteResult:
         return f"haar:{n}q:{trial}", haar_random((2,) * n, seed=seed * 100_003 + trial)
 
     def check(cases):
-        # Only C is compared, so only the linear point is evaluated, grouped by n.
+        # Only C is compared, so only the linear point is evaluated; both sides make one stacked call per n.
         jobs = [(psi, tuple(range(1, psi.n_subsystems + 1)), BENCHMARKS["c"]) for _, psi in cases]
-        for j, ((psi, s, _), want) in enumerate(zip(jobs, cce_values(jobs))):
-            got = cce_from_distribution(swap_test_distribution(psi), s)
-            if abs(got - want) > 1e-10:
-                yield j, f"swap-test {got} vs direct {want}"
+        got = {}
+        for idx in _groups(psi.dims for psi, _, _ in jobs):
+            probs = swap_test_rows(np.stack([jobs[i][0].amplitudes for i in idx]), jobs[idx[0]][0].dims)
+            got.update(zip(idx, cce_from_rows(probs, jobs[idx[0]][1]).tolist()))
+        for j, want in enumerate(cce_values(jobs)):
+            if abs(got[j] - want) > SWAP_TOL:
+                yield j, f"swap-test {got[j]} vs direct {want}"
 
     return _run("swap-consistency", seed, len(fixed) + trials, draw, check, label=lambda case: case[0])
 
@@ -403,4 +408,6 @@ def run_suite(name: str, seed: int = 0, trials: int | None = None) -> SuiteResul
     trials = trials if trials is not None else DEFAULT_TRIALS[name]
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return SUITES[name](seed=seed, trials=trials)

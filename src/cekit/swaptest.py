@@ -10,6 +10,11 @@ cut purities (Beckey, Gigena, Coles & Cerezo, PRL 127, 140501, 2021):
 The event "every control in s reads 0" gives the linear-entropy measure
 C(s) = 1 - sum_{z in Z0(s)} p(z), where Z0(s) is the set of bitstrings
 with 0 at every index in s.
+
+`swap_test_rows` is stacked: amplitudes (k, 2^n) take one purity pass, one
+transform and one row-wise check; `cce_from_rows` reads C(s) of every row in
+one sum. A row has the bits it gets alone, so `swap_test_distribution` and
+`cce_from_distribution` are their one-row cases.
 """
 from __future__ import annotations
 
@@ -19,8 +24,9 @@ from typing import Iterable
 
 import numpy as np
 
+from .entropy import _as_prob_rows
 from .errors import ResourceLimitError
-from .measures import MAX_SUBSET_SIZE, cut_purities
+from .measures import MAX_SUBSET_SIZE, cut_purity_rows
 from .tensor import PureState, normalize_subset
 
 __all__ = [
@@ -28,7 +34,9 @@ __all__ = [
     "ShotRecord",
     "BoundTriplet",
     "register_size",
+    "swap_test_rows",
     "swap_test_distribution",
+    "cce_from_rows",
     "cce_from_distribution",
     "sample_shots",
     "estimate_from_shots",
@@ -46,12 +54,7 @@ class ControlDistribution:
         p = np.array(self.probs, dtype=float).reshape(-1)
         if p.size != 1 << self.n:
             raise ValueError(f"need 2^{self.n} probabilities, got {p.size}")
-        if not float(p.min()) >= -1e-12:  # `not >=`: also NaN
-            raise ValueError(f"negative probability {p.min()}")
-        total = float(p.sum())
-        if not abs(total - 1.0) <= 1e-10:
-            raise ValueError(f"probabilities must sum to 1 within 1e-10, got {total}")
-        p = np.clip(p, 0.0, 1.0)  # rounding can leave an entry just outside [0, 1]
+        p = _as_prob_rows(p, -1e-12, 1.0)  # rounding can leave an entry just outside [0, 1]
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
@@ -90,27 +93,38 @@ def register_size(dims: tuple[int, ...]) -> int:
     return len(dims)
 
 
-def swap_test_distribution(psi: PureState) -> ControlDistribution:
-    """Exact control distribution of the parallelized SWAP test on two
-    copies of a qubit state, by a fast Walsh-Hadamard transform of its cut
-    purities."""
-    n = register_size(psi.dims)
-    # Mask bit j selects label j+1; reversed axes put control 1 on axis 0.
-    t = cut_purities(psi).reshape((2,) * n).transpose(range(n - 1, -1, -1))
-    for axis in range(n):
+def swap_test_rows(amps: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Exact control distributions (k, 2^n) of the parallelized SWAP test on two copies of each row
+    of qubit amplitudes (k, 2^n), by one fast Walsh-Hadamard transform of their cut purities."""
+    n = register_size(dims)
+    # Mask bit j selects label j+1; reversed axes put control 1 on axis 1, after the stack axis.
+    t = cut_purity_rows(amps, dims).reshape((-1,) + (2,) * n).transpose(0, *range(n, 0, -1))
+    for axis in range(1, n + 1):
         u = np.moveaxis(t, axis, 0)
         u[0], u[1] = u[0] + u[1], u[0] - u[1]
-    return ControlDistribution(t.reshape(-1) / (1 << n), n)
+    return _as_prob_rows(t.reshape(len(t), -1) / (1 << n), -1e-12, 1.0)  # as `ControlDistribution` checks
+
+
+def swap_test_distribution(psi: PureState) -> ControlDistribution:
+    """Exact control distribution of the parallelized SWAP test on two
+    copies of a qubit state: `swap_test_rows` of one state."""
+    return ControlDistribution(swap_test_rows(psi.amplitudes[None], psi.dims)[0], len(psi.dims))
 
 
 def _zero_mask(n: int, subset: Iterable[int]) -> int:
     return sum(1 << (n - i) for i in normalize_subset(subset, n))
 
 
+def cce_from_rows(probs: np.ndarray, subset: Iterable[int]) -> np.ndarray:
+    """Linear-entropy measure 1 - sum over Z0(subset) of p(z) of every control distribution along the last
+    axis of `probs` (..., 2^n). `compress` keeps each row contiguous, so its sum has the bits of a row alone."""
+    n = probs.shape[-1].bit_length() - 1
+    return 1.0 - np.compress(np.arange(1 << n) & _zero_mask(n, subset) == 0, probs, axis=-1).sum(axis=-1)
+
+
 def cce_from_distribution(dist: ControlDistribution, subset: Iterable[int]) -> float:
-    """Linear-entropy measure estimate 1 - sum over Z0(subset) of p(z)."""
-    mask = _zero_mask(dist.n, subset)
-    return 1.0 - float(np.sum(dist.probs[np.arange(1 << dist.n) & mask == 0]))
+    """Linear-entropy measure estimate 1 - sum over Z0(subset) of p(z): `cce_from_rows` of one distribution."""
+    return float(cce_from_rows(dist.probs, subset))
 
 
 def sample_shots(dist: ControlDistribution, shots: int, seed: int) -> ShotRecord:
@@ -123,6 +137,8 @@ def sample_shots(dist: ControlDistribution, shots: int, seed: int) -> ShotRecord
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, np.where(dist.probs < dist.n * 2.0**-52, 0.0, dist.probs))
     record = {
@@ -145,9 +161,6 @@ class BoundTriplet:
     e_lower: float
     r2_lower: float
     t3_upper: float
-
-    def to_dict(self) -> dict:
-        return {"e_lower": self.e_lower, "r2_lower": self.r2_lower, "t3_upper": self.t3_upper}
 
 
 def bounds_from_estimate(c: float) -> BoundTriplet:

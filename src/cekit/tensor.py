@@ -115,10 +115,6 @@ class DensityOperator:
     def n_subsystems(self) -> int:
         return len(self.dims)
 
-    @property
-    def dim(self) -> int:
-        return int(self.matrix.shape[0])
-
 
 def clamped_spectra(vals: np.ndarray) -> np.ndarray:
     """Descending spectra from ascending `eigvalsh` output (any leading axes).

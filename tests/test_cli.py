@@ -311,6 +311,9 @@ def test_module_all_names_exist():
         (["compute", "--state", "haar:2x2:-1"], "seed must be >= 0, got -1"),
         (["compute", "--state", "mixed-random:2x2:2:-3"], "seed must be >= 0, got -3"),
         (["compute", "--state", "star:nan"], "star needs a finite angle theta"),
+        (["verify", "ordering", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["verify", "swap-consistency", "--seed", "-3"], "--seed must be >= 0, got -3"),
+        (["swaptest", "--state", "ghz:3", "--seed", "-1"], "--seed must be >= 0, got -1"),
     ],
 )
 def test_input_is_rejected_not_reinterpreted(capsys, argv, message):

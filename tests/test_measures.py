@@ -20,6 +20,7 @@ from cekit.measures import (
     cce_values,
     continuity_gap,
     cut_plan,
+    cut_purity_rows,
     gme_certificate,
     locc_monotonicity_gaps,
     member_spectra,
@@ -33,6 +34,7 @@ from cekit.measures import (
 )
 from cekit.states import ghz, haar_random, random_product, w
 from cekit.suites import nearby_state
+from cekit.swaptest import cce_from_rows, swap_test_rows
 import cekit.measures as measures
 from cekit.tensor import ZERO_EIG_FLOOR, PureState, hermitian_eigenvalues, local_kraus_branches, reduced_state
 
@@ -749,6 +751,23 @@ def test_cut_side_depends_on_the_bipartition_alone(dims):
         assert _bits(table_terms(spectra_table(psi, subset), points)) == _bits(want[:, over])
 
 
+@pytest.mark.parametrize(
+    "points,first",
+    [
+        ([VN, EntropyParams(2000.0, 0.001), EntropyParams(2000.0, 0.0)], "alpha=2000.0, beta=0.001 "),
+        ([EntropyParams(2000.0, 0.0), EntropyParams(2000.0, 0.001)], "alpha=2000.0, beta=0.0 "),
+        ([EntropyParams(0.5, 3000.0), EntropyParams(2000.0, 0.001)], "alpha=0.5, beta=3000.0 "),
+        ([EntropyParams(2000.0, 0.5), EntropyParams(0.5, 3000.0)], "alpha=2000.0, beta=0.5 "),
+    ],
+)
+def test_table_values_names_the_first_failing_point(points, first):
+    # Points at one alpha share one zero-trace scan; the error still names the first point that fails.
+    # A GHZ cut has Tr rho^alpha = 2^(1 - alpha): 0 at alpha 2000, and its power 2^1500 overflows at (0.5, 3000).
+    with pytest.raises(ValueError) as exc:
+        table_values(spectra_table(ghz(3), (1, 2, 3)), points)
+    assert str(exc.value).startswith(f"entropy at {first}")
+
+
 def test_n_eigensolves_counts_only_cuts_above_qubits():
     # 13 qubits, whole subset: 2^12 - 1 rows (nontrivial bipartitions), of which the 13
     # one-qubit cuts take the closed form.
@@ -786,18 +805,26 @@ def _large_stacks():
     states = rng.standard_normal((3_000, 16)) + 1j * rng.standard_normal((3_000, 16))
     states /= np.linalg.norm(states, axis=1, keepdims=True)
     jobs = [(PureState(v, (2, 2, 2, 2)), (1, 2, 3, 4), pool[i % len(pool)]) for i, v in enumerate(states)]
+    registers = rng.standard_normal((2_000, 64)) + 1j * rng.standard_normal((2_000, 64))
+    registers /= np.linalg.norm(registers, axis=1, keepdims=True)
+
+    def swap_test(amps):  # the purities, the control distributions and C({1, 3, 4}) of 6-qubit states
+        probs = swap_test_rows(amps, (2,) * 6)
+        return np.concatenate([cut_purity_rows(amps, (2,) * 6), probs, cce_from_rows(probs, (1, 3, 4))[:, None]], axis=1)
+
     calls = {
         "unified_entropy_rows": (unified_entropy_rows, (spectra, points)),
         "majorizes_rows": (majorizes_rows, (spectra, mixed)),
         "local_kraus_branches": (branches, (amps, sites, kraus)),
         "cce_values": (lambda jobs: np.array(cce_values(jobs)), (jobs,)),
+        "swap_test_rows": (swap_test, (registers,)),
     }
     return {name: (call, args, call(*args)) for name, (call, args) in calls.items()}
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(
-    st.sampled_from(["unified_entropy_rows", "majorizes_rows", "local_kraus_branches", "cce_values"]),
+    st.sampled_from(["unified_entropy_rows", "majorizes_rows", "local_kraus_branches", "cce_values", "swap_test_rows"]),
     st.floats(0.0, 1.0),
     st.integers(1, 64),
 )

@@ -249,6 +249,13 @@ def test_one_entropy_call_per_batch(monkeypatch, name):
     assert calls == [(64, pair_axis, 6), (64, pair_axis, 6), (22, pair_axis, 6)]
 
 
+@pytest.mark.parametrize("name", ["schur", "swap-consistency"])
+def test_run_suite_rejects_a_negative_seed_before_any_draw(monkeypatch, name):
+    monkeypatch.setattr(suites, "_run", None)  # a suite that ran would call it
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        suites.run_suite(name, seed=-1, trials=5)
+
+
 @pytest.mark.parametrize(
     "name,trials",
     [
@@ -265,7 +272,9 @@ def test_one_entropy_call_per_batch(monkeypatch, name):
     ],
 )
 def test_batch_size_does_not_change_output(monkeypatch, name, trials):
+    # Every case fails, so every value prints: a batch and batches of one must give the same bits.
     monkeypatch.setattr(suites, "GAP_TOL", -10.0)
+    monkeypatch.setattr(suites, "SWAP_TOL", -10.0)
     batched = suites.run_suite(name, seed=1, trials=trials)
     monkeypatch.setattr(suites, "_BATCH", 1)
     one_by_one = suites.run_suite(name, seed=1, trials=trials)

@@ -16,6 +16,7 @@ from cekit.swaptest import (
     estimate_from_shots,
     sample_shots,
     swap_test_distribution,
+    swap_test_rows,
 )
 from cekit.tensor import PureState
 
@@ -184,6 +185,16 @@ def test_distribution_permutation_covariance(relabel):
         assert permuted[z_new] == pytest.approx(base[z], abs=1e-12)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_distribution_is_the_one_row_case_of_the_stacked_kernel(n):
+    # A state's distribution has the bits of its row in a stack of GHZ, W, a product and Haar states.
+    states = [random_product((2,) * n, seed=n)] + [haar_random((2,) * n, seed=100 * n + i) for i in range(5)]
+    states += [ghz(n), w(n)] if n >= 2 else []
+    rows = swap_test_rows(np.stack([psi.amplitudes for psi in states]), (2,) * n)
+    for psi, row in zip(states, rows):
+        assert swap_test_distribution(psi).probs.tobytes() == row.tobytes()
+
+
 def test_swap_test_rejects_qudits_and_large_n():
     with pytest.raises(ValueError):
         swap_test_distribution(haar_random((2, 3), seed=0))
@@ -212,6 +223,8 @@ def test_sample_shots_seed_reproducibility():
     assert a.counts != c.counts
     with pytest.raises(ValueError):
         sample_shots(dist, shots=0, seed=1)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        sample_shots(dist, shots=10, seed=-1)
 
 
 def test_sample_shots_ignore_rounding_residues():
