@@ -425,7 +425,7 @@ def mixed_ordering_spotcheck(
 
     Evaluating one and the same ensemble under all four benchmark entropies,
     the per-member pure-state chain transfers to the ensemble averages:
-    E >= C/ln2, E >= 2C - 1/2, R2 >= C/ln2, C >= T3.
+    E >= C/ln2, E >= 2C - 1/2, R2 >= C/ln2, C >= T3, E >= R2.
     """
     s = normalize_subset(subset, rho.n_subsystems)
     vals, vecs = _roof_support(rho)

@@ -225,9 +225,7 @@ def cut_plan(dims: tuple[int, ...], subset: Iterable[int]) -> CutPlan:
     dims = tuple(dims)
     s = normalize_subset(subset, len(dims))
     if len(s) > MAX_SUBSET_SIZE:
-        raise ResourceLimitError(
-            f"power set of {len(s)} labels exceeds the enumeration guard of {MAX_SUBSET_SIZE}"
-        )
+        raise ResourceLimitError(f"power set of {len(s)} labels exceeds the enumeration guard of {MAX_SUBSET_SIZE}")
     return _build_plan(dims, s)
 
 
@@ -437,13 +435,15 @@ def named_measures(psi: PureState, subset: Iterable[int]) -> NamedMeasures:
 
 
 def _chain_checks(e: float, r2: float, t3: float, c: float) -> dict[str, bool]:
-    """The chain of lower-bound relations among the four benchmark values
-    (of one state, or averaged over one ensemble), each within ORDER_TOL."""
+    """The chain of relations among the four benchmark values (of one state,
+    or averaged over one ensemble), each within ORDER_TOL. Renyi order 1 is von
+    Neumann, so alpha-monotonicity from order 1 to 2 reads e >= r2."""
     return {
         "e_ge_c_over_ln2": e >= c / LN2 - ORDER_TOL,
         "e_ge_2c_minus_half": e >= 2.0 * c - 0.5 - ORDER_TOL,
         "r2_ge_c_over_ln2": r2 >= c / LN2 - ORDER_TOL,
         "c_ge_t3": c >= t3 - ORDER_TOL,
+        "renyi_alpha_monotone": e >= r2 - ORDER_TOL,
     }
 
 
@@ -459,10 +459,8 @@ def ordering_reports(
     jobs = [(psi, normalize_subset(s, psi.n_subsystems), base + list(extra)) for psi, s, extra in cases]
     for terms in _grouped_terms(jobs):
         values = [_mean(row) for row in terms.tolist()]
-        e, r2, t3, c = values[: len(base)]
-        # Renyi order 1 is von Neumann, so alpha-monotonicity from order 1 to 2 reads e >= r2.
-        checks = {**_chain_checks(e, r2, t3, c), "renyi_alpha_monotone": e >= r2 - ORDER_TOL}
-        out.append((OrderingReport(e, r2, t3, c, checks), values[len(base) :]))
+        named = values[: len(base)]
+        out.append((OrderingReport(*named, _chain_checks(*named)), values[len(base) :]))
     return out
 
 
@@ -535,9 +533,7 @@ def subadditivity_gaps(
         return _mean(terms[_submasks(subset, labels)].tolist())
 
     all_terms = _grouped_terms([(c[0], p, c[3]) for c, p in zip(cases, planned)])
-    return [
-        part(t, p, a) + part(t, p, b) - part(t, p, u) for (a, b, u), p, t in zip(splits, planned, all_terms)
-    ]
+    return [part(t, p, a) + part(t, p, b) - part(t, p, u) for (a, b, u), p, t in zip(splits, planned, all_terms)]
 
 
 def gme_certificate(psi: PureState, params: EntropyParams) -> GmeCertificate:

@@ -1,8 +1,8 @@
 """Factories for the benchmark state families and seeded random generators."""
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
@@ -115,12 +115,31 @@ def random_product(dims: Sequence[int], seed: int) -> PureState:
     return PureState(amp, dims)
 
 
-#: Each family and the most fields its shorthand takes after the family name.
-_MAX_FIELDS = {"ghz": 1, "w": 1, "dicke": 2, "star": 1, "product": 2, "haar": 2, "mixed-random": 3}
-_FAMILIES = tuple(_MAX_FIELDS)
+#: Each family: the factory that builds it, looked up when `build` runs, then its fields after the family
+#: name in recipe order, which are the factory's arguments. A recipe may leave out a last `seed` (0).
+_FAMILIES = {
+    "ghz": ("ghz", "n"),
+    "w": ("w", "n"),
+    "dicke": ("dicke", "n", "k"),
+    "star": ("star", "theta"),
+    "product": ("random_product", "dims", "seed"),
+    "haar": ("haar_random", "dims", "seed"),
+    "mixed-random": ("random_density", "dims", "rank", "seed"),
+}
+#: Reader and writer of each recipe field that is not an int: `float` and `.6g`, `2x3` and back.
+_FORMS = {
+    "theta": (float, "{:.6g}".format),
+    "dims": (lambda text: tuple(int(part) for part in text.lower().split("x")), lambda d: "x".join(map(str, d))),
+}
 
 
-@dataclass(frozen=True)
+def _fields(family: str) -> tuple[str, ...]:
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}; choose from {tuple(_FAMILIES)}")
+    return _FAMILIES[family][1:]
+
+
+@dataclasses.dataclass(frozen=True)
 class StateRecipe:
     """Parsed description of a state family plus its parameters.
 
@@ -137,55 +156,38 @@ class StateRecipe:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; choose from {_FAMILIES}")
-        if self.family in ("ghz", "w") and (self.n is None or self.n < 2):
+        fields = _fields(self.family)
+        missing = [f for f in fields if getattr(self, f) in (None, ())]  # empty dims are missing too
+        if missing:
+            raise ValueError(f"{self.family} is missing field(s) {', '.join(missing)}")
+        extra = [f.name for f in dataclasses.fields(self)[1:]
+                 if f.name not in fields and getattr(self, f.name) != f.default]
+        if extra:
+            raise ValueError(f"{self.family} takes no field(s) {', '.join(extra)}")
+        if self.n is not None and self.n < 2:  # checked on n alone: O(1) however large n is
             raise ValueError(f"{self.family} needs n >= 2")
-        if self.family == "dicke" and (self.n is None or self.k is None or not 0 <= self.k <= self.n):
-            raise ValueError("dicke needs 0 <= k <= n")
-        if self.family == "star" and not (self.theta is not None and math.isfinite(self.theta)):
-            raise ValueError(f"star needs a finite angle theta, got {self.theta}")
+        if self.k is not None and not 0 <= self.k <= self.n:
+            raise ValueError(f"{self.family} needs 0 <= k <= n")
+        if self.theta is not None and not math.isfinite(self.theta):
+            raise ValueError(f"{self.family} needs a finite angle theta, got {self.theta}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.family in ("product", "haar") and not self.dims:
-            raise ValueError(f"{self.family} needs local dimensions")
-        if self.family == "mixed-random" and (not self.dims or self.rank is None):
-            raise ValueError("mixed-random needs local dimensions and a rank")
 
     @classmethod
     def parse(cls, text: str) -> "StateRecipe":
-        parts = text.strip().split(":")
-        family = parts[0].lower()
-        args = parts[1:]
-        most = _MAX_FIELDS.get(family, len(args))
-        if len(args) > most:
-            raise ValueError(f"cannot parse state recipe {text!r}: {family} takes at most {most} field(s)")
+        family, *args = text.strip().split(":")
+        family = family.lower()
+        fields = _fields(family)
+        if len(args) > len(fields):
+            raise ValueError(f"cannot parse state recipe {text!r}: {family} takes at most {len(fields)} field(s)")
         try:
-            if family in ("ghz", "w"):
-                return cls(family, n=int(args[0]))
-            if family == "dicke":
-                return cls(family, n=int(args[0]), k=int(args[1]))
-            if family == "star":
-                return cls(family, theta=float(args[0]))
-            if family in ("product", "haar"):
-                return cls(family, dims=_parse_dims(args[0]), seed=int(args[1]) if len(args) > 1 else 0)
-            if family == "mixed-random":
-                dims, rank, seed = _parse_dims(args[0]), int(args[1]), int(args[2]) if len(args) > 2 else 0
-                return cls(family, dims=dims, rank=rank, seed=seed)
-        except (IndexError, ValueError) as exc:
+            return cls(family, **{f: _FORMS.get(f, (int, str))[0](arg) for f, arg in zip(fields, args)})
+        except ValueError as exc:
             raise ValueError(f"cannot parse state recipe {text!r}: {exc}") from exc
-        raise ValueError(f"unknown family {family!r}; choose from {_FAMILIES}")
 
     def build(self) -> PureState | DensityOperator:
-        if self.family in _SYMMETRIC:
-            return _symmetric(symmetric_coefficients(self.family, self.n, self.k))
-        if self.family == "star":
-            return star(self.theta)
-        if self.family == "haar":
-            return haar_random(self.dims, self.seed)
-        if self.family == "product":
-            return random_product(self.dims, self.seed)
-        return random_density(self.dims, self.rank, self.seed)
+        factory, *fields = _FAMILIES[self.family]
+        return globals()[factory](*(getattr(self, f) for f in fields))
 
     @property
     def local_dims(self) -> tuple[int, ...]:
@@ -193,17 +195,4 @@ class StateRecipe:
         return _as_dims((8, 2, 2, 2) if self.family == "star" else self.dims or (2,) * self.n)
 
     def label(self) -> str:
-        if self.family in ("ghz", "w"):
-            return f"{self.family}:{self.n}"
-        if self.family == "dicke":
-            return f"dicke:{self.n}:{self.k}"
-        if self.family == "star":
-            return f"star:{self.theta:.6g}"
-        dims = "x".join(str(d) for d in self.dims)
-        if self.family == "mixed-random":
-            return f"mixed-random:{dims}:{self.rank}:{self.seed}"
-        return f"{self.family}:{dims}:{self.seed}"
-
-
-def _parse_dims(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.lower().split("x"))
+        return ":".join([self.family] + [_FORMS.get(f, (int, str))[1](getattr(self, f)) for f in _fields(self.family)])

@@ -12,7 +12,7 @@ import pytest
 
 import cekit
 from cekit.cli import main
-from cekit.measures import named_measures
+from cekit.measures import NamedMeasures, named_measures
 from cekit.states import StateRecipe, dicke
 
 
@@ -113,6 +113,18 @@ def test_star_sweep_structure(capsys):
         assert float(row["c"]) >= float(row["t3"]) - 1e-10
 
 
+@pytest.mark.parametrize(
+    "values,relation",
+    [(NamedMeasures(e=0.5, r2=0.6, t3=0.1, c=0.2), "renyi_alpha_monotone"),
+     (NamedMeasures(e=0.9, r2=0.8, t3=0.3, c=0.2), "c_ge_t3")],
+)
+def test_star_sweep_names_the_violated_relation(capsys, monkeypatch, values, relation):
+    # The sweep checks the chain `ordering_reports` checks, and a failure names the relation it breaks.
+    monkeypatch.setattr(cekit.cli, "named_measures", lambda psi, subset: values)
+    code, _, err = run_cli(capsys, "star-sweep", "--grid", "0.5")
+    assert (code, err) == (3, f"ordering chain: {relation} violated at theta=0.5\n")
+
+
 def test_dicke_table_symmetry(capsys):
     code, out, _ = run_cli(capsys, "dicke-table")
     assert code == 0
@@ -205,8 +217,10 @@ def test_mixed_recipe_rejected_before_it_is_built(capsys, monkeypatch, command):
         (["compute", "--state", "ghz:21", "--s", "1,22"], 2, "subsystem labels must lie in 1..21"),
         (["compute", "--state", "haar:1x" + "x".join(["2"] * 20)], 2, "every local dimension must be >= 2"),
         (["swaptest", "--state", "haar:3x" + "x".join(["2"] * 20)], 2, "defined for qubit registers"),
+        (["swaptest", "--state", "ghz:3", "--s", "4"], 2, "subsystem labels must lie in 1..3"),
     ],
-    ids=["compute-ghz25", "compute-haar21", "swaptest-ghz21", "bad-label", "bad-dim", "swaptest-qutrit"],
+    ids=["compute-ghz25", "compute-haar21", "swaptest-ghz21", "bad-label", "bad-dim", "swaptest-qutrit",
+         "swaptest-bad-label"],
 )
 def test_recipe_checked_before_it_is_built(capsys, monkeypatch, argv, code, message):
     # The statevector alone takes 2^n amplitudes, so the labels, the local dimensions and the
@@ -218,6 +232,23 @@ def test_recipe_checked_before_it_is_built(capsys, monkeypatch, argv, code, mess
     got, out, err = run_cli(capsys, *argv)
     assert (got, out) == (code, "")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--state", "ghz:10000000"],
+        ["compute", "--state", "w:63", "--s", "1"],
+        ["swaptest", "--state", "dicke:100000000:3"],
+    ],
+)
+def test_symmetric_recipe_guarded_by_n_alone(capsys, monkeypatch, argv):
+    # A ghz, w or dicke recipe whose 2^n amplitudes pass an array's index range exits 4 on n
+    # alone: neither its local dimensions nor its default labels, each of length n, are built.
+    monkeypatch.setattr(StateRecipe, "local_dims", property(lambda self: pytest.fail("local dims built")))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("resource guard: state of 2^") and err.endswith(" amplitudes exceeds an array's index range\n")
 
 
 @pytest.mark.parametrize(
@@ -314,6 +345,9 @@ def test_module_all_names_exist():
         (["verify", "ordering", "--seed", "-1"], "--seed must be >= 0, got -1"),
         (["verify", "swap-consistency", "--seed", "-3"], "--seed must be >= 0, got -3"),
         (["swaptest", "--state", "ghz:3", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["compute", "--state", "dicke:4"], "cannot parse state recipe 'dicke:4': dicke is missing field(s) k"),
+        (["swaptest", "--state", "haar"], "haar is missing field(s) dims"),
+        (["compute", "--state", "dicke:0:0"], "dicke needs n >= 2"),
     ],
 )
 def test_input_is_rejected_not_reinterpreted(capsys, argv, message):

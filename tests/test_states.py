@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cekit.states
 from cekit.entropy import EntropyParams, unified_entropy_spectrum
 from cekit.measures import BENCHMARKS, cce_pure, named_measures, symmetric_values, tensor_identity_residual
 from cekit.states import (
@@ -297,6 +298,13 @@ def test_recipe_rejects_garbage():
                         ("star:nan", "theta"), ("star:inf", "theta"), ("star:-inf", "theta")]:
         with pytest.raises(ValueError, match=field):
             StateRecipe.parse(text)
+    # A missing field is named, and dicke needs n >= 2 at the recipe, as ghz and w do.
+    for text, match in [("ghz", r"ghz is missing field\(s\) n"), ("dicke:4", r"dicke is missing field\(s\) k"),
+                        ("haar", r"haar is missing field\(s\) dims"), ("product", "missing field.*dims"),
+                        ("mixed-random:2x2", r"mixed-random is missing field\(s\) rank"),
+                        ("dicke:0:0", "dicke needs n >= 2"), ("dicke:1:1", "dicke needs n >= 2")]:
+        with pytest.raises(ValueError, match=match):
+            StateRecipe.parse(text)
     # A field beyond the family's grammar, even an empty one, is rejected, not dropped.
     for text in ["ghz:3:7", "w:3:", "ghz:3:", "dicke:4:2:1", "star:0.5:1", "haar:2x2:3:junk", "product:2:0:1",
                  "mixed-random:2x2:2:0:0"]:
@@ -304,11 +312,27 @@ def test_recipe_rejects_garbage():
             StateRecipe.parse(text)
 
 
+def test_recipe_fields_are_the_familys():
+    # The constructor takes a family's fields and no others, so `label` writes every field it was given.
+    with pytest.raises(ValueError, match=r"ghz takes no field\(s\) dims"):
+        StateRecipe("ghz", n=3, dims=(2, 2, 2))
+    with pytest.raises(ValueError, match=r"star takes no field\(s\) k, seed"):
+        StateRecipe("star", theta=0.5, k=1, seed=4)
+    with pytest.raises(ValueError, match=r"mixed-random is missing field\(s\) dims, rank"):
+        StateRecipe("mixed-random")
+
+
+def test_recipe_build_looks_the_factory_up_when_called(monkeypatch):
+    # A factory replaced on the module after import is the one `build` calls.
+    monkeypatch.setattr(cekit.states, "haar_random", lambda dims, seed: ("haar_random", dims, seed))
+    assert StateRecipe.parse("haar:2x3:5").build() == ("haar_random", (2, 3), 5)
+
+
 _DIMS = st.lists(st.integers(2, 5), min_size=1, max_size=4).map(tuple)
 _SEEDS = st.integers(0, 2**32 - 1)
 _RECIPES = st.one_of(
     st.builds(StateRecipe, st.sampled_from(["ghz", "w"]), n=st.integers(2, 30)),
-    st.integers(0, 30).flatmap(lambda n: st.builds(StateRecipe, st.just("dicke"), n=st.just(n), k=st.integers(0, n))),
+    st.integers(2, 30).flatmap(lambda n: st.builds(StateRecipe, st.just("dicke"), n=st.just(n), k=st.integers(0, n))),
     st.builds(StateRecipe, st.just("star"), theta=st.floats(-10.0, 10.0, allow_nan=False)),
     st.builds(StateRecipe, st.sampled_from(["haar", "product"]), dims=_DIMS, seed=_SEEDS),
     st.builds(StateRecipe, st.just("mixed-random"), dims=_DIMS, rank=st.integers(1, 6), seed=_SEEDS),
