@@ -109,8 +109,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
     for recipe_text in args.state:
         recipe, dims, subset = _intake(args, recipe_text)
         plan = cut_plan(dims, subset)  # the power-set guard, before the state is built
-        if prod(dims) > MAX_STATE_DIM:
-            raise ResourceLimitError(f"state of dimension {prod(dims)} exceeds the guard of {MAX_STATE_DIM}")
+        if (size := prod(dims)) > MAX_STATE_DIM:  # past 2^64 as a power of 2: decimal may pass 4 300 digits
+            shown = size if size.bit_length() <= 64 else f"at least 2^{size.bit_length() - 1}"
+            raise ResourceLimitError(f"state of dimension {shown} exceeds the guard of {MAX_STATE_DIM}")
         psi = recipe.build()
         if len(subset) > 12:
             note = f"{plan.n_eigensolves} reduced-state eigensolves per state"

@@ -30,13 +30,11 @@ from .measures import (
     BENCHMARKS,
     CutPlan,
     _chain_checks,
+    _ensemble_averages,
     _qubit_moments,
     _reduced_chunks,
-    cce_values,
     cut_plan,
     member_spectra,
-    normalize_subset,
-    ordering_reports,
     table_terms,
 )
 from .tensor import DensityOperator, PureState, clamped_spectra
@@ -68,8 +66,8 @@ class Ensemble:
     members: tuple[tuple[float, PureState], ...]
 
     def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError("ensemble must have at least one member")
+        if len({psi.dims for _, psi in self.members}) != 1:  # `average` evaluates all members on one plan
+            raise ValueError("ensemble must have at least one member, all with the same dims")
         if not all(p > 0 for p, _ in self.members):  # `not >`: also NaN
             raise ValueError("member probabilities must be positive")
         total = math.fsum(p for p, _ in self.members)
@@ -86,9 +84,8 @@ class Ensemble:
         return float(np.linalg.norm(self._matrix() - rho.matrix))
 
     def average(self, subset: Iterable[int], params: EntropyParams) -> float:
-        s = normalize_subset(subset, self.members[0][1].n_subsystems)  # raises on (), which `cce_values` takes as 0
-        values = cce_values([(psi, s, params) for _, psi in self.members])
-        return math.fsum(p * value for (p, _), value in zip(self.members, values))
+        p, amps = np.array([w for w, _ in self.members]), np.stack([psi.amplitudes for _, psi in self.members])
+        return _ensemble_averages(cut_plan(self.members[0][1].dims, subset), p, amps, [0] * p.size, [params])[0]
 
     def to_dict(self) -> dict:
         return {
@@ -122,9 +119,12 @@ class RestartTrace:
 class RoofResult:
     upper_bound: float
     best_ensemble: Ensemble
-    restarts_used: int
     converged: bool
     restarts: tuple[RestartTrace, ...] = ()
+
+    @property
+    def restarts_used(self) -> int:
+        return len(self.restarts)
 
     def to_dict(self) -> dict:
         return {
@@ -143,12 +143,12 @@ def _eigen_support(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
     return vals[keep][order], vecs[:, keep][:, order]
 
 
-def _roof_support(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
-    """`_eigen_support` of a state whose rank the roof guard admits."""
-    vals, vecs = _eigen_support(rho)
+def _roof_support(rho: DensityOperator, subset: Iterable[int]) -> tuple[CutPlan, np.ndarray, np.ndarray, int]:
+    """Plan of P(subset), `_eigen_support` of a rho of rank r <= MAX_ROOF_RANK, and min(r^2, r + 2) mixer rows."""
+    plan, (vals, vecs) = cut_plan(rho.dims, subset), _eigen_support(rho)
     if vals.size > MAX_ROOF_RANK:
         raise ResourceLimitError(f"rank {vals.size} exceeds the roof guard of {MAX_ROOF_RANK}")
-    return vals, vecs
+    return plan, vals, vecs, min(vals.size**2, vals.size + 2)
 
 
 def _members(raws: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -196,14 +196,20 @@ def _raw_averages(raws: Sequence[np.ndarray], plan: CutPlan, params: EntropyPara
     return totals.tolist(), cols.reshape(raw.shape[0], raw.shape[-1], -1).swapaxes(-1, -2)
 
 
-def mixing_ensemble(rho: DensityOperator, mixer: np.ndarray, support: tuple | None = None) -> Ensemble:
+def _mixed_members(roots: np.ndarray, mixers: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_members` (p, rows, owner) of roots @ mixer^T for all `mixers`, weights normalized per mixer by fsum."""
+    p, rows, owner = _members([(roots @ mix.T)[None] for mix in mixers])[:3]
+    totals = np.array([math.fsum(p[owner == i].tolist()) for i in range(len(mixers))])
+    return p / totals[owner], rows, owner
+
+
+def mixing_ensemble(rho: DensityOperator, mixer: np.ndarray) -> Ensemble:
     """Decomposition of rho induced by an isometric mixer on its support.
 
     Row i of the m x r mixer combines the square-rooted eigenvectors into
     the unnormalized member |psi_i>; members lighter than 1e-12 are dropped.
-    `support` is rho's eigen support (vals, vecs) where the caller has it.
     """
-    vals, vecs = _eigen_support(rho) if support is None else support
+    vals, vecs = _eigen_support(rho)
     mixer = np.asarray(mixer, dtype=complex)
     r = vals.size
     if mixer.ndim != 2 or mixer.shape[1] != r:
@@ -216,10 +222,8 @@ def mixing_ensemble(rho: DensityOperator, mixer: np.ndarray, support: tuple | No
     # The finite check first: a NaN or inf entry would warn in the product and pass a `> atol` test.
     if not (np.isfinite(mixer).all() and np.abs(mixer.conj().T @ mixer - np.eye(r)).max() <= ISOMETRY_ATOL):
         raise ValueError("mixer columns are not orthonormal")
-    roots = vecs * np.sqrt(vals)
-    weights, rows = _members([(roots @ mixer.T)[None]])[:2]
-    total = math.fsum(weights.tolist())
-    return Ensemble(tuple((p / total, PureState(v, rho.dims)) for p, v in zip(weights.tolist(), rows)))
+    p, rows, _ = _mixed_members(vecs * np.sqrt(vals), [mixer])
+    return Ensemble(tuple((w, PureState(v, rho.dims)) for w, v in zip(p.tolist(), rows)))
 
 
 def _support_mixer(rho: DensityOperator, vals, vecs, ensemble: Ensemble) -> np.ndarray:
@@ -373,35 +377,27 @@ def cce_mixed_upper(
     ties broken by lowest restart index, so a fixed seed reproduces results.
     `RoofResult.converged` is the best restart's flag from `_search`.
     """
-    s = normalize_subset(subset, rho.n_subsystems)
-    vals, vecs = _roof_support(rho)
-    r = int(vals.size)
+    plan, vals, vecs, m = _roof_support(rho, subset)
+    r, roots = vals.size, vecs * np.sqrt(vals)
     restarts, max_evals = budget
     if restarts < 1 or max_evals < 1:
         raise ValueError(f"budget must be positive, got {budget}")
-
-    if r == 1:
-        ens = mixing_ensemble(rho, np.eye(1), (vals, vecs))
-        return RoofResult(ens.average(s, params), ens, restarts_used=0, converged=True)
-
-    m = min(r * r, r + 2)
-    starts = [np.eye(m, r, dtype=complex)]
-    for ens in seed_ensembles:
-        v0 = _support_mixer(rho, vals, vecs, ens)
-        starts.append(np.vstack([v0, np.zeros((max(m, v0.shape[0]) - v0.shape[0], r), dtype=complex)]))
-    children = np.random.SeedSequence(seed).spawn(max(0, restarts - len(starts)))
-    starts += [_random_isometry(np.random.default_rng(child), m, r) for child in children]
-
-    mixers, evals, converged = _search(vecs * np.sqrt(vals), cut_plan(rho.dims, s), params, starts, max_evals)
-    ensembles = [mixing_ensemble(rho, mix, (vals, vecs)) for mix in mixers]
-    # One `cce_values` call over all restarts' members, then each restart's `Ensemble.average` fsum.
-    members = iter(cce_values([(psi, s, params) for ens in ensembles for _, psi in ens.members]))
-    values = [math.fsum(p * next(members) for p, _ in ens.members) for ens in ensembles]
+    mixers, evals, converged, kinds = [np.eye(1, dtype=complex)], [], [True], []  # rank 1: no search
+    if r > 1:
+        starts = [np.eye(m, r, dtype=complex)]
+        for ens in seed_ensembles:
+            v0 = _support_mixer(rho, vals, vecs, ens)
+            starts.append(np.vstack([v0, np.zeros((max(m, v0.shape[0]) - v0.shape[0], r), dtype=complex)]))
+        children = np.random.SeedSequence(seed).spawn(max(0, restarts - len(starts)))
+        starts += [_random_isometry(np.random.default_rng(child), m, r) for child in children]
+        mixers, evals, converged = _search(roots, plan, params, starts, max_evals)
+        kinds = ["eigen"] + ["seed"] * len(seed_ensembles) + ["random"] * len(children)
+    p, rows, owner = _mixed_members(roots, mixers)
+    values = _ensemble_averages(plan, p, rows, owner, [params] * len(mixers))
     best = min(range(len(values)), key=values.__getitem__)  # first index among equal values
-    kinds = ["eigen"] + ["seed"] * len(seed_ensembles) + ["random"] * len(children)
     trace = tuple(RestartTrace(*row) for row in zip(kinds, evals, values, converged))
-    return RoofResult(values[best], ensembles[best], restarts_used=len(values), converged=converged[best],
-                      restarts=trace)
+    ens = Ensemble(tuple((w, PureState(v, rho.dims)) for w, v in zip(p[owner == best].tolist(), rows[owner == best])))
+    return RoofResult(values[best], ens, converged[best], trace)
 
 
 @dataclass(frozen=True)
@@ -427,19 +423,14 @@ def mixed_ordering_spotcheck(
     the per-member pure-state chain transfers to the ensemble averages:
     E >= C/ln2, E >= 2C - 1/2, R2 >= C/ln2, C >= T3, E >= R2.
     """
-    s = normalize_subset(subset, rho.n_subsystems)
-    vals, vecs = _roof_support(rho)
-    r = int(vals.size)
-    m = min(r * r, r + 2)
+    plan, vals, vecs, m = _roof_support(rho, subset)
+    r, roots = vals.size, vecs * np.sqrt(vals)
     rng = np.random.default_rng(seed)
     failures: list[str] = []
-    for trial in range(n_mixers):
-        mixer = np.eye(1) if r == 1 else _random_isometry(rng, m, r)
-        ens = mixing_ensemble(rho, mixer, (vals, vecs))
-        avg = dict.fromkeys(BENCHMARKS, 0.0)
-        for (p, _), (report, _) in zip(ens.members, ordering_reports([(psi, s, ()) for _, psi in ens.members])):
-            for k in avg:
-                avg[k] += p * getattr(report, k)
+    for trial in range(n_mixers):  # one mixer at a time: memory does not grow with n_mixers
+        mixer = np.eye(1, dtype=complex) if r == 1 else _random_isometry(rng, m, r)
+        averages = _ensemble_averages(plan, *_mixed_members(roots, [mixer]), [list(BENCHMARKS.values())])[0]
+        avg = dict(zip(BENCHMARKS, averages))
         for name, ok in _chain_checks(**avg).items():
             if not ok:
                 failures.append(f"mixer {trial}: {name} violated with averages {avg}")

@@ -160,7 +160,8 @@ def unified_entropy_rows(rows: np.ndarray, p: EntropyParams | Sequence[EntropyPa
     array-exponent power serves every entry but the von Neumann ones and
     those at alpha exactly 0.5 or 2, which take `_traces`' scalar exponent;
     the steps after the power run once per point, so every value has the
-    bits of a one-point call. A last axis of length 0 raises ValueError.
+    bits of a one-point call. A last axis of length 0, or a NaN or infinite
+    entry, raises ValueError.
 
     Entries at or below the numerically-zero floor are dropped under the
     0^alpha := 0 and 0 log 0 := 0 conventions. The steps after the trace
@@ -170,16 +171,16 @@ def unified_entropy_rows(rows: np.ndarray, p: EntropyParams | Sequence[EntropyPa
     lam = np.asarray(rows, dtype=float)
     if lam.shape[-1:] in ((), (0,)):
         raise ValueError("spectrum must be nonempty")
-    if isinstance(p, EntropyParams):
-        traces = _traces(lam, p.alpha)
-        if p.is_von_neumann:
-            return traces
-        return np.array(_from_traces(traces.ravel().tolist(), p.alpha, p.beta)).reshape(traces.shape)
-    points = np.asarray(p, dtype=object)
+    if not np.isfinite(lam).all():  # one pass for every form; the zero floor would drop NaN and -inf
+        raise ValueError(f"spectrum must be finite, got {lam}")
+    points = None if isinstance(p, EntropyParams) else np.asarray(p, dtype=object)
+    given = [p] if points is None else points.ravel().tolist()
+    if points is None or (given and all(q is given[0] for q in given)):  # one point, alone or repeated
+        q, traces = given[0], _traces(lam, given[0].alpha)
+        if not q.is_von_neumann:
+            traces = np.array(_from_traces(traces.ravel().tolist(), q.alpha, q.beta)).reshape(traces.shape)
+        return traces if points is None else np.broadcast_to(traces, np.broadcast(lam[..., 0], points).shape).copy()
     shape = np.broadcast(lam[..., 0], points).shape
-    given = points.ravel().tolist()
-    if given and all(q is given[0] for q in given):  # one point after all
-        return np.broadcast_to(unified_entropy_rows(lam, given[0]), shape).copy()
     # Entry e of the result reads row rows_of[e] at point given[points_of[e]].
     grid = np.zeros(shape, dtype=np.intp)
     rows_of, points_of = ((grid + np.arange(a.size).reshape(a.shape)).ravel() for a in (lam[..., 0], points))
@@ -205,10 +206,7 @@ def unified_entropy_rows(rows: np.ndarray, p: EntropyParams | Sequence[EntropyPa
 
 def unified_entropy_spectrum(spectrum: Iterable[float], p: EntropyParams) -> float:
     """Unified entropy of one clamped eigenvalue vector: the one-row case of `unified_entropy_rows`."""
-    lam = np.asarray(spectrum if isinstance(spectrum, np.ndarray) else list(spectrum), dtype=float).reshape(-1)
-    if not np.isfinite(lam).all():
-        raise ValueError(f"spectrum must be finite, got {lam}")
-    return float(unified_entropy_rows(lam, p))
+    return float(unified_entropy_rows(np.ravel(spectrum if isinstance(spectrum, np.ndarray) else list(spectrum)), p))
 
 
 def unified_entropy(rho: DensityOperator | np.ndarray, p: EntropyParams) -> float:

@@ -428,6 +428,18 @@ def cce_values(jobs: Sequence[tuple[PureState, Iterable[int], EntropyParams]]) -
     return [_mean(terms.tolist()) for terms in _grouped_terms(jobs)]
 
 
+def _ensemble_averages(plan: CutPlan, p: np.ndarray, amps: np.ndarray, owner: Sequence[int], points: Sequence) -> list:
+    """The measure averaged over each ensemble at its point, or at its list of points (one length for all): member
+    i of the stack amps (k, D) has weight p[i] and ensemble owner[i], ascending. One `_stack_terms` call; a member's
+    value is the `_mean` of its terms, as in `cce_values`, and an average is one fsum in member order."""
+    points = np.asarray(points, dtype=object)
+    terms = _stack_terms(plan, amps, points.reshape(len(points), -1)[owner]).tolist()  # (k, P, masks)
+    weighted = (p[:, None] * [[_mean(t) for t in row] for row in terms]).T.tolist()  # (P, k)
+    bounds = np.searchsorted(owner, np.arange(len(points) + 1)).tolist()
+    sums = [[math.fsum(w[lo:hi]) for w in weighted] for lo, hi in zip(bounds, bounds[1:])]
+    return np.reshape(sums, points.shape).tolist()
+
+
 def named_measures(psi: PureState, subset: Iterable[int]) -> NamedMeasures:
     """The four benchmark measures (von Neumann, Renyi-2, Tsallis-3, linear)
     from one spectra table."""
@@ -591,9 +603,8 @@ def locc_monotonicity_gaps(
     Restricted to rank-1 Kraus elements so each outcome branch is pure and
     the pure-state formula applies directly; nonnegative (within tolerance)
     for parameters in the concavity region. Each group of equal dims, subset
-    and Kraus-set shape takes one `local_kraus_branches` call, one rank check,
-    and one spectra call and one terms call on its states and their kept
-    branches.
+    and Kraus-set shape takes one `local_kraus_branches` call, one rank check
+    and one `_ensemble_averages` call on its states and their kept branches.
     """
     checked = []
     for psi, subset, params, site, kraus in cases:
@@ -615,16 +626,11 @@ def locc_monotonicity_gaps(
             sv = np.linalg.svd(kraus, compute_uv=False)
             if (sv[..., 1] > 1e-10 * np.maximum(1.0, sv[..., 0])).any():
                 raise ValueError("non-rank-1 Kraus element rejected for this check")
-        points = [checked[i][2] for i in idx]
-        rows = np.concatenate([amps, states[kept]])  # each state, then its kept branches in order
-        branch_points = [p for p, row in zip(points, kept.tolist()) for k in row if k]
-        plan = cut_plan(psi.dims, subset)
-        values = [_mean(row) for row in _stack_terms(plan, rows, points + branch_points).tolist()]
-        after = iter(values[len(idx) :])
-        for i, before, row_p, row_k in zip(idx, values, probs.tolist(), kept.tolist()):
-            avg = 0.0
-            for p, k in zip(row_p, row_k):
-                if k:
-                    avg += p * next(after)
-            gaps[i] = before - avg
+        # Ensemble j < n is state j alone, ensemble n + j its kept branches in order.
+        n, points = len(idx), [checked[i][2] for i in idx]
+        rows, p = np.concatenate([amps, states[kept]]), np.concatenate([np.ones(n), probs[kept]])
+        owner = np.concatenate([np.arange(n), n + np.nonzero(kept)[0]])
+        values = _ensemble_averages(cut_plan(psi.dims, subset), p, rows, owner, points + points)
+        for i, before, after in zip(idx, values, values[n:]):
+            gaps[i] = before - after
     return gaps

@@ -259,6 +259,11 @@ def test_symmetric_recipe_guarded_by_n_alone(capsys, monkeypatch, argv):
         (["--state", "haar:1024x1024"], 2, "built"),  # 2^20 amplitudes, as many as 20 qubits: admitted
         (["--state", "ghz:20", "--s", "1"], 2, "built"),
         (["--state", "ghz:21", "--s", "1"], 4, "state of dimension 2097152 exceeds the guard of 1048576"),
+        # Past 2^64 the dimension reads as a power of 2: 2^15000 has more decimal digits than Python prints.
+        (["--state", "haar:" + "x".join(["2"] * 15_000), "--s", "1"], 4,
+         "state of dimension at least 2^15000 exceeds the guard of 1048576"),
+        (["--state", "haar:" + "x".join(["2"] * 3_000), "--s", "1"], 4,
+         "state of dimension at least 2^3000 exceeds the guard of 1048576"),
     ],
 )
 def test_compute_state_size_guard(capsys, monkeypatch, argv, code, message):

@@ -27,7 +27,7 @@ from cekit.errors import ResourceLimitError
 from cekit.measures import cce_pure, cut_plan, ordering_reports
 from cekit.states import haar_random, random_density, random_product
 from cekit.suites import concurrence, wootters_eof
-from cekit.tensor import DensityOperator
+from cekit.tensor import DensityOperator, PureState
 
 VN = EntropyParams.von_neumann()
 
@@ -111,6 +111,8 @@ def test_ensemble_validation():
         Ensemble(((1.5, psi), (-0.5, psi)))
     with pytest.raises(ValueError):
         Ensemble(())
+    with pytest.raises(ValueError, match="same dims"):  # 6 amplitudes each, split differently
+        Ensemble(((0.5, haar_random((2, 3), seed=1)), (0.5, haar_random((3, 2), seed=2))))
     with pytest.raises(ValueError):  # NaN fails no `<=` test
         Ensemble(((float("nan"), psi),))
 
@@ -574,6 +576,17 @@ def test_roof_eigendecomposes_rho_once(monkeypatch):
     result = cce_mixed_upper(rho, (1,), VN, budget=(4, 40), seed=0, seed_ensembles=[Ensemble(members)])
     assert result.restarts_used == 4
     assert calls == [(4, 4)]
+
+
+def test_roof_builds_states_for_the_best_ensemble_only(monkeypatch):
+    # Every restart's final ensemble is valued from stacked amplitudes; only
+    # the reported one becomes `PureState`s.
+    rho, calls = random_density((2, 2), rank=2, seed=37), []
+    original = PureState.__post_init__
+    monkeypatch.setattr(PureState, "__post_init__", lambda self: calls.append(1) or original(self))
+    result = cce_mixed_upper(rho, (1,), VN, budget=(6, 200), seed=0)
+    assert result.restarts_used == 6
+    assert len(calls) == len(result.best_ensemble.members)
 
 
 def test_roof_rank_guard_and_budget_validation():

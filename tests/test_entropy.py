@@ -134,6 +134,19 @@ def test_spectrum_rejects_non_finite(bad):
             unified_entropy_spectrum(bad, params)
 
 
+@pytest.mark.parametrize("bad", [[float("nan"), 1.0], [float("-inf"), 1.0], [float("inf"), 0.5]])
+@pytest.mark.parametrize("point", [(2.0, 1.0), (1.0, 1.0), (0.5, 0.0)])
+def test_rows_reject_non_finite_in_every_form(bad, point):
+    # The zero floor would drop a NaN or -inf entry (0.0), and an inf entry would give an infinite trace.
+    params, good = EntropyParams(*point), [0.5, 0.5]
+    with pytest.raises(ValueError, match="finite"):
+        unified_entropy_rows(np.array(bad), params)
+    with pytest.raises(ValueError, match="finite"):
+        unified_entropy_rows(np.array([good, bad]), [params, EntropyParams(3.0, 1.0)])
+    with pytest.raises(ValueError, match="finite"):
+        unified_entropy_rows(np.array([good, bad]), [params, params])
+
+
 def test_unified_entropy_rejects_nan_matrix():
     # eigvalsh returns [0, -0] for a NaN on the diagonal, so the matrix check must catch it.
     for params in [EntropyParams(2.0, 1.0), EntropyParams.von_neumann()]:

@@ -808,6 +808,16 @@ def _large_stacks():
     registers = rng.standard_normal((2_000, 64)) + 1j * rng.standard_normal((2_000, 64))
     registers /= np.linalg.norm(registers, axis=1, keepdims=True)
 
+    weights = rng.dirichlet(np.ones(3), size=2_000)
+    weights[::4, 2] = 0.0  # a two-member ensemble
+    members = rng.standard_normal((2_000, 3, 16)) + 1j * rng.standard_normal((2_000, 3, 16))
+    members /= np.linalg.norm(members, axis=-1, keepdims=True)
+
+    def averages(weights, members, points):  # ensembles of 2 or 3 four-qubit states, each at its point
+        present = weights > 0.0
+        plan, owner = cut_plan((2, 2, 2, 2), (1, 2, 3, 4)), np.nonzero(present)[0]
+        return np.array(measures._ensemble_averages(plan, weights[present], members[present], owner, points))
+
     def swap_test(amps):  # the purities, the control distributions and C({1, 3, 4}) of 6-qubit states
         probs = swap_test_rows(amps, (2,) * 6)
         return np.concatenate([cut_purity_rows(amps, (2,) * 6), probs, cce_from_rows(probs, (1, 3, 4))[:, None]], axis=1)
@@ -817,6 +827,7 @@ def _large_stacks():
         "majorizes_rows": (majorizes_rows, (spectra, mixed)),
         "local_kraus_branches": (branches, (amps, sites, kraus)),
         "cce_values": (lambda jobs: np.array(cce_values(jobs)), (jobs,)),
+        "ensemble_averages": (averages, (weights, members, points[:2_000])),
         "swap_test_rows": (swap_test, (registers,)),
     }
     return {name: (call, args, call(*args)) for name, (call, args) in calls.items()}
@@ -824,7 +835,9 @@ def _large_stacks():
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(
-    st.sampled_from(["unified_entropy_rows", "majorizes_rows", "local_kraus_branches", "cce_values", "swap_test_rows"]),
+    st.sampled_from(
+        ["unified_entropy_rows", "majorizes_rows", "local_kraus_branches", "cce_values", "ensemble_averages", "swap_test_rows"]
+    ),
     st.floats(0.0, 1.0),
     st.integers(1, 64),
 )
