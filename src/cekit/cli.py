@@ -21,6 +21,7 @@ from .measures import _chain_checks, symmetric_values
 from .states import StateRecipe, star, symmetric_coefficients
 from .suites import DEFAULT_TRIALS, SUITES, run_suite
 from .swaptest import (
+    MAX_SWAP_QUBITS,
     bounds_from_estimate,
     cce_from_distribution,
     estimate_from_shots,
@@ -245,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("swaptest", help="simulate the parallelized SWAP test and derived bounds")
-    p.add_argument("--state", required=True, help=f"qubit recipe, n <= {MAX_SUBSET_SIZE}")
+    p.add_argument("--state", required=True, help=f"qubit recipe, n <= {MAX_SWAP_QUBITS}")
     p.add_argument("--s", default=None, help="comma-separated subsystem labels, default all")
     p.add_argument("--shots", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)

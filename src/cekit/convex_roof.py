@@ -10,11 +10,11 @@ Math. Program. 142, 397 (2013)); `_search` states the rules. It returns the
 best ensemble average found, which upper-bounds the true roof but is never
 claimed to attain it.
 
-Restarts are independent in their results but advance in lockstep: each
-round evaluates the gradients of the restarts that moved, those of one mixer
-size as one stack in one call that forms each cut's reduced state once, then
-the step ladders of every live restart in one more call; each call gives a
-matrix the bits it gets alone.
+Restarts are independent in their results but advance in lockstep over
+mixers of one size (zero rows pad a shorter start): each round evaluates
+the gradients of the restarts that moved as one stack in one call that
+forms each cut's reduced state once, then the step ladders of every live
+restart as one more stack; each call gives a matrix the bits it gets alone.
 """
 from __future__ import annotations
 
@@ -151,32 +151,31 @@ def _roof_support(rho: DensityOperator, subset: Iterable[int]) -> tuple[CutPlan,
     return plan, vals, vecs, min(vals.size**2, vals.size + 2)
 
 
-def _members(raws: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _members(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Weights, normalized columns, matrix indices and flat column indices of
-    the member columns, not lighter than 1e-12, of the stacks `raws` (n, D, m)."""
-    cols = [raw.swapaxes(-1, -2) for raw in raws]
+    the member columns, not lighter than 1e-12, of the stack `raw` (n, D, m)."""
+    cols = raw.swapaxes(-1, -2)
     # One BLAS dot product per column, read in place along its stride: that
     # fixes the summation order, which a contiguous copy would change for D >= 8.
-    p = np.concatenate([np.matmul(c.conj()[..., None, :], c[..., :, None]).real.reshape(-1) for c in cols])
-    owner = np.arange(sum(map(len, raws))).repeat(np.concatenate([np.full(len(raw), raw.shape[-1]) for raw in raws]))
+    p = np.matmul(cols.conj()[..., None, :], cols[..., :, None]).real.reshape(-1)
     kept = np.flatnonzero(p >= MEMBER_DROP_TOL)
-    p, rows = p[kept], np.concatenate([c.reshape(-1, c.shape[-1]) for c in cols])[kept]
-    return p, rows / np.sqrt(p)[:, None], owner[kept], kept
+    p, rows = p[kept], cols.reshape(-1, cols.shape[-1])[kept]
+    return p, rows / np.sqrt(p)[:, None], kept // raw.shape[-1], kept
 
 
-def _raw_averages(raws: Sequence[np.ndarray], plan: CutPlan, params: EntropyParams, grad: bool = False):
+def _raw_averages(raw: np.ndarray, plan: CutPlan, params: EntropyParams, grad: bool = False):
     """Ensemble average of the measure for every matrix of unnormalized member
-    columns in the stacks `raws`, from one spectra table over all members.
+    columns in the stack `raw` (n, D, m), from one spectra table over all members.
 
     Skips the dataclass layer; used only inside the optimizer's inner loop,
     the reported result is always re-evaluated through the public path.
     Each member's terms are summed in mask order, then weighted, in member
     order per matrix, so a value does not depend on the other matrices.
-    With `grad` and one stack, also returns the gradient of each value by the
-    conjugate of its matrix, shaped like the stack (`_cut_gradients`);
-    members lighter than 1e-12 get 0.
+    With `grad`, also returns the gradient of each value by the conjugate of
+    its matrix, shaped like the stack (`_cut_gradients`); members lighter
+    than 1e-12 get 0.
     """
-    p, members, owner, kept = _members(raws)
+    p, members, owner, kept = _members(raw)
     tensors = members.reshape((-1,) + plan.dims)
     if grad:
         terms, gradients = _cut_gradients(plan, params, tensors)
@@ -185,20 +184,19 @@ def _raw_averages(raws: Sequence[np.ndarray], plan: CutPlan, params: EntropyPara
     acc = np.zeros(p.size)
     for column in terms.T:
         acc += column
-    totals = np.zeros(sum(map(len, raws)))
+    totals = np.zeros(len(raw))
     # Unbuffered: adds each member's share to its matrix's total in member order.
     np.add.at(totals, owner, p * acc * (1.0 / plan.n_masks))
     if not grad:
         return totals.tolist()
-    (raw,) = raws  # the gradient takes one stack
     cols = np.zeros((raw.shape[0] * raw.shape[-1], raw.shape[1]), dtype=complex)
     cols[kept] = gradients.reshape(p.size, -1) * (np.sqrt(p) * plan.weight)[:, None]
     return totals.tolist(), cols.reshape(raw.shape[0], raw.shape[-1], -1).swapaxes(-1, -2)
 
 
-def _mixed_members(roots: np.ndarray, mixers: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_members` (p, rows, owner) of roots @ mixer^T for all `mixers`, weights normalized per mixer by fsum."""
-    p, rows, owner = _members([(roots @ mix.T)[None] for mix in mixers])[:3]
+def _mixed_members(roots: np.ndarray, mixers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_members` (p, rows, owner) of roots @ mixer^T for the stack `mixers` (n, m, r), weights normalized per mixer."""
+    p, rows, owner = _members(roots @ mixers.swapaxes(-1, -2))[:3]
     totals = np.array([math.fsum(p[owner == i].tolist()) for i in range(len(mixers))])
     return p / totals[owner], rows, owner
 
@@ -222,13 +220,14 @@ def mixing_ensemble(rho: DensityOperator, mixer: np.ndarray) -> Ensemble:
     # The finite check first: a NaN or inf entry would warn in the product and pass a `> atol` test.
     if not (np.isfinite(mixer).all() and np.abs(mixer.conj().T @ mixer - np.eye(r)).max() <= ISOMETRY_ATOL):
         raise ValueError("mixer columns are not orthonormal")
-    p, rows, _ = _mixed_members(vecs * np.sqrt(vals), [mixer])
+    p, rows, _ = _mixed_members(vecs * np.sqrt(vals), mixer[None])
     return Ensemble(tuple((w, PureState(v, rho.dims)) for w, v in zip(p.tolist(), rows)))
 
 
 def _support_mixer(rho: DensityOperator, vals, vecs, ensemble: Ensemble) -> np.ndarray:
     """Mixer that reproduces a known decomposition of rho (e.g. a constructed
-    separable one), given the eigen support (vals, vecs) of rho; seeds a restart."""
+    separable one), given the eigen support (vals, vecs) of rho; seeds a restart,
+    so it has at most min(r^2, r + 2) rows, the search's mixer size."""
     r = vals.size
     if ensemble.reconstruction_error(rho) > 1e-8:
         raise ValueError("ensemble does not reconstruct rho")
@@ -237,8 +236,8 @@ def _support_mixer(rho: DensityOperator, vals, vecs, ensemble: Ensemble) -> np.n
     # Scrub the tiny non-isometry left by the eigenbasis projection.
     u, _, vh = np.linalg.svd(mixer, full_matrices=False)
     mixer = u @ vh
-    if mixer.shape[0] > r * r:
-        raise ValueError(f"ensemble size {mixer.shape[0]} exceeds the r^2 cap {r * r}")
+    if mixer.shape[0] > min(r * r, r + 2):
+        raise ValueError(f"ensemble size {mixer.shape[0]} exceeds the min(r^2, r + 2) cap {min(r * r, r + 2)}")
     return mixer
 
 
@@ -295,9 +294,10 @@ def _cayley(mix: np.ndarray, direction: np.ndarray, t: np.ndarray) -> np.ndarray
     return np.linalg.solve(np.eye(mix.shape[-2]) - half, mix + half @ mix)
 
 
-def _search(roots: np.ndarray, plan: CutPlan, params: EntropyParams, starts: list[np.ndarray], max_evals: int):
-    """Riemannian conjugate gradient over unitary mixers from each start, in
-    lockstep. Returns (mixers, evaluations, converged), one entry a start.
+def _search(roots: np.ndarray, plan: CutPlan, params: EntropyParams, starts: np.ndarray, max_evals: int):
+    """Riemannian conjugate gradient over unitary mixers from each start of the
+    stack `starts` (n, m, r), in lockstep. Returns (mixers (n, m, r),
+    evaluations, converged), one entry a start.
 
     With G the members' gradient (`_raw_averages`) and Gamma = G^T conj(roots),
     Omega = Gamma V^dag - V Gamma^dag is the gradient on the unitaries acting
@@ -308,24 +308,20 @@ def _search(roots: np.ndarray, plan: CutPlan, params: EntropyParams, starts: lis
     lower; the next ladder starts at twice that step. A failed ladder is
     retried along -Omega, then below its last step. A restart has converged
     at |Omega| <= GRAD_TOL, or when a failed ladder along -Omega stepped by
-    less than STEP_TOL.
+    less than STEP_TOL. A zero row of V is a member of weight 0: its rows of
+    G and Gamma, so its row and column of Omega, are 0, and no step fills it.
     """
-    n = len(starts)
+    n, m = len(starts), starts.shape[1]
     mix, value, step, evals = list(starts), [0.0] * n, [1.0] * n, [0] * n
-    grad, sq = [np.zeros((len(v), len(v))) for v in starts], [math.inf] * n
+    grad, sq = [np.zeros((m, m))] * n, [math.inf] * n
     direction, steepest, converged = [None] * n, [True] * n, [False] * n
-    sizes = sorted({v.shape[0] for v in starts})
-
-    def groups(idx):  # restarts idx by mixer size, a group to a stack
-        return [g for g in ([i for i in idx if mix[i].shape[0] == m] for m in sizes) if g]
-
     live = pending = list(range(n))  # pending: the restarts that need a gradient
     while True:
-        for g in groups(pending):
-            v = np.array([mix[i] for i in g])
-            values, grads = _raw_averages([roots @ v.swapaxes(-1, -2)], plan, params, grad=True)
+        if pending:
+            v = np.array([mix[i] for i in pending])
+            values, grads = _raw_averages(roots @ v.swapaxes(-1, -2), plan, params, grad=True)
             x = grads.swapaxes(-1, -2) @ roots.conj() @ v.conj().swapaxes(-1, -2)
-            for i, f, omega in zip(g, values, x - x.conj().swapaxes(-1, -2)):
+            for i, f, omega in zip(pending, values, x - x.conj().swapaxes(-1, -2)):
                 prev, sq[i] = sq[i], np.vdot(omega, omega).real
                 beta = max(0.0, (sq[i] - np.vdot(grad[i], omega).real) / prev)  # 0 at a first gradient
                 steepest[i] = not (beta > 0.0 and beta * np.vdot(omega, direction[i]).real < sq[i])
@@ -334,15 +330,12 @@ def _search(roots: np.ndarray, plan: CutPlan, params: EntropyParams, starts: lis
                 evals[i] += 1
         live = [i for i in live if not converged[i] and evals[i] < max_evals]
         if not live:
-            return mix, evals, converged
-        stacks, moves = [], []
-        for g in groups(live):
-            t = np.array([step[i] for i in g])[:, None] * 0.5 ** np.arange(LADDER)
-            cands = _cayley(np.array([mix[i] for i in g])[:, None], np.array([direction[i] for i in g])[:, None], t)
-            cut = [min(LADDER, max_evals - evals[i]) for i in g]  # a last ladder takes what budget is left
-            moves += [(i, t[k, :size], cands[k, :size]) for k, (i, size) in enumerate(zip(g, cut))]
-            stacks.append(np.concatenate([c for _, _, c in moves[-len(g):]]))
-        values = _raw_averages([roots @ c.swapaxes(-1, -2) for c in stacks], plan, params)
+            return np.array(mix), evals, converged
+        t = np.array([step[i] for i in live])[:, None] * 0.5 ** np.arange(LADDER)
+        cands = _cayley(np.array([mix[i] for i in live])[:, None], np.array([direction[i] for i in live])[:, None], t)
+        cut = [min(LADDER, max_evals - evals[i]) for i in live]  # a last ladder takes what budget is left
+        moves = [(i, t[k, :size], cands[k, :size]) for k, (i, size) in enumerate(zip(live, cut))]
+        values = _raw_averages(roots @ np.concatenate([c for _, _, c in moves]).swapaxes(-1, -2), plan, params)
         pending, hi = [], 0
         for i, t, cands in moves:
             lo, hi = hi, hi + len(t)
@@ -373,8 +366,11 @@ def cce_mixed_upper(
     `budget` is (restarts, objective evaluations per restart), an evaluation
     being a gradient or a ladder value of `_search`. Restart 0 starts from
     the eigendecomposition ensemble, seed ensembles follow, and remaining
-    restarts start from seeded random isometries. The minimum is taken with
-    ties broken by lowest restart index, so a fixed seed reproduces results.
+    restarts start from seeded random isometries. Every search mixer has
+    min(r^2, r + 2) rows, so a seed ensemble may not have more members; a
+    shorter start gets zero rows, members of weight 0 that the search never
+    fills. The minimum is taken with ties broken by lowest restart index,
+    so a fixed seed reproduces results.
     `RoofResult.converged` is the best restart's flag from `_search`.
     """
     plan, vals, vecs, m = _roof_support(rho, subset)
@@ -382,15 +378,14 @@ def cce_mixed_upper(
     restarts, max_evals = budget
     if restarts < 1 or max_evals < 1:
         raise ValueError(f"budget must be positive, got {budget}")
-    mixers, evals, converged, kinds = [np.eye(1, dtype=complex)], [], [True], []  # rank 1: no search
+    mixers, evals, converged, kinds = np.ones((1, 1, 1), dtype=complex), [], [True], []  # rank 1: no search
     if r > 1:
-        starts = [np.eye(m, r, dtype=complex)]
-        for ens in seed_ensembles:
-            v0 = _support_mixer(rho, vals, vecs, ens)
-            starts.append(np.vstack([v0, np.zeros((max(m, v0.shape[0]) - v0.shape[0], r), dtype=complex)]))
+        starts = [np.eye(m, r)] + [_support_mixer(rho, vals, vecs, ens) for ens in seed_ensembles]
         children = np.random.SeedSequence(seed).spawn(max(0, restarts - len(starts)))
         starts += [_random_isometry(np.random.default_rng(child), m, r) for child in children]
-        mixers, evals, converged = _search(roots, plan, params, starts, max_evals)
+        # A shorter start gets zero rows: members of weight 0.
+        stack = np.array([np.pad(v, ((0, m - len(v)), (0, 0))) for v in starts], dtype=complex)
+        mixers, evals, converged = _search(roots, plan, params, stack, max_evals)
         kinds = ["eigen"] + ["seed"] * len(seed_ensembles) + ["random"] * len(children)
     p, rows, owner = _mixed_members(roots, mixers)
     values = _ensemble_averages(plan, p, rows, owner, [params] * len(mixers))
@@ -429,7 +424,7 @@ def mixed_ordering_spotcheck(
     failures: list[str] = []
     for trial in range(n_mixers):  # one mixer at a time: memory does not grow with n_mixers
         mixer = np.eye(1, dtype=complex) if r == 1 else _random_isometry(rng, m, r)
-        averages = _ensemble_averages(plan, *_mixed_members(roots, [mixer]), [list(BENCHMARKS.values())])[0]
+        averages = _ensemble_averages(plan, *_mixed_members(roots, mixer[None]), [list(BENCHMARKS.values())])[0]
         avg = dict(zip(BENCHMARKS, averages))
         for name, ok in _chain_checks(**avg).items():
             if not ok:

@@ -62,7 +62,6 @@ __all__ = [
     "CutPlan",
     "SpectraTable",
     "cut_plan",
-    "cut_purities",
     "cut_purity_rows",
     "member_spectra",
     "spectra_table",
@@ -289,11 +288,6 @@ def cut_purity_rows(amps: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
         for lo, rho in _reduced_chunks(block, amps.reshape((-1,) + plan.dims)):
             out[:, block.masks[lo : lo + rho.shape[1]]] = (rho.real**2 + rho.imag**2).sum(axis=(2, 3))[..., None]
     return out
-
-
-def cut_purities(psi: PureState) -> np.ndarray:
-    """`cut_purity_rows` of one state: its purities (2^n,)."""
-    return cut_purity_rows(psi.amplitudes[None], psi.dims)[0]
 
 
 def spectra_table(psi: PureState, subset: Iterable[int]) -> SpectraTable:

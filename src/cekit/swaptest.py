@@ -26,10 +26,11 @@ import numpy as np
 
 from .entropy import _as_prob_rows
 from .errors import ResourceLimitError
-from .measures import MAX_SUBSET_SIZE, cut_purity_rows
+from .measures import cut_purity_rows
 from .tensor import PureState, normalize_subset
 
 __all__ = [
+    "MAX_SWAP_QUBITS",
     "ControlDistribution",
     "ShotRecord",
     "BoundTriplet",
@@ -42,6 +43,8 @@ __all__ = [
     "estimate_from_shots",
     "bounds_from_estimate",
 ]
+
+MAX_SWAP_QUBITS = 16  # an exact distribution takes about a minute at 16 qubits and grows about x4 per qubit
 
 @dataclass(frozen=True)
 class ControlDistribution:
@@ -85,11 +88,11 @@ class ShotRecord:
 
 
 def register_size(dims: tuple[int, ...]) -> int:
-    """Qubit count of a register the SWAP test takes: qubits only, at most MAX_SUBSET_SIZE of them."""
+    """Qubit count of a register the SWAP test takes: qubits only, at most MAX_SWAP_QUBITS of them."""
     if any(d != 2 for d in dims):
         raise ValueError(f"SWAP test is defined for qubit registers, got dims {dims}")
-    if len(dims) > MAX_SUBSET_SIZE:
-        raise ResourceLimitError(f"SWAP test of {len(dims)} qubits exceeds the n <= {MAX_SUBSET_SIZE} guard")
+    if len(dims) > MAX_SWAP_QUBITS:
+        raise ResourceLimitError(f"SWAP test of {len(dims)} qubits exceeds the n <= {MAX_SWAP_QUBITS} guard")
     return len(dims)
 
 

@@ -213,14 +213,15 @@ def test_mixed_recipe_rejected_before_it_is_built(capsys, monkeypatch, command):
     [
         (["compute", "--state", "ghz:25"], 4, "power set of 25 labels exceeds the enumeration guard of 20"),
         (["compute", "--state", "haar:" + "x".join(["2"] * 21)], 4, "power set of 21 labels"),
-        (["swaptest", "--state", "ghz:21"], 4, "SWAP test of 21 qubits exceeds the n <= 20 guard"),
+        (["swaptest", "--state", "ghz:21"], 4, "SWAP test of 21 qubits exceeds the n <= 16 guard"),
+        (["swaptest", "--state", "ghz:17"], 4, "SWAP test of 17 qubits exceeds the n <= 16 guard"),
         (["compute", "--state", "ghz:21", "--s", "1,22"], 2, "subsystem labels must lie in 1..21"),
         (["compute", "--state", "haar:1x" + "x".join(["2"] * 20)], 2, "every local dimension must be >= 2"),
         (["swaptest", "--state", "haar:3x" + "x".join(["2"] * 20)], 2, "defined for qubit registers"),
         (["swaptest", "--state", "ghz:3", "--s", "4"], 2, "subsystem labels must lie in 1..3"),
     ],
-    ids=["compute-ghz25", "compute-haar21", "swaptest-ghz21", "bad-label", "bad-dim", "swaptest-qutrit",
-         "swaptest-bad-label"],
+    ids=["compute-ghz25", "compute-haar21", "swaptest-ghz21", "swaptest-ghz17", "bad-label", "bad-dim",
+         "swaptest-qutrit", "swaptest-bad-label"],
 )
 def test_recipe_checked_before_it_is_built(capsys, monkeypatch, argv, code, message):
     # The statevector alone takes 2^n amplitudes, so the labels, the local dimensions and the

@@ -256,14 +256,14 @@ def test_raw_gradients_match_finite_differences(point, dims, subset):
     raws[2, :, 0] = random_product(dims, seed=41).amplitudes
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values, grad = _raw_averages([raws], plan, params, grad=True)
-    assert values == _raw_averages([raws], plan, params)
+        values, grad = _raw_averages(raws, plan, params, grad=True)
+    assert values == _raw_averages(raws, plan, params)
     assert np.isfinite(grad).all() and not grad[1, :, 3].any()
     h = 1e-6
     for _ in range(3):
         delta = _random_raws(rng, 3, dims, 4)
         delta[1, :, 3] = delta[2, :, 0] = 0.0
-        up, down = (np.array(_raw_averages([raws + sign * h * delta], plan, params)) for sign in (1, -1))
+        up, down = (np.array(_raw_averages(raws + sign * h * delta, plan, params)) for sign in (1, -1))
         want = 2.0 * (grad.conj() * delta).real.sum(axis=(1, 2))
         assert np.abs((up - down) / (2 * h) - want).max() <= 1e-6 * (1.0 + np.abs(want).max())
 
@@ -297,16 +297,15 @@ def test_two_row_mixers_match_full_products(m, r):
 
 
 def _starts(rho, restarts, seed, seed_ensembles=()):
-    """`cce_mixed_upper`'s start mixers: the eigendecomposition, the seed
-    ensembles padded with zero rows to m, then seeded random isometries."""
+    """`cce_mixed_upper`'s start mixers as one stack: the eigendecomposition,
+    the seed ensembles, then seeded random isometries, each of m rows or
+    padded to m with zero rows."""
     r = _eigen_support(rho)[0].size
     m = min(r * r, r + 2)
-    starts = [np.eye(m, r, dtype=complex)]
-    for ens in seed_ensembles:
-        v0 = _support_mixer(rho, *_eigen_support(rho), ens)
-        starts.append(np.vstack([v0, np.zeros((max(m, len(v0)) - len(v0), r))]))
+    starts = [np.eye(m, r, dtype=complex)] + [_support_mixer(rho, *_eigen_support(rho), ens) for ens in seed_ensembles]
     children = np.random.SeedSequence(seed).spawn(max(0, restarts - len(starts)))
-    return starts + [_random_isometry(np.random.default_rng(child), m, r) for child in children]
+    starts += [_random_isometry(np.random.default_rng(child), m, r) for child in children]
+    return np.array([np.vstack([v, np.zeros((m - len(v), r))]) for v in starts])
 
 
 def _isometry_ensemble(rho, rows, seed):
@@ -319,6 +318,7 @@ def _isometry_ensemble(rho, rows, seed):
 def test_roof_lockstep_matches_sequential_search(point):
     # Each restart searched on its own ends with the bits, evaluations and
     # flag it gets inside the lockstep batch, and the public trace reports it.
+    # A start's zero rows (members of weight 0) are still exactly 0 at the end.
     # At alpha < 1 a change in the last bit of a value can reroute a search,
     # so (0.5, 1) is the sharpest check that the lockstep search keeps the bits.
     params = EntropyParams(*point)
@@ -331,10 +331,10 @@ def test_roof_lockstep_matches_sequential_search(point):
         (random_density((2, 2), rank=2, seed=34), (1,), (3, 6), {}),
         (random_density((2, 2), rank=2, seed=34), (1,), (3, 10), {}),
         (random_density((2, 3), rank=3, seed=32), (1, 2), (3, 200), {}),
-        # Rank 3 (mixer size 5) with seed ensembles of 6 and 3 members: the
-        # 6-member restart is a stack of its own beside the 5-row ones.
+        # Rank 3 (mixer size 5) with seed ensembles of 5 and 3 members: the
+        # 3-member seed and the eigen start are padded with zero rows.
         (mixed3, (1, 2), (5, 200), {
-            "seed_ensembles": [_isometry_ensemble(mixed3, 6, 0), _isometry_ensemble(mixed3, 3, 1)],
+            "seed_ensembles": [_isometry_ensemble(mixed3, 5, 0), _isometry_ensemble(mixed3, 3, 1)],
         }),
     ]
     for rho, subset, (restarts, max_evals), kwargs in cases:
@@ -342,12 +342,21 @@ def test_roof_lockstep_matches_sequential_search(point):
         starts = _starts(rho, restarts, 7, **kwargs)
         mixers, evals, converged = _search(_roots(rho), plan, params, starts, max_evals)
         for k, start in enumerate(starts):
-            (alone,), (alone_evals,), (alone_converged,) = _search(_roots(rho), plan, params, [start], max_evals)
+            (alone,), (alone_evals,), (alone_converged,) = _search(_roots(rho), plan, params, start[None], max_evals)
             assert np.array_equal(alone, mixers[k])
+            assert not mixers[k][~start.any(axis=1)].any()
             assert (alone_evals, alone_converged) == (evals[k], converged[k])
         got = cce_mixed_upper(rho, subset, params, budget=(restarts, max_evals), seed=7, **kwargs)
         values = [mixing_ensemble(rho, mix).average(subset, params) for mix in mixers]
         assert [(t.value, t.evals, t.converged) for t in got.restarts] == list(zip(values, evals, converged))
+
+
+def test_roof_rejects_seed_ensembles_larger_than_the_mixer_size():
+    # Every restart searches mixers of min(r^2, r + 2) rows, 5 at rank 3, so
+    # a 6-member seed ensemble has no start of that size.
+    rho = random_density((2, 2, 2), rank=3, seed=33)
+    with pytest.raises(ValueError, match=r"ensemble size 6 exceeds the min\(r\^2, r \+ 2\) cap 5"):
+        cce_mixed_upper(rho, (1, 2), VN, budget=(2, 10), seed=7, seed_ensembles=[_isometry_ensemble(rho, 6, 0)])
 
 
 @pytest.mark.parametrize("max_evals", [1, 2, 9, 10, 11, 100])
@@ -362,15 +371,15 @@ def test_search_spends_no_more_than_its_budget(max_evals, monkeypatch):
     rows = []
     original = cr._raw_averages
 
-    def counting(raws, *args, **kwargs):
-        rows.append(sum(map(len, raws)))
-        return original(raws, *args, **kwargs)
+    def counting(raw, *args, **kwargs):
+        rows.append(len(raw))
+        return original(raw, *args, **kwargs)
 
     monkeypatch.setattr(cr, "_raw_averages", counting)
     mixers, evals, converged = _search(_roots(rho), plan, params, starts, max_evals)
     assert sum(rows) == sum(evals)
     assert all(e <= max_evals and (c or e == max_evals) for e, c in zip(evals, converged))
-    before, after = (original([_roots(rho) @ np.stack(v).swapaxes(-1, -2)], plan, params) for v in (starts, mixers))
+    before, after = (original(_roots(rho) @ v.swapaxes(-1, -2), plan, params) for v in (starts, mixers))
     assert all(b >= a for b, a in zip(before, after))
     if max_evals == 1:
         assert all(np.array_equal(v, s) for v, s in zip(mixers, starts))
@@ -436,8 +445,8 @@ def _patch_toy(monkeypatch, f):
     Returns the list that gets the mixers of each `_raw_averages` call."""
     asked = []
 
-    def toy(raws, plan, params, grad=False):
-        asked.append([raw.T for stack in raws for raw in stack])
+    def toy(raw, plan, params, grad=False):
+        asked.append([matrix.T for matrix in raw])
         values, grads = zip(*map(f, asked[-1]))
         return (list(values), np.stack([g.T for g in grads])) if grad else list(values)
 
@@ -451,14 +460,13 @@ def test_speculative_compass_matches_sequential(f, max_evals, monkeypatch):
     # The name is kept from the compass search that the ladder replaced. A
     # ladder is speculative: all of its steps are evaluated, in one batch
     # with the other restarts', before one is taken. Run on a toy objective
-    # in lockstep, restarts of two mixer sizes take the path, evaluations
-    # and flag of a search that evaluates one candidate at a time, and no
-    # value is computed that the budget does not count. Budgets 31-33 end
-    # searches around a ladder boundary.
+    # in lockstep, restarts take the path, evaluations and flag of a search
+    # that evaluates one candidate at a time, and no value is computed that
+    # the budget does not count. Budgets 31-33 end searches around a ladder
+    # boundary.
     asked = _patch_toy(monkeypatch, f)
     r = 2
-    starts = [np.eye(4, r, dtype=complex)] + [_random_isometry(np.random.default_rng(k), m, r) for k, m in
-                                               enumerate([4, 5, 4])]
+    starts = np.array([np.eye(4, r)] + [_random_isometry(np.random.default_rng(k), 4, r) for k in range(3)])
     mixers, evals, converged = _search(np.eye(r, dtype=complex), None, None, starts, max_evals)
     assert sum(map(len, asked)) == sum(evals)
     for k, start in enumerate(starts):
@@ -474,7 +482,7 @@ def test_speculative_compass_yields_the_rest_of_the_sweep(monkeypatch):
     # the search moves to the lowest of its values.
     asked = _patch_toy(monkeypatch, _toy_smooth)
     start = np.eye(3, 2, dtype=complex)
-    (v,), evals, converged = _search(np.eye(2, dtype=complex), None, None, [start], 5)
+    (v,), evals, converged = _search(np.eye(2, dtype=complex), None, None, start[None], 5)
     assert [len(rows) for rows in asked] == [1, 4] and (evals, converged) == ([5], [False])
     assert np.array_equal(asked[0][0], start)
     values = [_toy_smooth(w)[0] for w in asked[1]]
@@ -500,14 +508,14 @@ def test_roof_kernels_keep_row_bits_in_large_stacks(dims, subset):
     n = 2 * (1 << 14) // (math.prod(dims) * m) + 1  # members x dims: twice 2^14 complex entries
     raws = _random_raws(rng, n, dims, m)
     raws[1, :, 2] = 0.0  # a dropped member
-    values, grad = _raw_averages([raws], plan, params, grad=True)
+    values, grad = _raw_averages(raws, plan, params, grad=True)
     z = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
     h = z - z.conj().swapaxes(-1, -2)
     v = rng.standard_normal((n, m, 2)) + 1j * rng.standard_normal((n, m, 2))
     t = rng.uniform(0.0, 2.0, (n, 1)) * 0.5 ** np.arange(LADDER)
     ladder = _cayley(v[:, None], h[:, None], t)
     for i in (0, 1, n // 2, n - 1):
-        alone, alone_grad = _raw_averages([raws[i : i + 1]], plan, params, grad=True)
+        alone, alone_grad = _raw_averages(raws[i : i + 1], plan, params, grad=True)
         assert alone == values[i : i + 1] and np.array_equal(alone_grad[0], grad[i])
         assert np.array_equal(_cayley(v[i], h[i], t[i]), ladder[i])
 
@@ -526,21 +534,23 @@ def test_gradient_call_forms_each_reduced_state_once(dims, subset, monkeypatch):
 
         for module in (measures, cr):
             monkeypatch.setattr(module, name, counting)
-    values, grad = _raw_averages([_random_raws(np.random.default_rng(42), 3, dims, 4)], plan, VN, grad=True)
+    values, grad = _raw_averages(_random_raws(np.random.default_rng(42), 3, dims, 4), plan, VN, grad=True)
     assert sorted(calls) == sorted(block.d for block in plan.blocks) and np.isfinite(grad).all()
 
 
 def test_raw_averages_do_not_depend_on_batch():
-    # Matrices of 3 and 4 member columns, one column too light to keep: each
-    # value is bit-equal to that matrix evaluated on its own.
+    # Matrices of 3 and 4 member columns in one stack, the 3-column ones
+    # padded with a zero column (a member of weight 0), and one column too
+    # light to keep: each value is bit-equal to that matrix evaluated on its own.
     rng = np.random.default_rng(35)
     plan = cut_plan((2, 2, 2), (1, 2))
     stacks = [rng.standard_normal((3, 8, 3)) + 1j * rng.standard_normal((3, 8, 3)),
               rng.standard_normal((2, 8, 4)) + 1j * rng.standard_normal((2, 8, 4))]
     stacks[0][1, :, 2] = 0.0
     params = EntropyParams(1.7, 0.4)
-    alone = [_raw_averages([raw[None]], plan, params)[0] for stack in stacks for raw in stack]
-    assert _raw_averages(stacks, plan, params) == alone
+    alone = [_raw_averages(raw[None], plan, params)[0] for stack in stacks for raw in stack]
+    stack = np.concatenate([np.pad(stacks[0], ((0, 0), (0, 0), (0, 1))), stacks[1]])
+    assert _raw_averages(stack, plan, params) == alone
 
 
 def test_roof_eigensolves_once_per_round(monkeypatch):

@@ -186,6 +186,22 @@ def test_named_linear_equals_one_minus_mean_purity():
         assert named_measures(psi, (1, 2, 3, 4)).c == pytest.approx(want, abs=1e-10)
 
 
+@pytest.mark.parametrize("dims", [(3, 2), (2, 3, 2)])
+def test_cut_purity_rows_on_non_qubit_dims(dims):
+    # Every mask (bit j selects label j + 1) reads the squared Frobenius norm
+    # of that cut's reduced state, the empty cut 1, and a row has the same
+    # bits alone as in the stack.
+    states = [haar_random(dims, seed=seed) for seed in range(4)] + [random_product(dims, seed=4)]
+    rows = cut_purity_rows(np.stack([psi.amplitudes for psi in states]), dims)
+    assert rows.shape == (len(states), 1 << len(dims))
+    for psi, row in zip(states, rows):
+        assert row.tobytes() == cut_purity_rows(psi.amplitudes[None], dims)[0].tobytes()
+        assert row[0] == 1.0
+        for mask in range(1, 1 << len(dims)):
+            chi = [i + 1 for i in range(len(dims)) if (mask >> i) & 1]
+            assert row[mask] == pytest.approx(np.linalg.norm(reduced_state(psi, chi).matrix) ** 2, abs=1e-14)
+
+
 def test_dicke42_collapses_to_two_reductions():
     # Permutation symmetry: the sixteen-term average equals (4 S_A + 3 S_AB)/8.
     from cekit.entropy import unified_entropy_spectrum
