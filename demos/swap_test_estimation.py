@@ -24,7 +24,7 @@ for label, psi in [("ghz:4", ghz(4)), ("w:4", w(4))]:
     dist = swap_test_distribution(psi)
     exact = cce_from_distribution(dist, s)
     record = sample_shots(dist, shots=SHOTS, seed=7)
-    estimate, sigma = estimate_from_shots(record, n, s)
+    estimate, sigma = estimate_from_shots(record, s)
     bounds = bounds_from_estimate(estimate)
     truth = named_measures(psi, s)
     print(f"{label}: exact C = {exact:.6f}, sampled C = {estimate:.6f} +- {sigma:.6f}")

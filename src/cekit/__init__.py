@@ -4,7 +4,6 @@ from .convex_roof import (
     Ensemble,
     RoofResult,
     cce_mixed_upper,
-    mixed_ordering_spotcheck,
     mixing_ensemble,
 )
 from .entropy import (
@@ -20,7 +19,6 @@ from .measures import (
     NamedMeasures,
     cce_pure,
     continuity_gap,
-    gme_certificate,
     named_measures,
     tensor_identity_residual,
 )

@@ -200,7 +200,7 @@ def cmd_swaptest(args: argparse.Namespace) -> int:
     dist = swap_test_distribution(psi)
     exact = cce_from_distribution(dist, subset)
     record = sample_shots(dist, args.shots, args.seed)
-    estimate, sigma = estimate_from_shots(record, psi.n_subsystems, subset)
+    estimate, sigma = estimate_from_shots(record, subset)
     bounds = bounds_from_estimate(estimate)
     print(f"state {recipe.label()}  subset {'+'.join(str(i) for i in subset)}")
     print(f"exact C = {_fmt(exact)}")

@@ -27,9 +27,7 @@ import numpy as np
 from .entropy import EntropyParams, _slopes, unified_entropy_rows
 from .errors import ResourceLimitError
 from .measures import (
-    BENCHMARKS,
     CutPlan,
-    _chain_checks,
     _ensemble_averages,
     _qubit_moments,
     _reduced_chunks,
@@ -44,10 +42,8 @@ __all__ = [
     "Ensemble",
     "RestartTrace",
     "RoofResult",
-    "MixedOrderingResult",
     "mixing_ensemble",
     "cce_mixed_upper",
-    "mixed_ordering_spotcheck",
 ]
 
 MAX_ROOF_RANK = 6
@@ -141,14 +137,6 @@ def _eigen_support(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
     keep = vals > RANK_EIG_TOL
     order = np.argsort(vals[keep])[::-1]
     return vals[keep][order], vecs[:, keep][:, order]
-
-
-def _roof_support(rho: DensityOperator, subset: Iterable[int]) -> tuple[CutPlan, np.ndarray, np.ndarray, int]:
-    """Plan of P(subset), `_eigen_support` of a rho of rank r <= MAX_ROOF_RANK, and min(r^2, r + 2) mixer rows."""
-    plan, (vals, vecs) = cut_plan(rho.dims, subset), _eigen_support(rho)
-    if vals.size > MAX_ROOF_RANK:
-        raise ResourceLimitError(f"rank {vals.size} exceeds the roof guard of {MAX_ROOF_RANK}")
-    return plan, vals, vecs, min(vals.size**2, vals.size + 2)
 
 
 def _members(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -366,22 +354,29 @@ def cce_mixed_upper(
     `budget` is (restarts, objective evaluations per restart), an evaluation
     being a gradient or a ladder value of `_search`. Restart 0 starts from
     the eigendecomposition ensemble, seed ensembles follow, and remaining
-    restarts start from seeded random isometries. Every search mixer has
-    min(r^2, r + 2) rows, so a seed ensemble may not have more members; a
-    shorter start gets zero rows, members of weight 0 that the search never
-    fills. The minimum is taken with ties broken by lowest restart index,
-    so a fixed seed reproduces results.
+    restarts start from seeded random isometries, so `restarts` must be at
+    least 1 + len(seed_ensembles). Every search mixer has min(r^2, r + 2)
+    rows, so a seed ensemble may not have more members; a shorter start gets
+    zero rows, members of weight 0 that the search never fills. The minimum
+    is taken with ties broken by lowest restart index, so a fixed seed
+    reproduces results.
     `RoofResult.converged` is the best restart's flag from `_search`.
     """
-    plan, vals, vecs, m = _roof_support(rho, subset)
+    plan, (vals, vecs) = cut_plan(rho.dims, subset), _eigen_support(rho)
+    if vals.size > MAX_ROOF_RANK:
+        raise ResourceLimitError(f"rank {vals.size} exceeds the roof guard of {MAX_ROOF_RANK}")
     r, roots = vals.size, vecs * np.sqrt(vals)
+    m = min(r * r, r + 2)
     restarts, max_evals = budget
-    if restarts < 1 or max_evals < 1:
-        raise ValueError(f"budget must be positive, got {budget}")
+    if restarts < 1 + len(seed_ensembles) or max_evals < 1:
+        raise ValueError(
+            f"budget needs at least 1 evaluation and {1 + len(seed_ensembles)} restarts "
+            f"(the eigen start and {len(seed_ensembles)} seed ensembles), got {budget}"
+        )
     mixers, evals, converged, kinds = np.ones((1, 1, 1), dtype=complex), [], [True], []  # rank 1: no search
     if r > 1:
         starts = [np.eye(m, r)] + [_support_mixer(rho, vals, vecs, ens) for ens in seed_ensembles]
-        children = np.random.SeedSequence(seed).spawn(max(0, restarts - len(starts)))
+        children = np.random.SeedSequence(seed).spawn(restarts - len(starts))
         starts += [_random_isometry(np.random.default_rng(child), m, r) for child in children]
         # A shorter start gets zero rows: members of weight 0.
         stack = np.array([np.pad(v, ((0, m - len(v)), (0, 0))) for v in starts], dtype=complex)
@@ -394,39 +389,3 @@ def cce_mixed_upper(
     ens = Ensemble(tuple((w, PureState(v, rho.dims)) for w, v in zip(p[owner == best].tolist(), rows[owner == best])))
     return RoofResult(values[best], ens, converged[best], trace)
 
-
-@dataclass(frozen=True)
-class MixedOrderingResult:
-    ensembles_checked: int
-    failures: list[str]
-
-    @property
-    def all_hold(self) -> bool:
-        return not self.failures
-
-
-def mixed_ordering_spotcheck(
-    rho: DensityOperator,
-    subset: Iterable[int],
-    *,
-    n_mixers: int = 100,
-    seed: int = 0,
-) -> MixedOrderingResult:
-    """Chain relations on matched ensembles of a mixed state.
-
-    Evaluating one and the same ensemble under all four benchmark entropies,
-    the per-member pure-state chain transfers to the ensemble averages:
-    E >= C/ln2, E >= 2C - 1/2, R2 >= C/ln2, C >= T3, E >= R2.
-    """
-    plan, vals, vecs, m = _roof_support(rho, subset)
-    r, roots = vals.size, vecs * np.sqrt(vals)
-    rng = np.random.default_rng(seed)
-    failures: list[str] = []
-    for trial in range(n_mixers):  # one mixer at a time: memory does not grow with n_mixers
-        mixer = np.eye(1, dtype=complex) if r == 1 else _random_isometry(rng, m, r)
-        averages = _ensemble_averages(plan, *_mixed_members(roots, mixer[None]), [list(BENCHMARKS.values())])[0]
-        avg = dict(zip(BENCHMARKS, averages))
-        for name, ok in _chain_checks(**avg).items():
-            if not ok:
-                failures.append(f"mixer {trial}: {name} violated with averages {avg}")
-    return MixedOrderingResult(ensembles_checked=n_mixers, failures=failures)

@@ -29,7 +29,6 @@ __all__ = [
     "fannes_audenaert_bound",
     "in_concavity_region",
     "in_subadditivity_region",
-    "max_entropy_value",
 ]
 
 VON_NEUMANN_ALPHA_ATOL = 1e-9
@@ -247,17 +246,3 @@ def fannes_audenaert_bound(eps: float, d: int) -> float:
         raise ValueError(f"eps must be < 1/2, got {eps}")
     return eps * math.log2(d - 1) + binary_entropy(eps)
 
-
-def max_entropy_value(d: int, p: EntropyParams) -> float:
-    """Entropy of the d-dimensional maximally mixed state."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    if p.is_von_neumann or p.is_renyi:
-        return math.log2(d)
-    e = (1.0 - p.alpha) * p.beta
-    try:
-        return (d**e - 1.0) / e
-    except OverflowError:
-        raise ValueError(
-            f"entropy at alpha={p.alpha}, beta={p.beta} is outside double range: (Tr rho^alpha)^beta overflows"
-        ) from None

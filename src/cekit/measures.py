@@ -37,11 +37,11 @@ from .entropy import (
     fannes_audenaert_bound,
     in_concavity_region,
     in_subadditivity_region,
-    max_entropy_value,
     unified_entropy_rows,
 )
 from .errors import ResourceLimitError
 from .tensor import (
+    NORM_ATOL,
     PureState,
     _kraus_set,
     _reduced_matrices,
@@ -57,7 +57,6 @@ __all__ = [
     "MeasureReport",
     "NamedMeasures",
     "OrderingReport",
-    "GmeCertificate",
     "CutBlock",
     "CutPlan",
     "SpectraTable",
@@ -74,13 +73,11 @@ __all__ = [
     "ordering_reports",
     "tensor_identity_residual",
     "subadditivity_gaps",
-    "gme_certificate",
     "continuity_gap",
     "locc_monotonicity_gaps",
 ]
 
 MAX_SUBSET_SIZE = 20
-GME_MARGIN = 1e-9
 ORDER_TOL = 1e-10  # slack of every ordering relation checked here
 LN2 = math.log(2.0)
 _CHUNK_ENTRIES = 1 << 14  # entries per stack of reduced matrices: bounds its memory
@@ -134,13 +131,6 @@ class OrderingReport:
     @property
     def all_hold(self) -> bool:
         return all(self.checks.values())
-
-
-@dataclass(frozen=True)
-class GmeCertificate:
-    value: float
-    threshold: float
-    certified: bool
 
 
 class CutBlock(NamedTuple):
@@ -352,8 +342,12 @@ def symmetric_values(
     only on k: the squared singular values of the (k+1) x (n-k+1) matrix
     M_il = c_{i+l} sqrt(C(k,i) C(n-k,l) / C(n,i+l)) (Stockton et al., PRA 67,
     022112 (2003)), formed once per k on the smaller side. Then
-    E(s) = 2^-|s| sum_k C(|s|,k) S_k, one exactly rounded sum.
+    E(s) = 2^-|s| sum_k C(|s|,k) S_k, one exactly rounded sum. The
+    coefficients must have norm 1 within NORM_ATOL, as `PureState` amplitudes.
     """
+    norm = float(np.linalg.norm(np.asarray(coeffs, dtype=complex)))
+    if not abs(norm - 1.0) <= NORM_ATOL:  # `not <=`: also NaN and inf
+        raise ValueError(f"squared norm must be 1 within {NORM_ATOL}, got norm {norm}")
     n, sizes = len(coeffs) - 1, list(sizes)
     for size in sizes:
         if not 1 <= size <= n:
@@ -422,16 +416,16 @@ def cce_values(jobs: Sequence[tuple[PureState, Iterable[int], EntropyParams]]) -
     return [_mean(terms.tolist()) for terms in _grouped_terms(jobs)]
 
 
-def _ensemble_averages(plan: CutPlan, p: np.ndarray, amps: np.ndarray, owner: Sequence[int], points: Sequence) -> list:
-    """The measure averaged over each ensemble at its point, or at its list of points (one length for all): member
-    i of the stack amps (k, D) has weight p[i] and ensemble owner[i], ascending. One `_stack_terms` call; a member's
-    value is the `_mean` of its terms, as in `cce_values`, and an average is one fsum in member order."""
-    points = np.asarray(points, dtype=object)
-    terms = _stack_terms(plan, amps, points.reshape(len(points), -1)[owner]).tolist()  # (k, P, masks)
-    weighted = (p[:, None] * [[_mean(t) for t in row] for row in terms]).T.tolist()  # (P, k)
+def _ensemble_averages(
+    plan: CutPlan, p: np.ndarray, amps: np.ndarray, owner: Sequence[int], points: Sequence[EntropyParams]
+) -> list[float]:
+    """The measure averaged over each ensemble at its point: member i of the stack amps (k, D) has weight p[i]
+    and ensemble owner[i], ascending. One `_stack_terms` call; a member's value is the `_mean` of its terms,
+    as in `cce_values`, and an average is one fsum in member order."""
+    terms = _stack_terms(plan, amps, np.asarray(points, dtype=object)[owner]).tolist()  # (k, masks)
+    weighted = (p * [_mean(t) for t in terms]).tolist()
     bounds = np.searchsorted(owner, np.arange(len(points) + 1)).tolist()
-    sums = [[math.fsum(w[lo:hi]) for w in weighted] for lo, hi in zip(bounds, bounds[1:])]
-    return np.reshape(sums, points.shape).tolist()
+    return [math.fsum(weighted[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def named_measures(psi: PureState, subset: Iterable[int]) -> NamedMeasures:
@@ -441,9 +435,9 @@ def named_measures(psi: PureState, subset: Iterable[int]) -> NamedMeasures:
 
 
 def _chain_checks(e: float, r2: float, t3: float, c: float) -> dict[str, bool]:
-    """The chain of relations among the four benchmark values (of one state,
-    or averaged over one ensemble), each within ORDER_TOL. Renyi order 1 is von
-    Neumann, so alpha-monotonicity from order 1 to 2 reads e >= r2."""
+    """The chain of relations among the four benchmark values of one state,
+    each within ORDER_TOL. Renyi order 1 is von Neumann, so alpha-monotonicity
+    from order 1 to 2 reads e >= r2."""
     return {
         "e_ge_c_over_ln2": e >= c / LN2 - ORDER_TOL,
         "e_ge_2c_minus_half": e >= 2.0 * c - 0.5 - ORDER_TOL,
@@ -540,23 +534,6 @@ def subadditivity_gaps(
 
     all_terms = _grouped_terms([(c[0], p, c[3]) for c, p in zip(cases, planned)])
     return [part(t, p, a) + part(t, p, b) - part(t, p, u) for (a, b, u), p, t in zip(splits, planned, all_terms)]
-
-
-def gme_certificate(psi: PureState, params: EntropyParams) -> GmeCertificate:
-    """Sufficient test for genuine tripartite entanglement on equal qudits.
-
-    The threshold is the largest value any biseparable three-qudit pure state
-    can reach; certification requires clearing it by more than floating-point
-    noise, since biseparable states can sit exactly on the threshold.
-    """
-    if psi.n_subsystems != 3:
-        raise ValueError(f"certificate needs exactly 3 subsystems, got {psi.n_subsystems}")
-    d = psi.dims[0]
-    if any(dim != d for dim in psi.dims):
-        raise ValueError(f"certificate needs equal local dimensions, got {psi.dims}")
-    value = cce_pure(psi, (1, 2, 3), params).value
-    threshold = max_entropy_value(d, params) / 2.0
-    return GmeCertificate(value=value, threshold=threshold, certified=value > threshold + GME_MARGIN)
 
 
 def continuity_gap(

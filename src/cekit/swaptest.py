@@ -73,15 +73,21 @@ class ControlDistribution:
 
 @dataclass(frozen=True)
 class ShotRecord:
-    """Multinomial counts over control bitstrings."""
+    """Multinomial counts over control bitstrings of one length, the register's qubit count."""
 
     counts: dict[str, int]
     shots: int
     seed: int
 
     def __post_init__(self) -> None:
+        if self.shots < 1:
+            raise ValueError(f"shots must be >= 1, got {self.shots}")
         if sum(self.counts.values()) != self.shots:
             raise ValueError("counts must sum to the number of shots")
+        first = next(iter(self.counts))  # counts summing to shots >= 1 are not empty
+        for z in self.counts:
+            if not (isinstance(z, str) and z and not z.strip("01") and len(z) == len(first)):
+                raise ValueError(f"counts must be keyed by 0/1 bitstrings of one length, got {z!r} beside {first!r}")
 
     def to_dict(self) -> dict:
         return {"counts": dict(self.counts), "shots": self.shots, "seed": self.seed}
@@ -150,9 +156,10 @@ def sample_shots(dist: ControlDistribution, shots: int, seed: int) -> ShotRecord
     return ShotRecord(counts=record, shots=shots, seed=seed)
 
 
-def estimate_from_shots(record: ShotRecord, n: int, subset: Iterable[int]) -> tuple[float, float]:
-    """(estimate, binomial standard error) of C(subset) from sampled counts."""
-    mask = _zero_mask(n, subset)
+def estimate_from_shots(record: ShotRecord, subset: Iterable[int]) -> tuple[float, float]:
+    """(estimate, binomial standard error) of C(subset) from sampled counts,
+    on the register of the record's bitstring length."""
+    mask = _zero_mask(len(next(iter(record.counts))), subset)
     hits = sum(c for z, c in record.counts.items() if int(z, 2) & mask == 0)
     c_hat = 1.0 - hits / record.shots
     sigma = math.sqrt(max(c_hat * (1.0 - c_hat), 0.0) / record.shots)

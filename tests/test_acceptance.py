@@ -135,7 +135,7 @@ def test_c08_shot_estimator_coverage():
     hits = 0
     for seed in range(100):
         record = sample_shots(dist, shots=shots, seed=seed)
-        estimate, _ = estimate_from_shots(record, 4, (1, 2, 3, 4))
+        estimate, _ = estimate_from_shots(record, (1, 2, 3, 4))
         if abs(estimate - exact) <= 4 * sigma:
             hits += 1
     assert hits >= 99

@@ -4,8 +4,10 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,6 +327,37 @@ def test_module_all_names_exist():
         module = importlib.import_module(f"cekit.{info.name}")
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert missing == [], f"cekit.{info.name}"
+
+
+def test_readme_removed_forms_are_gone():
+    # The README's table of removed forms: each bare `module.name`,
+    # `cekit.name` or `Class.attr` in its first column must not resolve, so a
+    # deleted form cannot come back unnoticed and a row cannot name something
+    # that exists. A form with `...` or a keyword names a removed signature.
+    names = [info.name for info in pkgutil.iter_modules(cekit.__path__) if info.name != "__main__"]
+    modules = {name: importlib.import_module(f"cekit.{name}") for name in names}
+
+    def owner(head):  # `cekit`, a cekit module, or a class of one
+        if head == "cekit" or head in modules:
+            return cekit if head == "cekit" else modules[head]
+        found = [getattr(m, head) for m in modules.values() if hasattr(m, head)]
+        assert found, f"{head} names no cekit module or attribute"
+        return found[0]
+
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[lines.index("| removed | use instead |") + 2 :])
+    checked = []
+    for row in rows:
+        for form in re.findall(r"`([^`]*)`", row.split(" | ")[0]):
+            head, *attrs = form.split("(")[0].split(".")
+            if "..." in form or "=" in form or not attrs:
+                continue
+            obj = owner(head)
+            for attr in attrs[:-1]:
+                obj = getattr(obj, attr)
+            assert not hasattr(obj, attrs[-1]), f"{form} is in the removed-forms table but still exists"
+            checked.append(form.split("(")[0])
+    assert {"cekit.ordering_report", "entropy.max_entropy_value", "DensityOperator.dim"} <= set(checked)
 
 
 @pytest.mark.parametrize(

@@ -19,12 +19,11 @@ from cekit.convex_roof import (
     _search,
     _support_mixer,
     cce_mixed_upper,
-    mixed_ordering_spotcheck,
     mixing_ensemble,
 )
 from cekit.entropy import EntropyParams, unified_entropy_spectrum
 from cekit.errors import ResourceLimitError
-from cekit.measures import cce_pure, cut_plan, ordering_reports
+from cekit.measures import cce_pure, cut_plan
 from cekit.states import haar_random, random_density, random_product
 from cekit.suites import concurrence, wootters_eof
 from cekit.tensor import DensityOperator, PureState
@@ -303,7 +302,7 @@ def _starts(rho, restarts, seed, seed_ensembles=()):
     r = _eigen_support(rho)[0].size
     m = min(r * r, r + 2)
     starts = [np.eye(m, r, dtype=complex)] + [_support_mixer(rho, *_eigen_support(rho), ens) for ens in seed_ensembles]
-    children = np.random.SeedSequence(seed).spawn(max(0, restarts - len(starts)))
+    children = np.random.SeedSequence(seed).spawn(restarts - len(starts))
     starts += [_random_isometry(np.random.default_rng(child), m, r) for child in children]
     return np.array([np.vstack([v, np.zeros((m - len(v), r))]) for v in starts])
 
@@ -606,6 +605,11 @@ def test_roof_rank_guard_and_budget_validation():
     small = random_density((2, 2), rank=2, seed=13)
     with pytest.raises(ValueError):
         cce_mixed_upper(small, (1,), VN, budget=(0, 100))
+    # Restarts cover the eigen start and every seed ensemble, or the budget is refused.
+    mix, ens = separable_mix(seed=10)
+    with pytest.raises(ValueError, match=r"3 restarts \(the eigen start and 2 seed ensembles\), got \(2, 50\)"):
+        cce_mixed_upper(mix, (1, 2), VN, budget=(2, 50), seed_ensembles=[ens, ens])
+    assert cce_mixed_upper(mix, (1, 2), VN, budget=(3, 50), seed_ensembles=[ens, ens]).restarts_used == 3
 
 
 def test_roof_convexity():
@@ -643,26 +647,6 @@ def test_matched_ensembles_alpha_monotone():
         lo = ens.average((1, 2), EntropyParams(1.3, 1.5))
         hi = ens.average((1, 2), EntropyParams(2.6, 1.5))
         assert lo >= hi - 1e-10
-
-
-def test_mixed_ordering_pure_state_reduces_to_report():
-    psi = haar_random((2, 2), seed=20)
-    result = mixed_ordering_spotcheck(psi.density(), (1, 2), n_mixers=5, seed=0)
-    assert result.all_hold
-    assert ordering_reports([(psi, (1, 2), ())])[0][0].all_hold
-
-
-def test_mixed_ordering_separable_state():
-    rho, _ = separable_mix(seed=21)
-    result = mixed_ordering_spotcheck(rho, (1, 2), n_mixers=20, seed=0)
-    assert result.all_hold
-
-
-def test_mixed_ordering_random_rank2():
-    rho = random_density((2, 2), rank=2, seed=22)
-    result = mixed_ordering_spotcheck(rho, (1, 2), n_mixers=100, seed=0)
-    assert result.ensembles_checked == 100
-    assert result.all_hold
 
 
 def test_roof_result_serialization():

@@ -13,7 +13,6 @@ from cekit.entropy import (
     in_concavity_region,
     in_subadditivity_region,
     majorizes_rows,
-    max_entropy_value,
     unified_entropy,
     unified_entropy_rows,
     unified_entropy_spectrum,
@@ -283,7 +282,6 @@ def test_maximum_on_maximally_mixed(d):
         e = (1.0 - params.alpha) * params.beta
         want = (d**e - 1.0) / e
         assert unified_entropy(rho, params) == pytest.approx(want, abs=1e-12)
-        assert max_entropy_value(d, params) == pytest.approx(want, abs=1e-14)
 
 
 def test_region_predicates():
@@ -542,9 +540,3 @@ def test_power_outside_double_range_raises_named_error(alpha, beta, what):
     # A pure spectrum keeps its value: Tr rho^alpha = 1 at every alpha.
     assert unified_entropy_spectrum([1.0, 0.0], p) == 0.0
 
-
-def test_max_entropy_value_outside_double_range_raises_named_error():
-    # d^((1 - alpha) beta) = 2^(0.5e308) overflows; the named error, not an OverflowError.
-    with pytest.raises(ValueError, match=re.escape("alpha=0.5, beta=1e+308") + ".*overflows"):
-        max_entropy_value(2, EntropyParams(0.5, 1e308))
-    assert max_entropy_value(2, EntropyParams(0.5, 2.0)) == (2**1.0 - 1.0) / 1.0

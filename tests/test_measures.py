@@ -21,7 +21,6 @@ from cekit.measures import (
     continuity_gap,
     cut_plan,
     cut_purity_rows,
-    gme_certificate,
     locc_monotonicity_gaps,
     member_spectra,
     named_measures,
@@ -332,34 +331,6 @@ def test_subadditivity_rejects_bad_inputs():
         subadditivity_gaps([(ghz(5), (1, 2), (2, 3), VN)])
     with pytest.raises(ValueError):
         subadditivity_gaps([(ghz(5), (1, 2), (3,), EntropyParams(0.5, 1.0))])
-
-
-def test_gme_certificate_ghz3_linear():
-    cert = gme_certificate(ghz(3), LIN)
-    assert cert.value == pytest.approx(0.375, abs=1e-12)
-    assert cert.threshold == pytest.approx(0.25, abs=1e-12)
-    assert cert.certified
-
-
-def test_gme_certificate_biseparable_not_certified(bell):
-    psi = PureState(np.kron(bell.amplitudes, np.array([1.0, 0.0])), (2, 2, 2))
-    for params in [LIN, VN]:
-        cert = gme_certificate(psi, params)
-        assert cert.value <= cert.threshold + 1e-12
-        assert not cert.certified
-
-
-def test_gme_certificate_product_not_certified():
-    cert = gme_certificate(random_product((2, 2, 2), seed=3), VN)
-    assert cert.value == pytest.approx(0.0, abs=1e-12)
-    assert not cert.certified
-
-
-def test_gme_certificate_rejects_bad_arity(bell):
-    with pytest.raises(ValueError):
-        gme_certificate(bell, VN)
-    with pytest.raises(ValueError):
-        gme_certificate(haar_random((2, 2, 3), seed=0), VN)
 
 
 def test_continuity_identical_states():

@@ -194,6 +194,13 @@ def test_ghz_w_closed_forms_match_exact_at_n10():
         symmetric_values(symmetric_coefficients("ghz", 4), [5], list(BENCHMARKS.values()))
 
 
+@pytest.mark.parametrize("coeffs", [[1.0, 1.0, 0.0], [math.nan, 1.0, 0.0], [0.0, 0.0, 0.0]])
+def test_symmetric_values_rejects_coefficients_off_unit_norm(coeffs):
+    # Coefficients that are not a state's: [1, 1, 0] would read -1.25 at the linear point.
+    with pytest.raises(ValueError, match="squared norm must be 1 within 1e-12"):
+        symmetric_values(coeffs, [1], [EntropyParams.linear()])
+
+
 def _symmetric_states(n):
     """(family, k, state) of GHZ, W and every Dicke state on n qubits."""
     yield "ghz", None, ghz(n)

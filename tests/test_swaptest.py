@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cekit.measures import named_measures
 from cekit.states import dicke, ghz, haar_random, random_product, w
 from cekit.swaptest import (
     ControlDistribution,
+    ShotRecord,
     bounds_from_estimate,
     cce_from_distribution,
     estimate_from_shots,
@@ -250,10 +252,32 @@ def test_shot_estimator_within_4_sigma():
     misses = 0
     for seed in range(50):
         record = sample_shots(dist, shots=100_000, seed=seed)
-        estimate, _ = estimate_from_shots(record, 3, (1, 2, 3))
+        estimate, _ = estimate_from_shots(record, (1, 2, 3))
         if abs(estimate - exact) > 4 * sigma:
             misses += 1
     assert misses <= 1
+
+
+@pytest.mark.parametrize(
+    "counts,shots,message",
+    [
+        ({}, 0, "shots must be >= 1, got 0"),
+        ({"01": 1, "1": 1}, 2, "0/1 bitstrings of one length, got '1' beside '01'"),
+        ({"02": 1}, 1, "got '02'"),
+        ({"": 1}, 1, "got ''"),
+        ({3: 1}, 1, "got 3"),
+    ],
+)
+def test_shot_record_rejects_malformed_records(counts, shots, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ShotRecord(counts, shots, 0)
+
+
+def test_shot_estimator_reads_the_register_from_the_record():
+    # C({1}) of W-3 is 2/9; qubit 1 is the leading bit of a 3-bit string.
+    record = sample_shots(swap_test_distribution(w(3)), shots=1000, seed=3)
+    estimate, sigma = estimate_from_shots(record, (1,))
+    assert abs(estimate - 2 / 9) <= 4 * sigma
 
 
 def test_bounds_from_estimate_zero():
