@@ -347,7 +347,7 @@ def symmetric_values(
     """
     norm = float(np.linalg.norm(np.asarray(coeffs, dtype=complex)))
     if not abs(norm - 1.0) <= NORM_ATOL:  # `not <=`: also NaN and inf
-        raise ValueError(f"squared norm must be 1 within {NORM_ATOL}, got norm {norm}")
+        raise ValueError(f"norm must be 1 within {NORM_ATOL}, got norm {norm}")
     n, sizes = len(coeffs) - 1, list(sizes)
     for size in sizes:
         if not 1 <= size <= n:

@@ -13,7 +13,10 @@ per cut plan). A batch holds 64 trials (`_BATCH`), or fewer when a trial
 evaluates many points: at most 512 (state, point) evaluations
 (`_BATCH_POINTS`), so `ordering`, at 44 points a trial, takes 11. No check
 draws from the suite's generator, so outputs are the trial-by-trial ones,
-bit for bit, and memory is bounded by the batch.
+bit for bit, and memory is bounded by the batch. `schur` reads its bounded
+integers from the raw PCG64 words by numpy's own method, and `ordering`
+and `locc` draw each trial's floats in one call: the stream is unchanged,
+and a tier-1 test pins every drawn bit.
 """
 from __future__ import annotations
 
@@ -72,6 +75,28 @@ class SuiteResult:
 def _batches(trials: int, points_per_trial: int = 1) -> list[range]:
     step = max(1, min(_BATCH, _BATCH_POINTS // points_per_trial))
     return [range(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
+
+
+class _RawInts:
+    """`below(n)` is `Generator.integers(0, n)`, n <= 2**32, by numpy's method (Lemire's, on 32-bit halves of raw
+    PCG64 outputs, low half first) less its per-call cost. It owns the 32-bit draws: no `integers` beside it."""
+
+    def __init__(self, rng: np.random.Generator):
+        if not isinstance(rng.bit_generator, np.random.PCG64):
+            raise ValueError(f"raw integer draws need a PCG64 bit generator, got {type(rng.bit_generator).__name__}")
+        self._raw, self._high = rng.bit_generator.random_raw, None
+
+    def below(self, n: int) -> int:
+        while n > 1:  # n == 1 draws nothing
+            if self._high is None:
+                word = self._raw()
+                low, self._high = word & 0xFFFF_FFFF, word >> 32
+            else:
+                low, self._high = self._high, None
+            m = low * n
+            if m & 0xFFFF_FFFF >= (0x1_0000_0000 - n) % n:  # numpy's rejection threshold
+                return m >> 32
+        return 0
 
 
 def sample_concavity_params(rng: np.random.Generator) -> EntropyParams:
@@ -149,19 +174,27 @@ def wootters_eof(rho: DensityOperator) -> float:
 
 def suite_schur(seed: int = 0, trials: int = 10_000) -> SuiteResult:
     """Entropy never increases along a majorization: S(lam) >= S(mu) when lam < mu."""
+    below = None
     def draw(rng, trial):
         # mu ~ Dirichlet(1, ..., 1) of size 2-6 and 1-3 transpositions (i, j, weight t), padded to 3 by
         # no-ops (0, 1, 0.0); lam averages mu along them. mu is zero-padded to 6 entries, which changes no
         # bit of an average, a majorization test or an entropy: the entropy kernel drops entries at or
         # below the zero floor and sums a row of at most 7 entries left to right, so trailing zeros add 0.0s.
-        size = int(rng.integers(2, 7))
-        mu = np.zeros(6)
-        mu[:size] = rng.dirichlet(np.ones(size))
+        nonlocal below  # each draw is numpy's, bit for bit
+        below = _RawInts(rng).below if trial == 0 else below  # one per generator: it keeps half words
+        size = 2 + below(5)  # integers(2, 7)
+        e, acc = rng.standard_exponential(size).tolist(), 0.0  # dirichlet(ones(size)): e over its sum
+        for x in e:
+            acc += x
+        mu = np.array(e + [0.0] * (6 - size)) * (1.0 / acc)
         steps = [(0, 1, 0.0)] * 3
-        for k in range(int(rng.integers(1, 4))):
-            i, j = rng.choice(size, size=2, replace=False)
-            steps[k] = (i, j, float(rng.uniform(0.0, 1.0)))
-        return mu, size, steps, EntropyParams(float(rng.uniform(0.05, 4.0)), float(rng.uniform(0.0, 3.0)))
+        for k in range(1 + below(3)):
+            a, b = below(size - 1), below(size)  # choice(size, 2, replace=False): Floyd's, then a shuffle
+            b = size - 1 if b == a else b
+            i, j = (a, b) if below(2) else (b, a)
+            steps[k] = (i, j, rng.random())
+        u_alpha, u_beta = rng.random(2).tolist()
+        return mu, size, steps, EntropyParams(0.05 + (4.0 - 0.05) * u_alpha, 3.0 * u_beta)
 
     def check(cases):
         mus = np.array([mu for mu, *_ in cases])
@@ -205,11 +238,9 @@ def suite_alpha_mono(seed: int = 0, trials: int = 10_000) -> SuiteResult:
 def suite_ordering(seed: int = 0, trials: int = 1000) -> SuiteResult:
     """Lower-bound chain plus alpha-monotonicity of the measure on Haar states."""
     def draw(rng, trial):
-        points = []  # alpha pairs (lo, hi) at a shared beta
-        for _ in range(ALPHA_PAIRS):
-            a_lo, a_hi = np.sort(rng.uniform(0.3, 3.5, size=2))
-            beta = float(rng.uniform(1.0, 3.0))
-            points += [EntropyParams(float(a_lo), beta), EntropyParams(float(a_hi), beta)]
+        u = rng.random((ALPHA_PAIRS, 3))  # per row: uniform(0.3, 3.5, size=2), then beta uniform(1, 3)
+        alphas, betas = np.sort(0.3 + (3.5 - 0.3) * u[:, :2], axis=1).tolist(), 1.0 + (3.0 - 1.0) * u[:, 2]
+        points = [EntropyParams(a, beta) for pair, beta in zip(alphas, betas.tolist()) for a in pair]
         return haar_random((2, 2, 2, 2), seed=seed * 100_003 + trial), (1, 2, 3, 4), points
 
     def check(cases):
@@ -298,8 +329,8 @@ def suite_locc(seed: int = 0, trials: int = 500) -> SuiteResult:
         # z, then two vectors a_i, each normed on its own: a stacked norm differs in the last bits
         psi = haar_random((2, 2, 2), seed=seed * 100_003 + trial)
         site = int(rng.integers(1, 4))
-        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        a = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2)]
+        g = rng.standard_normal((8, 2))  # real, then imaginary parts: z's two rows, a_1, a_2
+        z, a = g[:2] + 1j * g[2:4], [g[4] + 1j * g[5], g[6] + 1j * g[7]]
         return psi, site, z, [v / np.linalg.norm(v) for v in a], sample_concavity_params(rng)
 
     def check(cases):

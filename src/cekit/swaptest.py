@@ -80,14 +80,18 @@ class ShotRecord:
     seed: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.shots, int):
+            raise ValueError(f"shots must be an int, got {self.shots!r}")
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
         if sum(self.counts.values()) != self.shots:
             raise ValueError("counts must sum to the number of shots")
         first = next(iter(self.counts))  # counts summing to shots >= 1 are not empty
-        for z in self.counts:
+        for z, count in self.counts.items():
             if not (isinstance(z, str) and z and not z.strip("01") and len(z) == len(first)):
                 raise ValueError(f"counts must be keyed by 0/1 bitstrings of one length, got {z!r} beside {first!r}")
+            if not isinstance(count, int) or count < 0:
+                raise ValueError(f"count of {z!r} must be an int >= 0, got {count!r}")
 
     def to_dict(self) -> dict:
         return {"counts": dict(self.counts), "shots": self.shots, "seed": self.seed}

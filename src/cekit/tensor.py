@@ -69,7 +69,7 @@ class PureState:
             raise ValueError(f"amplitude length {amp.size} does not match dims {dims}")
         norm = float(np.linalg.norm(amp))
         if not abs(norm - 1.0) <= NORM_ATOL:  # `not <=`: also NaN
-            raise ValueError(f"squared norm must be 1 within {NORM_ATOL}, got norm {norm}")
+            raise ValueError(f"norm must be 1 within {NORM_ATOL}, got norm {norm}")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
         object.__setattr__(self, "dims", dims)
@@ -241,5 +241,5 @@ def local_kraus_branches(
     norms = np.linalg.norm(states[kept], axis=-1)
     off = norms[~(np.abs(norms - 1.0) <= NORM_ATOL)]  # `~ <=`: also NaN
     if off.size:
-        raise ValueError(f"squared norm must be 1 within {NORM_ATOL}, got norm {off[0]}")
+        raise ValueError(f"norm must be 1 within {NORM_ATOL}, got norm {off[0]}")
     return probs, states, kept

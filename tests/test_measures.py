@@ -41,12 +41,6 @@ VN = EntropyParams.von_neumann()
 LIN = EntropyParams.linear()
 
 
-def ghz_formula(n: int, branch: EntropyParams) -> float:
-    from cekit.entropy import unified_entropy_spectrum
-
-    return (2**n - 2) / 2**n * unified_entropy_spectrum([0.5, 0.5], branch)
-
-
 def test_cce_ghz3_von_neumann():
     assert cce_pure(ghz(3), (1, 2, 3), VN).value == pytest.approx(0.75, abs=1e-12)
 

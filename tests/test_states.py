@@ -197,7 +197,7 @@ def test_ghz_w_closed_forms_match_exact_at_n10():
 @pytest.mark.parametrize("coeffs", [[1.0, 1.0, 0.0], [math.nan, 1.0, 0.0], [0.0, 0.0, 0.0]])
 def test_symmetric_values_rejects_coefficients_off_unit_norm(coeffs):
     # Coefficients that are not a state's: [1, 1, 0] would read -1.25 at the linear point.
-    with pytest.raises(ValueError, match="squared norm must be 1 within 1e-12"):
+    with pytest.raises(ValueError, match="^norm must be 1 within 1e-12, got norm"):
         symmetric_values(coeffs, [1], [EntropyParams.linear()])
 
 

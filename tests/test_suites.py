@@ -18,7 +18,7 @@ from cekit.measures import (
     table_values,
 )
 from cekit.states import haar_random, random_density
-from cekit.tensor import hermitian_eigenvalues
+from cekit.tensor import PureState, hermitian_eigenvalues
 
 
 def _subadd_loop(seed, trials):
@@ -280,3 +280,101 @@ def test_batch_size_does_not_change_output(monkeypatch, name, trials):
     one_by_one = suites.run_suite(name, seed=1, trials=trials)
     assert batched.trials == one_by_one.trials
     assert batched.failures == one_by_one.failures
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 3_000_000_001])
+def test_raw_ints_match_generator_integers(n):
+    # Two generators from one seed: one draws through numpy, the other through the sampler. At n = 3e9
+    # about 30 % of the words are rejected. The interleaved 64-bit draws must see the same stream.
+    numpy_rng, raw_rng = np.random.default_rng(11), np.random.default_rng(11)
+    below = suites._RawInts(raw_rng).below
+    for step in range(2000):
+        assert below(n) == int(numpy_rng.integers(0, n))
+        if step % 3 == 0:
+            assert raw_rng.random() == numpy_rng.random()
+        if step % 7 == 0:
+            assert raw_rng.standard_exponential(2).tolist() == numpy_rng.standard_exponential(2).tolist()
+        assert raw_rng.bit_generator.state["state"] == numpy_rng.bit_generator.state["state"]
+
+
+def test_raw_ints_need_pcg64():
+    with pytest.raises(ValueError, match="need a PCG64 bit generator, got MT19937"):
+        suites._RawInts(np.random.Generator(np.random.MT19937(0)))
+
+
+# The draws of `schur`, `ordering` and `locc` as they read through numpy's `integers`, `choice`,
+# `dirichlet`, `uniform` and one `standard_normal` call per array: the oracle the suites' draws must match.
+def _schur_draw(rng, trial, seed):
+    size = int(rng.integers(2, 7))
+    mu = np.zeros(6)
+    mu[:size] = rng.dirichlet(np.ones(size))
+    steps = [(0, 1, 0.0)] * 3
+    for k in range(int(rng.integers(1, 4))):
+        i, j = rng.choice(size, size=2, replace=False)
+        steps[k] = (i, j, float(rng.uniform(0.0, 1.0)))
+    return mu, size, steps, EntropyParams(float(rng.uniform(0.05, 4.0)), float(rng.uniform(0.0, 3.0)))
+
+
+def _ordering_draw(rng, trial, seed):
+    points = []
+    for _ in range(suites.ALPHA_PAIRS):
+        a_lo, a_hi = np.sort(rng.uniform(0.3, 3.5, size=2))
+        beta = float(rng.uniform(1.0, 3.0))
+        points += [EntropyParams(float(a_lo), beta), EntropyParams(float(a_hi), beta)]
+    return haar_random((2, 2, 2, 2), seed=seed * 100_003 + trial), (1, 2, 3, 4), points
+
+
+def _locc_draw(rng, trial, seed):
+    psi = haar_random((2, 2, 2), seed=seed * 100_003 + trial)
+    site = int(rng.integers(1, 4))
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    a = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2)]
+    return psi, site, z, [v / np.linalg.norm(v) for v in a], suites.sample_concavity_params(rng)
+
+
+def _bits(x):
+    """Every int, and the hex of every float, that x holds, in order."""
+    if isinstance(x, (int, np.integer)):
+        return [int(x)]
+    if isinstance(x, (float, np.floating)):
+        return [float(x).hex()]
+    if isinstance(x, (complex, np.complexfloating)):
+        return [float(x.real).hex(), float(x.imag).hex()]
+    if isinstance(x, EntropyParams):
+        return _bits((x.alpha, x.beta))
+    if isinstance(x, PureState):
+        return _bits(x.amplitudes.ravel())
+    return [b for item in x for b in _bits(item)]
+
+
+def _suite_draws(monkeypatch, name, seed, trials):
+    """The cases suite `name` draws through its own draw function, then the generator state after them."""
+    drawn = []
+
+    def drawing(_name, seed, trials, draw, *_args, **_kwargs):
+        rng = np.random.default_rng(seed)
+        drawn.extend(draw(rng, trial) for trial in range(trials))
+        drawn.append(rng.bit_generator.state["state"])
+
+    monkeypatch.setattr(suites, "_run", drawing)
+    suites.run_suite(name, seed=seed, trials=trials)
+    return drawn
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 7919])
+@pytest.mark.parametrize(
+    "name,oracle,trials",
+    [
+        ("schur", _schur_draw, 1500),
+        ("ordering", _ordering_draw, 12),
+        ("locc", _locc_draw, 100),
+    ],
+)
+def test_suite_draws_match_numpy_draw_calls(monkeypatch, name, oracle, trials, seed):
+    # Bit for bit, and the generator consumes the same raw outputs: if a numpy release changes a
+    # draw method, this fails by name instead of the suites quietly drawing other cases.
+    *cases, state = _suite_draws(monkeypatch, name, seed, trials)
+    rng = np.random.default_rng(seed)
+    for trial, case in enumerate(cases):
+        assert _bits(case) == _bits(oracle(rng, trial, seed)), f"{name} trial {trial} seed {seed}"
+    assert rng.bit_generator.state["state"] == state

@@ -266,6 +266,9 @@ def test_shot_estimator_within_4_sigma():
         ({"02": 1}, 1, "got '02'"),
         ({"": 1}, 1, "got ''"),
         ({3: 1}, 1, "got 3"),
+        ({"00": 3, "10": -2}, 1, "count of '10' must be an int >= 0, got -2"),
+        ({"00": 0.5, "10": 0.5}, 1, "count of '00' must be an int >= 0, got 0.5"),
+        ({"0": 1}, 1.0, "shots must be an int, got 1.0"),
     ],
 )
 def test_shot_record_rejects_malformed_records(counts, shots, message):
