@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
+from functools import lru_cache
 from math import prod
 from typing import Sequence
 
@@ -17,6 +19,7 @@ __all__ = [
     "symmetric_coefficients",
     "star",
     "haar_random",
+    "haar_rows",
     "random_density",
     "random_product",
     "StateRecipe",
@@ -90,6 +93,95 @@ def haar_random(dims: Sequence[int], seed: int) -> PureState:
     d = prod(int(x) for x in dims)
     z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return PureState(z / np.linalg.norm(z), tuple(int(x) for x in dims))
+
+
+def _unit_rows(z: np.ndarray) -> np.ndarray:
+    """Each vector along the last axis of z over its norm, bit for bit `v / np.linalg.norm(v)`: both take the
+    squared norm as BLAS `ddot` of the real parts plus that of the imaginary parts (a stacked (1, D) @ (D, 1)
+    `matmul` is one `ddot` per row), then divide by its `sqrt`."""
+    rows = z.reshape(-1, 1, z.shape[-1])
+    sq = rows.real @ rows.real.swapaxes(-1, -2) + rows.imag @ rows.imag.swapaxes(-1, -2)
+    return z / np.sqrt(sq).reshape(z.shape[:-1] + (1,))
+
+
+# numpy's SeedSequence (O'Neill's seed_seq_fe) over a stack of seeds. Its hash constants do not depend on
+# the data: each `hashmix` call in order xors one constant and multiplies by the next, so the calls' (xor,
+# multiply) pairs are fixed. `_FILL` hashes the pool's words, `_MIX[src]` pool word src into the other
+# three, `_extra_pairs(width)` each word past the pool into all four, and `_OUT` the pool into
+# `generate_state(4, uint64)`'s eight 32-bit words.
+_POOL = 4
+_MASK32, _MASK128 = 0xFFFF_FFFF, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+
+
+def _hash_pairs(init: int, mult: int, count: int) -> np.ndarray:
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array([consts[:-1], consts[1:]], dtype=np.uint32)[..., None]  # (xor or multiply, call, 1)
+
+
+_IN = _hash_pairs(0x43B0D7E5, 0x931E8875, _POOL * _POOL)
+_FILL, _MIX = _IN[:, :_POOL], _IN[:, _POOL:].reshape(2, _POOL, _POOL - 1, 1)
+_OTHERS = [[dst for dst in range(_POOL) if dst != src] for src in range(_POOL)]
+_OUT = _hash_pairs(0x8B51F9DD, 0x58F38DED, 2 * _POOL)
+
+
+@lru_cache(maxsize=None)
+def _extra_pairs(width: int) -> np.ndarray:
+    pairs = _hash_pairs(0x43B0D7E5, 0x931E8875, _POOL * width)[:, _POOL * _POOL :]
+    return pairs.reshape(2, width - _POOL, _POOL, 1).swapaxes(0, 1)  # (word past the pool, 2, dst, 1)
+
+
+def _hashmix(x: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    x = (x ^ pairs[0]) * pairs[1]
+    return x ^ x >> np.uint32(16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    x = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+    return x ^ x >> np.uint32(16)
+
+
+def _pcg64_seeds(seeds: Sequence[int]) -> list[tuple[int, int]]:
+    """(state, inc) of `PCG64(SeedSequence(seed))` for each seed, by numpy's seeding: one pass of the
+    SeedSequence hash over the stack, then PCG64's two-step seeding of each seed's 128-bit state."""
+    seeds = [operator.index(s) for s in seeds]  # a float raises TypeError, as SeedSequence does
+    if any(s < 0 for s in seeds):
+        raise ValueError(f"expected non-negative integer seeds, got {min(seeds)}")
+    # A seed's entropy is its little-endian 32-bit words (0 is one word). An absent word of the pool hashes
+    # as 0, so pool words are zero-padded; a word past the pool is mixed in only for a seed that has it.
+    n_words = np.array([max(1, -(-s.bit_length() // 32)) for s in seeds], dtype=int)
+    width = max(_POOL, int(n_words.max(initial=0)))
+    words = np.frombuffer(b"".join(s.to_bytes(4 * width, "little") for s in seeds), "<u4")
+    words = words.reshape(len(seeds), width).T.astype(np.uint32)  # (word, seed)
+    pool = _hashmix(words[:_POOL], _FILL)
+    for src, dst in enumerate(_OTHERS):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _MIX[:, src]))
+    for src, pairs in enumerate(_extra_pairs(width), _POOL):
+        pool = np.where(n_words > src, _mix(pool, _hashmix(words[src], pairs)), pool)
+    out = _hashmix(np.tile(pool, (2, 1)), _OUT).astype(np.uint64)
+    state = (out[0::2] | out[1::2] << np.uint64(32)).tolist()  # generate_state(4, uint64), word by word
+    pcg = []
+    for hi, lo, inc_hi, inc_lo in zip(*state):
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        pcg.append((((inc + (hi << 64 | lo)) * _PCG_MULT + inc) & _MASK128, inc))  # state 0: step, add, step
+    return pcg
+
+
+def haar_rows(dims: Sequence[int], seeds: Sequence[int]) -> np.ndarray:
+    """The amplitudes of `haar_random(dims, seed)` for each seed, as one (k, D) stack, bit for bit: each
+    seed's generator state comes from one SeedSequence pass over the stack, its 2D normals from one call of
+    one generator (the D real parts, then the D imaginary ones), and the norms from `_unit_rows`."""
+    d = prod(_as_dims(dims))
+    rng = np.random.Generator(np.random.PCG64(0))
+    normals = np.empty((len(seeds), 2 * d))
+    for row, (state, inc) in zip(normals, _pcg64_seeds(seeds)):
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0,
+        }
+        rng.standard_normal(out=row)
+    return _unit_rows(normals[:, :d] + 1j * normals[:, d:])
 
 
 def random_density(dims: Sequence[int], rank: int, seed: int) -> DensityOperator:

@@ -13,17 +13,21 @@ per cut plan). A batch holds 64 trials (`_BATCH`), or fewer when a trial
 evaluates many points: at most 512 (state, point) evaluations
 (`_BATCH_POINTS`), so `ordering`, at 44 points a trial, takes 11. No check
 draws from the suite's generator, so outputs are the trial-by-trial ones,
-bit for bit, and memory is bounded by the batch. `schur` reads its bounded
-integers from the raw PCG64 words by numpy's own method, and `ordering`
-and `locc` draw each trial's floats in one call: the stream is unchanged,
-and a tier-1 test pins every drawn bit.
+bit for bit, and memory is bounded by the batch. `schur` and `subadd` read
+their bounded integers (and `subadd` its shuffle) from the raw PCG64 words
+by numpy's own methods, and `ordering` and `locc` draw each trial's floats
+in one call: the stream is unchanged, and a tier-1 test pins every drawn
+bit. `ordering`, `subadd`, `locc`, `swap-consistency` and `tensor-id` draw a
+Haar state as its seed (`_Haar`), and their checks build a batch's states
+with one `haar_rows` call per dims, bit for bit `haar_random`'s.
+`continuity` draws against its state, so it builds it per trial.
 """
 from __future__ import annotations
 
 import inspect
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,7 +43,7 @@ from .measures import (
     subadditivity_gaps,
     tensor_identity_residual,
 )
-from .states import dicke, ghz, haar_random, random_density, random_product, w
+from .states import _unit_rows, dicke, ghz, haar_random, haar_rows, random_density, random_product, w
 from .swaptest import cce_from_rows, swap_test_rows
 from .tensor import DensityOperator, PureState
 
@@ -78,25 +82,59 @@ def _batches(trials: int, points_per_trial: int = 1) -> list[range]:
 
 
 class _RawInts:
-    """`below(n)` is `Generator.integers(0, n)`, n <= 2**32, by numpy's method (Lemire's, on 32-bit halves of raw
-    PCG64 outputs, low half first) less its per-call cost. It owns the 32-bit draws: no `integers` beside it."""
+    """`below(n)` is `Generator.integers(0, n)`, n <= 2**32, and `interval(top)` numpy's `random_interval(top)`,
+    top < 2**32, by numpy's methods on 32-bit halves of raw PCG64 outputs (low half first, the high half kept
+    for the next draw of either) less their per-call cost. It owns the 32-bit draws: no `integers` beside it."""
 
     def __init__(self, rng: np.random.Generator):
         if not isinstance(rng.bit_generator, np.random.PCG64):
             raise ValueError(f"raw integer draws need a PCG64 bit generator, got {type(rng.bit_generator).__name__}")
         self._raw, self._high = rng.bit_generator.random_raw, None
 
+    def _half(self) -> int:
+        if self._high is None:
+            word = self._raw()
+            self._high = word >> 32
+            return word & 0xFFFF_FFFF
+        half, self._high = self._high, None
+        return half
+
     def below(self, n: int) -> int:
         while n > 1:  # n == 1 draws nothing
-            if self._high is None:
-                word = self._raw()
-                low, self._high = word & 0xFFFF_FFFF, word >> 32
-            else:
-                low, self._high = self._high, None
-            m = low * n
+            m = self._half() * n  # Lemire's
             if m & 0xFFFF_FFFF >= (0x1_0000_0000 - n) % n:  # numpy's rejection threshold
                 return m >> 32
         return 0
+
+    def interval(self, top: int) -> int:
+        """The draw of `shuffle` and `permutation`: a half masked to top's bit length, until it is <= top."""
+        mask = (1 << top.bit_length()) - 1
+        while top:  # top == 0 draws nothing
+            value = self._half() & mask
+            if value <= top:
+                return value
+        return 0
+
+
+class _Haar(NamedTuple):
+    """A case's Haar state, `haar_random(dims, seed)`, as drawn: the check builds its batch's (`_built`)."""
+
+    dims: tuple[int, ...]
+    seed: int
+
+
+def _built(cases: list[tuple]) -> list[tuple]:
+    """The cases with each `_Haar` entry replaced by its state: one `haar_rows` call per dims."""
+    spots = [(j, k, x) for j, case in enumerate(cases) for k, x in enumerate(case) if type(x) is _Haar]
+    if not spots:
+        return cases
+    cases = [list(case) for case in cases]
+    for idx in _groups(x.dims for *_, x in spots):
+        dims = spots[idx[0]][2].dims
+        for i, row in zip(idx, haar_rows(dims, [spots[i][2].seed for i in idx])):
+            j, k, _ = spots[i]
+            cases[j][k] = PureState(row, dims)
+    return [tuple(case) for case in cases]
 
 
 def sample_concavity_params(rng: np.random.Generator) -> EntropyParams:
@@ -241,9 +279,10 @@ def suite_ordering(seed: int = 0, trials: int = 1000) -> SuiteResult:
         u = rng.random((ALPHA_PAIRS, 3))  # per row: uniform(0.3, 3.5, size=2), then beta uniform(1, 3)
         alphas, betas = np.sort(0.3 + (3.5 - 0.3) * u[:, :2], axis=1).tolist(), 1.0 + (3.0 - 1.0) * u[:, 2]
         points = [EntropyParams(a, beta) for pair, beta in zip(alphas, betas.tolist()) for a in pair]
-        return haar_random((2, 2, 2, 2), seed=seed * 100_003 + trial), (1, 2, 3, 4), points
+        return _Haar((2, 2, 2, 2), seed * 100_003 + trial), (1, 2, 3, 4), points
 
     def check(cases):
+        cases = _built(cases)
         for j, ((*_, points), (report, values)) in enumerate(zip(cases, ordering_reports(cases))):
             yield from ((j, f"{name} violated") for name, ok in report.checks.items() if not ok)
             for lo, hi, v_lo, v_hi in zip(points[::2], points[1::2], values[::2], values[1::2]):
@@ -256,17 +295,22 @@ def suite_ordering(seed: int = 0, trials: int = 1000) -> SuiteResult:
 def suite_subadd(seed: int = 0, trials: int = 1000) -> SuiteResult:
     """E(s) + E(s') >= E(s u s') for disjoint subsets on the subadditive region."""
     alphas = (1.0, 1.5, 2.0, 3.0)
+    ints = None
 
     def draw(rng, trial):
-        psi = haar_random((2,) * 5, seed=seed * 100_003 + trial)
-        labels = rng.permutation(5) + 1
-        k1 = int(rng.integers(1, 4))
-        k2 = int(rng.integers(1, 6 - k1))
-        s = tuple(int(x) for x in labels[:k1])
-        s2 = tuple(int(x) for x in labels[k1 : k1 + k2])
-        return psi, s, s2, EntropyParams(alphas[int(rng.integers(len(alphas)))], 1.0)
+        nonlocal ints  # each draw is numpy's, bit for bit, as in `suite_schur`
+        ints = _RawInts(rng) if trial == 0 else ints
+        labels = [1, 2, 3, 4, 5]  # permutation(5) + 1: numpy's Fisher-Yates shuffle
+        for i in range(4, 0, -1):
+            j = ints.interval(i)
+            labels[i], labels[j] = labels[j], labels[i]
+        k1 = 1 + ints.below(3)  # integers(1, 4)
+        k2 = 1 + ints.below(5 - k1)  # integers(1, 6 - k1)
+        params = EntropyParams(alphas[ints.below(len(alphas))], 1.0)
+        return _Haar((2,) * 5, seed * 100_003 + trial), tuple(labels[:k1]), tuple(labels[k1 : k1 + k2]), params
 
     def check(cases):
+        cases = _built(cases)
         for j, ((_, s, s2, params), gap) in enumerate(zip(cases, subadditivity_gaps(cases))):
             if gap < -GAP_TOL:
                 yield j, f"gap {gap} for s={s}, s'={s2}, alpha={params.alpha}"
@@ -279,8 +323,8 @@ def suite_tensor_id(seed: int = 0, trials: int = 200) -> SuiteResult:
     def draw(rng, trial):
         dims_a = (2, 2) if rng.integers(2) else (2,)
         dims_b = (2, 2) if rng.integers(2) else (3,)
-        psi_a = haar_random(dims_a, seed=seed * 100_003 + 2 * trial)
-        psi_b = haar_random(dims_b, seed=seed * 100_003 + 2 * trial + 1)
+        psi_a = _Haar(dims_a, seed * 100_003 + 2 * trial)
+        psi_b = _Haar(dims_b, seed * 100_003 + 2 * trial + 1)
         n = len(dims_a) + len(dims_b)
         labels = [int(x) for x in rng.permutation(n) + 1]
         s = tuple(sorted(labels[: int(rng.integers(1, n + 1))]))
@@ -296,7 +340,7 @@ def suite_tensor_id(seed: int = 0, trials: int = 200) -> SuiteResult:
         return psi_a, psi_b, s, params
 
     def check(cases):
-        for j, (psi_a, psi_b, s, p) in enumerate(cases):
+        for j, (psi_a, psi_b, s, p) in enumerate(_built(cases)):
             residual = tensor_identity_residual(psi_a, psi_b, s, p)
             if residual >= 1e-10:
                 yield j, f"residual {residual} at alpha={p.alpha}, beta={p.beta}, s={s}"
@@ -326,17 +370,18 @@ def suite_continuity(seed: int = 0, trials: int = 500) -> SuiteResult:
 def suite_locc(seed: int = 0, trials: int = 500) -> SuiteResult:
     """Average measure never increases under rank-1 local instruments."""
     def draw(rng, trial):
-        # z, then two vectors a_i, each normed on its own: a stacked norm differs in the last bits
-        psi = haar_random((2, 2, 2), seed=seed * 100_003 + trial)
         site = int(rng.integers(1, 4))
         g = rng.standard_normal((8, 2))  # real, then imaginary parts: z's two rows, a_1, a_2
-        z, a = g[:2] + 1j * g[2:4], [g[4] + 1j * g[5], g[6] + 1j * g[7]]
-        return psi, site, z, [v / np.linalg.norm(v) for v in a], sample_concavity_params(rng)
+        z, a = g[:2] + 1j * g[2:4], g[4::2] + 1j * g[5::2]
+        return _Haar((2, 2, 2), seed * 100_003 + trial), site, z, a, sample_concavity_params(rng)
 
     def check(cases):
-        # Measure-and-prepare instruments: K_i = |a_i><b_i|, b_i the i-th column of z's QR basis.
+        # Measure-and-prepare instruments: K_i = |a_i><b_i|, b_i the i-th column of z's QR basis. The a_i are
+        # normed as one stack with the bits of `np.linalg.norm(a_i)`, whose `ddot` `_unit_rows` takes (a
+        # stacked `norm(axis=-1)` sums otherwise and differs in the last bits).
+        cases = _built(cases)
         basis, _ = np.linalg.qr(np.stack([z for _, _, z, _, _ in cases]))
-        a = np.array([a for *_, a, _ in cases])
+        a = _unit_rows(np.array([a for *_, a, _ in cases]))
         kraus = a[..., :, None] * basis.conj().swapaxes(-1, -2)[..., None, :]
         jobs = [(psi, (1, 2, 3), params, site, k) for (psi, site, _, _, params), k in zip(cases, kraus)]
         for j, ((_, _, p, site, _), gap) in enumerate(zip(jobs, locc_monotonicity_gaps(jobs))):
@@ -356,11 +401,11 @@ def suite_swap_consistency(seed: int = 0, trials: int = 100) -> SuiteResult:
             return fixed[i]
         trial = i - len(fixed)
         n = 2 + trial % 4
-        return f"haar:{n}q:{trial}", haar_random((2,) * n, seed=seed * 100_003 + trial)
+        return f"haar:{n}q:{trial}", _Haar((2,) * n, seed * 100_003 + trial)
 
     def check(cases):
         # Only C is compared, so only the linear point is evaluated; both sides make one stacked call per n.
-        jobs = [(psi, tuple(range(1, psi.n_subsystems + 1)), BENCHMARKS["c"]) for _, psi in cases]
+        jobs = [(psi, tuple(range(1, psi.n_subsystems + 1)), BENCHMARKS["c"]) for _, psi in _built(cases)]
         got = {}
         for idx in _groups(psi.dims for psi, _, _ in jobs):
             probs = swap_test_rows(np.stack([jobs[i][0].amplitudes for i in idx]), jobs[idx[0]][0].dims)

@@ -13,7 +13,9 @@ from cekit.states import (
     StateRecipe,
     dicke,
     ghz,
+    _unit_rows,
     haar_random,
+    haar_rows,
     random_density,
     random_product,
     star,
@@ -149,6 +151,50 @@ def test_haar_random_normalized_and_seeded():
     assert np.array_equal(psi.amplitudes, again.amplitudes)
     other = haar_random((2, 2, 2), seed=6)
     assert not np.allclose(psi.amplitudes, other.amplitudes)
+
+
+def _default_rng_row(dims, seed):
+    # The oracle: one fresh generator per seed, two standard_normal(D) draws, over np.linalg.norm.
+    d = math.prod(dims)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return z / np.linalg.norm(z)
+
+
+# One- to five-word seeds: 2**32 - 1 and 2**32 straddle the word edge, the bench's op seeds exceed 2**32,
+# 2**64 takes three words and 2**130 + 3 five, past the four-word pool.
+_ROW_SEEDS = [0, 1, 2**32 - 1, 2**32, 7919 * 1_000_003 * 100_003 + 17, 2**64 - 1, 2**64, 2**130 + 3]
+
+
+@pytest.mark.parametrize("dims", [(2,), (2, 3), (2,) * 5, (2,) * 10])
+@pytest.mark.parametrize("k", [1, 64, 3000])
+def test_haar_rows_match_default_rng_bit_for_bit(dims, k):
+    # 3000 rows make temporaries of 256 KiB and more, where numpy may evaluate a complex product in place.
+    base = 7919 * 1_000_003 * 100_003
+    stacks = [[seed] for seed in _ROW_SEEDS] if k == 1 else [_ROW_SEEDS + [base + t for t in range(k - 8)]]
+    for seeds in stacks:
+        seeds = seeds[len(seeds) // 2 :] + seeds[: len(seeds) // 2]  # the wide seeds mid-stack
+        rows = haar_rows(dims, seeds)
+        assert rows.shape == (k, math.prod(dims))
+        for seed, row in zip(seeds, rows):
+            assert row.tobytes() == _default_rng_row(dims, seed).tobytes(), seed
+    assert haar_rows(dims, []).shape == (0, math.prod(dims))
+
+
+def test_haar_rows_reject_seeds_as_default_rng_does():
+    for bad, error in [(-1, ValueError), (1.5, TypeError)]:
+        with pytest.raises(error):
+            np.random.default_rng(bad)
+        with pytest.raises(error):
+            haar_rows((2, 2), [3, bad])
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (300, 2, 2), (50, 3), (40, 16), (20, 1000), (4, 4096)])
+def test_unit_rows_match_linalg_norm_bit_for_bit(shape):
+    rng = np.random.default_rng(sum(shape))
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = [v / np.linalg.norm(v) for v in z.reshape(-1, shape[-1])]
+    assert _unit_rows(z).reshape(-1, shape[-1]).tobytes() == np.array(want).tobytes()
 
 
 def test_random_density_rank_bound():

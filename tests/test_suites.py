@@ -21,19 +21,22 @@ from cekit.states import haar_random, random_density
 from cekit.tensor import PureState, hermitian_eigenvalues
 
 
+def _subadd_draw(rng, trial, seed):
+    alphas = (1.0, 1.5, 2.0, 3.0)
+    labels = rng.permutation(5) + 1
+    k1 = int(rng.integers(1, 4))
+    k2 = int(rng.integers(1, 6 - k1))
+    s = tuple(int(x) for x in labels[:k1])
+    s2 = tuple(int(x) for x in labels[k1 : k1 + k2])
+    return ((2,) * 5, seed * 100_003 + trial), s, s2, EntropyParams(alphas[int(rng.integers(len(alphas)))], 1.0)
+
+
 def _subadd_loop(seed, trials):
     rng = np.random.default_rng(seed)
-    alphas = (1.0, 1.5, 2.0, 3.0)
     out = []
     for trial in range(trials):
-        psi = haar_random((2,) * 5, seed=seed * 100_003 + trial)
-        labels = rng.permutation(5) + 1
-        k1 = int(rng.integers(1, 4))
-        k2 = int(rng.integers(1, 6 - k1))
-        s = tuple(int(x) for x in labels[:k1])
-        s2 = tuple(int(x) for x in labels[k1 : k1 + k2])
-        params = EntropyParams(alphas[int(rng.integers(len(alphas)))], 1.0)
-        [gap] = subadditivity_gaps([(psi, s, s2, params)])
+        haar, s, s2, params = _subadd_draw(rng, trial, seed)
+        [gap] = subadditivity_gaps([(haar_random(*haar), s, s2, params)])
         out.append(f"trial {trial} seed {seed}: gap {gap} for s={s}, s'={s2}, alpha={params.alpha}")
     return out
 
@@ -286,10 +289,17 @@ def test_batch_size_does_not_change_output(monkeypatch, name, trials):
 def test_raw_ints_match_generator_integers(n):
     # Two generators from one seed: one draws through numpy, the other through the sampler. At n = 3e9
     # about 30 % of the words are rejected. The interleaved 64-bit draws must see the same stream.
+    # `interval` makes the swaps of numpy's shuffle of m = 1..38 items (tops 0..37), sharing the kept halves.
     numpy_rng, raw_rng = np.random.default_rng(11), np.random.default_rng(11)
-    below = suites._RawInts(raw_rng).below
+    ints = suites._RawInts(raw_rng)
     for step in range(2000):
-        assert below(n) == int(numpy_rng.integers(0, n))
+        assert ints.below(n) == int(numpy_rng.integers(0, n))
+        if step % 5 == 0:
+            m, items = 1 + step % 38, list(range(1 + step % 38))
+            for i in range(m - 1, 0, -1):
+                j = ints.interval(i)
+                items[i], items[j] = items[j], items[i]
+            assert items == numpy_rng.permutation(m).tolist()
         if step % 3 == 0:
             assert raw_rng.random() == numpy_rng.random()
         if step % 7 == 0:
@@ -302,8 +312,9 @@ def test_raw_ints_need_pcg64():
         suites._RawInts(np.random.Generator(np.random.MT19937(0)))
 
 
-# The draws of `schur`, `ordering` and `locc` as they read through numpy's `integers`, `choice`,
-# `dirichlet`, `uniform` and one `standard_normal` call per array: the oracle the suites' draws must match.
+# The draws of `schur`, `ordering`, `subadd` and `locc` as they read through numpy's `integers`, `choice`,
+# `permutation`, `dirichlet`, `uniform` and one `standard_normal` call per array: the oracle the suites' draws
+# must match. A Haar state is drawn as its (dims, seed), and the suite's check builds it with its batch.
 def _schur_draw(rng, trial, seed):
     size = int(rng.integers(2, 7))
     mu = np.zeros(6)
@@ -321,15 +332,32 @@ def _ordering_draw(rng, trial, seed):
         a_lo, a_hi = np.sort(rng.uniform(0.3, 3.5, size=2))
         beta = float(rng.uniform(1.0, 3.0))
         points += [EntropyParams(float(a_lo), beta), EntropyParams(float(a_hi), beta)]
-    return haar_random((2, 2, 2, 2), seed=seed * 100_003 + trial), (1, 2, 3, 4), points
+    return ((2, 2, 2, 2), seed * 100_003 + trial), (1, 2, 3, 4), points
 
 
 def _locc_draw(rng, trial, seed):
-    psi = haar_random((2, 2, 2), seed=seed * 100_003 + trial)
+    # The a_i as drawn: `suite_locc`'s check norms them (see `test_unit_rows_match_linalg_norm_bit_for_bit`).
     site = int(rng.integers(1, 4))
     z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     a = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2)]
-    return psi, site, z, [v / np.linalg.norm(v) for v in a], suites.sample_concavity_params(rng)
+    return ((2, 2, 2), seed * 100_003 + trial), site, z, a, suites.sample_concavity_params(rng)
+
+
+def _tensor_id_draw(rng, trial, seed):
+    dims_a = (2, 2) if rng.integers(2) else (2,)
+    dims_b = (2, 2) if rng.integers(2) else (3,)
+    n = len(dims_a) + len(dims_b)
+    labels = [int(x) for x in rng.permutation(n) + 1]
+    s = tuple(sorted(labels[: int(rng.integers(1, n + 1))]))
+    if trial % 4 == 0:
+        params = EntropyParams.von_neumann()
+    elif trial % 4 == 1:
+        params = EntropyParams.renyi(float(rng.uniform(0.3, 3.0)))
+    elif trial % 4 == 2:
+        params = EntropyParams.linear()
+    else:
+        params = EntropyParams(float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.2, 3.0)))
+    return (dims_a, seed * 100_003 + 2 * trial), (dims_b, seed * 100_003 + 2 * trial + 1), s, params
 
 
 def _bits(x):
@@ -348,12 +376,15 @@ def _bits(x):
 
 
 def _suite_draws(monkeypatch, name, seed, trials):
-    """The cases suite `name` draws through its own draw function, then the generator state after them."""
+    """The cases suite `name` draws through its own draw function, each beside itself with its Haar states
+    built as its check builds them, batch by batch, then the generator state after them."""
     drawn = []
 
-    def drawing(_name, seed, trials, draw, *_args, **_kwargs):
+    def drawing(_name, seed, trials, draw, _check, points=1, **_kwargs):
         rng = np.random.default_rng(seed)
-        drawn.extend(draw(rng, trial) for trial in range(trials))
+        for batch in suites._batches(trials, points):
+            cases = [draw(rng, trial) for trial in batch]
+            drawn.extend(zip(cases, suites._built(cases)))
         drawn.append(rng.bit_generator.state["state"])
 
     monkeypatch.setattr(suites, "_run", drawing)
@@ -367,14 +398,20 @@ def _suite_draws(monkeypatch, name, seed, trials):
     [
         ("schur", _schur_draw, 1500),
         ("ordering", _ordering_draw, 12),
+        ("subadd", _subadd_draw, 1500),
+        ("tensor-id", _tensor_id_draw, 70),
         ("locc", _locc_draw, 100),
     ],
 )
 def test_suite_draws_match_numpy_draw_calls(monkeypatch, name, oracle, trials, seed):
     # Bit for bit, and the generator consumes the same raw outputs: if a numpy release changes a
-    # draw method, this fails by name instead of the suites quietly drawing other cases.
+    # draw method, this fails by name instead of the suites quietly drawing other cases. Each Haar
+    # state the batch builds is `haar_random`'s, bit for bit.
     *cases, state = _suite_draws(monkeypatch, name, seed, trials)
     rng = np.random.default_rng(seed)
-    for trial, case in enumerate(cases):
+    for trial, (case, built) in enumerate(cases):
         assert _bits(case) == _bits(oracle(rng, trial, seed)), f"{name} trial {trial} seed {seed}"
+        for drawn, psi in zip(case, built):
+            if isinstance(drawn, suites._Haar):
+                assert _bits(psi) == _bits(haar_random(drawn.dims, drawn.seed)), f"{name} trial {trial}"
     assert rng.bit_generator.state["state"] == state
